@@ -45,11 +45,9 @@ def main() -> int:
     args = ap.parse_args()
 
     m = P.oriented_lines_metric(order=args.order, variant="hermitized")
-    curv = G.curvature(m)
-    F = G.witt_frame(m)
-    Q = jmat_eval0(F)
+    Q = m.frame0
     Qi = np.linalg.inv(Q)
-    R0 = [[jmat_eval0(curv[c][d]) for d in range(2)] for c in range(2)]
+    R0 = [[jmat_eval0(m.curv[c][d]) for d in range(2)] for c in range(2)]
 
     def R_frame(X, Y):
         acc = np.zeros((2, 2), complex)

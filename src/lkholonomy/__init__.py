@@ -7,7 +7,7 @@ runs the Berger test as linear algebra, and verifies Lorentz-Kähler
 symmetric spaces.
 """
 from .config import DEFAULT_TOL, RunConfig, Tolerances
-from .jets import ChartPoint, Jet, JetSpace
+from .jets import Jet, JetSpace
 
 __version__ = "0.1.0"
 

@@ -583,10 +583,7 @@ def _match_n0(alg: MatrixAlgebra, tol: float):
             return G0Descriptor()
         return UnknownDescriptor("n=0 algebra is neither parabolic nor sl(2,R)")
     has_c = alg.contains(_embed(0, c=1.0))
-    diag = []
-    for b in basis:
-        if abs(b[0, 1]) <= 1e-10 * max(np.abs(b).max(), 1.0):
-            diag.append(b[0, 0])
+    diag = [b[0, 0] for b in basis]  # the image of the projection onto the diagonal
     diag_rows = _row_space(np.array([[z.real, z.imag] for z in diag])
                            if diag else np.zeros((0, 2)), tol)
     ddim = diag_rows.shape[0]

@@ -150,7 +150,7 @@ def _cmd_validate(args) -> int:
         "kahler_residual": m.kahler_residual(),
         "walker": m.walker_report(),
         "is_walker": m.is_walker(),
-        "inverse_residual": G.inverse_residual(m, G.walker_inverse(m)),
+        "inverse_residual": G.inverse_residual(m),
         "frame_gram_residual": G.frame_gram_residual(m, F),
     }
     ok = (payload["hermitian_residual"] < args.tol

@@ -9,11 +9,12 @@ are stored as h[a][b] = h_{a-bar, b} (conjugate index first).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .jets import ChartPoint, InsufficientOrderError, Jet, JetSpace
+from .jets import InsufficientOrderError, Jet, JetSpace
 from .jetmat import (
     jmat_add,
     jmat_commutator,
@@ -45,16 +46,47 @@ class DegeneracyError(ValueError):
 
 @dataclass
 class MetricJet:
-    """Pseudo-Hermitian metric coefficients as a jet matrix."""
+    """Pseudo-Hermitian metric coefficients as a jet matrix.
+
+    The geometry pipeline of the metric (hinv -> gamma -> curv, and the
+    Witt frame at the base point) is computed on first use and kept, so the
+    holonomy, the Ricci check and the pp-wave checks of one metric share it.
+    """
 
     n: int
     h: np.ndarray  # (n+2, n+2) object array of Jets, h[a][b] = h_{abar b}
-    base: ChartPoint | None = None
     potential: Jet | None = None
 
-    def __post_init__(self):
-        if self.base is None:
-            self.base = ChartPoint((0.0,) * (self.n + 2))
+    @cached_property
+    def hinv(self) -> np.ndarray:
+        """h^{abar b}: the closed-form Walker inverse when it applies."""
+        return walker_inverse(self) if self.is_walker() else generic_inverse(self)
+
+    @cached_property
+    def gamma(self) -> list[np.ndarray]:
+        return christoffel(self)
+
+    @cached_property
+    def curv(self) -> list[list[np.ndarray]]:
+        return curvature(self)
+
+    @cached_property
+    def frame0(self) -> np.ndarray:
+        """The Witt frame at the base point, the only value of it that the
+        holonomy reads: `witt_frame` of the constant part of h, with C the
+        constant inverse square root of the h_{jbar k} block.  The identity
+        for metrics not in the Walker form."""
+        if not self.is_walker():
+            return np.eye(self.dim, dtype=complex)
+        n = self.n
+        g0 = self.gram0()
+        w, U = np.linalg.eigh(g0[1:n + 1, 1:n + 1])
+        if w.size and w.min() <= 0:
+            raise DegeneracyError("cannot build the frame factor C: the h_{jbar k} "
+                                  "block is not positive definite")
+        const = MetricJet(n, jmat_from_const(g0, JetSpace(self.dim, 0)))
+        C = jmat_from_const((U / np.sqrt(w)) @ U.conj().T, const.space)
+        return jmat_eval0(witt_frame(const, C))
 
     @property
     def dim(self) -> int:
@@ -198,28 +230,25 @@ def generic_inverse(m: MetricJet) -> np.ndarray:
     return jmat_inverse(m.h).T.copy()
 
 
-def inverse_residual(m: MetricJet, hinv: np.ndarray) -> float:
+def inverse_residual(m: MetricJet) -> float:
     space = m.space
-    res = jmat_add(jmat_mul(hinv.T.copy(), m.h),
+    res = jmat_add(jmat_mul(m.hinv.T.copy(), m.h),
                    jmat_scale(jmat_identity(m.dim, space), -1.0))
     return jmat_max_abs(res)
 
 
-def christoffel(m: MetricJet, hinv: np.ndarray | None = None) -> list[np.ndarray]:
+def christoffel(m: MetricJet) -> list[np.ndarray]:
     """Gamma[c][a][b] = Gamma^a_{bc} = sum_d h^{dbar a} d_c h_{dbar b}."""
-    if hinv is None:
-        hinv = generic_inverse(m)
     out = []
-    hinv_t = hinv.T.copy()
+    hinv_t = m.hinv.T.copy()
     for c in range(m.dim):
         out.append(jmat_mul(hinv_t, jmat_derivative(m.h, c, holomorphic=True)))
     return out
 
 
-def curvature(m: MetricJet, gamma: list[np.ndarray] | None = None) -> list[list[np.ndarray]]:
+def curvature(m: MetricJet) -> list[list[np.ndarray]]:
     """R[c][d][a][b] = R^a_{b c dbar} = -d_{zbar^d} Gamma^a_{bc}."""
-    if gamma is None:
-        gamma = christoffel(m)
+    gamma = m.gamma
     out = []
     for c in range(m.dim):
         row = []
@@ -238,10 +267,9 @@ def covariant_derivative(xi: np.ndarray, gamma: list[np.ndarray], var: int,
     return jmat_add(d, jmat_commutator(gamma[var], xi))
 
 
-def ricci(m: MetricJet, curv: list[list[np.ndarray]] | None = None) -> np.ndarray:
+def ricci(m: MetricJet) -> np.ndarray:
     """ric[d][b] = sum_a R^a_{b a dbar} (conjugate index first, as in h)."""
-    if curv is None:
-        curv = curvature(m)
+    curv = m.curv
     space = m.space
     out = jmat_zero((m.dim, m.dim), space)
     for d in range(m.dim):
@@ -339,15 +367,13 @@ class HolonomyResult:
     dims_by_order: list[int]
     stabilized: bool
     complex_dim: int
-    frame0: np.ndarray
     bracket_residual: float = 0.0
 
 
-def _real_points(cbasis: list[np.ndarray], n: int,
-                 sigma=sigma_involution) -> list[np.ndarray]:
+def _real_points(cbasis: list[np.ndarray]) -> list[np.ndarray]:
     cands = []
     for w in cbasis:
-        s = sigma(w, tol=1e-5)
+        s = sigma_involution(w, tol=1e-5)
         cands.append(w + s)
         cands.append(1j * (w - s))
     return real_span_basis([c for c in cands if np.abs(c).max() > 1e-10])
@@ -365,18 +391,14 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4,
         raise InsufficientOrderError(
             f"jet order {m.space.order} cannot reach derivative order {r_max}; "
             f"rebuild the potential with order >= {r_max + 4}")
-    hinv = walker_inverse(m) if m.is_walker() else generic_inverse(m)
-    gamma = christoffel(m, hinv)
-    curv = curvature(m, gamma)
-    F = witt_frame(m) if m.is_walker() else jmat_identity(m.dim, m.space)
-    Q = jmat_eval0(F)
+    Q = m.frame0
     Qinv = np.linalg.inv(Q)
-    P = radial_parallel_gauge(gamma)
+    P = radial_parallel_gauge(m.gamma)
     Pinv = jmat_inverse(P)
     coeffs_by_deg: dict[int, list[np.ndarray]] = {r: [] for r in range(r_max + 1)}
     for c in range(m.dim):
         for d in range(m.dim):
-            M = jmat_mul(Pinv, jmat_mul(curv[c][d], P))
+            M = jmat_mul(Pinv, jmat_mul(m.curv[c][d], P))
             table: dict = {}
             for idx in np.ndindex(*M.shape):
                 for key, val in M[idx].coeffs.items():
@@ -406,7 +428,7 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4,
         cbasis_rows = cspan(mats, cbasis_rows)
         dims.append(len(cbasis_rows))
     cbasis = [row.reshape(m.dim, m.dim) for row in cbasis_rows]
-    real_basis = _real_points(cbasis, m.n)
+    real_basis = _real_points(cbasis)
     alg = MatrixAlgebra(m.n, real_basis)
     stabilized = len(dims) >= 2 and dims[-1] == dims[-2]
     return HolonomyResult(
@@ -414,7 +436,6 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4,
         dims_by_order=dims,
         stabilized=stabilized,
         complex_dim=len(cbasis),
-        frame0=Q,
         bracket_residual=alg.bracket_residual(),
     )
 
@@ -423,20 +444,16 @@ def iterated_covariant_span(m: MetricJet, r_max: int,
                             tol: float = DEFAULT_TOL.rank_rel) -> list[np.ndarray]:
     """Direct breadth-first computation of the same span (oracle for the
     radial-gauge method; exponential in r_max, use small cases only)."""
-    hinv = walker_inverse(m) if m.is_walker() else generic_inverse(m)
-    gamma = christoffel(m, hinv)
-    curv = curvature(m, gamma)
-    F = witt_frame(m) if m.is_walker() else jmat_identity(m.dim, m.space)
-    Q = jmat_eval0(F)
+    Q = m.frame0
     Qinv = np.linalg.inv(Q)
-    level = [curv[c][d] for c in range(m.dim) for d in range(m.dim)]
+    level = [m.curv[c][d] for c in range(m.dim) for d in range(m.dim)]
     collected = [Qinv @ jmat_eval0(xi) @ Q for xi in level]
     for _ in range(r_max):
         nxt = []
         for xi in level:
             for var in range(m.dim):
                 for holo in (True, False):
-                    nxt.append(covariant_derivative(xi, gamma, var, holo))
+                    nxt.append(covariant_derivative(xi, m.gamma, var, holo))
         level = nxt
         collected.extend(Qinv @ jmat_eval0(xi) @ Q for xi in level)
     rows = [w.ravel() for w in collected if np.abs(w).max() > 1e-11]
@@ -491,11 +508,10 @@ def ppwave_check(m: MetricJet, r_max: int = 3,
     n, v, u = m.n, m.v, m.u
     res: dict = {}
 
-    gamma = christoffel(m)
     worst_p = 0.0
     for c in range(m.dim):
         for b in range(m.dim):
-            worst_p = max(worst_p, gamma[c][b, v].max_abs())
+            worst_p = max(worst_p, m.gamma[c][b, v].max_abs())
     res["parallel_p_residual"] = float(worst_p)
     parallel_p = worst_p <= tol
 
@@ -510,7 +526,7 @@ def ppwave_check(m: MetricJet, r_max: int = 3,
     res["holonomy_translation_residual"] = float(worst1)
     cond1 = worst1 <= 1e-7
 
-    curv = curvature(m)
+    curv = m.curv
     worst2 = worst3 = 0.0
     for c in range(n + 1):
         for d in range(n + 1):

@@ -99,13 +99,6 @@ def jmat_max_abs(A: np.ndarray) -> float:
     return max(A[idx].max_abs() for idx in np.ndindex(*A.shape))
 
 
-def jmat_truncated(A: np.ndarray, order: int) -> np.ndarray:
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(*A.shape):
-        out[idx] = A[idx].truncated(order)
-    return out
-
-
 def jmat_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of a jet matrix via Neumann series around the constant part.
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .config import DEFAULT_TOL
 
@@ -250,24 +249,6 @@ class Jet:
             series.append(root * binom / a0 ** k)
         return self.compose(series)
 
-    def erf(self) -> "Jet":
-        """Error function of a jet, via its entire Taylor series at the base value."""
-        a0 = self.constant_term()
-        # erf^(k)(x) = p_k(x) e^{-x^2} with p_1 = 2/sqrt(pi), p_{k+1} = p_k' - 2x p_k
-        series = [complex(_erf(complex(a0)))]
-        p = np.array([2.0 / math.sqrt(math.pi)], dtype=complex)  # ascending coeffs
-        gauss = np.exp(-a0 * a0)
-        for k in range(1, self.order + 1):
-            val = np.polyval(p[::-1], a0) * gauss
-            series.append(val / math.factorial(k))
-            dp = np.array([j * p[j] for j in range(1, len(p))], dtype=complex)
-            xp = np.zeros(len(p) + 1, dtype=complex)
-            xp[1:] = p
-            p = np.zeros(max(len(dp), len(xp)), dtype=complex)
-            p[: len(dp)] += dp
-            p[: len(xp)] += -2.0 * xp
-        return self.compose(series)
-
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point: np.ndarray, conj_point: np.ndarray | None = None) -> complex:
@@ -312,20 +293,6 @@ class JetSpace:
 
     def conj_variable(self, i: int) -> Jet:
         return Jet.variable(i, self.num_coords, self.order, holomorphic=False)
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """Base point of a jet expansion: one complex value per coordinate."""
-
-    values: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-
-    @property
-    def num_coords(self) -> int:
-        return len(self.values)
 
 
 def real_part(a: Jet) -> Jet:

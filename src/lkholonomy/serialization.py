@@ -57,6 +57,8 @@ def encode_matrix(m: np.ndarray) -> list:
 
 
 def decode_matrix(obj) -> np.ndarray:
+    if len(obj) == 0:
+        return np.zeros((0, 0), dtype=complex)
     return np.array([[decode_complex(z) for z in row] for row in obj],
                     dtype=complex)
 
@@ -73,6 +75,9 @@ def decode_vector(obj) -> np.ndarray:
 def encode_descriptor(d) -> dict:
     fam = d.family
     out: dict = {"family": fam}
+    if fam == "UNKNOWN":
+        out["reason"] = d.reason
+        return out
     if fam in ("G0", "G1", "G2", "G3"):
         out["n"] = 0
         if fam == "G3":
@@ -101,8 +106,6 @@ def encode_descriptor(d) -> dict:
         out["k_basis"] = [{"a1": float(a1), "a2": float(a2),
                            "A": encode_matrix(A)} for a1, a2, A in d.k_basis]
         out["lambdas"] = _lambdas_of(d)
-    elif fam == "UNKNOWN":
-        out["reason"] = d.reason
     else:
         raise ValueError(f"unknown family {fam!r}")
     return out

@@ -41,7 +41,7 @@ def test_criterion_1_flat_model():
         m = G.metric_from_potential(f)
         gamma = G.christoffel(m)
         assert max(jmat_max_abs(g) for g in gamma) < 1e-12
-        curv = G.curvature(m, gamma)
+        curv = G.curvature(m)
         assert max(jmat_max_abs(c) for row in curv for c in row) < 1e-12
         assert G.infinitesimal_holonomy(m, r_max=3).algebra.dim == 0
     assert time.time() - t0 < 1.0
@@ -63,7 +63,7 @@ def test_criterion_2_fc_oracles():
     target_gamma = ub * (-1j * a) + u * ub * ub * (-0.5j * b)
     assert (gamma[1][0, 0] - target_gamma).max_abs() < 1e-9
 
-    curv = G.curvature(m, gamma)
+    curv = G.curvature(m)
     target_r = space.constant(1j * a) + u * ub * (1j * b)
     assert (curv[1][1][0, 0] - target_r).max_abs() < 1e-9
 

@@ -5,6 +5,8 @@ import pytest
 from lkholonomy import classify as C
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
+from lkholonomy.jets import JetSpace
+from lkholonomy.lie import MatrixAlgebra
 
 
 def test_build_match_roundtrip_algebra_only(suite):
@@ -14,16 +16,24 @@ def test_build_match_roundtrip_algebra_only(suite):
         assert C.same_descriptor(got, d), (d.family, getattr(got, "reason", ""))
 
 
-def test_n0_matches():
-    tags = [("G0", None), ("G1", None), ("G2", None), ("G3", 1.0), ("G3", 0.0)]
+def test_n0_matches(rng):
+    tags = [("G0", None), ("G1", None), ("G2", None), ("G3", 1.0), ("G3", 0.0),
+            ("G3", 1j), ("G3", 1 + 1j)]
     for fam, gamma in tags:
         d = {"G0": C.G0Descriptor(), "G1": C.G1Descriptor(),
              "G2": C.G2Descriptor()}.get(fam)
         if d is None:
             d = C.G3Descriptor(gamma=gamma)
         alg = C.build_family(d)
-        got = C.match_algebra(alg)
-        assert C.same_descriptor(got, d), fam
+        # the same algebra after a real change of basis
+        mix = rng.standard_normal((alg.dim, alg.dim)) + 2 * np.eye(alg.dim)
+        mixed = MatrixAlgebra(0, list(np.tensordot(mix, np.array(alg.basis), 1)))
+        for a in (alg, mixed):
+            got = C.match_algebra(a)
+            assert C.same_descriptor(got, d), (fam, gamma)
+    m = G.metric_from_potential(P.fc_potential(JetSpace(2, 8), 0.5 + 0.5j, 1.0))
+    hol = G.infinitesimal_holonomy(m, r_max=4)
+    assert C.match_algebra(hol.algebra).family == "G1"
 
 
 def test_same_descriptor_distinguishes():
@@ -49,7 +59,6 @@ def test_realizability_gate():
 
 
 def test_match_rejects_garbage():
-    from lkholonomy.lie import MatrixAlgebra
     # not weakly irreducible: no c-line present
     alg = MatrixAlgebra(1, [np.diag([1j, 0, -1j])])
     got = C.match_algebra(alg)

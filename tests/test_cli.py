@@ -40,6 +40,26 @@ def test_holonomy_mismatch(tmp_path, gk_potential, capsys):
     assert report["expectation_errors"]
 
 
+def test_holonomy_gkjl_without_complex_part(tmp_path, capsys):
+    p = _write(tmp_path, "gkjl.json", {
+        "kind": "descriptor", "order": 9,
+        "descriptor": {"family": "GKJL", "n": 1, "m": 0,
+                       "k_basis": [{"a2": 1.0, "A": []}]}})
+    assert main(["holonomy", "--potential", p, "--rmax", "5"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["matched_family"] == "GKJL"
+
+
+def test_holonomy_unknown_match_is_a_report(tmp_path, capsys):
+    pp = _write(tmp_path, "pp.json", {
+        "kind": "ppwave", "n": 1, "order": 8,
+        "phi_terms": [{"coeff": [1, 0], "z": [3]}]})
+    assert main(["holonomy", "--potential", pp]) == EXIT_MISMATCH
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["matched_family"] == "UNKNOWN"
+    assert report["result"]["descriptor"]["family"] == "UNKNOWN"
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["holonomy", "--potential", "/nonexistent.json"]) == EXIT_INPUT
 

@@ -1,16 +1,35 @@
 """Metric jets, curvature, frames, holonomy spans: frozen desk oracles."""
+import json
+
 import numpy as np
 import pytest
 
+from lkholonomy import cli
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
-from lkholonomy.jetmat import jmat_max_abs, jmat_residual
+from lkholonomy.jetmat import jmat_eval0, jmat_max_abs, jmat_residual
 from lkholonomy.jets import JetSpace, real_part
 
 
 def _fc_metric(a, b, order=8):
     space = JetSpace(2, order)
     return G.metric_from_potential(P.fc_potential(space, a, b))
+
+
+def _nondiagonal_metric(order=6):
+    """n = 2 Walker metric whose base-point h_{jbar k} block is Hermitian
+    but not diagonal, and depends on u."""
+    space = JetSpace(4, order)
+    z, zb = [space.variable(k) for k in (1, 2)], [space.conj_variable(k) for k in (1, 2)]
+    u, ub = space.variable(3), space.conj_variable(3)
+    H = np.array([[2.0, 0.5 - 0.5j], [0.5 + 0.5j, 1.0]])
+    f = P.fc_potential(space, 1.0, 0.5) + real_part(u * ub * zb[0] * z[1] * 0.3)
+    for j in range(2):
+        for k in range(2):
+            f = f + zb[j] * z[k] * H[j, k]
+    m = G.metric_from_potential(f)
+    assert m.is_walker()
+    return m
 
 
 def test_flat_metric_everything_vanishes():
@@ -20,7 +39,7 @@ def test_flat_metric_everything_vanishes():
         m = G.metric_from_potential(f)
         gamma = G.christoffel(m)
         assert max(jmat_max_abs(g) for g in gamma) < 1e-12
-        curv = G.curvature(m, gamma)
+        curv = G.curvature(m)
         assert max(jmat_max_abs(c) for row in curv for c in row) < 1e-12
         hol = G.infinitesimal_holonomy(m, r_max=3)
         assert hol.algebra.dim == 0
@@ -60,7 +79,7 @@ def test_fc_second_covariant_derivative_oracle():
     a, b = 1.0, 1.0
     m = _fc_metric(a, b)
     gamma = G.christoffel(m)
-    curv = G.curvature(m, gamma)
+    curv = G.curvature(m)
     xi = G.covariant_derivative(curv[1][1], gamma, 1, holomorphic=True)
     xi = G.covariant_derivative(xi, gamma, 1, holomorphic=False)
     from lkholonomy.jetmat import jmat_eval0
@@ -94,6 +113,12 @@ def test_degenerate_potential_rejected():
     f = space.variable(0) * space.conj_variable(0)
     with pytest.raises(G.DegeneracyError):
         G.metric_from_potential(f)
+    # an h_{jbar k} block that is not positive definite has no Witt frame
+    space = JetSpace(3, 6)
+    z, zb = space.variable(1), space.conj_variable(1)
+    m = G.metric_from_potential(P.fc_potential(space, 0.0, 0.0) - z * zb)
+    with pytest.raises(G.DegeneracyError):
+        G.infinitesimal_holonomy(m, r_max=2)
 
 
 def test_holonomy_matches_iterated_span():
@@ -122,3 +147,42 @@ def test_insufficient_order_raises():
     m = _fc_metric(1.0, 1.0, order=4)
     with pytest.raises(Exception):
         G.infinitesimal_holonomy(m, r_max=5)
+
+
+def test_frame0_is_the_witt_frame_at_the_base_point():
+    m = _nondiagonal_metric()
+    assert abs(m.gram0()[1, 2]) > 0.5
+    assert np.abs(m.frame0 - jmat_eval0(G.witt_frame(m))).max() < 1e-12
+
+
+def test_holonomy_takes_no_jet_square_root(monkeypatch):
+    def refuse(A):
+        raise AssertionError("jmat_sqrt called")
+
+    monkeypatch.setattr(G, "jmat_sqrt", refuse)
+    hol = G.infinitesimal_holonomy(_nondiagonal_metric(), r_max=2)
+    assert hol.algebra.dim > 0
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Counts of christoffel and curvature builds."""
+    calls = {"christoffel": 0, "curvature": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(G, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(G, name, counted)
+    return calls
+
+
+def test_ppwave_check_builds_each_stage_once(stage_calls):
+    G.ppwave_check(_fc_metric(1.0, 1.0))
+    assert stage_calls == {"christoffel": 1, "curvature": 1}
+
+
+def test_cli_holonomy_builds_each_stage_once(stage_calls, tmp_path, capsys):
+    p = tmp_path / "fc.json"
+    p.write_text(json.dumps({"kind": "fc", "a": 1.0, "b": 1.0, "order": 8}))
+    assert cli.main(["holonomy", "--potential", str(p)]) == cli.EXIT_OK
+    assert stage_calls == {"christoffel": 1, "curvature": 1}

@@ -31,6 +31,14 @@ def test_n0_descriptor_roundtrip():
         assert C.same_descriptor(back, d)
 
 
+def test_empty_matrix_roundtrip():
+    obj = {"family": "GKJL", "n": 1, "m": 0, "k_basis": [{"a2": 1.0, "A": []}]}
+    d = S.decode_descriptor(obj)
+    assert d.k_basis[0][1].shape == (0, 0)
+    assert S.encode_descriptor(d) == obj
+    assert C.same_descriptor(d, C.GKJLDescriptor(1, 0, [(1.0, np.zeros((0, 0), complex))]))
+
+
 def test_algebra_file_both_forms():
     d = C.G1Descriptor()
     alg1 = S.decode_algebra({"family": "G1"})
