@@ -8,7 +8,7 @@ by R(X, Y) = R(X, conj Y) - R(Y, conj X).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +27,9 @@ class CurvatureMap:
     def dim_v(self) -> int:
         return self.n + 2
 
-    def value(self, i: int, j: int) -> np.ndarray:
-        return self.rho[i, j]
-
     def real_value(self, i: int, j: int) -> np.ndarray:
         """R(b_i, b_j) on real basis arguments."""
         return self.rho[i, j] - self.rho[j, i]
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.rho).max())
 
     def invariant_residual(self, sigma=sigma_involution) -> float:
         """Worst violation of reality, exchange symmetry, and the first
@@ -81,49 +75,49 @@ def _default_sigma(alg: MatrixAlgebra):
         return np.conj
 
 
+def _null_space(M: np.ndarray, tol: float) -> np.ndarray:
+    """Columns spanning the null space of M by the relative rank rule; U is
+    built in full only when it is smaller than V^H."""
+    _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    return vt[rank:].conj().T
+
+
 def solve_curvature_space(alg: MatrixAlgebra, sigma=None,
                           tol: float = DEFAULT_TOL.rank_rel) -> list[CurvatureMap]:
     """Basis of the real solution space of the two linear conditions
     rho[i,j] = -sigma(rho[j,i]) and rho[i,j] b_k = rho[k,j] b_i, with all
-    values constrained to span_C(g)."""
+    values constrained to span_C(g).
+
+    The exchange condition is complex-linear and the same for every slot j:
+    its null space parametrizes rho[:, j] = sum_e t[j, e] E[:, e].  sigma is
+    anti-linear, so reality for i <= j (i > j is sigma of it) is a real
+    system in (Re t, Im t) that applies sigma to the matrices E only."""
     if alg.dim == 0:
         return []
     if sigma is None:
         sigma = _default_sigma(alg)
     N = alg.n + 2
-    cbasis = _complex_span_basis(alg.basis)
-    c = len(cbasis)
-    n_unknowns = 2 * c * N * N  # (Re mu, Im mu) per slot and complex basis element
-
-    def assemble(x: np.ndarray) -> np.ndarray:
-        mu = (x[0::2] + 1j * x[1::2]).reshape(N, N, c)
-        rho = np.einsum("ijb,bst->ijst", mu, np.array(cbasis))
-        return CurvatureMap(alg.n, rho).rho
-
-    def residual(rho: np.ndarray) -> np.ndarray:
-        out = []
-        for i in range(N):
-            for j in range(N):
-                out.append((rho[i, j] + sigma(rho[j, i])).ravel())
-        for j in range(N):
-            for i in range(N):
-                for k in range(i + 1, N):
-                    out.append(rho[i, j][:, k] - rho[k, j][:, i])
-        v = np.concatenate(out)
-        return np.concatenate([v.real, v.imag])
-
-    cols = []
-    for u_idx in range(n_unknowns):
-        x = np.zeros(n_unknowns)
-        x[u_idx] = 1.0
-        cols.append(residual(assemble(x)))
-    M = np.array(cols).T
-    _, s, vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    out = []
-    for x in vt[rank:]:
-        out.append(CurvatureMap(alg.n, assemble(x)))
-    return out
+    B = np.array(_complex_span_basis(alg.basis))  # (c, N, N)
+    ii, kk = np.triu_indices(N, 1)  # exchange rows (i < k, s), unknowns (i, b)
+    X = np.zeros((len(ii), N, N, len(B)), complex)
+    X[np.arange(len(ii)), :, ii, :] = B[:, :, kk].transpose(2, 1, 0)
+    X[np.arange(len(ii)), :, kk, :] = -B[:, :, ii].transpose(2, 1, 0)
+    K = _null_space(X.reshape(len(ii) * N, -1), tol).reshape(N, len(B), -1)
+    d = K.shape[2]
+    if d == 0:
+        return []
+    E = np.einsum("ibe,bst->iest", K, B)  # (N, d, N, N)
+    S = np.array([[sigma(E[i, e]) for e in range(d)] for i in range(N)])
+    # reality rows (i <= j, s, t): t[j] . E[i] + conj(t[i]) . S[j]
+    ii, jj = np.triu_indices(N)
+    lin, anti = np.zeros((2, len(ii), N * N, N, d), complex)
+    lin[np.arange(len(ii)), :, jj, :] = E[ii].reshape(-1, d, N * N).transpose(0, 2, 1)
+    anti[np.arange(len(ii)), :, ii, :] = S[jj].reshape(-1, d, N * N).transpose(0, 2, 1)
+    plus, minus = (lin + anti).reshape(-1, N * d), (lin - anti).reshape(-1, N * d)
+    Y = _null_space(np.block([[plus.real, -minus.imag], [plus.imag, minus.real]]), tol).T
+    T = (Y[:, :N * d] + 1j * Y[:, N * d:]).reshape(-1, N, d)
+    return [CurvatureMap(alg.n, r) for r in np.einsum("kje,iest->kijst", T, E)]
 
 
 def berger_check(alg: MatrixAlgebra, sigma=None,

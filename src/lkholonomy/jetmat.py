@@ -142,6 +142,8 @@ def jmat_sqrt(A: np.ndarray) -> np.ndarray:
 
     The constant parts converge as for numeric matrices; the higher jet
     coefficients stabilize because each iteration is a contraction on them.
+    It stops on a step of coeff_zero, or on a step below 1e-9 of the largest
+    coefficient that no longer shrinks (a rounding floor above coeff_zero).
     """
     space = jmat_space(A)
     A0 = jmat_eval0(A)
@@ -149,13 +151,16 @@ def jmat_sqrt(A: np.ndarray) -> np.ndarray:
         raise ValueError("jmat_sqrt expects a Hermitian constant part")
     Y = A
     Z = jmat_identity(A.shape[0], space)
+    last = math.inf
     for _ in range(40):
         Yn = jmat_scale(jmat_add(Y, jmat_inverse(Z)), 0.5)
         Zn = jmat_scale(jmat_add(Z, jmat_inverse(Y)), 0.5)
         delta = jmat_max_abs(jmat_add(Yn, jmat_scale(Y, -1.0)))
         Y, Z = Yn, Zn
-        if delta <= DEFAULT_TOL.coeff_zero:
+        if delta <= DEFAULT_TOL.coeff_zero or (
+                last <= delta <= 1e-9 * max(jmat_max_abs(Y), 1.0)):
             break
+        last = delta
     else:
         raise RuntimeError("matrix square-root iteration did not converge")
     return Y

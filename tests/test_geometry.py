@@ -1,5 +1,7 @@
 """Metric jets, curvature, frames, holonomy spans: frozen desk oracles."""
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from lkholonomy import geometry as G
 from lkholonomy import potentials as P
 from lkholonomy.jetmat import jmat_eval0, jmat_max_abs, jmat_residual
 from lkholonomy.jets import JetSpace, real_part
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _fc_metric(a, b, order=8):
@@ -98,6 +102,20 @@ def test_witt_frame_gram():
     m = _fc_metric(1.0, 1.0)
     F = G.witt_frame(m)
     assert G.frame_gram_residual(m, F) < 1e-10
+
+
+def test_witt_frame_when_the_square_root_step_stalls(monkeypatch):
+    """On this dense n = 1, order-8 Walker potential the Denman-Beavers step
+    of the h_{jbar k} square root settles near 2e-12 from rounding, above
+    the absolute stop of 1e-12; the frame must still come back."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # inputs.py imports common
+    spec = importlib.util.spec_from_file_location("inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    f = inputs.dense_walker_potential(np.random.default_rng((28, 4)), 1, 8, 8)
+    m = G.metric_from_potential(f)
+    F = G.witt_frame(m)
+    assert G.frame_gram_residual(m, F) < 1e-9
 
 
 def test_metric_invariants():
