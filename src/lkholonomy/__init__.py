@@ -6,7 +6,7 @@ infinitesimal holonomy algebras, matches them against canonical families,
 runs the Berger test as linear algebra, and verifies Lorentz-Kähler
 symmetric spaces.
 """
-from .config import DEFAULT_TOL, RunConfig, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .jets import Jet, JetSpace
 
 __version__ = "0.1.0"

@@ -4,18 +4,19 @@ realizability / Ricci-flat predicates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .hermitian import HermitianMetric, RealFormData
+from .hermitian import RealFormData
 from .lie import (
     ABZCElement,
     MatrixAlgebra,
     in_real_span,
+    null_space,
     real_span_basis,
-    span_residual,
+    row_space,
 )
 
 # ---------------------------------------------------------------------------
@@ -166,8 +167,7 @@ def build_family(d) -> MatrixAlgebra:
         basis = [np.array([[1, 0], [0, -1]], dtype=complex),
                  np.array([[0, 1], [0, 0]], dtype=complex),
                  np.array([[0, 0], [1, 0]], dtype=complex)]
-        alg = MatrixAlgebra(0, basis, metric=HermitianMetric(((0, -1j), (1j, 0))))
-        return alg
+        return MatrixAlgebra(0, basis)
     if fam == "G1":
         return MatrixAlgebra(0, [_embed(0, a=1.0), _embed(0, a=1j), _embed(0, c=1.0)])
     if fam == "G2":
@@ -350,34 +350,18 @@ def _real_rows(vs: list[np.ndarray]) -> np.ndarray:
     return np.array([np.concatenate([v.real, v.imag]) for v in vs])
 
 
-_RANK_ABS_FLOOR = 1e-8
-"""Absolute singular-value floor for rank decisions.  The inputs are built
-from unit-norm basis matrices, so components this small are numerical noise;
-a purely relative threshold would promote noise-only rows to full rank."""
-
-
-def _row_space(rows: np.ndarray, tol: float = DEFAULT_TOL.rank_rel) -> np.ndarray:
-    if rows.size == 0:
-        return np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0))
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return vt[:0]
-    return vt[s > max(tol * s[0], _RANK_ABS_FLOOR)]
-
-
-def _null_space(rows: np.ndarray, tol: float = DEFAULT_TOL.rank_rel) -> np.ndarray:
-    u, s, vt = np.linalg.svd(rows, full_matrices=True)
-    if s.size == 0:
-        return vt
-    rank = int(np.sum(s > max(tol * s[0], _RANK_ABS_FLOOR))) if s[0] > 0 else 0
-    return vt[rank:]
+def _mult_i(rows: np.ndarray) -> np.ndarray:
+    """Multiplication by i on rows (Re v, Im v)."""
+    half = rows.shape[1] // 2
+    return np.hstack([-rows[:, half:], rows[:, :half]])
 
 
 def _intersect_row_spaces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[0] == 0 or B.shape[0] == 0:
         return A[:0]
-    perp = np.vstack([_null_space(A), _null_space(B)])
-    return _null_space(perp)
+    rel, floor = DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs
+    perp = np.vstack([null_space(A, rel, floor), null_space(B, rel, floor)])
+    return null_space(perp, rel, floor)
 
 
 def _unvec(row: np.ndarray) -> np.ndarray:
@@ -414,27 +398,21 @@ def match_algebra(alg: MatrixAlgebra, tol: float = DEFAULT_TOL.rank_rel):
 
     # translation structure
     zrows = _real_rows([x.Z for x in xs])
-    L_full = _row_space(zrows, tol)
+    L_full = row_space(zrows, tol, DEFAULT_TOL.rank_abs)
     k_param_rows = np.array([
         np.concatenate([[x.a.real, x.a.imag], x.A.real.ravel(), x.A.imag.ravel()])
         for x in xs])
-    kernel = _null_space(k_param_rows.T, tol)
+    kernel = null_space(k_param_rows.T, tol, DEFAULT_TOL.rank_abs)
     trans_z = []
     for comb in kernel:
         Z = sum(c * x.Z for c, x in zip(comb, xs))
         if np.abs(Z).max() > 1e-9:
             trans_z.append(Z)
-    V_trans = _row_space(_real_rows(trans_z), tol) if trans_z else np.zeros((0, 2 * n))
+    V_trans = (row_space(_real_rows(trans_z), tol, DEFAULT_TOL.rank_abs) if trans_z
+               else np.zeros((0, 2 * n)))
 
     # complex part of L
-    def mult_i(rows):
-        out = np.empty_like(rows)
-        half = rows.shape[1] // 2
-        out[:, :half] = -rows[:, half:]
-        out[:, half:] = rows[:, :half]
-        return out
-
-    iL = _row_space(mult_i(L_full), tol) if L_full.shape[0] else L_full
+    iL = row_space(_mult_i(L_full), tol, DEFAULT_TOL.rank_abs)
     Cm = _intersect_row_spaces(L_full, iL)
     if Cm.shape[0] % 2 != 0:
         return UnknownDescriptor("L cap iL has odd real dimension")
@@ -445,10 +423,7 @@ def match_algebra(alg: MatrixAlgebra, tol: float = DEFAULT_TOL.rank_rel):
         return UnknownDescriptor("complex part of L is not aligned with e_1..e_m")
     # L_0: orthogonal complement of C^m inside L (w.r.t. Re h = standard)
     if Cm.shape[0]:
-        L0_rows = _row_space(np.vstack([L_full, Cm]), tol)
-        # L0 = part of L orthogonal to Cm
-        proj = L_full - L_full @ Cm.T @ Cm
-        L0_rows = _row_space(proj, tol)
+        L0_rows = row_space(L_full - L_full @ Cm.T @ Cm, tol, DEFAULT_TOL.rank_abs)
     else:
         L0_rows = L_full
     if _support_coords(L0_rows, n) - set(range(m, n)):
@@ -472,7 +447,7 @@ def match_algebra(alg: MatrixAlgebra, tol: float = DEFAULT_TOL.rank_rel):
 
     # the C + u(n) projection
     k_elems = []
-    for row in _row_space(k_param_rows, tol):
+    for row in row_space(k_param_rows, tol, DEFAULT_TOL.rank_abs):
         a = row[0] + 1j * row[1]
         A = _unvec(row[2:]).reshape(n, n)
         k_elems.append((a, A))
@@ -513,17 +488,10 @@ def match_algebra(alg: MatrixAlgebra, tol: float = DEFAULT_TOL.rank_rel):
 
 
 def _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems, tol):
-    # r = complex dimension of the translation space
-    def mult_i(rows):
-        out = np.empty_like(rows)
-        half = rows.shape[1] // 2
-        out[:, :half] = -rows[:, half:]
-        out[:, half:] = rows[:, :half]
-        return out
-
-    # the translation space is C^r plus the real directions where psi
-    # vanishes; C^r is its maximal complex subspace
-    iV = _row_space(mult_i(V_trans), tol) if V_trans.shape[0] else V_trans
+    # r = complex dimension of the translation space: the translation space
+    # is C^r plus the real directions where psi vanishes; C^r is its maximal
+    # complex subspace
+    iV = row_space(_mult_i(V_trans), tol, DEFAULT_TOL.rank_abs)
     Vc = _intersect_row_spaces(V_trans, iV)
     if Vc.shape[0] % 2:
         return UnknownDescriptor("complex translation part has odd dimension")
@@ -537,7 +505,7 @@ def _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems, tol):
     full_rows = np.array([
         np.concatenate([[x.a.real, x.a.imag], x.Z.real, x.Z.imag]) for x in xs])
     k0 = []
-    for comb in _null_space(full_rows.T, tol):
+    for comb in null_space(full_rows.T, tol, DEFAULT_TOL.rank_abs):
         A = sum(c * x.A for c, x in zip(comb, xs))
         if np.abs(A).max() > 1e-9:
             if np.abs(A[r:, :]).max(initial=0) > 1e-8 or np.abs(A[:, r:]).max(initial=0) > 1e-8:
@@ -584,8 +552,8 @@ def _match_n0(alg: MatrixAlgebra, tol: float):
         return UnknownDescriptor("n=0 algebra is neither parabolic nor sl(2,R)")
     has_c = alg.contains(_embed(0, c=1.0))
     diag = [b[0, 0] for b in basis]  # the image of the projection onto the diagonal
-    diag_rows = _row_space(np.array([[z.real, z.imag] for z in diag])
-                           if diag else np.zeros((0, 2)), tol)
+    diag_rows = row_space(np.array([[z.real, z.imag] for z in diag])
+                          if diag else np.zeros((0, 2)), tol, DEFAULT_TOL.rank_abs)
     ddim = diag_rows.shape[0]
     if alg.dim == 3 and has_c and ddim == 2:
         return G1Descriptor()
@@ -649,7 +617,7 @@ def same_descriptor(d1, d2) -> bool:
                     for A in kb]
         if not vecs:
             return 0
-        return _row_space(np.array(vecs)).shape[0]
+        return row_space(np.array(vecs), DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs).shape[0]
     return kdim(d1, kb1) == kdim(d2, kb2)
 
 
@@ -662,13 +630,7 @@ def is_holonomy_realizable(d) -> str:
     Berger algebras excluded by the non-existence theorem; 'not_berger'
     otherwise."""
     fam = d.family
-    if fam in ("G0", "G1", "G2", "G3", "GK", "GKL", "GK0PSI"):
-        try:
-            build_family(d)
-        except ValueError:
-            return "not_berger"
-        return "yes"
-    if fam == "GKJL":
+    if fam in ("G0", "G1", "G2", "G3", "GK", "GKJL", "GKL", "GK0PSI"):
         try:
             build_family(d)
         except ValueError:

@@ -14,7 +14,7 @@ from . import geometry as G
 from . import serialization as S
 from . import symspace as Y
 from .config import DEFAULT_TOL
-from .curvspace import berger_check, solve_curvature_space
+from .curvspace import berger_check
 
 EXIT_OK, EXIT_INPUT, EXIT_MISMATCH = 0, 1, 2
 

@@ -1,7 +1,7 @@
-"""Shared numerical tolerances and run configuration."""
+"""Shared numerical tolerances."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -10,34 +10,19 @@ class Tolerances:
 
     coeff_zero is relative to the largest coefficient magnitude of the
     series involved; rank_rel is relative to the largest singular value.
+    rank_abs is the absolute singular-value floor of the matcher's rank
+    decisions: its inputs are built from unit-norm basis matrices, so
+    components this small are numerical noise that a purely relative rule
+    would promote to full rank.
     """
 
     coeff_zero: float = 1e-12
     rank_rel: float = 1e-9
+    rank_abs: float = 1e-8
     gram: float = 1e-10
     bracket_residual: float = 1e-10
     unitary: float = 1e-10
     jacobi: float = 1e-10
-    roundtrip: float = 1e-12
 
 
 DEFAULT_TOL = Tolerances()
-
-
-@dataclass
-class RunConfig:
-    """Configuration of a single CLI verification run."""
-
-    command: str
-    inputs: dict = field(default_factory=dict)
-    order: int = 10
-    r_max: int = 4
-    seed: int = 0
-    tol: Tolerances = DEFAULT_TOL
-    out_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.order <= 0:
-            raise ValueError("truncation order must be positive")
-        if self.seed is None:
-            raise ValueError("a seed is mandatory for randomized checks")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .lie import MatrixAlgebra, real_span_basis, sigma_involution
+from .lie import MatrixAlgebra, null_space, real_span_basis, row_space, sigma_involution
 
 
 @dataclass
@@ -55,12 +55,8 @@ class CurvatureMap:
 
 
 def _complex_span_basis(mats: list[np.ndarray], tol: float = DEFAULT_TOL.rank_rel):
-    rows = np.array([m.ravel() for m in mats])
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return []
-    shape = mats[0].shape
-    return [vt[i].reshape(shape) for i in range(int(np.sum(s > tol * s[0])))]
+    rows = row_space(np.array([m.ravel() for m in mats]), tol)
+    return [row.reshape(mats[0].shape) for row in rows]
 
 
 def _default_sigma(alg: MatrixAlgebra):
@@ -73,14 +69,6 @@ def _default_sigma(alg: MatrixAlgebra):
         return sigma_involution
     except ValueError:
         return np.conj
-
-
-def _null_space(M: np.ndarray, tol: float) -> np.ndarray:
-    """Columns spanning the null space of M by the relative rank rule; U is
-    built in full only when it is smaller than V^H."""
-    _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return vt[rank:].conj().T
 
 
 def solve_curvature_space(alg: MatrixAlgebra, sigma=None,
@@ -103,7 +91,7 @@ def solve_curvature_space(alg: MatrixAlgebra, sigma=None,
     X = np.zeros((len(ii), N, N, len(B)), complex)
     X[np.arange(len(ii)), :, ii, :] = B[:, :, kk].transpose(2, 1, 0)
     X[np.arange(len(ii)), :, kk, :] = -B[:, :, ii].transpose(2, 1, 0)
-    K = _null_space(X.reshape(len(ii) * N, -1), tol).reshape(N, len(B), -1)
+    K = null_space(X.reshape(len(ii) * N, -1), tol).conj().T.reshape(N, len(B), -1)
     d = K.shape[2]
     if d == 0:
         return []
@@ -115,7 +103,7 @@ def solve_curvature_space(alg: MatrixAlgebra, sigma=None,
     lin[np.arange(len(ii)), :, jj, :] = E[ii].reshape(-1, d, N * N).transpose(0, 2, 1)
     anti[np.arange(len(ii)), :, ii, :] = S[jj].reshape(-1, d, N * N).transpose(0, 2, 1)
     plus, minus = (lin + anti).reshape(-1, N * d), (lin - anti).reshape(-1, N * d)
-    Y = _null_space(np.block([[plus.real, -minus.imag], [plus.imag, minus.real]]), tol).T
+    Y = null_space(np.block([[plus.real, -minus.imag], [plus.imag, minus.real]]), tol)
     T = (Y[:, :N * d] + 1j * Y[:, N * d:]).reshape(-1, N, d)
     return [CurvatureMap(alg.n, r) for r in np.einsum("kje,iest->kijst", T, E)]
 
@@ -133,8 +121,7 @@ def berger_check(alg: MatrixAlgebra, sigma=None,
                 images.append(R.rho[i, j] - R.rho[j, i])
                 images.append(1j * (R.rho[i, j] + R.rho[j, i]))
     span = real_span_basis([m for m in images if np.abs(m).max() > 1e-12])
-    generated = MatrixAlgebra(alg.n, span, metric=alg.metric) if span else \
-        MatrixAlgebra(alg.n, [], metric=alg.metric)
+    generated = MatrixAlgebra(alg.n, span)
     contained = all(alg.contains(b) for b in generated.basis)
     return {
         "dim_R_space": len(maps),

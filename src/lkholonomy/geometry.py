@@ -32,7 +32,7 @@ from .jetmat import (
     jmat_zero,
 )
 from .hermitian import WittMetric
-from .lie import MatrixAlgebra, real_span_basis, sigma_involution
+from .lie import MatrixAlgebra, real_span_basis, row_space, sigma_involution
 
 
 class DegeneracyError(ValueError):
@@ -409,23 +409,13 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4,
                 deg = sum(key[0]) + sum(key[1])
                 coeffs_by_deg[deg].append(Qinv @ mat @ Q)
 
-    def cspan(mats, prev):
-        rows = prev + [w.ravel() for w in mats]
-        if not rows:
-            return []
-        A = np.array(rows)
-        _, s, vt = np.linalg.svd(A, full_matrices=False)
-        if s.size == 0 or s[0] == 0:
-            return []
-        return [vt[i] for i in range(int(np.sum(s > tol * s[0])))]
-
     dims = []
-    cbasis_rows: list[np.ndarray] = []
+    cbasis_rows = np.zeros((0, m.dim * m.dim), complex)
     scale = max((np.abs(w).max() for ws in coeffs_by_deg.values() for w in ws),
                 default=1.0)
     for r in range(r_max + 1):
-        mats = [w / scale for w in coeffs_by_deg[r] if np.abs(w).max() > 1e-11 * scale]
-        cbasis_rows = cspan(mats, cbasis_rows)
+        rows = [w.ravel() / scale for w in coeffs_by_deg[r] if np.abs(w).max() > 1e-11 * scale]
+        cbasis_rows = row_space(np.vstack([cbasis_rows, *rows]), tol)
         dims.append(len(cbasis_rows))
     cbasis = [row.reshape(m.dim, m.dim) for row in cbasis_rows]
     real_basis = _real_points(cbasis)
@@ -456,13 +446,8 @@ def iterated_covariant_span(m: MetricJet, r_max: int,
                     nxt.append(covariant_derivative(xi, m.gamma, var, holo))
         level = nxt
         collected.extend(Qinv @ jmat_eval0(xi) @ Q for xi in level)
-    rows = [w.ravel() for w in collected if np.abs(w).max() > 1e-11]
-    if not rows:
-        return []
-    A = np.array(rows)
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    return [vt[i].reshape(m.dim, m.dim)
-            for i in range(int(np.sum(s > tol * s[0])))]
+    rows = np.array([w.ravel() for w in collected if np.abs(w).max() > 1e-11])
+    return [row.reshape(m.dim, m.dim) for row in row_space(rows, tol)]
 
 
 # ---------------------------------------------------------------------------

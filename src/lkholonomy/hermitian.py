@@ -22,7 +22,6 @@ from .jetmat import (
     jmat_add,
     jmat_commutator,
     jmat_derivative,
-    jmat_identity,
     jmat_eval0,
     jmat_scale,
     jmat_space,
@@ -49,26 +48,6 @@ class WittMetric:
 
     def h(self, X: np.ndarray, Y: np.ndarray) -> complex:
         """h(X, Y), linear in X, conjugate-linear in Y."""
-        return complex(np.conj(Y) @ self.gram @ X)
-
-    def is_anti_hermitian(self, xi: np.ndarray, tol: float = DEFAULT_TOL.unitary) -> bool:
-        g = self.gram
-        res = xi.conj().T @ g + g @ xi
-        return np.abs(res).max() <= tol * max(np.abs(xi).max(), 1.0)
-
-
-@dataclass(frozen=True)
-class HermitianMetric:
-    """A pseudo-Hermitian form with an explicit Gram matrix (same interface
-    as WittMetric, for algebras given in a non-Witt frame)."""
-
-    gram_matrix: tuple
-
-    @property
-    def gram(self) -> np.ndarray:
-        return np.array(self.gram_matrix, dtype=complex)
-
-    def h(self, X: np.ndarray, Y: np.ndarray) -> complex:
         return complex(np.conj(Y) @ self.gram @ X)
 
     def is_anti_hermitian(self, xi: np.ndarray, tol: float = DEFAULT_TOL.unitary) -> bool:

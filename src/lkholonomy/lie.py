@@ -1,4 +1,5 @@
-"""Real Lie subalgebras of u(1,n+1) as spans of complex matrices.
+"""Real Lie subalgebras of u(1,n+1) as spans of complex matrices, and the
+one rank rule behind every span and null space of the package.
 
 All spans, ranks and memberships are computed over the reals by flattening
 complex matrices into real vectors; the anti-linear sigma involution then
@@ -6,12 +7,36 @@ becomes an honest linear map.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .hermitian import WittMetric
+
+
+# -- the rank rule ------------------------------------------------------------
+
+def numerical_rank(s: np.ndarray, tol: float, floor: float = 0.0) -> int:
+    """Number of singular values (sorted descending) above
+    max(tol * s[0], floor); 0 for an empty or all-zero spectrum."""
+    if s.size == 0 or s[0] == 0:
+        return 0
+    return int(np.sum(s > max(tol * s[0], floor)))
+
+
+def row_space(rows: np.ndarray, tol: float, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal rows spanning the row space, from a thin SVD."""
+    if rows.size == 0:
+        return rows[:0]
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    return vt[:numerical_rank(s, tol, floor)]
+
+
+def null_space(rows: np.ndarray, tol: float, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal rows x with rows @ x.conj() = 0 spanning the null space;
+    U is built in full only when it is smaller than V^H."""
+    _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    return vt[numerical_rank(s, tol, floor):]
 
 
 # -- real-span machinery ------------------------------------------------------
@@ -31,11 +56,7 @@ def real_span_basis(mats: list[np.ndarray], tol: float = DEFAULT_TOL.rank_rel) -
     mats = [m for m in mats if np.abs(m).max() > 0]
     if not mats:
         return []
-    M = _flatten(mats)
-    u, s, vt = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-    shape = mats[0].shape
-    return [_unflatten(vt[i], shape) for i in range(rank)]
+    return [_unflatten(row, mats[0].shape) for row in row_space(_flatten(mats), tol)]
 
 
 def in_real_span(m: np.ndarray, basis: list[np.ndarray],
@@ -66,11 +87,8 @@ class MatrixAlgebra:
 
     n: int
     basis: list[np.ndarray]
-    metric: WittMetric = field(default=None)
 
     def __post_init__(self):
-        if self.metric is None:
-            self.metric = WittMetric(self.n)
         self.basis = real_span_basis(self.basis)
 
     @property
@@ -86,12 +104,6 @@ class MatrixAlgebra:
             for y in self.basis[i + 1:]:
                 worst = max(worst, span_residual(x @ y - y @ x, self.basis))
         return worst
-
-    def is_bracket_closed(self, tol: float = DEFAULT_TOL.bracket_residual) -> bool:
-        return self.bracket_residual() <= tol
-
-    def is_unitary_sub(self, tol: float = DEFAULT_TOL.unitary) -> bool:
-        return all(self.metric.is_anti_hermitian(x, tol) for x in self.basis)
 
     def equals(self, other: "MatrixAlgebra", tol: float = DEFAULT_TOL.rank_rel) -> bool:
         return (self.dim == other.dim
@@ -147,37 +159,6 @@ class ABZCElement:
         return ABZCElement(a, A, Z, ic.imag)
 
 
-def abzc_bracket(x: ABZCElement, y: ABZCElement) -> ABZCElement:
-    """Bracket of two 4-tuples; the literal matrix commutator is the ground
-    truth and fixes all sign conventions."""
-    mx, my = x.to_matrix(), y.to_matrix()
-    return ABZCElement.from_matrix(mx @ my - my @ mx)
-
-
-@dataclass
-class SimElement:
-    """Element (r, U, Z) of sim(C^n) = (R + u(n)) |x C^n."""
-
-    r: float
-    U: np.ndarray
-    Z: np.ndarray
-
-    def linear_part(self) -> np.ndarray:
-        return self.r * np.eye(len(self.Z)) + self.U
-
-
-def sim_bracket(x: SimElement, y: SimElement) -> SimElement:
-    ax, ay = x.linear_part(), y.linear_part()
-    comm = ax @ ay - ay @ ax
-    return SimElement(0.0, comm, ax @ y.Z - ay @ x.Z)
-
-
-def gamma_prime(x: ABZCElement) -> SimElement:
-    """(a, A, Z, c) -> (Re a, -i Im a id + A, Z); kernel is R J + i R."""
-    n = x.n
-    return SimElement(x.a.real, -1j * x.a.imag * np.eye(n) + x.A, x.Z.copy())
-
-
 # -- sigma involution ---------------------------------------------------------
 
 def sigma_involution(xi: np.ndarray, tol: float = DEFAULT_TOL.rank_rel) -> np.ndarray:
@@ -204,109 +185,3 @@ def sigma_involution(xi: np.ndarray, tol: float = DEFAULT_TOL.rank_rel) -> np.nd
     out[1:n + 1, n + 1] = -np.conj(Wbar_t)
     out[n + 1, n + 1] = -np.conj(a)
     return out
-
-
-# -- closure and projections --------------------------------------------------
-
-def span_close(seed: list[np.ndarray], n: int | None = None,
-               max_passes: int = 64) -> MatrixAlgebra:
-    """Smallest bracket-closed real span containing the seed matrices."""
-    if not seed:
-        raise ValueError("empty seed")
-    d = seed[0].shape[0]
-    if n is None:
-        n = d - 2
-    basis = real_span_basis(list(seed))
-    bound = 2 * d * d
-    for _ in range(max_passes):
-        new = list(basis)
-        for i, x in enumerate(basis):
-            for y in basis[i + 1:]:
-                new.append(x @ y - y @ x)
-        nb = real_span_basis(new)
-        if len(nb) == len(basis):
-            return MatrixAlgebra(n, nb)
-        basis = nb
-        if len(basis) > bound:
-            break
-    raise RuntimeError("bracket closure did not stabilize")
-
-
-def projection(alg: MatrixAlgebra, target: str) -> list[np.ndarray]:
-    """Project every basis element to a summand of the decomposition
-    u(1,n+1)_{Cp} = (C + u(n)) |x (C^n |x iR) and return a basis of the image.
-
-    target: 'C_plus_un' -> (a, A, 0, 0) matrices; 'un' -> A blocks;
-    'Cn_iR' -> (0, 0, Z, c); 'Cn' -> Z vectors as columns; 'iR' -> c line.
-    """
-    out = []
-    for m in alg.basis:
-        x = ABZCElement.from_matrix(m)
-        if target == "C_plus_un":
-            out.append(ABZCElement(x.a, x.A, np.zeros(x.n, complex), 0.0).to_matrix())
-        elif target == "un":
-            out.append(x.A)
-        elif target == "Cn_iR":
-            out.append(ABZCElement(0.0, np.zeros((x.n, x.n), complex), x.Z, x.c).to_matrix())
-        elif target == "Cn":
-            out.append(x.Z.reshape(-1, 1))
-        elif target == "iR":
-            out.append(np.array([[1j * x.c]]))
-        else:
-            raise ValueError(f"unknown projection target {target!r}")
-    return real_span_basis(out)
-
-
-# -- randomized weak-irreducibility falsifier ---------------------------------
-
-def _invariant_complex_subspace(alg: MatrixAlgebra, v: np.ndarray,
-                                tol: float = DEFAULT_TOL.rank_rel) -> np.ndarray:
-    """Columns spanning the smallest alg-invariant complex subspace
-    containing v."""
-    cols = [v]
-    for _ in range(4 * v.size):
-        W = np.column_stack(cols)
-        rank = np.linalg.matrix_rank(W, tol=tol)
-        new = list(cols)
-        for m in alg.basis:
-            for c in cols:
-                new.append(m @ c)
-        W2 = np.column_stack(new)
-        u, s, _ = np.linalg.svd(W2, full_matrices=False)
-        rank2 = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-        cols = [u[:, i] for i in range(rank2)]
-        if rank2 == rank:
-            return np.column_stack(cols)
-    raise RuntimeError("invariant-subspace iteration did not stabilize")
-
-
-def weak_irreducibility_falsifier(alg: MatrixAlgebra, trials: int = 64,
-                                  seed: int = 0):
-    """Randomized search for a proper invariant complex subspace on which h
-    is nondegenerate.  Returns None (no counterexample; NOT a proof) or a
-    matrix whose columns span such a subspace."""
-    rng = np.random.default_rng(seed)
-    d = alg.n + 2
-    gram = alg.metric.gram
-
-    def nondegenerate(W: np.ndarray) -> bool:
-        M = W.conj().T @ gram @ W
-        s = np.linalg.svd(M, compute_uv=False)
-        return s[-1] > DEFAULT_TOL.rank_rel * max(s[0], 1.0)
-
-    for _ in range(trials):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        W = _invariant_complex_subspace(alg, v)
-        for cand in (W,):
-            k = cand.shape[1]
-            if 0 < k < d and nondegenerate(cand):
-                return cand
-            if 0 < k < d:
-                # the h-orthogonal complement of an invariant subspace is
-                # invariant; check it too
-                u, s, vt = np.linalg.svd(cand.conj().T @ gram, full_matrices=True)
-                rank = int(np.sum(s > DEFAULT_TOL.rank_rel * s[0]))
-                comp = vt[rank:].conj().T
-                if 0 < comp.shape[1] < d and nondegenerate(comp):
-                    return comp
-    return None

@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .geometry import MetricJet, metric_from_potential
-from .hermitian import RealFormData, _canonical_f_pair
+from .hermitian import _canonical_f_pair
 from .jets import Jet, JetSpace, real_part
 from .jetmat import jmat_exp, jmat_zero
 

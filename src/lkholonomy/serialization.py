@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .hermitian import RealFormData
-from .jets import JetSpace, real_part
+from .jets import JetSpace
 from . import classify as C
 from . import potentials as P
 

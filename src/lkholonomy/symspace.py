@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .curvspace import CurvatureMap, ricci_of_map
-from .lie import MatrixAlgebra, in_real_span, real_span_basis, sigma_involution
+from .lie import MatrixAlgebra, in_real_span, real_span_basis, sigma_involution, span_residual
 
 
 @dataclass
@@ -54,7 +54,7 @@ class SymmetricPair:
         of R (the mixed Jacobi identity)."""
         worst = self.R.invariant_residual()
         for w in self.curvature_image():
-            worst = max(worst, _span_residual(w, self.g))
+            worst = max(worst, span_residual(w, self.g.basis))
         # g-invariance: [A, R(X,Y)] = R(AX, Y) + R(X, AY)
         basis = self._m_basis()
         for A in self.g.basis:
@@ -64,16 +64,6 @@ class SymmetricPair:
                     rhs = self.real_curvature(A @ x, y) + self.real_curvature(x, A @ y)
                     worst = max(worst, np.abs(lhs - rhs).max())
         return float(worst)
-
-
-def _span_residual(w: np.ndarray, alg: MatrixAlgebra) -> float:
-    if alg.dim == 0:
-        return float(np.abs(w).max())
-    rows = np.array([np.concatenate([b.real.ravel(), b.imag.ravel()])
-                     for b in alg.basis]).T
-    target = np.concatenate([w.real.ravel(), w.imag.ravel()])
-    coef, *_ = np.linalg.lstsq(rows, target, rcond=None)
-    return float(np.abs(rows @ coef - target).max())
 
 
 class InvalidPairError(ValueError):

@@ -5,6 +5,8 @@ import pytest
 from lkholonomy import classify as C
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
+from lkholonomy.hermitian import RealFormData
+from lkholonomy.jetmat import jmat_max_abs
 from lkholonomy.jets import JetSpace
 from lkholonomy.lie import MatrixAlgebra
 
@@ -56,6 +58,24 @@ def test_realizability_gate():
         2, 0, [(0.0, 1.0, np.zeros((0, 0), complex))],
         real_form=RealFormData.from_lambdas([0.5], 2))
     assert C.is_holonomy_realizable(d_berger) == "berger_only"
+
+
+def test_ricci_flat_corollary(suite):
+    """The trace conditions of the Ricci-flat corollary agree with the trace
+    of the built algebra, and with the Ricci tensor of the family's metric."""
+    berger_only = C.BergerGKDescriptor(
+        2, 0, [(0.0, 1.0, np.zeros((0, 0), complex))],
+        real_form=RealFormData.from_lambdas([0.5], 2))
+    n0 = [C.G0Descriptor(), C.G1Descriptor(), C.G2Descriptor(),
+          C.G3Descriptor(gamma=0.0), C.G3Descriptor(gamma=1.0), C.G3Descriptor(gamma=1j)]
+    for d in suite + n0 + [berger_only]:
+        assert C.ricci_flat_condition(d) == C.ricci_flat_symbolic(d), d.family
+    flat = []
+    for d in suite:
+        m = G.metric_from_potential(P.build_potential(d, order=6))
+        assert (jmat_max_abs(G.ricci(m)) == 0) == C.ricci_flat_symbolic(d), d.family
+        flat.append(C.ricci_flat_symbolic(d))
+    assert flat.count(True) == 3  # the three untwisted GKL cases
 
 
 def test_match_rejects_garbage():

@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from lkholonomy import classify as C
 from lkholonomy import cli
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
@@ -144,6 +145,18 @@ def test_holonomy_matches_iterated_span():
     hol = G.infinitesimal_holonomy(m, r_max=3)
     direct = G.iterated_covariant_span(m, 3)
     assert hol.algebra.dim == len(direct)
+
+
+@pytest.mark.xfail(
+    reason="the span is declared stabilized when its last two dimensions agree, "
+    "so the plateau [4, 4, 5, 5] at r_max = 3 ends the span at dimension 5; "
+    "the family has dimension 6, which order 9 with r_max = 5 reaches",
+    strict=True)
+def test_holonomy_does_not_stop_on_a_plateau(suite):
+    d = suite[0]  # GK, k = C + u(1), n = 1
+    m = G.metric_from_potential(P.build_potential(d, order=7))
+    hol = G.infinitesimal_holonomy(m, r_max=3)
+    assert not hol.stabilized or hol.algebra.dim == C.family_dim(d)
 
 
 def test_ppwave_check_positive_and_negative():

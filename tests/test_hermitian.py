@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from lkholonomy.hermitian import (
-    HermitianMetric,
     RealFormData,
     WittMetric,
     _canonical_f_pair,
@@ -95,8 +94,6 @@ def test_witt_and_hermitian_forms():
     p = np.array([1.0, 0, 0], complex)
     q = np.array([0, 0, 1.0], complex)
     assert wm.h(p, q) == 1.0 and wm.h(p, p) == 0.0
-    hm = HermitianMetric(((0, -1j), (1j, 0)))
-    assert hm.h(np.array([1, 0], complex), np.array([0, 1], complex)) == 1j
 
 
 def test_real_form_rejects_overfull_lambdas():

@@ -3,11 +3,15 @@ import numpy as np
 import pytest
 
 from lkholonomy import classify as C
+from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.lie import (
     ABZCElement,
     MatrixAlgebra,
     in_real_span,
+    null_space,
+    numerical_rank,
     real_span_basis,
+    row_space,
     sigma_involution,
 )
 
@@ -74,3 +78,41 @@ def test_family_algebras_are_bracket_closed(suite):
             for y in alg.basis:
                 w = x @ y - y @ x
                 assert in_real_span(w, alg.basis), d.family
+
+
+def test_rank_of_zero_and_empty_input():
+    tol = DEFAULT_TOL.rank_rel
+    assert numerical_rank(np.zeros(0), tol) == 0
+    assert numerical_rank(np.zeros(3), tol) == 0
+    assert row_space(np.zeros((0, 4)), tol).shape == (0, 4)
+    assert row_space(np.zeros((3, 4)), tol).shape == (0, 4)
+    assert null_space(np.zeros((3, 4)), tol).shape == (4, 4)
+    assert null_space(np.zeros((0, 4)), tol).shape == (4, 4)
+
+
+def test_rank_floor_drops_noise_only_rows():
+    noise = 1e-12 * np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    tol, floor = DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs
+    assert row_space(noise, tol, floor).shape[0] == 0
+    assert row_space(noise, tol).shape[0] == 1
+    assert null_space(noise, tol, floor).shape[0] == 3
+    assert null_space(noise, tol).shape[0] == 2
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5)])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_null_space_rows_are_orthonormal_and_annihilated(rng, shape, cplx):
+    rows, cols = shape
+    rank = min(rows, cols) - 1  # one dependent row or column on every shape
+
+    def factor(*shape):
+        return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if cplx else 0)
+
+    M = factor(rows, rank) @ factor(rank, cols)
+    ns = null_space(M, DEFAULT_TOL.rank_rel)
+    assert ns.shape == (cols - rank, cols)
+    assert np.abs(ns @ ns.conj().T - np.eye(len(ns))).max() < 1e-12
+    assert np.abs(M @ ns.conj().T).max() < 1e-10 * np.abs(M).max()
+    rs = row_space(M, DEFAULT_TOL.rank_rel)
+    assert rs.shape == (rank, cols)
+    assert np.abs(rs @ ns.conj().T).max() < 1e-12
