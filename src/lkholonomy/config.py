@@ -13,7 +13,11 @@ class Tolerances:
     rank_abs is the absolute singular-value floor of the matcher's rank
     decisions: its inputs are built from unit-norm basis matrices, so
     components this small are numerical noise that a purely relative rule
-    would promote to full rank.
+    would promote to full rank.  sigma_fit bounds, relative to
+    max(largest entry, 1), how far a holonomy matrix may miss the Witt-frame
+    block pattern: when the holonomy takes real points through the
+    involution sigma, and when the pp-wave check reads a holonomy basis
+    element as (a, A, Z, c).
     """
 
     coeff_zero: float = 1e-12
@@ -23,6 +27,7 @@ class Tolerances:
     bracket_residual: float = 1e-10
     unitary: float = 1e-10
     jacobi: float = 1e-10
+    sigma_fit: float = 1e-5
 
 
 DEFAULT_TOL = Tolerances()

@@ -29,6 +29,7 @@ from .jetmat import (
     jmat_scale,
     jmat_space,
     jmat_sqrt,
+    jmat_truncated,
     jmat_zero,
 )
 from .hermitian import WittMetric
@@ -373,7 +374,7 @@ class HolonomyResult:
 def _real_points(cbasis: list[np.ndarray]) -> list[np.ndarray]:
     cands = []
     for w in cbasis:
-        s = sigma_involution(w, tol=1e-5)
+        s = sigma_involution(w, tol=DEFAULT_TOL.sigma_fit)
         cands.append(w + s)
         cands.append(1j * (w - s))
     return real_span_basis([c for c in cands if np.abs(c).max() > 1e-10])
@@ -393,12 +394,14 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4,
             f"rebuild the potential with order >= {r_max + 4}")
     Q = m.frame0
     Qinv = np.linalg.inv(Q)
-    P = radial_parallel_gauge(m.gamma)
+    # Only degrees <= r_max of P^{-1} R P are read, and each of them is the
+    # same sum over the same terms when Gamma, P and R stop at r_max.
+    P = radial_parallel_gauge([jmat_truncated(g, r_max) for g in m.gamma])
     Pinv = jmat_inverse(P)
     coeffs_by_deg: dict[int, list[np.ndarray]] = {r: [] for r in range(r_max + 1)}
     for c in range(m.dim):
         for d in range(m.dim):
-            M = jmat_mul(Pinv, jmat_mul(m.curv[c][d], P))
+            M = jmat_mul(Pinv, jmat_mul(jmat_truncated(m.curv[c][d], r_max), P))
             table: dict = {}
             for idx in np.ndindex(*M.shape):
                 for key, val in M[idx].coeffs.items():
@@ -504,7 +507,7 @@ def ppwave_check(m: MetricJet, r_max: int = 3,
     worst1 = 0.0
     for b in hol.algebra.basis:
         try:
-            el = ABZCElement.from_matrix(b, tol=1e-5)
+            el = ABZCElement.from_matrix(b, tol=DEFAULT_TOL.sigma_fit)
             worst1 = max(worst1, abs(el.a), np.abs(el.A).max(initial=0.0))
         except ValueError:
             worst1 = max(worst1, 1.0)

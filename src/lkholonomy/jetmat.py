@@ -70,6 +70,13 @@ def jmat_commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return jmat_add(jmat_mul(A, B), jmat_scale(jmat_mul(B, A), -1.0))
 
 
+def jmat_truncated(A: np.ndarray, order: int) -> np.ndarray:
+    out = np.empty(A.shape, dtype=object)
+    for idx in np.ndindex(*A.shape):
+        out[idx] = A[idx].truncated(order)
+    return out
+
+
 def jmat_eval0(A: np.ndarray) -> np.ndarray:
     out = np.empty(A.shape, dtype=complex)
     for idx in np.ndindex(*A.shape):

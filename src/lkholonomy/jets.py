@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -72,9 +73,6 @@ class Jet:
     def coefficient(self, I: MultiIndex, J: MultiIndex) -> complex:
         return self.coeffs.get((tuple(I), tuple(J)), 0.0 + 0.0j)
 
-    def is_zero(self, tol: float = DEFAULT_TOL.coeff_zero) -> bool:
-        return self.max_abs() <= tol
-
     def is_real_valued(self, tol: float = DEFAULT_TOL.coeff_zero) -> bool:
         """coeff(I, J) == conj(coeff(J, I)) for all stored indices."""
         scale = max(self.max_abs(), 1.0)
@@ -134,19 +132,27 @@ class Jet:
                 return Jet(self.num_coords, self.order, {})
             return Jet(self.num_coords, self.order, {k: c * z for k, c in self.coeffs.items()})
         order = self._check(other)
+        if not self.coeffs or not other.coeffs:
+            return Jet(self.num_coords, order, {})
+        # Each term's degree is taken once.  The pairs run in the order of
+        # the plain double loop (self outside, other inside, both in dict
+        # order), so every coefficient is the same sum in the same order;
+        # `fits[room]` lists, in dict order, the terms of `other` of degree
+        # <= room, so pairs above the order are never visited.
+        terms = [(sum(I) + sum(J), I, J, c) for (I, J), c in other.coeffs.items()]
+        fits: dict[int, list] = {}
         out: dict[Key, complex] = {}
+        get = out.get
         for (I1, J1), c1 in self.coeffs.items():
-            d1 = sum(I1) + sum(J1)
-            if d1 > order:
+            room = order - sum(I1) - sum(J1)
+            if room < 0:
                 continue
-            for (I2, J2), c2 in other.coeffs.items():
-                if d1 + sum(I2) + sum(J2) > order:
-                    continue
-                key = (
-                    tuple(a + b for a, b in zip(I1, I2)),
-                    tuple(a + b for a, b in zip(J1, J2)),
-                )
-                out[key] = out.get(key, 0.0) + c1 * c2
+            inner = fits.get(room)
+            if inner is None:
+                inner = fits[room] = [(I2, J2, c2) for d2, I2, J2, c2 in terms if d2 <= room]
+            for I2, J2, c2 in inner:
+                key = (tuple(map(add, I1, I2)), tuple(map(add, J1, J2)))
+                out[key] = get(key, 0.0) + c1 * c2
         return Jet(self.num_coords, order, out)
 
     __rmul__ = __mul__

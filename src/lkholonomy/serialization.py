@@ -63,10 +63,6 @@ def decode_matrix(obj) -> np.ndarray:
                     dtype=complex)
 
 
-def decode_vector(obj) -> np.ndarray:
-    return np.array([decode_complex(z) for z in obj], dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # descriptors
 # ---------------------------------------------------------------------------
@@ -291,8 +287,13 @@ def dump_json(obj: dict, path: str | None) -> str:
 
 
 def load_json(path: str) -> dict:
+    """A JSON file whose top level is an object; anything else is a ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object, "
+                         f"not {json.dumps(obj)[:40]}")
+    return obj
 
 
 def compare_expected(expected, actual, tol: float = 1e-9, path: str = "") -> list[str]:

@@ -69,6 +69,19 @@ def test_bad_potential_kind_is_input_error(tmp_path, capsys):
     assert main(["holonomy", "--potential", p]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("top", ["[1, 2]", "3", '"x"', "null"])
+@pytest.mark.parametrize("command, flag", [
+    ("classify", "--algebra"), ("berger", "--algebra"), ("holonomy", "--potential"),
+    ("validate", "--potential"), ("ppwave", "--metric")])
+def test_non_object_json_is_one_line_error(tmp_path, capsys, command, flag, top):
+    p = tmp_path / "top.json"
+    p.write_text(top)
+    assert main([command, flag, str(p)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(p) in err and "Traceback" not in err
+
+
 def test_ppwave_flags(tmp_path, capsys):
     pp = _write(tmp_path, "pp.json", {
         "kind": "ppwave", "n": 1, "order": 8,

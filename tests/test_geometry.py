@@ -10,7 +10,8 @@ from lkholonomy import classify as C
 from lkholonomy import cli
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
-from lkholonomy.jetmat import jmat_eval0, jmat_max_abs, jmat_residual
+from lkholonomy.jetmat import (jmat_eval0, jmat_inverse, jmat_max_abs, jmat_mul,
+                               jmat_residual, jmat_truncated)
 from lkholonomy.jets import JetSpace, real_part
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -105,15 +106,20 @@ def test_witt_frame_gram():
     assert G.frame_gram_residual(m, F) < 1e-10
 
 
-def test_witt_frame_when_the_square_root_step_stalls(monkeypatch):
-    """On this dense n = 1, order-8 Walker potential the Denman-Beavers step
-    of the h_{jbar k} square root settles near 2e-12 from rounding, above
-    the absolute stop of 1e-12; the frame must still come back."""
+def _dense_walker_potential(monkeypatch, seed, n, order):
+    """The benchmark's seeded dense Walker potential, loaded by file path."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # inputs.py imports common
     spec = importlib.util.spec_from_file_location("inputs", PERFBENCH / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    f = inputs.dense_walker_potential(np.random.default_rng((28, 4)), 1, 8, 8)
+    return inputs.dense_walker_potential(np.random.default_rng(seed), n, order, order)
+
+
+def test_witt_frame_when_the_square_root_step_stalls(monkeypatch):
+    """On this dense n = 1, order-8 Walker potential the Denman-Beavers step
+    of the h_{jbar k} square root settles near 2e-12 from rounding, above
+    the absolute stop of 1e-12; the frame must still come back."""
+    f = _dense_walker_potential(monkeypatch, (28, 4), 1, 8)
     m = G.metric_from_potential(f)
     F = G.witt_frame(m)
     assert G.frame_gram_residual(m, F) < 1e-9
@@ -217,3 +223,41 @@ def test_cli_holonomy_builds_each_stage_once(stage_calls, tmp_path, capsys):
     p.write_text(json.dumps({"kind": "fc", "a": 1.0, "b": 1.0, "order": 8}))
     assert cli.main(["holonomy", "--potential", str(p)]) == cli.EXIT_OK
     assert stage_calls == {"christoffel": 1, "curvature": 1}
+
+
+def test_gauge_is_built_from_gamma_truncated_to_r_max(monkeypatch):
+    seen = {}
+
+    def recording(gamma, fn=G.radial_parallel_gauge):
+        jets = [j for g in gamma for j in g.flat]
+        seen["orders"] = {j.order for j in jets}
+        seen["top_degree"] = max((sum(I) + sum(J) for j in jets for I, J in j.coeffs),
+                                 default=0)
+        return fn(gamma)
+
+    monkeypatch.setattr(G, "radial_parallel_gauge", recording)
+    m = _fc_metric(1.0, 1.0, order=9)
+    G.infinitesimal_holonomy(m, r_max=3)
+    assert m.gamma[0][0, 0].order == m.space.order - 1  # the cached stage keeps full order
+    assert seen == {"orders": {3}, "top_degree": 3}
+
+
+def test_truncated_conjugation_keeps_every_coefficient_it_reads(monkeypatch):
+    """P^{-1} R P from full-order Gamma, P and R has, up to degree r_max,
+    the same keys in the same order and bit-equal coefficients as the one
+    the holonomy builds from operands cut at r_max."""
+    r_max = 3
+    m = G.metric_from_potential(_dense_walker_potential(monkeypatch, (0, 3), 1, 7))
+    P_full = G.radial_parallel_gauge(m.gamma)
+    P = G.radial_parallel_gauge([jmat_truncated(g, r_max) for g in m.gamma])
+    Pinv_full, Pinv = jmat_inverse(P_full), jmat_inverse(P)
+    for c in range(m.dim):
+        for d in range(m.dim):
+            full = jmat_mul(Pinv_full, jmat_mul(m.curv[c][d], P_full))
+            cut = jmat_mul(Pinv, jmat_mul(jmat_truncated(m.curv[c][d], r_max), P))
+            for idx in np.ndindex(*full.shape):
+                low = {k: v for k, v in full[idx].coeffs.items()
+                       if sum(k[0]) + sum(k[1]) <= r_max}
+                assert list(low) == list(cut[idx].coeffs)
+                assert (np.array(list(low.values()), complex).tobytes()
+                        == np.array(list(cut[idx].coeffs.values()), complex).tobytes())

@@ -136,3 +136,69 @@ def test_order_mixing_takes_min():
     b = Jet.constant(1.0, NC, 3)
     assert (a * b).order == 3
     assert (a + b).order == 3
+
+
+def _reference_product(a: Jet, b: Jet) -> Jet:
+    """The plain double loop of the jet product, with each degree recomputed
+    for every pair: the reference the kernel must reproduce exactly."""
+    order = min(a.order, b.order)
+    out = {}
+    for (I1, J1), c1 in a.coeffs.items():
+        d1 = sum(I1) + sum(J1)
+        if d1 > order:
+            continue
+        for (I2, J2), c2 in b.coeffs.items():
+            if d1 + sum(I2) + sum(J2) > order:
+                continue
+            key = (tuple(x + y for x, y in zip(I1, I2)),
+                   tuple(x + y for x, y in zip(J1, J2)))
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return Jet(a.num_coords, order, out)
+
+
+def _same_bits(a: Jet, b: Jet) -> bool:
+    """Same order, same keys in the same order, bit-equal coefficients."""
+    return (a.order == b.order and list(a.coeffs) == list(b.coeffs)
+            and np.array(list(a.coeffs.values()), complex).tobytes()
+            == np.array(list(b.coeffs.values()), complex).tobytes())
+
+
+# keys up to two degrees above ORDER, so some stored terms exceed the order
+_WIDE_KEYS = [((i1, i2), (j1, j2))
+              for i1 in range(ORDER + 3) for i2 in range(ORDER + 3 - i1)
+              for j1 in range(ORDER + 3 - i1 - i2)
+              for j2 in range(ORDER + 3 - i1 - i2 - j1)]
+
+
+@st.composite
+def wide_jets(draw, max_terms=12):
+    keys = draw(st.lists(st.sampled_from(_WIDE_KEYS), max_size=max_terms, unique=True))
+    return Jet(NC, draw(st.integers(0, ORDER)), {k: draw(coeffs) for k in keys})
+
+
+@given(wide_jets(), wide_jets())
+@settings(max_examples=200, deadline=None)
+def test_product_matches_the_reference_loop_bit_for_bit(a, b):
+    assert _same_bits(a * b, _reference_product(a, b))
+    assert _same_bits(b * a, _reference_product(b, a))
+
+
+def test_dense_product_matches_the_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    nc = 3
+
+    def dense(order, n_terms):
+        coeffs = {}
+        for _ in range(n_terms):
+            e = rng.multinomial(int(rng.integers(0, order + 3)), [1 / (2 * nc)] * (2 * nc))
+            coeffs[(tuple(int(x) for x in e[:nc]), tuple(int(x) for x in e[nc:]))] = \
+                complex(rng.standard_normal(), rng.standard_normal())
+        return Jet(nc, order, coeffs)
+
+    a, b = dense(7, 150), dense(5, 80)
+    assert _same_bits(a * b, _reference_product(a, b))
+    assert _same_bits(b * a, _reference_product(b, a))
+    assert _same_bits(a * a, _reference_product(a, a))
+    empty = Jet(nc, 7, {})
+    assert _same_bits(a * empty, _reference_product(a, empty))
+    assert _same_bits(empty * b, _reference_product(empty, b))
