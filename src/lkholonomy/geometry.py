@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .jets import InsufficientOrderError, Jet, JetSpace
+from .jets import InsufficientOrderError, Jet, JetSpace, graded_sum
 from .jetmat import (
     jmat_add,
     jmat_commutator,
@@ -22,6 +22,8 @@ from .jetmat import (
     jmat_derivative,
     jmat_eval0,
     jmat_from_const,
+    jmat_from_graded,
+    jmat_graded,
     jmat_identity,
     jmat_inverse,
     jmat_max_abs,
@@ -308,7 +310,7 @@ def witt_frame(m: MetricJet, C: np.ndarray | None = None) -> np.ndarray:
         tilde = m.h[1:n + 1, 1:n + 1]
         try:
             C = jmat_inverse(jmat_sqrt(tilde))
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             raise DegeneracyError(f"cannot build the frame factor C: {exc}") from exc
     F = jmat_zero((m.dim, m.dim), space)
     F[v, 0] = huv_inv
@@ -334,32 +336,21 @@ def frame_gram_residual(m: MetricJet, F: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _jmat_degree_part(A: np.ndarray, d: int) -> np.ndarray:
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(*A.shape):
-        j: Jet = A[idx]
-        coeffs = {k: c for k, c in j.coeffs.items()
-                  if sum(k[0]) + sum(k[1]) == d}
-        out[idx] = Jet(j.num_coords, j.order, coeffs)
-    return out
-
-
 def radial_parallel_gauge(gamma: list[np.ndarray]) -> np.ndarray:
-    """P with P(0) = id, parallel along radial directions: the degree-d part
-    solves d P_d = -[sum_c z^c Gamma_c P]_d (antiholomorphic covariant
+    """P with P(0) = id, parallel along radial directions: with
+    W = sum_c z^c Gamma_c, the degree-d part solves
+    d P_d = -sum_{0<i<=d} W_i P_{d-i} (antiholomorphic covariant
     derivatives are plain derivatives, so only holomorphic Gammas enter)."""
     space = jmat_space(gamma[0])
-    dim = gamma[0].shape[0]
-    P = jmat_identity(dim, space)
+    W = jmat_scale(gamma[0], space.variable(0))
+    for c in range(1, len(gamma)):
+        W = jmat_add(W, jmat_scale(gamma[c], space.variable(c)))
+    W = jmat_graded(W)
+    P = [jmat_identity(len(gamma), space)]
     for d in range(1, space.order + 1):
-        term = jmat_zero((dim, dim), space)
-        for c in range(dim):
-            zc = space.variable(c)
-            gp = jmat_mul(gamma[c], P)
-            for idx in np.ndindex(dim, dim):
-                term[idx] = term[idx] + zc * gp[idx]
-        P = jmat_add(P, jmat_scale(_jmat_degree_part(term, d), -1.0 / d))
-    return P
+        s = graded_sum(W, P, d, jmat_mul)
+        P.append(None if s is None else jmat_scale(s, -1.0 / d))
+    return jmat_from_graded(P)
 
 
 @dataclass

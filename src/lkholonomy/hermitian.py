@@ -1,8 +1,8 @@
 """Linear algebra over the Witt model of C^{1,n+1}.
 
-Hermitian forms, matrix exponentials, skew normal forms, and the real-form
-data (omega, lambda_k, theta, tau) attached to a real subspace L_0 of
-C^{n-m}.
+Hermitian forms, the exp-derivative series, skew normal forms, and the
+real-form data (omega, lambda_k, theta, tau) attached to a real subspace L_0
+of C^{n-m}.
 
 Convention: the Hermitian form is linear in the first argument and
 conjugate-linear in the second, h(X, Y) = conj(Y)^T . Gram . X.  This is the
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOL
 from .jetmat import (
@@ -56,10 +55,6 @@ class WittMetric:
         return np.abs(res).max() <= tol * max(np.abs(xi).max(), 1.0)
 
 
-def matrix_exp(A: np.ndarray) -> np.ndarray:
-    return scipy.linalg.expm(np.asarray(A, dtype=complex))
-
-
 def exp_derivative_series(G: np.ndarray, var: int, k_max: int | None = None) -> np.ndarray:
     """e^{-G} d_var e^G as the truncated ad-series
     sum_k (-1)^k/(k+1)! (ad_G)^k d_var G, for a jet matrix G with G(0) = 0."""
@@ -84,6 +79,8 @@ def skew_normal_form(omega: np.ndarray, tol: float = DEFAULT_TOL.rank_rel):
     Returns (Q, lambdas, zero_count) with Q^T omega Q block-diagonal:
     2x2 blocks [[0, -l], [l, 0]] with l >= 0 sorted descending, then zeros.
     """
+    import scipy.linalg  # most of the package's import time, needed only here
+
     omega = np.asarray(omega, dtype=float)
     scale = max(np.abs(omega).max(), 1.0)
     if np.abs(omega + omega.T).max() > 1e-10 * scale:

@@ -1,31 +1,31 @@
-"""Matrices with Jet entries: products, inverses, exponentials, square roots.
+"""Matrices with Jet entries: products, exponentials, and inverses and square
+roots solved degree by degree.
 
 Matrices are numpy object arrays of Jet instances sharing one JetSpace.
 These are small (at most (n+2)x(n+2)), so dense object arrays are fine.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .jets import Jet, JetSpace
+from .jets import Jet, JetSpace, graded_sum
+
+
+def _entrywise(f, A: np.ndarray, dtype=object) -> np.ndarray:
+    """The array of f(a) over the entries a of A."""
+    out = np.empty(A.shape, dtype=dtype)
+    for idx in np.ndindex(*A.shape):
+        out[idx] = f(A[idx])
+    return out
 
 
 def jmat_from_const(M: np.ndarray, space: JetSpace) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
-    out = np.empty(M.shape, dtype=object)
-    for idx in np.ndindex(*M.shape):
-        out[idx] = space.constant(M[idx])
-    return out
+    return _entrywise(space.constant, np.asarray(M, dtype=complex))
 
 
 def jmat_zero(shape: tuple[int, int], space: JetSpace) -> np.ndarray:
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        out[idx] = space.zero()
-    return out
+    return jmat_from_const(np.zeros(shape), space)
 
 
 def jmat_identity(n: int, space: JetSpace) -> np.ndarray:
@@ -38,17 +38,11 @@ def jmat_space(A: np.ndarray) -> JetSpace:
 
 
 def jmat_add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(*A.shape):
-        out[idx] = A[idx] + B[idx]
-    return out
+    return A + B  # object arrays add entrywise
 
 
 def jmat_scale(A: np.ndarray, s) -> np.ndarray:
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(*A.shape):
-        out[idx] = A[idx] * s
-    return out
+    return _entrywise(lambda a: a * s, A)
 
 
 def jmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -71,31 +65,19 @@ def jmat_commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def jmat_truncated(A: np.ndarray, order: int) -> np.ndarray:
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(*A.shape):
-        out[idx] = A[idx].truncated(order)
-    return out
+    return _entrywise(lambda a: a.truncated(order), A)
 
 
 def jmat_eval0(A: np.ndarray) -> np.ndarray:
-    out = np.empty(A.shape, dtype=complex)
-    for idx in np.ndindex(*A.shape):
-        out[idx] = A[idx].constant_term()
-    return out
+    return _entrywise(Jet.constant_term, A, complex)
 
 
 def jmat_derivative(A: np.ndarray, var: int, holomorphic: bool = True) -> np.ndarray:
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(*A.shape):
-        out[idx] = A[idx].derivative(var, holomorphic)
-    return out
+    return _entrywise(lambda a: a.derivative(var, holomorphic), A)
 
 
 def jmat_conj(A: np.ndarray) -> np.ndarray:
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(*A.shape):
-        out[idx] = A[idx].conjugate()
-    return out
+    return _entrywise(Jet.conjugate, A)
 
 
 def jmat_conj_transpose(A: np.ndarray) -> np.ndarray:
@@ -106,30 +88,43 @@ def jmat_max_abs(A: np.ndarray) -> float:
     return max(A[idx].max_abs() for idx in np.ndindex(*A.shape))
 
 
-def jmat_inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of a jet matrix via Neumann series around the constant part.
-
-    A = A0 + M with A0 invertible; A^{-1} = (sum_k (-A0^{-1} M)^k) A0^{-1},
-    and the series terminates at the truncation order since M has no
-    constant term after splitting.
-    """
+def jmat_graded(A: np.ndarray) -> list[np.ndarray | None]:
+    """The homogeneous parts of degree 0..order of a jet matrix, None where
+    every entry's part is empty."""
     space = jmat_space(A)
-    A0 = jmat_eval0(A)
-    A0inv = np.linalg.inv(A0)
-    M = jmat_add(A, jmat_from_const(-A0, space))  # zero constant term
-    B = jmat_scale(jmat_mul(jmat_from_const(A0inv, space), M), -1.0)
-    acc = jmat_identity(A.shape[0], space)
-    power = jmat_identity(A.shape[0], space)
-    for _ in range(space.order):
-        power = jmat_mul(power, B)
-        if jmat_max_abs(power) <= DEFAULT_TOL.coeff_zero:
-            break
-        acc = jmat_add(acc, power)
-    return jmat_mul(acc, jmat_from_const(A0inv, space))
+    parts = [jmat_zero(A.shape, space) for _ in range(space.order + 1)]
+    for idx in np.ndindex(*A.shape):
+        for d, part in enumerate(A[idx].graded()):
+            if part is not None:
+                parts[d][idx] = part
+    return [p if any(j.coeffs for j in p.flat) else None for p in parts]
+
+
+def jmat_from_graded(parts: list[np.ndarray | None]) -> np.ndarray:
+    """The jet matrix whose homogeneous parts these are; parts[0] must exist."""
+    out = np.empty(parts[0].shape, dtype=object)
+    for idx in np.ndindex(*out.shape):
+        out[idx] = Jet.from_graded([None if p is None else p[idx] for p in parts])
+    return out
+
+
+def jmat_inverse(A: np.ndarray) -> np.ndarray:
+    """Inverse of a jet matrix, degree by degree:
+    X_0 = A_0^{-1} and X_d = -A_0^{-1} sum_{0<i<=d} A_i X_{d-i}."""
+    space = jmat_space(A)
+    A0inv = np.linalg.inv(jmat_eval0(A))
+    minus_A0inv = jmat_from_const(-A0inv, space)
+    parts = jmat_graded(A)
+    X = [jmat_from_const(A0inv, space)]
+    for d in range(1, space.order + 1):
+        s = graded_sum(parts, X, d, jmat_mul)
+        X.append(None if s is None else jmat_mul(minus_A0inv, s))
+    return jmat_from_graded(X)
 
 
 def jmat_exp(G: np.ndarray) -> np.ndarray:
-    """exp of a jet matrix with zero constant term (nilpotent in the jet ring)."""
+    """exp of a jet matrix with zero constant term: the Taylor sum, whose
+    k-th term has degree >= k, so it ends at the truncation order."""
     space = jmat_space(G)
     if np.abs(jmat_eval0(G)).max() > DEFAULT_TOL.coeff_zero:
         raise ValueError("jmat_exp requires a zero constant term")
@@ -137,40 +132,32 @@ def jmat_exp(G: np.ndarray) -> np.ndarray:
     term = jmat_identity(G.shape[0], space)
     for k in range(1, space.order + 1):
         term = jmat_scale(jmat_mul(term, G), 1.0 / k)
-        if jmat_max_abs(term) <= DEFAULT_TOL.coeff_zero:
-            break
         acc = jmat_add(acc, term)
     return acc
 
 
 def jmat_sqrt(A: np.ndarray) -> np.ndarray:
     """Square root of a jet matrix whose constant part is Hermitian positive
-    definite, via the Denman-Beavers iteration lifted to jets.
-
-    The constant parts converge as for numeric matrices; the higher jet
-    coefficients stabilize because each iteration is a contraction on them.
-    It stops on a step of coeff_zero, or on a step below 1e-9 of the largest
-    coefficient that no longer shrinks (a rounding floor above coeff_zero).
-    """
+    definite, solved degree by degree in the eigenbasis U of A_0, where
+    B = U^H A U has the constant part diag(w): T_0 = diag(sqrt(w)), and T_d
+    solves T_0 T_d + T_d T_0 = B_d - sum_{0<i<d} T_i T_{d-i}, entry (i, j)
+    divided by sqrt(w_i) + sqrt(w_j).  The root is U T U^H."""
     space = jmat_space(A)
     A0 = jmat_eval0(A)
     if np.abs(A0 - A0.conj().T).max() > 1e-9 * max(np.abs(A0).max(), 1.0):
         raise ValueError("jmat_sqrt expects a Hermitian constant part")
-    Y = A
-    Z = jmat_identity(A.shape[0], space)
-    last = math.inf
-    for _ in range(40):
-        Yn = jmat_scale(jmat_add(Y, jmat_inverse(Z)), 0.5)
-        Zn = jmat_scale(jmat_add(Z, jmat_inverse(Y)), 0.5)
-        delta = jmat_max_abs(jmat_add(Yn, jmat_scale(Y, -1.0)))
-        Y, Z = Yn, Zn
-        if delta <= DEFAULT_TOL.coeff_zero or (
-                last <= delta <= 1e-9 * max(jmat_max_abs(Y), 1.0)):
-            break
-        last = delta
-    else:
-        raise RuntimeError("matrix square-root iteration did not converge")
-    return Y
+    w, U = np.linalg.eigh(A0)
+    if w.min() <= 0:
+        raise ValueError("jmat_sqrt needs a positive definite constant part")
+    root = np.sqrt(w)
+    Uh, Uc = jmat_from_const(U.conj().T, space), jmat_from_const(U, space)
+    B = jmat_graded(jmat_mul(Uh, jmat_mul(A, Uc)))
+    T = [jmat_from_const(np.diag(root), space)]
+    for d in range(1, space.order + 1):
+        s = graded_sum(T, T, d, jmat_mul)
+        R = B[d] if s is None else -s if B[d] is None else B[d] - s
+        T.append(None if R is None else R * (1.0 / np.add.outer(root, root)))
+    return jmat_mul(Uc, jmat_mul(jmat_from_graded(T), Uh))
 
 
 def jmat_residual(A: np.ndarray, B: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -166,11 +166,6 @@ class Jet:
         out = {k: c for k, c in self.coeffs.items() if sum(k[0]) + sum(k[1]) <= order}
         return Jet(self.num_coords, order, out)
 
-    def cleaned(self, tol: float = DEFAULT_TOL.coeff_zero) -> "Jet":
-        scale = max(self.max_abs(), 1.0)
-        out = {k: c for k, c in self.coeffs.items() if abs(c) > tol * scale}
-        return Jet(self.num_coords, self.order, out)
-
     def conjugate(self) -> "Jet":
         """Formal conjugate: swaps z and zbar exponents, conjugates coefficients."""
         return Jet(self.num_coords, self.order, {(J, I): np.conj(c) for (I, J), c in self.coeffs.items()})
@@ -216,44 +211,44 @@ class Jet:
             out[key] = c
         return Jet(self.num_coords, self.order - k, out)
 
-    # -- analytic functions ---------------------------------------------------
+    # -- graded parts and analytic functions ----------------------------------
 
-    def compose(self, series: list[complex]) -> "Jet":
-        """Sum_k series[k] * (self - self(0))**k, truncated at the jet order."""
-        t = self - self.constant_term()
-        acc = Jet.constant(series[0], self.num_coords, self.order)
-        power = Jet.constant(1.0, self.num_coords, self.order)
-        for k in range(1, len(series)):
-            power = (power * t).cleaned()
-            if not power.coeffs:
-                break
-            acc = acc + power * series[k]
-        return acc
+    def graded(self) -> list["Jet | None"]:
+        """The homogeneous parts of degree 0..order, None where a part is empty."""
+        parts: list[dict[Key, complex]] = [{} for _ in range(self.order + 1)]
+        for k, c in self.coeffs.items():
+            d = sum(k[0]) + sum(k[1])
+            if d <= self.order:
+                parts[d][k] = c
+        return [Jet(self.num_coords, self.order, p) if p else None for p in parts]
+
+    @staticmethod
+    def from_graded(parts: list["Jet | None"]) -> "Jet":
+        """The jet whose homogeneous parts these are; parts[0] must exist."""
+        coeffs = {k: c for p in parts if p is not None for k, c in p.coeffs.items()}
+        return Jet(parts[0].num_coords, parts[0].order, coeffs)
 
     def exp(self) -> "Jet":
-        a0 = self.constant_term()
-        series = [np.exp(a0) / math.factorial(k) for k in range(self.order + 1)]
-        return self.compose(series)
+        """Degree by degree from d E_d = sum_{0<i<=d} i a_i E_{d-i}."""
+        a = self.graded()
+        ia = [None] + [None if p is None else p * i for i, p in enumerate(a[1:], 1)]
+        E = [Jet.constant(np.exp(self.constant_term()), self.num_coords, self.order)]
+        for d in range(1, self.order + 1):
+            s = graded_sum(ia, E, d)
+            E.append(None if s is None else s * (1.0 / d))
+        return Jet.from_graded(E)
 
     def reciprocal(self) -> "Jet":
+        """Degree by degree from X_d = -(1/a_0) sum_{0<i<=d} a_i X_{d-i}."""
         a0 = self.constant_term()
         if abs(a0) < DEFAULT_TOL.coeff_zero:
             raise ZeroDivisionError("jet has (numerically) zero constant term")
-        series = [(-1.0) ** k / a0 ** (k + 1) for k in range(self.order + 1)]
-        return self.compose(series)
-
-    def sqrt(self) -> "Jet":
-        a0 = self.constant_term()
-        if abs(a0) < DEFAULT_TOL.coeff_zero:
-            raise ZeroDivisionError("jet sqrt needs a nonzero constant term")
-        root = np.sqrt(a0)
-        # binomial series sqrt(a0) * (1 + x/a0)^{1/2}
-        series = [root]
-        binom = 1.0
-        for k in range(1, self.order + 1):
-            binom *= (0.5 - (k - 1)) / k
-            series.append(root * binom / a0 ** k)
-        return self.compose(series)
+        a = self.graded()
+        X = [Jet.constant(1.0 / a0, self.num_coords, self.order)]
+        for d in range(1, self.order + 1):
+            s = graded_sum(a, X, d)
+            X.append(None if s is None else s * (-1.0 / a0))
+        return Jet.from_graded(X)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -299,6 +294,14 @@ class JetSpace:
 
     def conj_variable(self, i: int) -> Jet:
         return Jet.variable(i, self.num_coords, self.order, holomorphic=False)
+
+
+def graded_sum(a: list, x: list, d: int, mul=mul):
+    """sum_i mul(a[i], x[d - i]) over the i at which both parts exist, or
+    None when no pair does; the parts are jets or jet matrices."""
+    terms = [mul(a[i], x[d - i]) for i in range(len(a))
+             if 0 <= d - i < len(x) and a[i] is not None and x[d - i] is not None]
+    return sum(terms[1:], terms[0]) if terms else None
 
 
 def real_part(a: Jet) -> Jet:

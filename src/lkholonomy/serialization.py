@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .hermitian import RealFormData
-from .jets import JetSpace
+from .jets import Jet, JetSpace
 from . import classify as C
 from . import potentials as P
 
@@ -44,11 +44,32 @@ def encode_complex(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _check(obj, kind, what: str):
+    """obj when it is of the given JSON kind (a bool is no number), else a
+    ValueError naming what was expected."""
+    if isinstance(obj, kind) and not isinstance(obj, bool):
+        return obj
+    raise ValueError(f"expected {what}, got {json.dumps(obj, default=repr)[:40]}")
+
+
+def _items(obj: dict, key: str, kind=None) -> list:
+    """The list under key (empty if absent), each item checked to be of kind."""
+    items = _check(obj.get(key, []), list, f"a list {key}")
+    return items if kind is None else [_check(e, kind, f"items of {key}") for e in items]
+
+
+def _natural(k, what: str) -> int:
+    """k when it is an integer >= 0, else a ValueError."""
+    if _check(k, int, f"an integer {what}") < 0:
+        raise ValueError(f"{what} must be at least 0, not {k}")
+    return k
+
+
 def decode_complex(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    re, im = obj
-    return complex(re, im)
+    """A number, or a pair [re, im] of numbers."""
+    if isinstance(obj, list) and len(obj) == 2:
+        return complex(*(_check(x, (int, float), "a number") for x in obj))
+    return complex(_check(obj, (int, float), "a number or a pair of numbers"))
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -57,10 +78,17 @@ def encode_matrix(m: np.ndarray) -> list:
 
 
 def decode_matrix(obj) -> np.ndarray:
-    if len(obj) == 0:
+    if _check(obj, list, "a matrix as a list of rows") == []:
         return np.zeros((0, 0), dtype=complex)
-    return np.array([[decode_complex(z) for z in row] for row in obj],
-                    dtype=complex)
+    return np.array([[decode_complex(z) for z in _check(row, list, "a matrix row")]
+                     for row in obj], dtype=complex)
+
+
+def _square(obj, size: int) -> np.ndarray:
+    M = decode_matrix(obj)
+    if M.shape != (size, size):
+        raise ValueError(f"expected a {size}x{size} matrix, got shape {M.shape}")
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +143,7 @@ def _lambdas_of(d) -> list[float]:
 
 
 def decode_descriptor(obj: dict):
-    fam = obj["family"]
+    fam = _check(obj, dict, "a descriptor object")["family"]
     if fam == "G0":
         return C.G0Descriptor()
     if fam == "G1":
@@ -124,31 +152,30 @@ def decode_descriptor(obj: dict):
         return C.G2Descriptor()
     if fam == "G3":
         return C.G3Descriptor(gamma=decode_complex(obj.get("gamma", 0.0)))
-    n = int(obj["n"])
+    n = _natural(obj["n"], "n")
     if fam == "GK":
-        kb = [(decode_complex(e["a"]), decode_matrix(e["A"]))
-              for e in obj.get("k_basis", [])]
+        kb = [(decode_complex(e["a"]), _square(e["A"], n))
+              for e in _items(obj, "k_basis", dict)]
         return C.GKDescriptor(n, kb)
-    m = int(obj.get("m", n))
-    rf = None
-    lambdas = [float(l) for l in obj.get("lambdas", [])]
+    m = _natural(obj.get("m", n), "m")
+    lambdas = [float(_check(l, (int, float), "a number")) for l in _items(obj, "lambdas")]
     if fam == "GKJL":
-        kb = [(float(e["a2"]), decode_matrix(e["A"]))
-              for e in obj.get("k_basis", [])]
+        kb = [(float(_check(e["a2"], (int, float), "a number a2")), _square(e["A"], m))
+              for e in _items(obj, "k_basis", dict)]
         return C.GKJLDescriptor(n, m, kb)
-    if n > m:
-        rf = RealFormData.from_lambdas(lambdas, n - m)
+    rf = RealFormData.from_lambdas(lambdas, n - m) if n > m else None
     if fam == "GKL":
-        kb = [decode_matrix(e) for e in obj.get("k_basis", [])]
+        kb = [_square(e, m) for e in _items(obj, "k_basis")]
         return C.GKLDescriptor(n, m, kb, real_form=rf)
     if fam == "GK0PSI":
-        r = int(obj["r"])
-        k0 = [decode_matrix(e) for e in obj.get("k0_basis", [])]
-        psi = [decode_matrix(e) for e in obj.get("psi_images", [])]
+        r = _natural(obj["r"], "r")
+        k0 = [_square(e, r) for e in _items(obj, "k0_basis")]
+        psi = [_square(e, r) for e in _items(obj, "psi_images")]
         return C.GK0PsiDescriptor(n, m, r, k0, psi, real_form=rf)
     if fam == "BERGER_GK":
-        kb = [(float(e["a1"]), float(e["a2"]), decode_matrix(e["A"]))
-              for e in obj.get("k_basis", [])]
+        kb = [(float(_check(e["a1"], (int, float), "a number a1")),
+               float(_check(e["a2"], (int, float), "a number a2")), _square(e["A"], m))
+              for e in _items(obj, "k_basis", dict)]
         return C.BergerGKDescriptor(n, m, kb, real_form=rf)
     raise ValueError(f"unknown family {fam!r}")
 
@@ -164,8 +191,8 @@ def decode_algebra(obj: dict):
     if "family" in obj:
         d = decode_descriptor(obj)
         return C.build_family(d)
-    n = int(obj["n"])
-    basis = [decode_matrix(b) for b in obj["basis"]]
+    n = _natural(obj["n"], "n")
+    basis = [_square(b, n + 2) for b in _check(obj["basis"], list, "a list basis")]
     return MatrixAlgebra(n, basis)
 
 
@@ -182,9 +209,11 @@ def build_metric_from_config(obj: dict, order: int | None = None):
     """
     from .geometry import metric_from_potential
     kind = obj.get("kind")
-    order = int(obj.get("order", order or 8))
+    order = _check(obj.get("order", order or 8), int, "an integer order")
+    if order < 2:
+        raise ValueError(f"the order must be at least 2, not {order}")
     if kind == "flat":
-        n = int(obj.get("n", 0))
+        n = _natural(obj.get("n", 0), "n")
         space = JetSpace(n + 2, order)
         f = P.fc_potential(space, 0.0, 0.0) + P.fun_potential(space, n, [])
         return metric_from_potential(f)
@@ -203,20 +232,18 @@ def build_metric_from_config(obj: dict, order: int | None = None):
         return P.oriented_lines_metric(order=order,
                                        variant=obj.get("variant", "hermitized"))
     if kind == "ppwave":
-        n = int(obj.get("n", 1))
+        n = _natural(obj.get("n", 1), "n")
         space = JetSpace(n + 2, order)
         phi = space.zero()
-        for term in obj["phi_terms"]:
-            t = space.constant(decode_complex(term["coeff"]))
-            zp = term.get("z", [0] * n)
-            for j, p in enumerate(zp):
-                for _ in range(int(p)):
-                    t = t * space.variable(1 + j)
-            for _ in range(int(term.get("u", 0))):
-                t = t * space.variable(n + 1)
-            for _ in range(int(term.get("ubar", 0))):
-                t = t * space.conj_variable(n + 1)
-            phi = phi + t
+        for term in _check(obj["phi_terms"], list, "a list phi_terms"):
+            c = decode_complex(_check(term, dict, "phi terms as objects")["coeff"])
+            z = [_natural(p, "z exponent") for p in _items(term, "z")]
+            u, ub = _natural(term.get("u", 0), "u"), _natural(term.get("ubar", 0), "ubar")
+            if len(z) > n:
+                raise ValueError(f"a phi term takes at most n = {n} exponents of z")
+            if c != 0:
+                I, J = (0, *z, *[0] * (n - len(z)), u), (0,) * (n + 1) + (ub,)
+                phi = phi + Jet(n + 2, order, {(I, J): c})
         return metric_from_potential(P.ppwave_potential(space, n, phi))
     raise ValueError(f"unknown potential kind {kind!r}")
 
@@ -228,20 +255,12 @@ def build_metric_from_config(obj: dict, order: int | None = None):
 
 def jsonable(obj):
     """Recursively convert dataclasses / numpy values to JSON-safe data."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, complex):
+    if isinstance(obj, (complex, np.complexfloating)):
         return encode_complex(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.complexfloating):
-        return encode_complex(complex(obj))
+    if isinstance(obj, np.generic):
+        return obj.item()  # numpy bool, integer or float as its Python value
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
             return encode_matrix(obj)

@@ -69,7 +69,14 @@ def test_bad_potential_kind_is_input_error(tmp_path, capsys):
     assert main(["holonomy", "--potential", p]) == EXIT_INPUT
 
 
-@pytest.mark.parametrize("top", ["[1, 2]", "3", '"x"', "null"])
+# Non-objects, then objects that are malformed for every subcommand: phi
+# terms that are not objects, a basis matrix whose rows are not lists, an
+# order below 2, and a complex number that is neither a number nor a pair.
+@pytest.mark.parametrize("top", ["[1, 2]", "3", '"x"', "null",
+                                 '{"kind": "ppwave", "n": 1, "phi_terms": [1, 2]}',
+                                 '{"n": 1, "basis": [[1, 2]]}',
+                                 '{"kind": "small", "tag": "g1", "order": -3}',
+                                 '{"kind": "fc", "a": [null, 1], "order": 6}'])
 @pytest.mark.parametrize("command, flag", [
     ("classify", "--algebra"), ("berger", "--algebra"), ("holonomy", "--potential"),
     ("validate", "--potential"), ("ppwave", "--metric")])
@@ -79,7 +86,15 @@ def test_non_object_json_is_one_line_error(tmp_path, capsys, command, flag, top)
     assert main([command, flag, str(p)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(p) in err and "Traceback" not in err
+    assert "Traceback" not in err
+    if not top.startswith("{"):
+        assert str(p) in err
+
+
+def test_order_below_two_from_the_command_line_is_input_error(tmp_path, capsys):
+    p = _write(tmp_path, "g1.json", {"kind": "small", "tag": "g1"})
+    assert main(["validate", "--potential", p, "--order", "-3"]) == EXIT_INPUT
+    assert "order must be at least 2, not -3" in capsys.readouterr().err
 
 
 def test_ppwave_flags(tmp_path, capsys):

@@ -10,8 +10,9 @@ from lkholonomy import classify as C
 from lkholonomy import cli
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
-from lkholonomy.jetmat import (jmat_eval0, jmat_inverse, jmat_max_abs, jmat_mul,
-                               jmat_residual, jmat_truncated)
+from lkholonomy.jetmat import (jmat_add, jmat_derivative, jmat_eval0, jmat_inverse,
+                               jmat_max_abs, jmat_mul, jmat_residual, jmat_scale,
+                               jmat_truncated)
 from lkholonomy.jets import JetSpace, real_part
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -123,6 +124,32 @@ def test_witt_frame_when_the_square_root_step_stalls(monkeypatch):
     m = G.metric_from_potential(f)
     F = G.witt_frame(m)
     assert G.frame_gram_residual(m, F) < 1e-9
+
+
+def test_witt_frame_of_an_indefinite_block_is_a_degeneracy():
+    space = JetSpace(3, 6)
+    z, zb = space.variable(1), space.conj_variable(1)
+    m = G.metric_from_potential(P.fc_potential(space, 0.0, 0.0) - z * zb)
+    with pytest.raises(G.DegeneracyError, match="frame factor C"):
+        G.witt_frame(m)
+
+
+@pytest.mark.parametrize("metric", ["fc", "nondiagonal"])
+def test_gauge_is_parallel_along_the_radial_field(metric):
+    """sum_c z^c (d_c P + Gamma_c P) + zbar^c d_cbar P = 0: nabla_cbar is
+    the plain derivative, so the radial field's covariant derivative is the
+    total Euler operator plus sum_c z^c Gamma_c."""
+    m = _fc_metric(1.0, 0.5) if metric == "fc" else _nondiagonal_metric()
+    P = G.radial_parallel_gauge(m.gamma)
+    assert P[0, 0].order == m.space.order - 1
+    total = None
+    for c in range(m.dim):
+        holo = jmat_add(jmat_derivative(P, c), jmat_mul(m.gamma[c], P))
+        term = jmat_add(jmat_scale(holo, m.space.variable(c)),
+                        jmat_scale(jmat_derivative(P, c, holomorphic=False),
+                                   m.space.conj_variable(c)))
+        total = term if total is None else jmat_add(total, term)
+    assert jmat_max_abs(total) < 1e-12 * max(jmat_max_abs(P), 1.0)
 
 
 def test_metric_invariants():

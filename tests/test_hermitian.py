@@ -8,7 +8,6 @@ from lkholonomy.hermitian import (
     _canonical_f_pair,
     adapted_basis,
     exp_derivative_series,
-    matrix_exp,
     skew_normal_form,
 )
 from lkholonomy.jetmat import (

@@ -1,5 +1,9 @@
 """Jet-valued matrix helpers."""
+import math
+
 import numpy as np
+
+import pytest
 
 from lkholonomy.jetmat import (
     jmat_add,
@@ -15,10 +19,11 @@ from lkholonomy.jetmat import (
     jmat_mul,
     jmat_residual,
     jmat_scale,
+    jmat_space,
     jmat_sqrt,
     jmat_zero,
 )
-from lkholonomy.jets import JetSpace
+from lkholonomy.jets import Jet, JetSpace
 
 SPACE = JetSpace(2, 5)
 
@@ -77,3 +82,85 @@ def test_eval0_extracts_constants():
     A = jmat_from_const(M, SPACE)
     assert np.abs(jmat_eval0(A) - M).max() < 1e-15
     assert jmat_max_abs(jmat_add(A, jmat_scale(A, -1.0))) == 0.0
+
+
+# -- graded recursions against the iterations they replaced -------------------
+
+def _neumann_inverse(A):
+    """The Neumann series around the constant part, with its tolerance break:
+    the inverse before the graded recursion."""
+    space = jmat_space(A)
+    A0 = jmat_eval0(A)
+    A0inv = np.linalg.inv(A0)
+    M = jmat_add(A, jmat_from_const(-A0, space))
+    B = jmat_scale(jmat_mul(jmat_from_const(A0inv, space), M), -1.0)
+    acc = power = jmat_identity(A.shape[0], space)
+    for _ in range(space.order):
+        power = jmat_mul(power, B)
+        if jmat_max_abs(power) <= 1e-12:
+            break
+        acc = jmat_add(acc, power)
+    return jmat_mul(acc, jmat_from_const(A0inv, space))
+
+
+def _denman_beavers_sqrt(A):
+    """The Denman-Beavers iteration with its absolute and rounding-floor
+    stops: the square root before the graded recursion."""
+    Y, Z = A, jmat_identity(A.shape[0], jmat_space(A))
+    last = math.inf
+    for _ in range(40):
+        Yn = jmat_scale(jmat_add(Y, _neumann_inverse(Z)), 0.5)
+        Zn = jmat_scale(jmat_add(Z, _neumann_inverse(Y)), 0.5)
+        delta = jmat_max_abs(jmat_add(Yn, jmat_scale(Y, -1.0)))
+        Y, Z = Yn, Zn
+        if delta <= 1e-12 or last <= delta <= 1e-9 * max(jmat_max_abs(Y), 1.0):
+            return Y
+        last = delta
+    raise RuntimeError("matrix square-root iteration did not converge")
+
+
+def _dense_jmat(rng, k=3, space=JetSpace(2, 4)):
+    """Every monomial up to the order in every entry, constant part
+    diagonally dominant."""
+    keys = [((i1, i2), (j1, j2)) for i1 in range(space.order + 1)
+            for i2 in range(space.order + 1 - i1)
+            for j1 in range(space.order + 1 - i1 - i2)
+            for j2 in range(space.order + 1 - i1 - i2 - j1)]
+    A = jmat_zero((k, k), space)
+    for a in range(k):
+        for b in range(k):
+            coeffs = {key: 0.2 * complex(*rng.standard_normal(2)) for key in keys}
+            coeffs[keys[0]] += 2.0 * (a == b)
+            A[a, b] = Jet(space.num_coords, space.order, coeffs)
+    return A
+
+
+def _rel_residual(A, ref):
+    return jmat_residual(A, ref) / max(jmat_max_abs(ref), 1.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_inverse_matches_the_neumann_series(seed):
+    A = _dense_jmat(np.random.default_rng(seed))
+    assert _rel_residual(jmat_inverse(A), _neumann_inverse(A)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sqrt_matches_denman_beavers(seed):
+    A = _dense_jmat(np.random.default_rng(seed), k=2)
+    H = jmat_mul(A, jmat_conj_transpose(A))
+    assert _rel_residual(jmat_sqrt(H), _denman_beavers_sqrt(H)) < 1e-12
+
+
+def test_sqrt_of_a_hermitian_jet_matrix_is_hermitian(rng):
+    A = _dense_jmat(rng)
+    H = jmat_add(A, jmat_conj_transpose(A))  # constant part 4 + noise
+    S = jmat_sqrt(H)
+    assert jmat_residual(S, jmat_conj_transpose(S)) < 1e-12
+    assert _rel_residual(jmat_mul(S, S), H) < 1e-12
+
+
+def test_sqrt_rejects_an_indefinite_constant_part():
+    A = jmat_from_const(np.diag([1.0, -1.0]), SPACE)
+    with pytest.raises(ValueError, match="positive definite"):
+        jmat_sqrt(A)

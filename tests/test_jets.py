@@ -82,11 +82,9 @@ def test_exp_homomorphism(a, b):
 
 @given(jets())
 @settings(max_examples=40, deadline=None)
-def test_reciprocal_and_sqrt(a):
+def test_reciprocal_inverts(a):
     g = SPACE.constant(1.0) + (a - SPACE.constant(a.constant_term())) * 0.5
     assert _close(g * g.reciprocal(), SPACE.constant(1.0), 1e-9)
-    s = g.sqrt()
-    assert _close(s * s, g, 1e-9)
 
 
 def test_derivative_at_zero_factorials():
@@ -202,3 +200,72 @@ def test_dense_product_matches_the_reference_loop_bit_for_bit():
     empty = Jet(nc, 7, {})
     assert _same_bits(a * empty, _reference_product(a, empty))
     assert _same_bits(empty * b, _reference_product(empty, b))
+
+
+# -- graded recursions against the power series they replaced ------------------
+
+def _compose(jet: Jet, series: list[complex]) -> Jet:
+    """sum_k series[k] (jet - jet(0))^k with powers cleaned at 1e-12: the
+    power-series code that exp and reciprocal used before the recursions."""
+    t = jet - jet.constant_term()
+    acc = Jet.constant(series[0], jet.num_coords, jet.order)
+    power = Jet.constant(1.0, jet.num_coords, jet.order)
+    for k in range(1, len(series)):
+        power = power * t
+        scale = max(power.max_abs(), 1.0)
+        power = Jet(power.num_coords, power.order,
+                    {key: c for key, c in power.coeffs.items() if abs(c) > 1e-12 * scale})
+        if not power.coeffs:
+            break
+        acc = acc + power * series[k]
+    return acc
+
+
+def _dense_jet(rng, a0: complex) -> Jet:
+    """Every monomial up to ORDER, with seeded coefficients of size ~0.3."""
+    coeffs = {k: 0.3 * complex(*rng.standard_normal(2)) for k in _KEYS}
+    coeffs[((0, 0), (0, 0))] = a0
+    return Jet(NC, ORDER, coeffs)
+
+
+def _rel_close(a: Jet, ref: Jet, tol=1e-12) -> bool:
+    return (a - ref).max_abs() <= tol * max(ref.max_abs(), 1.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_recursions_match_the_power_series(seed):
+    rng = np.random.default_rng(seed)
+    a = _dense_jet(rng, complex(1.5, 0.5))
+    a0 = a.constant_term()
+    recip = _compose(a, [(-1.0) ** k / a0 ** (k + 1) for k in range(ORDER + 1)])
+    assert _rel_close(a.reciprocal(), recip)
+    e = _compose(a, [np.exp(a0) / math.factorial(k) for k in range(ORDER + 1)])
+    assert _rel_close(a.exp(), e)
+
+
+def test_reciprocal_of_one_plus_x_is_the_geometric_series():
+    x = SPACE.variable(0) + SPACE.conj_variable(1) * 2.0
+    expected, power = SPACE.constant(1.0), SPACE.constant(1.0)
+    for _ in range(ORDER):
+        power = power * (-x)
+        expected = expected + power
+    got = (SPACE.constant(1.0) + x).reciprocal()
+    assert got.coeffs == expected.coeffs
+
+
+def test_exp_has_the_factorial_coefficients():
+    e = SPACE.variable(1).exp()
+    assert len(e.coeffs) == ORDER + 1
+    for k in range(ORDER + 1):
+        assert e.coefficient((0, k), (0, 0)) == pytest.approx(1.0 / math.factorial(k),
+                                                             rel=1e-15)
+
+
+def test_graded_parts_rebuild_the_jet():
+    a = Jet(NC, 3, {((1, 0), (0, 0)): 2.0, ((0, 0), (0, 0)): 1.0,
+                    ((1, 1), (0, 1)): 3.0, ((4, 0), (0, 0)): 5.0})
+    parts = a.graded()
+    assert [p is None for p in parts] == [False, False, True, False]
+    assert list(parts[3].coeffs) == [((1, 1), (0, 1))]
+    assert Jet.from_graded(parts).coeffs == {k: c for k, c in a.coeffs.items()
+                                             if sum(k[0]) + sum(k[1]) <= 3}

@@ -14,6 +14,14 @@ def test_complex_and_matrix_roundtrip(rng):
     assert S.decode_complex(S.encode_complex(z)) == z
     m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     assert np.abs(S.decode_matrix(S.encode_matrix(m)) - m).max() == 0.0
+    assert S.decode_complex(2) == 2 and S.decode_complex([1, -0.5]) == 1 - 0.5j
+
+
+@pytest.mark.parametrize("bad", [True, "1", None, [1], [1, 2, 3], [None, 1],
+                                 [1, [2]], {"re": 1, "im": 0}])
+def test_decode_complex_takes_only_a_number_or_a_pair(bad):
+    with pytest.raises(ValueError, match="number"):
+        S.decode_complex(bad)
 
 
 def test_descriptor_roundtrip(suite):
