@@ -153,10 +153,23 @@ def _embed(n, a=0.0, A=None, Z=None, c=0.0) -> np.ndarray:
     return ABZCElement(complex(a), np.asarray(A, dtype=complex), Z, float(c)).to_matrix()
 
 
+def _translations(n: int, js, units=(1.0, 1j)) -> list[np.ndarray]:
+    """The elements with Z = u e_j, for each j in js and then each u in units."""
+    return [_embed(n, Z=u * np.eye(n, dtype=complex)[j]) for j in js for u in units]
+
+
+def _l0_vectors(d) -> list[np.ndarray]:
+    """The real basis f_j of L_0 as vectors of C^n; none without a real form."""
+    if d.real_form is None:
+        return []
+    return [np.concatenate([np.zeros(d.m, complex), f]) for f in d.real_form.basis_f.T]
+
+
 def _check_k_antihermitian(mats):
     for A in mats:
         A = np.asarray(A, dtype=complex)
-        if A.size and np.abs(A + A.conj().T).max() > 1e-10 * max(np.abs(A).max(), 1.0):
+        if A.size and np.abs(A + A.conj().T).max() > DEFAULT_TOL.residual * max(
+                np.abs(A).max(), 1.0):
             raise ValueError("k-generator is not anti-Hermitian")
 
 
@@ -186,11 +199,7 @@ def build_family(d) -> MatrixAlgebra:
         _check_k_antihermitian([A for _, A in d.k_basis])
         for a, A in d.k_basis:
             basis.append(_embed(n, a=a, A=A))
-        for j in range(n):
-            e = np.zeros(n, complex)
-            e[j] = 1.0
-            basis.append(_embed(n, Z=e))
-            basis.append(_embed(n, Z=1j * e))
+        basis += _translations(n, range(n))
         return MatrixAlgebra(n, basis)
 
     m = d.m
@@ -198,7 +207,7 @@ def build_family(d) -> MatrixAlgebra:
         raise ValueError("families with L != C^n need 0 <= m < n")
 
     if fam == "GKJL":
-        if all(abs(a2) < 1e-14 for a2, _ in d.k_basis):
+        if all(abs(a2) < DEFAULT_TOL.exact_zero for a2, _ in d.k_basis):
             raise ValueError("GKJL requires k not contained in u(m)")
         _check_k_antihermitian([A for _, A in d.k_basis])
         for a2, A in d.k_basis:
@@ -206,15 +215,7 @@ def build_family(d) -> MatrixAlgebra:
             Afull[:m, :m] = A
             Afull[m:, m:] = 1j * a2 * np.eye(n - m)
             basis.append(_embed(n, a=1j * a2, A=Afull))
-        for j in range(m):
-            e = np.zeros(n, complex)
-            e[j] = 1.0
-            basis.append(_embed(n, Z=e))
-            basis.append(_embed(n, Z=1j * e))
-        for j in range(m, n):
-            e = np.zeros(n, complex)
-            e[j] = 1.0
-            basis.append(_embed(n, Z=e))
+        basis += _translations(n, range(m)) + _translations(n, range(m, n), (1.0,))
         return MatrixAlgebra(n, basis)
 
     if fam == "GKL":
@@ -223,16 +224,7 @@ def build_family(d) -> MatrixAlgebra:
             Afull = _zmat(n)
             Afull[:m, :m] = A
             basis.append(_embed(n, A=Afull))
-        for j in range(m):
-            e = np.zeros(n, complex)
-            e[j] = 1.0
-            basis.append(_embed(n, Z=e))
-            basis.append(_embed(n, Z=1j * e))
-        F = d.real_form.basis_f
-        for j in range(n - m):
-            Z = np.zeros(n, complex)
-            Z[m:] = F[:, j]
-            basis.append(_embed(n, Z=Z))
+        basis += _translations(n, range(m)) + [_embed(n, Z=Z) for Z in _l0_vectors(d)]
         return MatrixAlgebra(n, basis)
 
     if fam == "GK0PSI":
@@ -251,11 +243,7 @@ def build_family(d) -> MatrixAlgebra:
             Afull = _zmat(n)
             Afull[:r, :r] = psiX
             basis.append(_embed(n, A=Afull, Z=X))
-        for j in range(r):
-            e = np.zeros(n, complex)
-            e[j] = 1.0
-            basis.append(_embed(n, Z=e))
-            basis.append(_embed(n, Z=1j * e))
+        basis += _translations(n, range(r))
         return MatrixAlgebra(n, basis)
 
     if fam == "BERGER_GK":
@@ -266,17 +254,7 @@ def build_family(d) -> MatrixAlgebra:
             Afull[:m, :m] = A
             Afull[m:, m:] = a2 * (1j * np.eye(n - m) + theta)
             basis.append(_embed(n, a=a1 + 1j * a2, A=Afull))
-        for j in range(m):
-            e = np.zeros(n, complex)
-            e[j] = 1.0
-            basis.append(_embed(n, Z=e))
-            basis.append(_embed(n, Z=1j * e))
-        if d.real_form is not None:
-            F = d.real_form.basis_f
-            for j in range(n - m):
-                Z = np.zeros(n, complex)
-                Z[m:] = F[:, j]
-                basis.append(_embed(n, Z=Z))
+        basis += _translations(n, range(m)) + [_embed(n, Z=Z) for Z in _l0_vectors(d)]
         return MatrixAlgebra(n, basis)
 
     raise ValueError(f"unknown family {fam!r}")
@@ -284,38 +262,23 @@ def build_family(d) -> MatrixAlgebra:
 
 def _psi_domain_basis(d: GK0PsiDescriptor) -> list[np.ndarray]:
     """Real basis of C^{m-r} + L_0, as vectors in C^n."""
-    n, m, r = d.n, d.m, d.r
-    out = []
-    for j in range(r, m):
-        e = np.zeros(n, complex)
-        e[j] = 1.0
-        out.append(e)
-    for j in range(r, m):
-        e = np.zeros(n, complex)
-        e[j] = 1j
-        out.append(e)
-    if d.real_form is not None:
-        F = d.real_form.basis_f
-        for j in range(n - m):
-            Z = np.zeros(n, complex)
-            Z[m:] = F[:, j]
-            out.append(Z)
-    return out
+    eye = np.eye(d.n, dtype=complex)[d.r:d.m]
+    return list(eye) + list(1j * eye) + _l0_vectors(d)
 
 
-def _validate_psi(d: GK0PsiDescriptor, tol: float = DEFAULT_TOL.bracket_residual):
+def _validate_psi(d: GK0PsiDescriptor):
     imgs = [np.asarray(P, complex) for P in d.psi_images]
-    if all(np.abs(P).max() < 1e-14 for P in imgs):
+    if all(np.abs(P).max() < DEFAULT_TOL.exact_zero for P in imgs):
         raise ValueError("psi must be non-zero")
     if len(imgs) != len(_psi_domain_basis(d)):
         raise ValueError("psi_images length must match the real basis of C^{m-r} + L_0")
     for i, P in enumerate(imgs):
         for Q in imgs[i + 1:]:
-            if np.abs(P @ Q - Q @ P).max() > tol:
+            if np.abs(P @ Q - Q @ P).max() > DEFAULT_TOL.residual:
                 raise ValueError("psi image is not commutative")
         for A in d.k0_basis:
             A = np.asarray(A, complex)
-            if np.abs(P @ A - A @ P).max() > tol:
+            if np.abs(P @ A - A @ P).max() > DEFAULT_TOL.residual:
                 raise ValueError("psi image does not commute with k0")
     k0span = real_span_basis([np.asarray(A, complex) for A in d.k0_basis])
     img_span = real_span_basis(imgs)
@@ -369,24 +332,24 @@ def _unvec(row: np.ndarray) -> np.ndarray:
     return row[:half] + 1j * row[half:]
 
 
-def _support_coords(rows: np.ndarray, n: int, tol: float = 1e-9) -> set[int]:
+def _support_coords(rows: np.ndarray, n: int) -> set[int]:
     sup = set()
     for row in rows:
         v = _unvec(row)
         for j in range(n):
-            if abs(v[j]) > tol:
+            if abs(v[j]) > DEFAULT_TOL.rank_rel:
                 sup.add(j)
     return sup
 
 
-def match_algebra(alg: MatrixAlgebra, tol: float = DEFAULT_TOL.rank_rel):
+def match_algebra(alg: MatrixAlgebra):
     """Identify the canonical family of a bracket-closed algebra given in the
     canonical Witt frame.  Returns a descriptor, or UnknownDescriptor."""
-    n = alg.n
+    n, tol, floor = alg.n, DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs
     if alg.dim == 0:
         return UnknownDescriptor("zero algebra")
     if n == 0:
-        return _match_n0(alg, tol)
+        return _match_n0(alg)
 
     try:
         xs = [ABZCElement.from_matrix(b) for b in alg.basis]
@@ -398,21 +361,21 @@ def match_algebra(alg: MatrixAlgebra, tol: float = DEFAULT_TOL.rank_rel):
 
     # translation structure
     zrows = _real_rows([x.Z for x in xs])
-    L_full = row_space(zrows, tol, DEFAULT_TOL.rank_abs)
+    L_full = row_space(zrows, tol, floor)
     k_param_rows = np.array([
         np.concatenate([[x.a.real, x.a.imag], x.A.real.ravel(), x.A.imag.ravel()])
         for x in xs])
-    kernel = null_space(k_param_rows.T, tol, DEFAULT_TOL.rank_abs)
+    kernel = null_space(k_param_rows.T, tol, floor)
     trans_z = []
     for comb in kernel:
         Z = sum(c * x.Z for c, x in zip(comb, xs))
-        if np.abs(Z).max() > 1e-9:
+        if np.abs(Z).max() > tol:
             trans_z.append(Z)
-    V_trans = (row_space(_real_rows(trans_z), tol, DEFAULT_TOL.rank_abs) if trans_z
+    V_trans = (row_space(_real_rows(trans_z), tol, floor) if trans_z
                else np.zeros((0, 2 * n)))
 
     # complex part of L
-    iL = row_space(_mult_i(L_full), tol, DEFAULT_TOL.rank_abs)
+    iL = row_space(_mult_i(L_full), tol, floor)
     Cm = _intersect_row_spaces(L_full, iL)
     if Cm.shape[0] % 2 != 0:
         return UnknownDescriptor("L cap iL has odd real dimension")
@@ -423,7 +386,7 @@ def match_algebra(alg: MatrixAlgebra, tol: float = DEFAULT_TOL.rank_rel):
         return UnknownDescriptor("complex part of L is not aligned with e_1..e_m")
     # L_0: orthogonal complement of C^m inside L (w.r.t. Re h = standard)
     if Cm.shape[0]:
-        L0_rows = row_space(L_full - L_full @ Cm.T @ Cm, tol, DEFAULT_TOL.rank_abs)
+        L0_rows = row_space(L_full - L_full @ Cm.T @ Cm, tol, floor)
     else:
         L0_rows = L_full
     if _support_coords(L0_rows, n) - set(range(m, n)):
@@ -441,13 +404,13 @@ def match_algebra(alg: MatrixAlgebra, tol: float = DEFAULT_TOL.rank_rel):
             for g in ons:
                 f = f - (np.conj(g) @ f).real * g
             nrm = np.sqrt((np.conj(f) @ f).real)
-            if nrm > 1e-9:
+            if nrm > tol:
                 ons.append(f / nrm)
         real_form = RealFormData(n - m, np.column_stack(ons))
 
     # the C + u(n) projection
     k_elems = []
-    for row in row_space(k_param_rows, tol, DEFAULT_TOL.rank_abs):
+    for row in row_space(k_param_rows, tol, floor):
         a = row[0] + 1j * row[1]
         A = _unvec(row[2:]).reshape(n, n)
         k_elems.append((a, A))
@@ -455,7 +418,7 @@ def match_algebra(alg: MatrixAlgebra, tol: float = DEFAULT_TOL.rank_rel):
 
     # psi-coupling: translations do not exhaust L
     if V_trans.shape[0] < L_full.shape[0]:
-        return _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems, tol)
+        return _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems)
 
     if m == n:
         return GKDescriptor(n, k_elems)
@@ -465,14 +428,14 @@ def match_algebra(alg: MatrixAlgebra, tol: float = DEFAULT_TOL.rank_rel):
     pure_u_m = []
     twist = []  # (a1, a2, A_m)
     for a, A in k_elems:
-        if np.abs(A[:m, m:]).max(initial=0) > 1e-9 or np.abs(A[m:, :m]).max(initial=0) > 1e-9:
+        if np.abs(A[:m, m:]).max(initial=0) > tol or np.abs(A[m:, :m]).max(initial=0) > tol:
             return UnknownDescriptor("k mixes C^m and C^{n-m}")
         a1, a2 = a.real, a.imag
         B = A[m:, m:]
         expected = a2 * (1j * np.eye(n - m) + theta)
-        if np.abs(B - expected).max(initial=0) > 1e-8:
+        if np.abs(B - expected).max(initial=0) > floor:
             return UnknownDescriptor("C^{n-m} block of k is not a2 (iE + theta)")
-        if abs(a1) < 1e-10 and abs(a2) < 1e-10:
+        if abs(a1) < DEFAULT_TOL.residual and abs(a2) < DEFAULT_TOL.residual:
             pure_u_m.append(A[:m, :m])
         else:
             twist.append((a1, a2, A[:m, :m]))
@@ -480,18 +443,19 @@ def match_algebra(alg: MatrixAlgebra, tol: float = DEFAULT_TOL.rank_rel):
     theta_zero = real_form is None or real_form.is_trivial()
     if not twist:
         return GKLDescriptor(n, m, pure_u_m, real_form)
-    if all(abs(a1) < 1e-10 for a1, _, _ in twist) and theta_zero:
+    if all(abs(a1) < DEFAULT_TOL.residual for a1, _, _ in twist) and theta_zero:
         kb = [(a2, A) for _, a2, A in twist] + [(0.0, A) for A in pure_u_m]
         return GKJLDescriptor(n, m, kb)
     kb = [(a1, a2, A) for a1, a2, A in twist] + [(0.0, 0.0, A) for A in pure_u_m]
     return BergerGKDescriptor(n, m, kb, real_form)
 
 
-def _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems, tol):
+def _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems):
+    tol, floor = DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs
     # r = complex dimension of the translation space: the translation space
     # is C^r plus the real directions where psi vanishes; C^r is its maximal
     # complex subspace
-    iV = row_space(_mult_i(V_trans), tol, DEFAULT_TOL.rank_abs)
+    iV = row_space(_mult_i(V_trans), tol, floor)
     Vc = _intersect_row_spaces(V_trans, iV)
     if Vc.shape[0] % 2:
         return UnknownDescriptor("complex translation part has odd dimension")
@@ -505,10 +469,10 @@ def _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems, tol):
     full_rows = np.array([
         np.concatenate([[x.a.real, x.a.imag], x.Z.real, x.Z.imag]) for x in xs])
     k0 = []
-    for comb in null_space(full_rows.T, tol, DEFAULT_TOL.rank_abs):
+    for comb in null_space(full_rows.T, tol, floor):
         A = sum(c * x.A for c, x in zip(comb, xs))
-        if np.abs(A).max() > 1e-9:
-            if np.abs(A[r:, :]).max(initial=0) > 1e-8 or np.abs(A[:, r:]).max(initial=0) > 1e-8:
+        if np.abs(A).max() > tol:
+            if np.abs(A[r:, :]).max(initial=0) > floor or np.abs(A[:, r:]).max(initial=0) > floor:
                 return UnknownDescriptor("k0 is not contained in u(r)")
             k0.append(A[:r, :r])
     k0 = real_span_basis(k0)
@@ -524,10 +488,10 @@ def _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems, tol):
         target = np.concatenate([X.real, X.imag])
         comb, *_ = np.linalg.lstsq(B, target, rcond=None)
         res = target - B @ comb
-        if np.abs(res).max() > 1e-8:
+        if np.abs(res).max() > floor:
             return UnknownDescriptor("U direction missing from the algebra")
         A = sum(c * x.A for c, x in zip(comb, xs))
-        if np.abs(A[r:, :]).max(initial=0) > 1e-8 or np.abs(A[:, r:]).max(initial=0) > 1e-8:
+        if np.abs(A[r:, :]).max(initial=0) > floor or np.abs(A[:, r:]).max(initial=0) > floor:
             return UnknownDescriptor("psi image is not contained in u(r)")
         P = A[:r, :r]
         for K in k0:
@@ -542,18 +506,19 @@ def _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems, tol):
         return UnknownDescriptor(f"psi extraction failed validation: {exc}")
 
 
-def _match_n0(alg: MatrixAlgebra, tol: float):
+def _match_n0(alg: MatrixAlgebra):
     basis = alg.basis
-    upper = all(abs(b[1, 0]) <= 1e-10 * max(np.abs(b).max(), 1.0) for b in basis)
+    upper = all(abs(b[1, 0]) <= DEFAULT_TOL.residual * max(np.abs(b).max(), 1.0) for b in basis)
     if not upper:
         g0 = build_family(G0Descriptor())
-        if alg.dim == 3 and all(in_real_span(b, g0.basis, tol) for b in basis):
+        if alg.dim == 3 and all(in_real_span(b, g0.basis) for b in basis):
             return G0Descriptor()
         return UnknownDescriptor("n=0 algebra is neither parabolic nor sl(2,R)")
     has_c = alg.contains(_embed(0, c=1.0))
     diag = [b[0, 0] for b in basis]  # the image of the projection onto the diagonal
     diag_rows = row_space(np.array([[z.real, z.imag] for z in diag])
-                          if diag else np.zeros((0, 2)), tol, DEFAULT_TOL.rank_abs)
+                          if diag else np.zeros((0, 2)),
+                          DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs)
     ddim = diag_rows.shape[0]
     if alg.dim == 3 and has_c and ddim == 2:
         return G1Descriptor()
@@ -572,10 +537,10 @@ def _normalize_gamma(gamma: complex) -> complex:
     Re > 0, or Re = 0 and Im > 0."""
     if gamma == 0:
         return 0.0
-    g = gamma / abs(gamma)
-    if g.real < -1e-14 or (abs(g.real) <= 1e-14 and g.imag < 0):
+    g, zero = gamma / abs(gamma), DEFAULT_TOL.exact_zero
+    if g.real < -zero or (abs(g.real) <= zero and g.imag < 0):
         g = -g
-    if abs(g.real) <= 1e-14:
+    if abs(g.real) <= zero:
         g = 1j * abs(g.imag)
     return complex(g)
 
@@ -587,7 +552,8 @@ def same_descriptor(d1, d2) -> bool:
     if d1.family in ("G0", "G1", "G2"):
         return True
     if d1.family == "G3":
-        return abs(_normalize_gamma(d1.gamma) - _normalize_gamma(d2.gamma)) < 1e-9
+        gap = _normalize_gamma(d1.gamma) - _normalize_gamma(d2.gamma)
+        return abs(gap) < DEFAULT_TOL.rank_rel
     if getattr(d1, "n", None) != getattr(d2, "n", None):
         return False
     if getattr(d1, "m", None) != getattr(d2, "m", None):
@@ -645,9 +611,9 @@ def is_holonomy_realizable(d) -> str:
             return "yes"
         theta_zero = d.real_form is None or d.real_form.is_trivial()
         for a1, a2, _ in d.k_basis:
-            if abs(a1) > 1e-12:
+            if abs(a1) > DEFAULT_TOL.coeff_zero:
                 return "berger_only"
-            if abs(a2) > 1e-12 and not theta_zero:
+            if abs(a2) > DEFAULT_TOL.coeff_zero and not theta_zero:
                 return "berger_only"
         return "yes"
     return "not_berger"
@@ -657,14 +623,14 @@ def ricci_flat_condition(d) -> bool:
     """True iff all generators of the built algebra are trace-free, i.e. the
     algebra is inside su(1,n+1)."""
     alg = build_family(d)
-    return all(abs(np.trace(b)) <= 1e-10 * max(np.abs(b).max(), 1.0)
+    return all(abs(np.trace(b)) <= DEFAULT_TOL.residual * max(np.abs(b).max(), 1.0)
                for b in alg.basis)
 
 
 def ricci_flat_symbolic(d) -> bool:
     """The classification corollary's symbolic trace conditions, stated per
     family; must agree with ricci_flat_condition."""
-    fam = d.family
+    fam, tol = d.family, DEFAULT_TOL.residual
     if fam == "G0":
         return True
     if fam == "G1":
@@ -672,23 +638,23 @@ def ricci_flat_symbolic(d) -> bool:
     if fam == "G2":
         return False
     if fam == "G3":
-        return abs(complex(d.gamma).imag) <= 1e-12
+        return abs(complex(d.gamma).imag) <= DEFAULT_TOL.coeff_zero
     if fam == "GK":
-        return all(abs(2j * complex(a).imag + np.trace(np.asarray(A, complex))) <= 1e-10
+        return all(abs(2j * complex(a).imag + np.trace(np.asarray(A, complex))) <= tol
                    for a, A in d.k_basis)
     if fam == "GKJL":
         nm = d.n - d.m
-        return all(abs((nm + 2) * 1j * a2 + np.trace(np.asarray(A, complex))) <= 1e-10
+        return all(abs((nm + 2) * 1j * a2 + np.trace(np.asarray(A, complex))) <= tol
                    for a2, A in d.k_basis)
     if fam == "GKL":
-        return all(abs(np.trace(np.asarray(A, complex))) <= 1e-10 for A in d.k_basis)
+        return all(abs(np.trace(np.asarray(A, complex))) <= tol for A in d.k_basis)
     if fam == "GK0PSI":
-        return all(abs(np.trace(np.asarray(A, complex))) <= 1e-10
+        return all(abs(np.trace(np.asarray(A, complex))) <= tol
                    for A in list(d.k0_basis) + list(d.psi_images))
     if fam == "BERGER_GK":
         nm = d.n - d.m
         tr_theta = 0.0 if d.real_form is None else np.trace(d.real_form.theta)
         return all(abs(2j * a2 + nm * 1j * a2 + a2 * tr_theta
-                       + np.trace(np.asarray(A, complex))) <= 1e-10
+                       + np.trace(np.asarray(A, complex))) <= tol
                    for a1, a2, A in d.k_basis)
     raise ValueError(fam)

@@ -20,10 +20,13 @@ EXIT_OK, EXIT_INPUT, EXIT_MISMATCH = 0, 1, 2
 
 
 def _add_common(sub):
-    sub.add_argument("--order", type=int, default=None)
+    sub.add_argument("--order", type=int, default=None,
+                     help="jet order of the potential; wins over the file's order, "
+                          "which wins over the default 8")
     sub.add_argument("--rmax", type=int, default=4)
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL.rank_rel,
+                     help="absolute bound for the --expect comparison, the ricci_flat "
+                          "flag of holonomy and the four residual checks of validate")
     sub.add_argument("--expect", type=str, default=None)
     sub.add_argument("--out", type=str, default=None)
 
@@ -138,7 +141,7 @@ def _cmd_symspace(args) -> int:
     rep = Y.symspace_report(pair, args.family, args.m)
     ok = rep.jacobi and rep.g_equals_image
     return _finish(args, "symspace", rep, ok,
-                   {"jacobi": DEFAULT_TOL.jacobi})
+                   {"jacobi": DEFAULT_TOL.residual})
 
 
 def _cmd_validate(args) -> int:

@@ -33,7 +33,8 @@ class CurvatureMap:
 
     def invariant_residual(self, sigma=sigma_involution) -> float:
         """Worst violation of reality, exchange symmetry, and the first
-        Bianchi identity (on real arguments)."""
+        Bianchi identity (on real arguments).  sigma is a parameter because
+        the tests check algebras of real matrices with np.conj."""
         N = self.dim_v
         worst = 0.0
         for i in range(N):
@@ -54,8 +55,8 @@ class CurvatureMap:
         return worst
 
 
-def _complex_span_basis(mats: list[np.ndarray], tol: float = DEFAULT_TOL.rank_rel):
-    rows = row_space(np.array([m.ravel() for m in mats]), tol)
+def _complex_span_basis(mats: list[np.ndarray]):
+    rows = row_space(np.array([m.ravel() for m in mats]), DEFAULT_TOL.rank_rel)
     return [row.reshape(mats[0].shape) for row in rows]
 
 
@@ -71,8 +72,7 @@ def _default_sigma(alg: MatrixAlgebra):
         return np.conj
 
 
-def solve_curvature_space(alg: MatrixAlgebra, sigma=None,
-                          tol: float = DEFAULT_TOL.rank_rel) -> list[CurvatureMap]:
+def solve_curvature_space(alg: MatrixAlgebra) -> list[CurvatureMap]:
     """Basis of the real solution space of the two linear conditions
     rho[i,j] = -sigma(rho[j,i]) and rho[i,j] b_k = rho[k,j] b_i, with all
     values constrained to span_C(g).
@@ -83,15 +83,14 @@ def solve_curvature_space(alg: MatrixAlgebra, sigma=None,
     system in (Re t, Im t) that applies sigma to the matrices E only."""
     if alg.dim == 0:
         return []
-    if sigma is None:
-        sigma = _default_sigma(alg)
+    sigma = _default_sigma(alg)
     N = alg.n + 2
     B = np.array(_complex_span_basis(alg.basis))  # (c, N, N)
     ii, kk = np.triu_indices(N, 1)  # exchange rows (i < k, s), unknowns (i, b)
     X = np.zeros((len(ii), N, N, len(B)), complex)
     X[np.arange(len(ii)), :, ii, :] = B[:, :, kk].transpose(2, 1, 0)
     X[np.arange(len(ii)), :, kk, :] = -B[:, :, ii].transpose(2, 1, 0)
-    K = null_space(X.reshape(len(ii) * N, -1), tol).conj().T.reshape(N, len(B), -1)
+    K = null_space(X.reshape(len(ii) * N, -1), DEFAULT_TOL.rank_rel).conj().T.reshape(N, len(B), -1)
     d = K.shape[2]
     if d == 0:
         return []
@@ -103,16 +102,16 @@ def solve_curvature_space(alg: MatrixAlgebra, sigma=None,
     lin[np.arange(len(ii)), :, jj, :] = E[ii].reshape(-1, d, N * N).transpose(0, 2, 1)
     anti[np.arange(len(ii)), :, ii, :] = S[jj].reshape(-1, d, N * N).transpose(0, 2, 1)
     plus, minus = (lin + anti).reshape(-1, N * d), (lin - anti).reshape(-1, N * d)
-    Y = null_space(np.block([[plus.real, -minus.imag], [plus.imag, minus.real]]), tol)
+    Y = null_space(np.block([[plus.real, -minus.imag], [plus.imag, minus.real]]),
+                   DEFAULT_TOL.rank_rel)
     T = (Y[:, :N * d] + 1j * Y[:, N * d:]).reshape(-1, N, d)
     return [CurvatureMap(alg.n, r) for r in np.einsum("kje,iest->kijst", T, E)]
 
 
-def berger_check(alg: MatrixAlgebra, sigma=None,
-                 tol: float = DEFAULT_TOL.rank_rel) -> dict:
+def berger_check(alg: MatrixAlgebra) -> dict:
     """Span of all curvature images, as the sigma-fixed real algebra it
     generates; alg is Berger iff that span is all of alg."""
-    maps = solve_curvature_space(alg, sigma=sigma, tol=tol)
+    maps = solve_curvature_space(alg)
     N = alg.n + 2
     images: list[np.ndarray] = []
     for R in maps:
@@ -120,7 +119,7 @@ def berger_check(alg: MatrixAlgebra, sigma=None,
             for j in range(N):
                 images.append(R.rho[i, j] - R.rho[j, i])
                 images.append(1j * (R.rho[i, j] + R.rho[j, i]))
-    span = real_span_basis([m for m in images if np.abs(m).max() > 1e-12])
+    span = real_span_basis([m for m in images if np.abs(m).max() > DEFAULT_TOL.coeff_zero])
     generated = MatrixAlgebra(alg.n, span)
     contained = all(alg.contains(b) for b in generated.basis)
     return {
@@ -170,8 +169,8 @@ class CurvatureParam:
         if self.A is None:
             self.A = np.zeros((n, n), complex)
 
-    def validate(self, tol: float = 1e-10):
-        n = self.n
+    def validate(self):
+        n, tol = self.n, DEFAULT_TOL.residual
         if np.abs(self.T - self.T.T).max(initial=0) > tol:
             raise ValueError("T must be symmetric")
         if np.abs(self.P - np.transpose(self.P, (0, 2, 1))).max(initial=0) > tol:
@@ -336,15 +335,15 @@ def param_encode(p: CurvatureParam) -> CurvatureMap:
     target = _target_entries(p)
     coeff, res, *_ = np.linalg.lstsq(Mat, target, rcond=None)
     fit = Mat @ coeff
-    if np.abs(fit - target).max() > 1e-8:
+    if np.abs(fit - target).max() > DEFAULT_TOL.rank_abs:
         raise ValueError("parameters are not realized by any curvature map")
     rho = sum(c * R.rho for c, R in zip(coeff, basis))
     return CurvatureMap(p.n, rho)
 
 
-def param_decode(R: CurvatureMap, tol: float = 1e-8) -> CurvatureParam:
+def param_decode(R: CurvatureMap) -> CurvatureParam:
     """Read the block parameters off a curvature map of the full algebra."""
-    n = R.n
+    n, tol = R.n, DEFAULT_TOL.rank_abs
     q = n + 1
     B_pq = R.rho[0, q]
     B_qq = R.rho[q, q]

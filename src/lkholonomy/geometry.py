@@ -164,16 +164,16 @@ class MetricJet:
             "h_vbar_u_at_base": complex(self.h[v, u].constant_term()),
         }
 
-    def is_walker(self, tol: float = DEFAULT_TOL.gram) -> bool:
-        rep = self.walker_report()
+    def is_walker(self) -> bool:
+        rep, tol = self.walker_report(), DEFAULT_TOL.residual
         return (rep["pattern_residual"] <= tol
                 and rep["dependence_residual"] <= tol
                 and abs(rep["h_vbar_u_at_base"]) > tol)
 
 
-def metric_from_potential(f: Jet, tol: float = DEFAULT_TOL.gram) -> MetricJet:
+def metric_from_potential(f: Jet) -> MetricJet:
     """h_{abar b} = d_{z^b} d_{zbar^a} f, checked for nondegeneracy at 0."""
-    if not f.is_real_valued(tol):
+    if not f.is_real_valued(DEFAULT_TOL.residual):
         raise ValueError("potential must be a real-valued jet")
     dim = f.num_coords
     if dim < 2:
@@ -186,7 +186,7 @@ def metric_from_potential(f: Jet, tol: float = DEFAULT_TOL.gram) -> MetricJet:
         for a in range(dim):
             h[a, b] = df.derivative(a, holomorphic=False)
     m = MetricJet(dim - 2, h, potential=f)
-    if abs(np.linalg.det(m.gram0())) < tol:
+    if abs(np.linalg.det(m.gram0())) < DEFAULT_TOL.residual:
         raise DegeneracyError("metric degenerate at the base point")
     return m
 
@@ -368,11 +368,10 @@ def _real_points(cbasis: list[np.ndarray]) -> list[np.ndarray]:
         s = sigma_involution(w, tol=DEFAULT_TOL.sigma_fit)
         cands.append(w + s)
         cands.append(1j * (w - s))
-    return real_span_basis([c for c in cands if np.abs(c).max() > 1e-10])
+    return real_span_basis([c for c in cands if np.abs(c).max() > DEFAULT_TOL.residual])
 
 
-def infinitesimal_holonomy(m: MetricJet, r_max: int = 4,
-                           tol: float = DEFAULT_TOL.rank_rel) -> HolonomyResult:
+def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
     """Real span of all iterated covariant derivatives of the curvature
     endomorphisms at the base point, expressed in the Witt frame.
 
@@ -407,9 +406,10 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4,
     cbasis_rows = np.zeros((0, m.dim * m.dim), complex)
     scale = max((np.abs(w).max() for ws in coeffs_by_deg.values() for w in ws),
                 default=1.0)
+    noise = DEFAULT_TOL.span_noise * scale
     for r in range(r_max + 1):
-        rows = [w.ravel() / scale for w in coeffs_by_deg[r] if np.abs(w).max() > 1e-11 * scale]
-        cbasis_rows = row_space(np.vstack([cbasis_rows, *rows]), tol)
+        rows = [w.ravel() / scale for w in coeffs_by_deg[r] if np.abs(w).max() > noise]
+        cbasis_rows = row_space(np.vstack([cbasis_rows, *rows]), DEFAULT_TOL.rank_rel)
         dims.append(len(cbasis_rows))
     cbasis = [row.reshape(m.dim, m.dim) for row in cbasis_rows]
     real_basis = _real_points(cbasis)
@@ -424,8 +424,7 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4,
     )
 
 
-def iterated_covariant_span(m: MetricJet, r_max: int,
-                            tol: float = DEFAULT_TOL.rank_rel) -> list[np.ndarray]:
+def iterated_covariant_span(m: MetricJet, r_max: int) -> list[np.ndarray]:
     """Direct breadth-first computation of the same span (oracle for the
     radial-gauge method; exponential in r_max, use small cases only)."""
     Q = m.frame0
@@ -440,8 +439,9 @@ def iterated_covariant_span(m: MetricJet, r_max: int,
                     nxt.append(covariant_derivative(xi, m.gamma, var, holo))
         level = nxt
         collected.extend(Qinv @ jmat_eval0(xi) @ Q for xi in level)
-    rows = np.array([w.ravel() for w in collected if np.abs(w).max() > 1e-11])
-    return [row.reshape(m.dim, m.dim) for row in row_space(rows, tol)]
+    rows = np.array([w.ravel() for w in collected
+                     if np.abs(w).max() > DEFAULT_TOL.span_noise])
+    return [row.reshape(m.dim, m.dim) for row in row_space(rows, DEFAULT_TOL.rank_rel)]
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +480,10 @@ class PPWaveReport:
         return self.parallel_p and all(self.flags)
 
 
-def ppwave_check(m: MetricJet, r_max: int = 3,
-                 tol: float = DEFAULT_TOL.gram) -> PPWaveReport:
+def ppwave_check(m: MetricJet, r_max: int = 3) -> PPWaveReport:
     """The equivalent pp-wave conditions, each computed independently."""
     from .lie import ABZCElement
-    n, v, u = m.n, m.v, m.u
+    n, v, u, tol = m.n, m.v, m.u, DEFAULT_TOL.residual
     res: dict = {}
 
     worst_p = 0.0
@@ -503,7 +502,7 @@ def ppwave_check(m: MetricJet, r_max: int = 3,
         except ValueError:
             worst1 = max(worst1, 1.0)
     res["holonomy_translation_residual"] = float(worst1)
-    cond1 = worst1 <= 1e-7
+    cond1 = worst1 <= DEFAULT_TOL.ppwave_translation
 
     curv = m.curv
     worst2 = worst3 = 0.0

@@ -25,6 +25,7 @@ from .jetmat import (
     jmat_scale,
     jmat_space,
 )
+from .lie import row_space
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,10 @@ class WittMetric:
         """h(X, Y), linear in X, conjugate-linear in Y."""
         return complex(np.conj(Y) @ self.gram @ X)
 
-    def is_anti_hermitian(self, xi: np.ndarray, tol: float = DEFAULT_TOL.unitary) -> bool:
+    def is_anti_hermitian(self, xi: np.ndarray) -> bool:
         g = self.gram
         res = xi.conj().T @ g + g @ xi
-        return np.abs(res).max() <= tol * max(np.abs(xi).max(), 1.0)
+        return np.abs(res).max() <= DEFAULT_TOL.residual * max(np.abs(xi).max(), 1.0)
 
 
 def exp_derivative_series(G: np.ndarray, var: int, k_max: int | None = None) -> np.ndarray:
@@ -73,7 +74,7 @@ def exp_derivative_series(G: np.ndarray, var: int, k_max: int | None = None) -> 
     return acc
 
 
-def skew_normal_form(omega: np.ndarray, tol: float = DEFAULT_TOL.rank_rel):
+def skew_normal_form(omega: np.ndarray):
     """Orthogonal normal form of a real skew-symmetric matrix.
 
     Returns (Q, lambdas, zero_count) with Q^T omega Q block-diagonal:
@@ -83,7 +84,7 @@ def skew_normal_form(omega: np.ndarray, tol: float = DEFAULT_TOL.rank_rel):
 
     omega = np.asarray(omega, dtype=float)
     scale = max(np.abs(omega).max(), 1.0)
-    if np.abs(omega + omega.T).max() > 1e-10 * scale:
+    if np.abs(omega + omega.T).max() > DEFAULT_TOL.residual * scale:
         raise ValueError("input is not skew-symmetric")
     k = omega.shape[0]
     T, Z = scipy.linalg.schur(omega, output="real")
@@ -93,7 +94,7 @@ def skew_normal_form(omega: np.ndarray, tol: float = DEFAULT_TOL.rank_rel):
     zero_cols: list[int] = []
     j = 0
     while j < k:
-        if j + 1 < k and abs(T[j + 1, j]) > tol * scale:
+        if j + 1 < k and abs(T[j + 1, j]) > DEFAULT_TOL.rank_rel * scale:
             blocks.append((T[j + 1, j], j))
             j += 2
         else:
@@ -141,15 +142,15 @@ class RealFormData:
         # real-form condition: the f_j and i f_j together span C^{n-m} over R
         big = np.column_stack([F, 1j * F])
         real_stack = np.vstack([big.real, big.imag])
-        if np.linalg.matrix_rank(real_stack, tol=1e-9) != 2 * k:
+        if len(row_space(real_stack, 0.0, floor=DEFAULT_TOL.rank_rel)) != 2 * k:
             raise ValueError("basis_f does not span a real form (iL0 and L0 intersect)")
         gram = F.conj().T @ F  # gram[k][j] = h(f_j, f_k)
-        if np.abs(gram.real - np.eye(k)).max() > 1e-9:
+        if np.abs(gram.real - np.eye(k)).max() > DEFAULT_TOL.rank_rel:
             raise ValueError("basis_f must be orthonormal for the real part of h")
         # h(f_j, f_k) = delta_jk + i omega_jk  ->  omega_jk = Im gram[k][j]
         self.omega = gram.imag.T.copy()
         _, self.lambdas, _ = skew_normal_form(self.omega)
-        if any(l >= 1.0 - 1e-12 for l in self.lambdas):
+        if any(l >= 1.0 - DEFAULT_TOL.coeff_zero for l in self.lambdas):
             raise ValueError("|lambda_k| < 1 violated: h is not positive definite")
         # With h conjugate-linear in its SECOND argument, the defining scalar
         # identity of theta reads Re h(theta X, Y) = Im h(Y, X) on L_0.
@@ -171,9 +172,9 @@ class RealFormData:
     def tau(self, x: np.ndarray) -> np.ndarray:
         return self.tau_T @ np.conj(x)
 
-    def is_trivial(self, tol: float = DEFAULT_TOL.gram) -> bool:
+    def is_trivial(self) -> bool:
         """theta = 0, i.e. L_0 contains an h-orthonormal basis."""
-        return np.abs(self.omega).max() <= tol
+        return np.abs(self.omega).max() <= DEFAULT_TOL.residual
 
 
 def adapted_basis(rf: RealFormData) -> np.ndarray:

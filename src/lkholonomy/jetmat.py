@@ -144,7 +144,7 @@ def jmat_sqrt(A: np.ndarray) -> np.ndarray:
     divided by sqrt(w_i) + sqrt(w_j).  The root is U T U^H."""
     space = jmat_space(A)
     A0 = jmat_eval0(A)
-    if np.abs(A0 - A0.conj().T).max() > 1e-9 * max(np.abs(A0).max(), 1.0):
+    if np.abs(A0 - A0.conj().T).max() > DEFAULT_TOL.rank_rel * max(np.abs(A0).max(), 1.0):
         raise ValueError("jmat_sqrt expects a Hermitian constant part")
     w, U = np.linalg.eigh(A0)
     if w.min() <= 0:

@@ -74,7 +74,8 @@ class Jet:
         return self.coeffs.get((tuple(I), tuple(J)), 0.0 + 0.0j)
 
     def is_real_valued(self, tol: float = DEFAULT_TOL.coeff_zero) -> bool:
-        """coeff(I, J) == conj(coeff(J, I)) for all stored indices."""
+        """coeff(I, J) == conj(coeff(J, I)) for all stored indices; tol is a
+        parameter because metric_from_potential checks with residual."""
         scale = max(self.max_abs(), 1.0)
         for (I, J), c in self.coeffs.items():
             if abs(c - np.conj(self.coeffs.get((J, I), 0.0))) > tol * scale:
@@ -161,8 +162,7 @@ class Jet:
         return self * (1.0 / complex(other))
 
     def truncated(self, order: int) -> "Jet":
-        if order >= self.order:
-            return Jet(self.num_coords, order if order == self.order else self.order, self.coeffs)
+        order = min(order, self.order)
         out = {k: c for k, c in self.coeffs.items() if sum(k[0]) + sum(k[1]) <= order}
         return Jet(self.num_coords, order, out)
 
@@ -186,8 +186,7 @@ class Jet:
             out[key] = out.get(key, 0.0) + d * c
         return Jet(self.num_coords, self.order - 1, out)
 
-    def divide_power(self, var: int, k: int, holomorphic: bool = True,
-                     tol: float = DEFAULT_TOL.coeff_zero) -> "Jet":
+    def divide_power(self, var: int, k: int, holomorphic: bool = True) -> "Jet":
         """Divide by the k-th power of a variable; the series must be divisible.
 
         Raises DivisibilityError when low-order terms obstruct the division:
@@ -200,7 +199,7 @@ class Jet:
         for (I, J), c in self.coeffs.items():
             exps = I if holomorphic else J
             if exps[var] < k:
-                if abs(c) > tol * scale:
+                if abs(c) > DEFAULT_TOL.coeff_zero * scale:
                     raise DivisibilityError(
                         f"series is not divisible by variable {var}^{k}: "
                         f"residual coefficient {c!r} at {(I, J)}"

@@ -18,7 +18,9 @@ from .config import DEFAULT_TOL
 
 def numerical_rank(s: np.ndarray, tol: float, floor: float = 0.0) -> int:
     """Number of singular values (sorted descending) above
-    max(tol * s[0], floor); 0 for an empty or all-zero spectrum."""
+    max(tol * s[0], floor); 0 for an empty or all-zero spectrum.  Here and in
+    row_space and null_space, tol and floor are parameters because the
+    matcher and RealFormData pass floors."""
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > max(tol * s[0], floor)))
@@ -51,23 +53,19 @@ def _unflatten(row: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return (row[:half] + 1j * row[half:]).reshape(shape)
 
 
-def real_span_basis(mats: list[np.ndarray], tol: float = DEFAULT_TOL.rank_rel) -> list[np.ndarray]:
+def real_span_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal (over R) basis of the real span of the given matrices."""
     mats = [m for m in mats if np.abs(m).max() > 0]
     if not mats:
         return []
-    return [_unflatten(row, mats[0].shape) for row in row_space(_flatten(mats), tol)]
+    return [_unflatten(row, mats[0].shape)
+            for row in row_space(_flatten(mats), DEFAULT_TOL.rank_rel)]
 
 
-def in_real_span(m: np.ndarray, basis: list[np.ndarray],
-                 tol: float = DEFAULT_TOL.rank_rel) -> bool:
-    if not basis:
-        return np.abs(m).max() <= tol
-    B = _flatten(basis)
-    v = _flatten([m])[0]
-    coeff, *_ = np.linalg.lstsq(B.T, v, rcond=None)
-    res = v - B.T @ coeff
-    return np.abs(res).max() <= tol * max(np.abs(v).max(), 1.0)
+def in_real_span(m: np.ndarray, basis: list[np.ndarray]) -> bool:
+    """span_residual within rank_rel times max(largest real component, 1)."""
+    scale = max(np.abs(_flatten([m])).max(), 1.0) if basis else 1.0
+    return span_residual(m, basis) <= DEFAULT_TOL.rank_rel * scale
 
 
 def span_residual(m: np.ndarray, basis: list[np.ndarray]) -> float:
@@ -95,8 +93,8 @@ class MatrixAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, m: np.ndarray, tol: float = DEFAULT_TOL.rank_rel) -> bool:
-        return in_real_span(m, self.basis, tol)
+    def contains(self, m: np.ndarray) -> bool:
+        return in_real_span(m, self.basis)
 
     def bracket_residual(self) -> float:
         worst = 0.0
@@ -105,9 +103,9 @@ class MatrixAlgebra:
                 worst = max(worst, span_residual(x @ y - y @ x, self.basis))
         return worst
 
-    def equals(self, other: "MatrixAlgebra", tol: float = DEFAULT_TOL.rank_rel) -> bool:
+    def equals(self, other: "MatrixAlgebra") -> bool:
         return (self.dim == other.dim
-                and all(in_real_span(x, other.basis, tol) for x in self.basis))
+                and all(in_real_span(x, other.basis) for x in self.basis))
 
 
 # -- the parabolic 4-tuple model ----------------------------------------------
@@ -138,6 +136,7 @@ class ABZCElement:
 
     @staticmethod
     def from_matrix(m: np.ndarray, tol: float = DEFAULT_TOL.rank_rel) -> "ABZCElement":
+        """(a, A, Z, c) of m; tol is a parameter for the pp-wave check's sigma_fit."""
         n = m.shape[0] - 2
         scale = max(np.abs(m).max(), 1.0)
         if np.abs(m[1:, 0]).max(initial=0.0) > tol * scale:
@@ -163,7 +162,8 @@ class ABZCElement:
 
 def sigma_involution(xi: np.ndarray, tol: float = DEFAULT_TOL.rank_rel) -> np.ndarray:
     """Anti-linear involution on the T^{1,0} block form; its fixed points are
-    the embeddings of the real parabolic elements."""
+    the embeddings of the real parabolic elements.  tol is a parameter
+    because the holonomy's real points use Tolerances.sigma_fit."""
     d = xi.shape[0]
     n = d - 2
     scale = max(np.abs(xi).max(), 1.0)

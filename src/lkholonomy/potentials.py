@@ -73,7 +73,7 @@ def fun_potential(space: JetSpace, n: int, A_list: list[np.ndarray]) -> Jet:
     for alpha, A in enumerate(A_list, start=1):
         upow = upow * uu
         B = -1j * np.asarray(A, dtype=complex) / math.factorial(alpha) ** 2
-        if np.abs(B - B.conj().T).max() > 1e-10 * max(np.abs(B).max(), 1.0):
+        if np.abs(B - B.conj().T).max() > DEFAULT_TOL.residual * max(np.abs(B).max(), 1.0):
             raise ValueError("A_alpha must be anti-Hermitian")
         for j in range(n):
             for k in range(n):
@@ -219,7 +219,7 @@ def _split_a_parts(pairs):
             if i in lead:
                 continue
             comp = (a.real, a.imag)[col]
-            if abs(comp) > 1e-12:
+            if abs(comp) > DEFAULT_TOL.coeff_zero:
                 piv = i
                 break
         if piv is None:
@@ -230,7 +230,7 @@ def _split_a_parts(pairs):
             if i == piv:
                 continue
             comp = (a.real, a.imag)[col]
-            if abs(comp) > 1e-12:
+            if abs(comp) > DEFAULT_TOL.coeff_zero:
                 t = comp / comp_p
                 work[i][0] = a - t * a_p
                 work[i][1] = A - t * A_p
@@ -242,8 +242,9 @@ def _split_a_parts(pairs):
     return (a, A1), (b, A2), rest
 
 
-def _n0_of(A1: np.ndarray | None, m: int, tol: float = 1e-10) -> int:
+def _n0_of(A1: np.ndarray | None, m: int) -> int:
     """Largest n0 with A1 = diag(iso on C^{n0}, 0) in the first m coords."""
+    tol = DEFAULT_TOL.residual
     if A1 is None:
         return 0
     A1 = np.asarray(A1, dtype=complex)[:m, :m]
@@ -276,11 +277,11 @@ def build_potential(d, order: int = 8) -> Jet:
 
     if fam == "GK":
         (a, A1), (b, A2), rest = _split_a_parts(d.k_basis)
-        if abs(a) < 1e-12 and abs(b) > 1e-12:
+        if abs(a) < DEFAULT_TOL.coeff_zero and abs(b) > DEFAULT_TOL.coeff_zero:
             a, b = b, a
             A1, A2 = A2, A1
         A_list = [A for A in (A1, A2) if A is not None] + rest
-        n0 = _n0_of(A1, n) if abs(a) > 1e-12 else 0
+        n0 = _n0_of(A1, n) if abs(a) > DEFAULT_TOL.coeff_zero else 0
         return (fc_potential(space, a, b)
                 + fun_potential(space, n, A_list)
                 + fcm_potential(space, n, n, n0))
@@ -290,7 +291,8 @@ def build_potential(d, order: int = 8) -> Jet:
         pairs = [(a2, A) for a2, A in d.k_basis]
         (a2, At1), (b2, At2), rest = _split_a_parts(pairs)
         a2 = a2.real if isinstance(a2, complex) else a2
-        if abs(a2) < 1e-12 or (At2 is not None and abs(b2) > 1e-12):
+        if abs(a2) < DEFAULT_TOL.coeff_zero or (
+                At2 is not None and abs(b2) > DEFAULT_TOL.coeff_zero):
             raise ValueError("GKJL needs exactly one generator with a "
                              "nonzero scalar part")
         At1 = At1 / a2

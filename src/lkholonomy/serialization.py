@@ -13,6 +13,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
+from .config import DEFAULT_TOL
 from .hermitian import RealFormData
 from .jets import Jet, JetSpace
 from . import classify as C
@@ -202,14 +203,16 @@ def decode_algebra(obj: dict):
 
 
 def build_metric_from_config(obj: dict, order: int | None = None):
-    """Build a MetricJet from a potential/metric description.
+    """Build a MetricJet from a potential/metric description, at the jet
+    order `order` if given, else the file's `order`, else 8.
 
     kinds: flat {n}; fc {a, b}; descriptor {descriptor}; small {tag, gamma};
     oriented_lines {variant}; ppwave {n, phi_terms}.
     """
     from .geometry import metric_from_potential
     kind = obj.get("kind")
-    order = _check(obj.get("order", order or 8), int, "an integer order")
+    if order is None:
+        order = _check(obj.get("order", 8), int, "an integer order")
     if order < 2:
         raise ValueError(f"the order must be at least 2, not {order}")
     if kind == "flat":
@@ -315,9 +318,11 @@ def load_json(path: str) -> dict:
     return obj
 
 
-def compare_expected(expected, actual, tol: float = 1e-9, path: str = "") -> list[str]:
+def compare_expected(expected, actual, tol: float = DEFAULT_TOL.rank_rel,
+                     path: str = "") -> list[str]:
     """Recursive subset comparison: every key in `expected` must match
-    `actual` within `tol` for numeric leaves.  Returns mismatch messages."""
+    `actual` within `tol` for numeric leaves.  Returns mismatch messages.
+    tol is a parameter because the CLI passes --tol."""
     errs: list[str] = []
     if isinstance(expected, dict):
         if not isinstance(actual, dict):

@@ -40,7 +40,7 @@ class SymmetricPair:
         for i, x in enumerate(basis):
             for y in basis[i + 1:]:
                 w = self.real_curvature(x, y)
-                if np.abs(w).max() > 1e-12:
+                if np.abs(w).max() > DEFAULT_TOL.coeff_zero:
                     vals.append(w)
         return real_span_basis(vals)
 
@@ -83,10 +83,9 @@ class TransvectionAlgebra:
     image_dim: int
 
 
-def build_transvection(pair: SymmetricPair,
-                       tol: float = DEFAULT_TOL.jacobi) -> TransvectionAlgebra:
+def build_transvection(pair: SymmetricPair) -> TransvectionAlgebra:
     inv = pair.invariant_residual()
-    if inv > 1e-8:
+    if inv > DEFAULT_TOL.rank_abs:
         raise InvalidPairError(f"pair invariants violated: residual {inv:.2e}")
     gb = pair.g.basis
     mb = pair._m_basis()
@@ -95,14 +94,14 @@ def build_transvection(pair: SymmetricPair,
 
     def g_coords(w: np.ndarray) -> np.ndarray:
         if k == 0:
-            if np.abs(w).max() > 1e-9:
+            if np.abs(w).max() > DEFAULT_TOL.rank_rel:
                 raise InvalidPairError("curvature image escapes g")
             return np.zeros(0)
         rows = np.array([np.concatenate([b.real.ravel(), b.imag.ravel()])
                          for b in gb]).T
         target = np.concatenate([w.real.ravel(), w.imag.ravel()])
         coef, *_ = np.linalg.lstsq(rows, target, rcond=None)
-        if np.abs(rows @ coef - target).max() > 1e-8:
+        if np.abs(rows @ coef - target).max() > DEFAULT_TOL.rank_abs:
             raise InvalidPairError("curvature image escapes g")
         return coef
 
@@ -136,7 +135,7 @@ def build_transvection(pair: SymmetricPair,
                 t2 = np.einsum("a,ab->b", table[j, l], table[:, i])
                 t3 = np.einsum("a,ab->b", table[l, i], table[:, j])
                 jac = max(jac, float(np.abs(t1 + t2 + t3).max()))
-    if jac > tol:
+    if jac > DEFAULT_TOL.residual:
         raise InvalidPairError(f"Jacobi identity fails: residual {jac:.2e}")
 
     image = pair.curvature_image()
@@ -166,7 +165,7 @@ def _rho_from_entries(n: int, entries: list[tuple[int, int, np.ndarray]]) -> Cur
         rho[i, j] = w
     for i, j, w in entries:
         if i != j:
-            implied = -sigma_involution(w, tol=1.0)
+            implied = -sigma_involution(w)
             if np.abs(rho[j, i]).max() == 0:
                 rho[j, i] = implied
     return CurvatureMap(n, rho)
@@ -276,18 +275,17 @@ class SymspaceReport:
     notes: dict = field(default_factory=dict)
 
 
-def symspace_report(pair: SymmetricPair, family: str = "?", m: int = 0,
-                    tol: float = DEFAULT_TOL.jacobi) -> SymspaceReport:
+def symspace_report(pair: SymmetricPair, family: str = "?", m: int = 0) -> SymspaceReport:
     try:
-        tr = build_transvection(pair, tol)
+        tr = build_transvection(pair)
         jac_ok, jac_res = True, tr.jacobi_residual
         g_eq = tr.g_equals_image
         dim_h = tr.dim
     except InvalidPairError:
         jac_ok, jac_res, g_eq, dim_h = False, float("inf"), False, 0
     ric = ricci_of_map(pair.R)
-    calabi_yau = bool(np.abs(ric).max() < 1e-10)
-    degenerate = bool(abs(np.linalg.det(ric)) < 1e-10)
+    calabi_yau = bool(np.abs(ric).max() < DEFAULT_TOL.residual)
+    degenerate = bool(abs(np.linalg.det(ric)) < DEFAULT_TOL.residual)
     return SymspaceReport(
         family=family, n=pair.n, m=m,
         jacobi=jac_ok, jacobi_residual=jac_res,

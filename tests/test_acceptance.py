@@ -202,7 +202,7 @@ def test_criterion_7_oriented_lines_curvature():
     from lkholonomy.hermitian import WittMetric
     wm = WittMetric(0)
     for b in hol.algebra.basis:
-        assert wm.is_anti_hermitian(b, 1e-8)
+        assert wm.is_anti_hermitian(b)
     assert hol.algebra.dim == 2
     assert time.time() - t0 < 5.0
 

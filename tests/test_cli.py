@@ -93,8 +93,9 @@ def test_non_object_json_is_one_line_error(tmp_path, capsys, command, flag, top)
 
 def test_order_below_two_from_the_command_line_is_input_error(tmp_path, capsys):
     p = _write(tmp_path, "g1.json", {"kind": "small", "tag": "g1"})
-    assert main(["validate", "--potential", p, "--order", "-3"]) == EXIT_INPUT
-    assert "order must be at least 2, not -3" in capsys.readouterr().err
+    for order in ("-3", "0"):
+        assert main(["validate", "--potential", p, "--order", order]) == EXIT_INPUT
+        assert f"order must be at least 2, not {order}" in capsys.readouterr().err
 
 
 def test_ppwave_flags(tmp_path, capsys):

@@ -136,6 +136,13 @@ def test_order_mixing_takes_min():
     assert (a + b).order == 3
 
 
+def test_truncated_drops_terms_above_the_jet_order():
+    a = Jet(2, 3, {((4, 0), (0, 0)): 5.0, ((1, 0), (0, 1)): 2.0})
+    for order in (3, 5):
+        t = a.truncated(order)
+        assert t.order == 3 and t.coeffs == {((1, 0), (0, 1)): 2.0}
+
+
 def _reference_product(a: Jet, b: Jet) -> Jet:
     """The plain double loop of the jet product, with each degree recomputed
     for every pair: the reference the kernel must reproduce exactly."""

@@ -64,6 +64,13 @@ def test_build_metric_kinds():
         S.build_metric_from_config({"kind": "nonsense"})
 
 
+def test_order_argument_wins_over_the_file_which_wins_over_8():
+    obj = {"kind": "fc", "a": [1.0, 0.0], "order": 8}
+    assert S.build_metric_from_config(obj, 6).space.order == 4
+    assert S.build_metric_from_config(obj).space.order == 6
+    assert S.build_metric_from_config({"kind": "fc"}).space.order == 6
+
+
 def test_jsonable_handles_numpy_and_dataclasses(suite):
     out = S.jsonable({"x": np.float64(1.5), "b": np.bool_(True),
                       "m": np.eye(2, dtype=complex), "d": suite[0]})
