@@ -14,6 +14,7 @@ from .lie import (
     ABZCElement,
     MatrixAlgebra,
     in_real_span,
+    is_anti_hermitian,
     null_space,
     real_span_basis,
     row_space,
@@ -166,11 +167,8 @@ def _l0_vectors(d) -> list[np.ndarray]:
 
 
 def _check_k_antihermitian(mats):
-    for A in mats:
-        A = np.asarray(A, dtype=complex)
-        if A.size and np.abs(A + A.conj().T).max() > DEFAULT_TOL.residual * max(
-                np.abs(A).max(), 1.0):
-            raise ValueError("k-generator is not anti-Hermitian")
+    if not all(is_anti_hermitian(A) for A in mats):
+        raise ValueError("k-generator is not anti-Hermitian")
 
 
 def build_family(d) -> MatrixAlgebra:

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .jets import InsufficientOrderError, Jet, JetSpace, graded_sum
+from .jets import MASK, InsufficientOrderError, Jet, JetSpace, field_mask, graded_sum, var_key
 from .jetmat import (
     jmat_add,
     jmat_commutator,
@@ -132,15 +132,14 @@ class MetricJet:
 
     def _dependence_residual(self, jet: Jet, holo_allowed: set[int],
                              anti_allowed: set[int]) -> float:
-        worst = 0.0
-        for (I, J), c in jet.coeffs.items():
-            bad = any(e and k not in holo_allowed for k, e in enumerate(I))
-            bad = bad or any(e and k not in anti_allowed for k, e in enumerate(J))
-            if bad:
-                worst = max(worst, abs(c))
-        return worst
+        """The largest coefficient of a term in a variable outside the
+        allowed ones: one AND per term with the forbidden fields."""
+        every = set(range(self.dim))
+        bad = field_mask(self.dim, every - holo_allowed, every - anti_allowed)
+        return max((abs(c) for k, c in jet.terms.items() if k & bad), default=0.0)
 
-    def walker_report(self) -> dict:
+    @cached_property
+    def _walker(self) -> dict:
         n, v, u = self.n, self.v, self.u
         zs = set(range(1, n + 1))
         pattern = max([self.h[v, v].max_abs()]
@@ -164,8 +163,12 @@ class MetricJet:
             "h_vbar_u_at_base": complex(self.h[v, u].constant_term()),
         }
 
+    def walker_report(self) -> dict:
+        """The Walker-form residuals of h, computed once per metric."""
+        return dict(self._walker)
+
     def is_walker(self) -> bool:
-        rep, tol = self.walker_report(), DEFAULT_TOL.residual
+        rep, tol = self._walker, DEFAULT_TOL.residual
         return (rep["pattern_residual"] <= tol
                 and rep["dependence_residual"] <= tol
                 and abs(rep["h_vbar_u_at_base"]) > tol)
@@ -394,13 +397,11 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
             M = jmat_mul(Pinv, jmat_mul(jmat_truncated(m.curv[c][d], r_max), P))
             table: dict = {}
             for idx in np.ndindex(*M.shape):
-                for key, val in M[idx].coeffs.items():
-                    deg = sum(key[0]) + sum(key[1])
-                    if deg <= r_max:
+                for key, val in M[idx].terms.items():
+                    if key & MASK <= r_max:
                         table.setdefault(key, np.zeros((m.dim, m.dim), complex))[idx] = val
             for key, mat in table.items():
-                deg = sum(key[0]) + sum(key[1])
-                coeffs_by_deg[deg].append(Qinv @ mat @ Q)
+                coeffs_by_deg[key & MASK].append(Qinv @ mat @ Q)
 
     dims = []
     cbasis_rows = np.zeros((0, m.dim * m.dim), complex)
@@ -545,30 +546,17 @@ def ppwave_check(m: MetricJet, r_max: int = 3) -> PPWaveReport:
 def _ppwave_potential_residual(f: Jet, n: int) -> float:
     """Distance of f from the template ubar v + vbar u + sum |z|^2
     + Re(phi(z, u, ubar)): every other coefficient must vanish."""
-    v, u = 0, n + 1
+    dim, v, u = n + 2, 0, n + 1
+    zs = range(1, n + 1)
+    z, zb = (lambda i: var_key(dim, i)), (lambda i: var_key(dim, i, False))
+    ones = {z(v) + zb(u), z(u) + zb(v), *(z(k) + zb(k) for k in zs)}
+    # phi(z, u, ubar) or its conjugate: no v, and z on one side only
+    holo_phi = field_mask(dim, [v], [v, *zs])
+    anti_phi = field_mask(dim, [v, *zs], [v])
     worst = 0.0
-    for (I, J), c in f.coeffs.items():
-        key = (I, J)
-        if key in (_flat_key(v, u, n, True), _flat_key(v, u, n, False)):
+    for k, c in f.terms.items():
+        if k in ones:
             worst = max(worst, abs(c - 1.0))
-            continue
-        if sum(I) == 1 and I == J and any(I[k] for k in range(1, n + 1)):
-            worst = max(worst, abs(c - 1.0))
-            continue
-        holo_phi = I[v] == 0 and J[v] == 0 and all(J[k] == 0 for k in range(1, n + 1))
-        anti_phi = I[v] == 0 and J[v] == 0 and all(I[k] == 0 for k in range(1, n + 1))
-        if not (holo_phi or anti_phi):
+        elif k & holo_phi and k & anti_phi:
             worst = max(worst, abs(c))
     return worst
-
-
-def _flat_key(v: int, u: int, n: int, vu: bool):
-    I = [0] * (n + 2)
-    J = [0] * (n + 2)
-    if vu:
-        I[v] = 1
-        J[u] = 1
-    else:
-        I[u] = 1
-        J[v] = 1
-    return (tuple(I), tuple(J))

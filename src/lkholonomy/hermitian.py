@@ -56,18 +56,15 @@ class WittMetric:
         return np.abs(res).max() <= DEFAULT_TOL.residual * max(np.abs(xi).max(), 1.0)
 
 
-def exp_derivative_series(G: np.ndarray, var: int, k_max: int | None = None) -> np.ndarray:
+def exp_derivative_series(G: np.ndarray, var: int) -> np.ndarray:
     """e^{-G} d_var e^G as the truncated ad-series
     sum_k (-1)^k/(k+1)! (ad_G)^k d_var G, for a jet matrix G with G(0) = 0."""
     if np.abs(jmat_eval0(G)).max() > DEFAULT_TOL.coeff_zero:
         raise ValueError("exp_derivative_series requires G(0) = 0")
-    space = jmat_space(G)
-    if k_max is None:
-        k_max = space.order
     dG = jmat_derivative(G, var, holomorphic=True)
     acc = dG
     term = dG
-    for k in range(1, k_max + 1):
+    for k in range(1, jmat_space(G).order + 1):
         term = jmat_commutator(G, term)
         coeff = (-1.0) ** k / math.factorial(k + 1)
         acc = jmat_add(acc, jmat_scale(term, coeff))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .jets import Jet, JetSpace, graded_sum
+from .jets import Jet, JetShapeError, JetSpace, _jet, graded_sum, product_into
 
 
 def _entrywise(f, A: np.ndarray, dtype=object) -> np.ndarray:
@@ -46,17 +46,43 @@ def jmat_scale(A: np.ndarray, s) -> np.ndarray:
 
 
 def jmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The entries sum_l A[i, l] * B[l, j], fused: each output entry sums its
+    products straight into one dict, with the floats, the key order and the
+    jet order of the entrywise loop acc = acc + A[i, l] * B[l, j].
+
+    Entry (i, j) has the least order of its pairs, so only products of
+    degree <= that order are formed.  Each product sums its pairs in the
+    order of the jet product and is merged as Jet.__add__ merges, and the
+    degree-filtered term lists of B[l, j] are shared across the rows."""
     r, k = A.shape
     k2, c = B.shape
     if k != k2:
         raise ValueError("shape mismatch in jet matrix product")
     out = np.empty((r, c), dtype=object)
-    for i in range(r):
-        for j in range(c):
-            acc = A[i, 0] * B[0, j]
-            for l in range(1, k):
-                acc = acc + A[i, l] * B[l, j]
-            out[i, j] = acc
+    for j in range(c):
+        col = [B[l, j] for l in range(k)]
+        fits = [{} for _ in range(k)]
+        for i in range(r):
+            row = [A[i, l] for l in range(k)]
+            n = row[0].num_coords
+            if any(a.num_coords != n or b.num_coords != n for a, b in zip(row, col)):
+                raise JetShapeError("jet spaces differ in a jet matrix product")
+            order = min(min(a.order, b.order) for a, b in zip(row, col))
+            acc: dict = {}
+            for a, b, f in zip(row, col, fits):
+                if not (a.terms and b.terms):
+                    continue
+                if not acc:
+                    # merging into nothing would add 0.0 to sums that start
+                    # at 0.0 and so are never -0.0: no bit would change
+                    product_into(acc, a.terms, b.terms, order, f)
+                    continue
+                prod: dict = {}
+                product_into(prod, a.terms, b.terms, order, f)
+                get = acc.get
+                for key, v in prod.items():
+                    acc[key] = get(key, 0.0) + v
+            out[i, j] = _jet(n, order, acc)
     return out
 
 
@@ -97,7 +123,7 @@ def jmat_graded(A: np.ndarray) -> list[np.ndarray | None]:
         for d, part in enumerate(A[idx].graded()):
             if part is not None:
                 parts[d][idx] = part
-    return [p if any(j.coeffs for j in p.flat) else None for p in parts]
+    return [p if any(j.terms for j in p.flat) else None for p in parts]
 
 
 def jmat_from_graded(parts: list[np.ndarray | None]) -> np.ndarray:

@@ -6,12 +6,22 @@ multi-indices ``(I, J)``: ``I`` counts powers of the holomorphic variables,
 ``J`` powers of the formal conjugate variables.  Truncation is by total
 degree ``|I| + |J|``.  The conjugate variables are independent formal
 symbols; reality of a series is a checkable property, not a structural one.
+
+Storage: ``Jet.terms`` maps a packed integer key to its coefficient.  The
+key holds the total degree in its low ``W`` bits and the exponents
+I_0..I_{n-1}, J_0..J_{n-1} in the ``W``-bit fields above it (packed
+exponent vectors, Monagan & Pearce, CASC 2007).  The key of a product term
+is the sum of the keys, and its degree is ``key & MASK``.  Every stored term
+has degree at most the jet's order, and the order is at most ``MAX_ORDER``,
+so no field ever carries into its neighbour.  ``Jet.coeffs`` is a read-only
+``(I, J)``-keyed view of the same terms.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from operator import add, mul
+from collections.abc import ItemsView, Mapping
+from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -19,6 +29,10 @@ from .config import DEFAULT_TOL
 
 MultiIndex = tuple[int, ...]
 Key = tuple[MultiIndex, MultiIndex]
+
+W = 6                  # bits of the degree field and of each exponent field
+MASK = (1 << W) - 1    # the degree of a key is key & MASK
+MAX_ORDER = MASK       # the packing limit on the truncation order
 
 
 class JetShapeError(ValueError):
@@ -33,42 +47,145 @@ class InsufficientOrderError(ValueError):
     """The truncation order has been exhausted by derivatives."""
 
 
-def _zeros(n: int) -> MultiIndex:
-    return (0,) * n
+def check_order(order: int) -> int:
+    """order when it is within the packing limit, else a ValueError."""
+    if order > MAX_ORDER:
+        raise ValueError(f"the jet order must be at most {MAX_ORDER}, not {order}")
+    return order
 
 
-@dataclass(frozen=True, eq=False)
+# -- packed keys --------------------------------------------------------------
+
+
+def field_shift(num_coords: int, var: int, holomorphic: bool = True) -> int:
+    """Bit offset of the exponent field of a variable."""
+    return W * (1 + var + (0 if holomorphic else num_coords))
+
+
+def var_key(num_coords: int, var: int, holomorphic: bool = True) -> int:
+    """The key of the monomial z^var, or zbar^var."""
+    return 1 + (1 << field_shift(num_coords, var, holomorphic))
+
+
+def field_mask(num_coords: int, holo_vars=(), anti_vars=()) -> int:
+    """The bits of the exponent fields of the given variables: key & mask is
+    nonzero exactly when the term involves one of them."""
+    out = 0
+    for var in holo_vars:
+        out |= MASK << field_shift(num_coords, var, True)
+    for var in anti_vars:
+        out |= MASK << field_shift(num_coords, var, False)
+    return out
+
+
+def pack(I, J) -> int:
+    """The key of the exponents (I, J); each field must fit, which holds
+    when |I| + |J| <= MAX_ORDER."""
+    key, shift = sum(I) + sum(J), W
+    for e in (*I, *J):
+        key |= e << shift
+        shift += W
+    return key
+
+
+def unpack(key: int, num_coords: int) -> Key:
+    """The exponents (I, J) of a key."""
+    exps = [(key >> (W * (1 + i))) & MASK for i in range(2 * num_coords)]
+    return tuple(exps[:num_coords]), tuple(exps[num_coords:])
+
+
+def _swap_key(key: int, num_coords: int) -> int:
+    """The key with the I and J fields exchanged."""
+    high = W * (1 + num_coords)
+    holo = (key >> W) & ((1 << (W * num_coords)) - 1)
+    return (key & MASK) | ((key >> high) << W) | (holo << high)
+
+
+def _packed(num_coords: int, order: int, coeffs) -> dict[int, complex]:
+    """The terms of a tuple-keyed mapping, those above the order dropped."""
+    terms: dict[int, complex] = {}
+    for (I, J), c in coeffs.items():
+        I, J = tuple(I), tuple(J)
+        if len(I) != num_coords or len(J) != num_coords or min(I + J, default=0) < 0:
+            raise ValueError(f"bad exponents {(I, J)} for {num_coords} coordinates")
+        if sum(I) + sum(J) <= order:
+            terms[pack(I, J)] = c
+    return terms
+
+
+class CoeffView(Mapping):
+    """Read-only (I, J)-keyed view of a jet's terms, in storage order."""
+
+    __slots__ = ("_terms", "_n")
+
+    def __init__(self, terms: dict[int, complex], num_coords: int):
+        self._terms, self._n = terms, num_coords
+
+    def __getitem__(self, key: Key) -> complex:
+        I, J = key
+        if sum(I) + sum(J) > MAX_ORDER or min((*I, *J), default=0) < 0 \
+                or len(I) != self._n or len(J) != self._n:
+            raise KeyError(key)
+        return self._terms[pack(I, J)]
+
+    def __iter__(self):
+        n = self._n
+        return (unpack(k, n) for k in self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def items(self):
+        return _CoeffItems(self)
+
+    def values(self):
+        return self._terms.values()
+
+
+class _CoeffItems(ItemsView):
+    def __iter__(self):
+        n = self._mapping._n
+        return ((unpack(k, n), c) for k, c in self._mapping._terms.items())
+
+
 class Jet:
-    """Truncated multivariate power series over complex scalars."""
+    """Truncated multivariate power series over complex scalars.
 
-    num_coords: int
-    order: int
-    coeffs: dict[Key, complex] = field(default_factory=dict)
+    ``Jet(num_coords, order, {(I, J): c})`` packs the given terms and drops
+    those above the order.  Jets are values: no operation changes one.
+    """
+
+    __slots__ = ("num_coords", "order", "terms")
+
+    def __init__(self, num_coords: int, order: int, coeffs: Mapping | None = None):
+        self.num_coords = num_coords
+        self.order = check_order(order)
+        self.terms = _packed(num_coords, order, coeffs) if coeffs else {}
+
+    @property
+    def coeffs(self) -> CoeffView:
+        return CoeffView(self.terms, self.num_coords)
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def constant(value: complex, num_coords: int, order: int) -> "Jet":
-        n = num_coords
-        c = {} if value == 0 else {(_zeros(n), _zeros(n)): complex(value)}
-        return Jet(n, order, c)
+        return _jet(num_coords, check_order(order), {} if value == 0 else {0: complex(value)})
 
     @staticmethod
     def variable(i: int, num_coords: int, order: int, holomorphic: bool = True) -> "Jet":
         if not 0 <= i < num_coords:
             raise IndexError(f"coordinate {i} out of range")
-        e = tuple(1 if k == i else 0 for k in range(num_coords))
-        z = _zeros(num_coords)
-        key = (e, z) if holomorphic else (z, e)
-        return Jet(num_coords, order, {key: 1.0 + 0.0j})
+        terms = {var_key(num_coords, i, holomorphic): 1.0 + 0.0j} if order >= 1 else {}
+        return _jet(num_coords, check_order(order), terms)
 
     # -- basic queries --------------------------------------------------------
 
     def constant_term(self) -> complex:
-        return self.coeffs.get((_zeros(self.num_coords), _zeros(self.num_coords)), 0.0 + 0.0j)
+        return self.terms.get(0, 0.0 + 0.0j)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def coefficient(self, I: MultiIndex, J: MultiIndex) -> complex:
         return self.coeffs.get((tuple(I), tuple(J)), 0.0 + 0.0j)
@@ -77,8 +194,9 @@ class Jet:
         """coeff(I, J) == conj(coeff(J, I)) for all stored indices; tol is a
         parameter because metric_from_potential checks with residual."""
         scale = max(self.max_abs(), 1.0)
-        for (I, J), c in self.coeffs.items():
-            if abs(c - np.conj(self.coeffs.get((J, I), 0.0))) > tol * scale:
+        terms, n = self.terms, self.num_coords
+        for k, c in terms.items():
+            if abs(c - np.conj(terms.get(_swap_key(k, n), 0.0))) > tol * scale:
                 return False
         return True
 
@@ -104,19 +222,16 @@ class Jet:
         if not isinstance(other, Jet):
             return self + Jet.constant(other, self.num_coords, self.order)
         order = self._check(other)
-        out: dict[Key, complex] = {}
-        for k, c in self.coeffs.items():
-            if sum(k[0]) + sum(k[1]) <= order:
-                out[k] = c
-        for k, c in other.coeffs.items():
-            if sum(k[0]) + sum(k[1]) <= order:
-                out[k] = out.get(k, 0.0) + c
-        return Jet(self.num_coords, order, out)
+        out = dict(self._terms_upto(order))
+        get = out.get
+        for k, c in other._terms_upto(order).items():
+            out[k] = get(k, 0.0) + c
+        return _jet(self.num_coords, order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.num_coords, self.order, {k: -c for k, c in self.coeffs.items()})
+        return _jet(self.num_coords, self.order, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
@@ -130,61 +245,49 @@ class Jet:
         if not isinstance(other, Jet):
             z = complex(other)
             if z == 0:
-                return Jet(self.num_coords, self.order, {})
-            return Jet(self.num_coords, self.order, {k: c * z for k, c in self.coeffs.items()})
+                return _jet(self.num_coords, self.order, {})
+            return _jet(self.num_coords, self.order, {k: c * z for k, c in self.terms.items()})
         order = self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return Jet(self.num_coords, order, {})
-        # Each term's degree is taken once.  The pairs run in the order of
-        # the plain double loop (self outside, other inside, both in dict
-        # order), so every coefficient is the same sum in the same order;
-        # `fits[room]` lists, in dict order, the terms of `other` of degree
-        # <= room, so pairs above the order are never visited.
-        terms = [(sum(I) + sum(J), I, J, c) for (I, J), c in other.coeffs.items()]
-        fits: dict[int, list] = {}
-        out: dict[Key, complex] = {}
-        get = out.get
-        for (I1, J1), c1 in self.coeffs.items():
-            room = order - sum(I1) - sum(J1)
-            if room < 0:
-                continue
-            inner = fits.get(room)
-            if inner is None:
-                inner = fits[room] = [(I2, J2, c2) for d2, I2, J2, c2 in terms if d2 <= room]
-            for I2, J2, c2 in inner:
-                key = (tuple(map(add, I1, I2)), tuple(map(add, J1, J2)))
-                out[key] = get(key, 0.0) + c1 * c2
-        return Jet(self.num_coords, order, out)
+        out: dict[int, complex] = {}
+        if self.terms and other.terms:
+            product_into(out, self.terms, other.terms, order, {})
+        return _jet(self.num_coords, order, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         return self * (1.0 / complex(other))
 
+    def _terms_upto(self, order: int) -> dict[int, complex]:
+        """The terms of degree <= order: all of them when order >= the jet's
+        order, since no stored term lies above that."""
+        if order >= self.order:
+            return self.terms
+        return {k: c for k, c in self.terms.items() if k & MASK <= order}
+
     def truncated(self, order: int) -> "Jet":
-        order = min(order, self.order)
-        out = {k: c for k, c in self.coeffs.items() if sum(k[0]) + sum(k[1]) <= order}
-        return Jet(self.num_coords, order, out)
+        if order >= self.order:
+            return self
+        return _jet(self.num_coords, order, self._terms_upto(order))
 
     def conjugate(self) -> "Jet":
         """Formal conjugate: swaps z and zbar exponents, conjugates coefficients."""
-        return Jet(self.num_coords, self.order, {(J, I): np.conj(c) for (I, J), c in self.coeffs.items()})
+        n = self.num_coords
+        return _jet(n, self.order, {_swap_key(k, n): np.conj(c) for k, c in self.terms.items()})
 
     # -- calculus -------------------------------------------------------------
 
     def derivative(self, var: int, holomorphic: bool = True) -> "Jet":
         if self.order < 1:
             raise InsufficientOrderError("jet order exhausted; rebuild with a larger truncation order")
-        out: dict[Key, complex] = {}
-        for (I, J), c in self.coeffs.items():
-            exps = I if holomorphic else J
-            d = exps[var]
-            if d == 0:
-                continue
-            shifted = tuple(e - 1 if k == var else e for k, e in enumerate(exps))
-            key = (shifted, J) if holomorphic else (I, shifted)
-            out[key] = out.get(key, 0.0) + d * c
-        return Jet(self.num_coords, self.order - 1, out)
+        shift = field_shift(self.num_coords, var, holomorphic)
+        unit = 1 + (1 << shift)
+        out: dict[int, complex] = {}
+        for k, c in self.terms.items():
+            d = (k >> shift) & MASK
+            if d:
+                out[k - unit] = 0.0 + d * c
+        return _jet(self.num_coords, self.order - 1, out)
 
     def divide_power(self, var: int, k: int, holomorphic: bool = True) -> "Jet":
         """Divide by the k-th power of a variable; the series must be divisible.
@@ -195,37 +298,34 @@ class Jet:
         if k <= 0:
             raise ValueError("k must be positive")
         scale = max(self.max_abs(), 1.0)
-        out: dict[Key, complex] = {}
-        for (I, J), c in self.coeffs.items():
-            exps = I if holomorphic else J
-            if exps[var] < k:
+        shift = field_shift(self.num_coords, var, holomorphic)
+        step = k + (k << shift)
+        out: dict[int, complex] = {}
+        for key, c in self.terms.items():
+            if (key >> shift) & MASK < k:
                 if abs(c) > DEFAULT_TOL.coeff_zero * scale:
                     raise DivisibilityError(
                         f"series is not divisible by variable {var}^{k}: "
-                        f"residual coefficient {c!r} at {(I, J)}"
+                        f"residual coefficient {c!r} at {unpack(key, self.num_coords)}"
                     )
                 continue
-            shifted = tuple(e - k if j == var else e for j, e in enumerate(exps))
-            key = (shifted, J) if holomorphic else (I, shifted)
-            out[key] = c
-        return Jet(self.num_coords, self.order - k, out)
+            out[key - step] = c
+        return _jet(self.num_coords, self.order - k, out)
 
     # -- graded parts and analytic functions ----------------------------------
 
     def graded(self) -> list["Jet | None"]:
         """The homogeneous parts of degree 0..order, None where a part is empty."""
-        parts: list[dict[Key, complex]] = [{} for _ in range(self.order + 1)]
-        for k, c in self.coeffs.items():
-            d = sum(k[0]) + sum(k[1])
-            if d <= self.order:
-                parts[d][k] = c
-        return [Jet(self.num_coords, self.order, p) if p else None for p in parts]
+        parts: list[dict[int, complex]] = [{} for _ in range(self.order + 1)]
+        for k, c in self.terms.items():
+            parts[k & MASK][k] = c
+        return [_jet(self.num_coords, self.order, p) if p else None for p in parts]
 
     @staticmethod
     def from_graded(parts: list["Jet | None"]) -> "Jet":
         """The jet whose homogeneous parts these are; parts[0] must exist."""
-        coeffs = {k: c for p in parts if p is not None for k, c in p.coeffs.items()}
-        return Jet(parts[0].num_coords, parts[0].order, coeffs)
+        terms = {k: c for p in parts if p is not None for k, c in p.terms.items()}
+        return _jet(parts[0].num_coords, parts[0].order, terms)
 
     def exp(self) -> "Jet":
         """Degree by degree from d E_d = sum_{0<i<=d} i a_i E_{d-i}."""
@@ -275,6 +375,36 @@ class Jet:
         return f"Jet(n={self.num_coords}, ord={self.order}, {{{body}{more}}})"
 
 
+def _jet(num_coords: int, order: int, terms: dict[int, complex]) -> Jet:
+    """A jet that takes ownership of packed terms, all of degree <= order."""
+    j = object.__new__(Jet)
+    j.num_coords, j.order, j.terms = num_coords, order, terms
+    return j
+
+
+def product_into(out: dict, a: dict, b: dict, order: int, fits: dict) -> None:
+    """Add the terms of a * b of degree <= order into out.
+
+    Each term's degree is taken once.  The pairs run in the order of the
+    plain double loop (a outside, b inside, both in dict order), so every
+    coefficient is the same sum in the same order; fits[room] lists, in dict
+    order, the (key, coefficient) pairs of b of degree <= room, so pairs
+    above the order are never visited.  A caller that multiplies several
+    jets by the same b passes the same fits.
+    """
+    get = out.get
+    for k1, c1 in a.items():
+        room = order - (k1 & MASK)
+        if room < 0:
+            continue
+        inner = fits.get(room)
+        if inner is None:
+            inner = fits[room] = [(k2, c2) for k2, c2 in b.items() if k2 & MASK <= room]
+        for k2, c2 in inner:
+            key = k1 + k2
+            out[key] = get(key, 0.0) + c1 * c2
+
+
 @dataclass(frozen=True)
 class JetSpace:
     """Factory for jets sharing one coordinate count and truncation order."""
@@ -282,11 +412,14 @@ class JetSpace:
     num_coords: int
     order: int
 
+    def __post_init__(self):
+        check_order(self.order)
+
     def constant(self, value: complex) -> Jet:
         return Jet.constant(value, self.num_coords, self.order)
 
     def zero(self) -> Jet:
-        return Jet(self.num_coords, self.order, {})
+        return _jet(self.num_coords, self.order, {})
 
     def variable(self, i: int) -> Jet:
         return Jet.variable(i, self.num_coords, self.order, holomorphic=True)

@@ -62,6 +62,15 @@ def real_span_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
             for row in row_space(_flatten(mats), DEFAULT_TOL.rank_rel)]
 
 
+def is_anti_hermitian(A: np.ndarray) -> bool:
+    """|A + A^H| within residual times max(largest entry, 1), entrywise: the
+    one rule for the k-generators of a descriptor and the A_alpha of a
+    potential."""
+    A = np.asarray(A, dtype=complex)
+    return not (A.size and np.abs(A + A.conj().T).max()
+                > DEFAULT_TOL.residual * max(np.abs(A).max(), 1.0))
+
+
 def in_real_span(m: np.ndarray, basis: list[np.ndarray]) -> bool:
     """span_residual within rank_rel times max(largest real component, 1)."""
     scale = max(np.abs(_flatten([m])).max(), 1.0) if basis else 1.0

@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT_TOL
 from .hermitian import RealFormData
-from .jets import Jet, JetSpace
+from .jets import Jet, JetSpace, check_order
 from . import classify as C
 from . import potentials as P
 
@@ -202,6 +202,18 @@ def decode_algebra(obj: dict):
 # ---------------------------------------------------------------------------
 
 
+# The largest n of a potential or metric file: at n = 16 and the default
+# order 8, the full-algebra descriptor's ppwave verdict takes about 6 s on
+# one core of a 2-core x86 machine.
+MAX_METRIC_N = 16
+
+
+def _metric_n(n: int) -> int:
+    if n > MAX_METRIC_N:
+        raise ValueError(f"a potential or metric file takes n <= {MAX_METRIC_N}, not {n}")
+    return n
+
+
 def build_metric_from_config(obj: dict, order: int | None = None):
     """Build a MetricJet from a potential/metric description, at the jet
     order `order` if given, else the file's `order`, else 8.
@@ -215,8 +227,9 @@ def build_metric_from_config(obj: dict, order: int | None = None):
         order = _check(obj.get("order", 8), int, "an integer order")
     if order < 2:
         raise ValueError(f"the order must be at least 2, not {order}")
+    check_order(order)
     if kind == "flat":
-        n = _natural(obj.get("n", 0), "n")
+        n = _metric_n(_natural(obj.get("n", 0), "n"))
         space = JetSpace(n + 2, order)
         f = P.fc_potential(space, 0.0, 0.0) + P.fun_potential(space, n, [])
         return metric_from_potential(f)
@@ -227,6 +240,7 @@ def build_metric_from_config(obj: dict, order: int | None = None):
         return metric_from_potential(f)
     if kind == "descriptor":
         d = decode_descriptor(obj["descriptor"])
+        _metric_n(d.n)
         return metric_from_potential(P.build_potential(d, order=order))
     if kind == "small":
         gamma = decode_complex(obj.get("gamma", 1.0))
@@ -235,7 +249,7 @@ def build_metric_from_config(obj: dict, order: int | None = None):
         return P.oriented_lines_metric(order=order,
                                        variant=obj.get("variant", "hermitized"))
     if kind == "ppwave":
-        n = _natural(obj.get("n", 1), "n")
+        n = _metric_n(_natural(obj.get("n", 1), "n"))
         space = JetSpace(n + 2, order)
         phi = space.zero()
         for term in _check(obj["phi_terms"], list, "a list phi_terms"):

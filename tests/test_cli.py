@@ -152,3 +152,20 @@ def test_determinism(tmp_path, gk_potential, capsys):
     main(["holonomy", "--potential", gk_potential])
     out2 = capsys.readouterr().out
     assert out1 == out2
+
+
+def test_order_and_n_past_their_limits_are_one_line_errors(tmp_path, capsys):
+    from lkholonomy.jets import MAX_ORDER
+    flat = _write(tmp_path, "flat.json", {"kind": "flat", "n": 1})
+    too_wide = _write(tmp_path, "wide.json", {"kind": "flat", "n": S.MAX_METRIC_N + 1})
+    too_deep = _write(tmp_path, "deep.json", {"kind": "fc", "order": MAX_ORDER + 1})
+    for argv in (["validate", "--potential", flat, "--order", str(MAX_ORDER + 1)],
+                 ["validate", "--potential", too_deep],
+                 ["holonomy", "--potential", too_wide]):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    descriptor = {"family": "GKL", "n": S.MAX_METRIC_N + 1, "m": 0, "k_basis": []}
+    with pytest.raises(ValueError, match=f"n <= {S.MAX_METRIC_N}"):
+        S.build_metric_from_config({"kind": "descriptor", "descriptor": descriptor})
+    assert main(["validate", "--potential", flat, "--order", str(MAX_ORDER)]) == EXIT_OK

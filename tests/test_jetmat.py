@@ -4,6 +4,8 @@ import math
 import numpy as np
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lkholonomy.jetmat import (
     jmat_add,
@@ -23,7 +25,7 @@ from lkholonomy.jetmat import (
     jmat_sqrt,
     jmat_zero,
 )
-from lkholonomy.jets import Jet, JetSpace
+from lkholonomy.jets import Jet, JetShapeError, JetSpace
 
 SPACE = JetSpace(2, 5)
 
@@ -164,3 +166,81 @@ def test_sqrt_rejects_an_indefinite_constant_part():
     A = jmat_from_const(np.diag([1.0, -1.0]), SPACE)
     with pytest.raises(ValueError, match="positive definite"):
         jmat_sqrt(A)
+
+
+# -- the fused product against the entrywise loop --------------------------------
+
+def _reference_mul(A, B):
+    """The entrywise loop acc = acc + A[i, l] * B[l, j] through Jet.__mul__
+    and Jet.__add__: the product the fused jmat_mul must reproduce exactly."""
+    out = np.empty((A.shape[0], B.shape[1]), dtype=object)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = A[i, 0] * B[0, j]
+            for l in range(1, A.shape[1]):
+                acc = acc + A[i, l] * B[l, j]
+            out[i, j] = acc
+    return out
+
+
+def _same_bits(a: Jet, b: Jet) -> bool:
+    """Same order, same keys in the same order, bit-equal coefficients."""
+    return (a.order == b.order and list(a.coeffs) == list(b.coeffs)
+            and np.array(list(a.coeffs.values()), complex).tobytes()
+            == np.array(list(b.coeffs.values()), complex).tobytes())
+
+
+_KEYS = [((i1, i2), (j1, j2)) for i1 in range(5) for i2 in range(5 - i1)
+         for j1 in range(5 - i1 - i2) for j2 in range(5 - i1 - i2 - j1)]
+
+
+@st.composite
+def entries(draw):
+    """A jet of order 0..4 with up to 8 terms, empty about one time in four."""
+    keys = draw(st.lists(st.sampled_from(_KEYS), max_size=8, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        keys = []
+    return Jet(2, draw(st.integers(0, 4)),
+               {k: complex(draw(st.integers(-3, 3)), draw(st.integers(-3, 3))) / 4
+                + draw(st.complex_numbers(max_magnitude=1.0, allow_nan=False))
+                for k in keys})
+
+
+@st.composite
+def jet_matrices(draw):
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+    A = np.empty((r, k), dtype=object)
+    B = np.empty((k, c), dtype=object)
+    for M in (A, B):
+        for idx in np.ndindex(*M.shape):
+            M[idx] = draw(entries())
+    return A, B
+
+
+@given(jet_matrices())
+@settings(max_examples=150, deadline=None)
+def test_fused_product_matches_the_entrywise_loop_bit_for_bit(AB):
+    A, B = AB
+    got, ref = jmat_mul(A, B), _reference_mul(A, B)
+    assert got.shape == ref.shape
+    assert all(_same_bits(got[idx], ref[idx]) for idx in np.ndindex(*ref.shape))
+
+
+def test_fused_product_matches_on_dense_matrices(rng):
+    A = _dense_jmat(rng, k=3)
+    B = jmat_mul(A, A)
+    B[1, 2] = Jet(2, 4, {})
+    B[0, 0] = B[0, 0].truncated(2)
+    for X, Y in [(A, B), (B, A), (B, B), (A[:2], B)]:
+        got, ref = jmat_mul(X, Y), _reference_mul(X, Y)
+        assert all(_same_bits(got[idx], ref[idx]) for idx in np.ndindex(*ref.shape))
+
+
+def test_fused_product_rejects_mixed_jet_spaces():
+    A = jmat_identity(2, SPACE)
+    B = jmat_identity(2, SPACE)
+    B[1, 0] = JetSpace(3, 5).constant(1.0)
+    with pytest.raises(JetShapeError):
+        jmat_mul(A, B)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        jmat_mul(A, jmat_identity(3, SPACE))

@@ -1,12 +1,15 @@
 """Jet arithmetic: ring axioms, calculus rules, reality, analytic maps."""
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lkholonomy.jets import Jet, JetSpace, real_part
+from lkholonomy.jets import MAX_ORDER, DivisibilityError, Jet, JetSpace, real_part
+from lkholonomy.potentials import antiderivative
 
 NC, ORDER = 2, 5
 SPACE = JetSpace(NC, ORDER)
@@ -276,3 +279,144 @@ def test_graded_parts_rebuild_the_jet():
     assert list(parts[3].coeffs) == [((1, 1), (0, 1))]
     assert Jet.from_graded(parts).coeffs == {k: c for k, c in a.coeffs.items()
                                              if sum(k[0]) + sum(k[1]) <= 3}
+
+
+# -- packed keys against tuple-key reference loops ------------------------------
+
+def _deg(key) -> int:
+    return sum(key[0]) + sum(key[1])
+
+
+def _tuple_jet(a: Jet) -> dict:
+    """The terms of a jet as a plain (I, J)-keyed dict, in storage order."""
+    return dict(a.coeffs.items())
+
+
+@st.composite
+def limit_jets(draw, max_terms=8):
+    """Jets of order up to the packing limit, with terms at degrees 0,
+    order - 1, order and order + 1 (dropped by the constructor), and whole
+    degrees in one exponent."""
+    order = draw(st.sampled_from([0, 1, 3, ORDER, MAX_ORDER - 1, MAX_ORDER]))
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        d = draw(st.sampled_from([0, max(order - 1, 0), order, order + 1])
+                 | st.integers(0, order + 1))
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=3, max_size=3)))
+        e = [cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], d - cuts[2]]
+        terms[((e[0], e[1]), (e[2], e[3]))] = draw(coeffs)
+    return Jet(NC, order, terms), terms
+
+
+@given(limit_jets())
+@settings(max_examples=100, deadline=None)
+def test_constructor_keeps_the_terms_up_to_the_order_in_their_order(jc):
+    a, terms = jc
+    kept = {k: c for k, c in terms.items() if _deg(k) <= a.order}
+    assert list(a.coeffs) == list(kept) and _tuple_jet(a) == kept
+    assert len(a.coeffs) == len(kept)
+    for (I, J), c in kept.items():
+        assert a.coefficient(I, J) == c and a.coeffs[(I, J)] == c
+    assert a.coefficient((MAX_ORDER + 1, 0), (0, 0)) == 0
+
+
+@given(limit_jets())
+@settings(max_examples=100, deadline=None)
+def test_conjugate_and_reality_match_the_tuple_loops(jc):
+    a, _ = jc
+    t = _tuple_jet(a)
+    assert _same_bits(a.conjugate(), Jet(NC, a.order, {(J, I): np.conj(c)
+                                                       for (I, J), c in t.items()}))
+    scale = max(a.max_abs(), 1.0)
+    real = all(abs(c - np.conj(t.get((J, I), 0.0))) <= 1e-12 * scale
+               for (I, J), c in t.items())
+    assert a.is_real_valued() == real
+    assert real_part(a).is_real_valued()
+
+
+def _shifted(key, var, holo, step):
+    I, J = key
+    e = list(I if holo else J)
+    e[var] += step
+    return (tuple(e), J) if holo else (I, tuple(e))
+
+
+@given(limit_jets(), st.integers(0, NC - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_calculus_matches_the_tuple_loops(jc, var, holo):
+    a, _ = jc
+    t = _tuple_jet(a)
+    side = 0 if holo else 1
+    if a.order >= 1:
+        ref = {}
+        for key, c in t.items():
+            d = key[side][var]
+            if d:
+                k = _shifted(key, var, holo, -1)
+                ref[k] = ref.get(k, 0.0) + d * c
+        assert _same_bits(a.derivative(var, holo), Jet(NC, a.order - 1, ref))
+    ref = {}
+    for key, c in t.items():
+        k = _shifted(key, var, holo, 1)
+        if _deg(k) <= a.order:
+            ref[k] = c / k[side][var]
+    assert _same_bits(antiderivative(a, var, holo), Jet(NC, a.order, ref))
+    for k in (1, 2):
+        rest = {key: c for key, c in t.items() if key[side][var] >= k}
+        b = Jet(NC, a.order, rest)
+        ref = {_shifted(key, var, holo, -k): c for key, c in rest.items()}
+        assert _same_bits(b.divide_power(var, k, holo), Jet(NC, a.order - k, ref))
+        if len(rest) < len(t):
+            with pytest.raises(DivisibilityError):
+                Jet(NC, a.order, {key: 1.0 for key in t}).divide_power(var, k, holo)
+
+
+@given(limit_jets())
+@settings(max_examples=100, deadline=None)
+def test_graded_parts_match_the_tuple_loop(jc):
+    a, _ = jc
+    ref = [{} for _ in range(a.order + 1)]
+    for key, c in _tuple_jet(a).items():
+        ref[_deg(key)][key] = c
+    parts = a.graded()
+    assert [p is None for p in parts] == [not r for r in ref]
+    for p, r in zip(parts, ref):
+        if r:
+            assert _same_bits(p, Jet(NC, a.order, r))
+
+
+def test_the_top_degree_stays_in_its_fields():
+    """At the packing limit, a degree-MAX_ORDER term and its antiderivative's
+    dropped successor leave every other exponent untouched."""
+    top, one = ((MAX_ORDER, 0), (0, 0)), ((0, 0), (0, 0))
+    b = Jet(NC, MAX_ORDER, {top: 2.0, one: 1.0})
+    assert _tuple_jet(b * b) == {top: 4.0, one: 1.0}
+    a = Jet(NC, MAX_ORDER, {top: 2.0, ((0, 0), (0, MAX_ORDER - 1)): 3.0})
+    assert _tuple_jet(antiderivative(a, 0)) == {((1, 0), (0, MAX_ORDER - 1)): 3.0}
+    assert _tuple_jet(a.derivative(0)) == {((MAX_ORDER - 1, 0), (0, 0)): 2.0 * MAX_ORDER}
+    assert _tuple_jet(a.conjugate()) == {((0, 0), (MAX_ORDER, 0)): 2.0,
+                                         ((0, MAX_ORDER - 1), (0, 0)): 3.0}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Jet(NC, MAX_ORDER + 1), lambda: JetSpace(NC, MAX_ORDER + 1),
+    lambda: Jet.constant(1.0, NC, MAX_ORDER + 1),
+    lambda: Jet.variable(0, NC, MAX_ORDER + 1)])
+def test_orders_past_the_packing_limit_are_rejected(make):
+    with pytest.raises(ValueError, match=f"at most {MAX_ORDER}"):
+        make()
+
+
+def test_malformed_exponents_are_rejected():
+    for key in [((1,), (0, 0)), ((0, -1), (1, 0))]:
+        with pytest.raises(ValueError, match="bad exponents"):
+            Jet(NC, ORDER, {key: 1.0})
+
+
+def test_only_jets_reads_the_tuple_view():
+    """Every module but jets.py reads the packed terms, not .coeffs."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "lkholonomy"
+    readers = [f"{p.name}:{node.lineno}" for p in sorted(src.glob("*.py")) if p.name != "jets.py"
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "coeffs"]
+    assert readers == []

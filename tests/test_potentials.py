@@ -34,6 +34,30 @@ def test_fun_rejects_non_unitary_generator():
         P.fun_potential(space, 1, [np.array([[1.0]], complex)])
 
 
+def test_fun_bounds_the_hermitian_defect_of_a_alpha_itself():
+    """The rule of classify's k-generator check applies to A_alpha, not to
+    B_alpha = -i A_alpha / (alpha!)^2, whose defect is 36 times smaller at
+    alpha = 3."""
+    space = JetSpace(3, 8)
+    A = [np.array([[1j]]), np.array([[2j]]), np.array([[0.5j]])]
+    P.fun_potential(space, 1, A)
+    A[2] = A[2] + 1e-9   # Hermitian defect |A + A^H| = 2e-9
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        P.fun_potential(space, 1, A)
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        C.build_family(C.GKDescriptor(1, [(0.0, A[2])]))
+
+
+def test_fun_skips_generators_above_the_order():
+    """|u|^{2 alpha} with 2 alpha > order is zero in the jet, so a long list
+    of generators gives the potential of its first order/2, and the
+    (alpha!)^2 that overflows a float at alpha = 99 is never formed."""
+    space = JetSpace(3, 8)
+    A = [np.array([[1j * (k % 3)]]) for k in range(120)]
+    long, short = P.fun_potential(space, 1, A), P.fun_potential(space, 1, A[:4])
+    assert list(long.coeffs.items()) == list(short.coeffs.items())
+
+
 def test_canonical_b_matrix_pairing():
     B = P.canonical_b_matrix([0.5], 2)
     f1, f2 = B[:, 0], B[:, 1]
