@@ -5,10 +5,11 @@ metric, span the infinitesimal holonomy, and match it back.
 Usage: python3 scripts/holonomy_census.py [--order 9] [--rmax 5]
 """
 import argparse
+import pathlib
 import sys
 import time
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 from conftest import descriptor_suite  # noqa: E402
 
 from lkholonomy import classify as C  # noqa: E402

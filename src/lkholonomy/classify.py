@@ -13,11 +13,14 @@ from .hermitian import RealFormData
 from .lie import (
     ABZCElement,
     MatrixAlgebra,
+    flatten,
     in_real_span,
     is_anti_hermitian,
     null_space,
     real_span_basis,
     row_space,
+    span_coords,
+    unflatten,
 )
 
 # ---------------------------------------------------------------------------
@@ -53,46 +56,41 @@ class G3Descriptor:
 
 
 @dataclass
-class GKDescriptor:
-    """g^k = k |x (C^n |x iR), k an arbitrary subalgebra of C + u(n).
+class KLDescriptor:
+    """k |x (L |x iR) with L = C^m + L_0: the families GK, GKJL, GKL and the
+    Berger-only BERGER_GK, told apart by the data alone (see `family`).
 
-    k_basis: list of (a, A) pairs, a complex, A in u(n).
-    """
-
-    n: int
-    k_basis: list
-    family: str = "GK"
-
-
-@dataclass
-class GKJLDescriptor:
-    """g^{k,J,L} with L = C^m + R^{n-m}; k in RJ + u(m), not inside u(m).
-
-    k_basis: list of (a2, A) pairs, a2 real, A in u(m).
-    """
-
-    n: int
-    m: int
-    k_basis: list
-    family: str = "GKJL"
-
-
-@dataclass
-class GKLDescriptor:
-    """g^{k,L} with L = C^m + L_0; k inside u(m).
-
-    k_basis: list of u(m) matrices.
+    k_basis: list of (a, A) pairs, a complex and A in u(m); k acts on C^m by
+    A and on C^{n-m} by Im a (iE + theta), theta that of the real form L_0.
     """
 
     n: int
     m: int
     k_basis: list
     real_form: RealFormData | None = None
-    family: str = "GKL"
 
     def __post_init__(self):
         if self.real_form is None and self.n > self.m:
             self.real_form = RealFormData.from_lambdas([], self.n - self.m)
+
+    @property
+    def family(self) -> str:
+        """GK when L = C^n; GKL when every a is zero; GKJL when every Re a is
+        zero and L_0 is untwisted; BERGER_GK otherwise."""
+        if self.m == self.n:
+            return "GK"
+        if all(_a_is_zero(a) for a, _ in self.k_basis):
+            return "GKL"
+        untwisted = self.real_form is None or self.real_form.is_trivial()
+        if untwisted and all(_a_is_zero(complex(a).real) for a, _ in self.k_basis):
+            return "GKJL"
+        return "BERGER_GK"
+
+
+def _a_is_zero(a) -> bool:
+    """Both parts of a below Tolerances.residual: the family rule's one test."""
+    a = complex(a)
+    return abs(a.real) < DEFAULT_TOL.residual and abs(a.imag) < DEFAULT_TOL.residual
 
 
 @dataclass
@@ -117,27 +115,13 @@ class GK0PsiDescriptor:
 
 
 @dataclass
-class BergerGKDescriptor:
-    """The Berger-only g^k family with the theta twist (m < n allowed).
-
-    k_basis: list of (a1, a2, A) with a1, a2 real and A in u(m).
-    """
-
-    n: int
-    m: int
-    k_basis: list
-    real_form: RealFormData | None = None
-    family: str = "BERGER_GK"
-
-    def __post_init__(self):
-        if self.real_form is None and self.n > self.m:
-            self.real_form = RealFormData.from_lambdas([], self.n - self.m)
-
-
-@dataclass
 class UnknownDescriptor:
     reason: str = ""
     family: str = "UNKNOWN"
+
+
+DESCRIPTORS = (G0Descriptor, G1Descriptor, G2Descriptor, G3Descriptor, KLDescriptor,
+               GK0PsiDescriptor, UnknownDescriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +138,9 @@ def _embed(n, a=0.0, A=None, Z=None, c=0.0) -> np.ndarray:
     return ABZCElement(complex(a), np.asarray(A, dtype=complex), Z, float(c)).to_matrix()
 
 
-def _translations(n: int, js, units=(1.0, 1j)) -> list[np.ndarray]:
-    """The elements with Z = u e_j, for each j in js and then each u in units."""
-    return [_embed(n, Z=u * np.eye(n, dtype=complex)[j]) for j in js for u in units]
+def _translations(n: int, js) -> list[np.ndarray]:
+    """The elements with Z = e_j and Z = i e_j, for each j in js: C^{|js|}."""
+    return [_embed(n, Z=u * np.eye(n, dtype=complex)[j]) for j in js for u in (1.0, 1j)]
 
 
 def _l0_vectors(d) -> list[np.ndarray]:
@@ -190,72 +174,42 @@ def build_family(d) -> MatrixAlgebra:
             basis.append(np.array([[d.gamma, 0], [0, -np.conj(d.gamma)]]))
         return MatrixAlgebra(0, basis)
 
+    if not isinstance(d, (KLDescriptor, GK0PsiDescriptor)):
+        raise ValueError(f"unknown family {fam!r}")
     n = d.n
     basis: list[np.ndarray] = [_embed(n, c=1.0)]
 
-    if fam == "GK":
+    if isinstance(d, KLDescriptor):
+        m = d.m
+        if not 0 <= m <= n:
+            raise ValueError("a (k, L) family needs 0 <= m <= n")
         _check_k_antihermitian([A for _, A in d.k_basis])
+        theta = _zmat(0) if d.real_form is None else d.real_form.theta
         for a, A in d.k_basis:
-            basis.append(_embed(n, a=a, A=A))
-        basis += _translations(n, range(n))
-        return MatrixAlgebra(n, basis)
-
-    m = d.m
-    if not 0 <= m < n and fam in ("GKJL", "GKL"):
-        raise ValueError("families with L != C^n need 0 <= m < n")
-
-    if fam == "GKJL":
-        if all(abs(a2) < DEFAULT_TOL.exact_zero for a2, _ in d.k_basis):
-            raise ValueError("GKJL requires k not contained in u(m)")
-        _check_k_antihermitian([A for _, A in d.k_basis])
-        for a2, A in d.k_basis:
             Afull = _zmat(n)
             Afull[:m, :m] = A
-            Afull[m:, m:] = 1j * a2 * np.eye(n - m)
-            basis.append(_embed(n, a=1j * a2, A=Afull))
-        basis += _translations(n, range(m)) + _translations(n, range(m, n), (1.0,))
-        return MatrixAlgebra(n, basis)
-
-    if fam == "GKL":
-        _check_k_antihermitian(d.k_basis)
-        for A in d.k_basis:
-            Afull = _zmat(n)
-            Afull[:m, :m] = A
-            basis.append(_embed(n, A=Afull))
+            Afull[m:, m:] = complex(a).imag * (1j * np.eye(n - m) + theta)
+            basis.append(_embed(n, a=a, A=Afull))
         basis += _translations(n, range(m)) + [_embed(n, Z=Z) for Z in _l0_vectors(d)]
         return MatrixAlgebra(n, basis)
 
-    if fam == "GK0PSI":
-        r = d.r
-        if not 1 <= r <= m <= n:
-            raise ValueError("GK0PSI needs 1 <= r <= m <= n")
-        _check_k_antihermitian(d.k0_basis)
-        _check_k_antihermitian(d.psi_images)
-        _validate_psi(d)
-        u_basis = _psi_domain_basis(d)
-        for A in d.k0_basis:
-            Afull = _zmat(n)
-            Afull[:r, :r] = A
-            basis.append(_embed(n, A=Afull))
-        for X, psiX in zip(u_basis, d.psi_images):
-            Afull = _zmat(n)
-            Afull[:r, :r] = psiX
-            basis.append(_embed(n, A=Afull, Z=X))
-        basis += _translations(n, range(r))
-        return MatrixAlgebra(n, basis)
-
-    if fam == "BERGER_GK":
-        theta = _zmat(n - m) if d.real_form is None else d.real_form.theta
-        _check_k_antihermitian([A for _, _, A in d.k_basis])
-        for a1, a2, A in d.k_basis:
-            Afull = _zmat(n)
-            Afull[:m, :m] = A
-            Afull[m:, m:] = a2 * (1j * np.eye(n - m) + theta)
-            basis.append(_embed(n, a=a1 + 1j * a2, A=Afull))
-        basis += _translations(n, range(m)) + [_embed(n, Z=Z) for Z in _l0_vectors(d)]
-        return MatrixAlgebra(n, basis)
-
-    raise ValueError(f"unknown family {fam!r}")
+    m, r = d.m, d.r
+    if not 1 <= r <= m <= n:
+        raise ValueError("GK0PSI needs 1 <= r <= m <= n")
+    _check_k_antihermitian(d.k0_basis)
+    _check_k_antihermitian(d.psi_images)
+    _validate_psi(d)
+    u_basis = _psi_domain_basis(d)
+    for A in d.k0_basis:
+        Afull = _zmat(n)
+        Afull[:r, :r] = A
+        basis.append(_embed(n, A=Afull))
+    for X, psiX in zip(u_basis, d.psi_images):
+        Afull = _zmat(n)
+        Afull[:r, :r] = psiX
+        basis.append(_embed(n, A=Afull, Z=X))
+    basis += _translations(n, range(r))
+    return MatrixAlgebra(n, basis)
 
 
 def _psi_domain_basis(d: GK0PsiDescriptor) -> list[np.ndarray]:
@@ -294,9 +248,7 @@ def family_dim(d) -> int:
         return 2
     if fam == "G3":
         return 1 if d.gamma == 0 else 2
-    if fam == "GK":
-        return len(d.k_basis) + 2 * d.n + 1
-    if fam in ("GKJL", "GKL", "BERGER_GK"):
+    if isinstance(d, KLDescriptor):
         return len(d.k_basis) + 2 * d.m + (d.n - d.m) + 1
     if fam == "GK0PSI":
         return len(d.k0_basis) + (2 * (d.m - d.r) + (d.n - d.m)) + 2 * d.r + 1
@@ -306,10 +258,6 @@ def family_dim(d) -> int:
 # ---------------------------------------------------------------------------
 # matcher
 # ---------------------------------------------------------------------------
-
-def _real_rows(vs: list[np.ndarray]) -> np.ndarray:
-    return np.array([np.concatenate([v.real, v.imag]) for v in vs])
-
 
 def _mult_i(rows: np.ndarray) -> np.ndarray:
     """Multiplication by i on rows (Re v, Im v)."""
@@ -325,15 +273,10 @@ def _intersect_row_spaces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return null_space(perp, rel, floor)
 
 
-def _unvec(row: np.ndarray) -> np.ndarray:
-    half = row.size // 2
-    return row[:half] + 1j * row[half:]
-
-
 def _support_coords(rows: np.ndarray, n: int) -> set[int]:
     sup = set()
     for row in rows:
-        v = _unvec(row)
+        v = unflatten(row)
         for j in range(n):
             if abs(v[j]) > DEFAULT_TOL.rank_rel:
                 sup.add(j)
@@ -358,7 +301,7 @@ def match_algebra(alg: MatrixAlgebra):
         return UnknownDescriptor("iR line missing")
 
     # translation structure
-    zrows = _real_rows([x.Z for x in xs])
+    zrows = flatten([x.Z for x in xs])
     L_full = row_space(zrows, tol, floor)
     k_param_rows = np.array([
         np.concatenate([[x.a.real, x.a.imag], x.A.real.ravel(), x.A.imag.ravel()])
@@ -369,7 +312,7 @@ def match_algebra(alg: MatrixAlgebra):
         Z = sum(c * x.Z for c, x in zip(comb, xs))
         if np.abs(Z).max() > tol:
             trans_z.append(Z)
-    V_trans = (row_space(_real_rows(trans_z), tol, floor) if trans_z
+    V_trans = (row_space(flatten(trans_z), tol, floor) if trans_z
                else np.zeros((0, 2 * n)))
 
     # complex part of L
@@ -395,7 +338,7 @@ def match_algebra(alg: MatrixAlgebra):
 
     real_form = None
     if m < n and L0_rows.shape[0]:
-        fs = [_unvec(r)[m:] for r in L0_rows]
+        fs = [unflatten(r)[m:] for r in L0_rows]
         # orthonormalize over R with respect to Re<.,.>
         ons: list[np.ndarray] = []
         for f in fs:
@@ -410,45 +353,30 @@ def match_algebra(alg: MatrixAlgebra):
     k_elems = []
     for row in row_space(k_param_rows, tol, floor):
         a = row[0] + 1j * row[1]
-        A = _unvec(row[2:]).reshape(n, n)
+        A = unflatten(row[2:], (n, n))
         k_elems.append((a, A))
-    dim_k = len(k_elems)
 
     # psi-coupling: translations do not exhaust L
     if V_trans.shape[0] < L_full.shape[0]:
-        return _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems)
+        return _match_psi(xs, n, m, V_trans, real_form)
 
     if m == n:
-        return GKDescriptor(n, k_elems)
+        return KLDescriptor(n, n, k_elems)
 
-    # m < n: inspect the k-part block structure
-    theta = real_form.theta if real_form is not None else np.zeros((n - m, n - m), complex)
-    pure_u_m = []
-    twist = []  # (a1, a2, A_m)
+    # m < n: k must act on C^{n-m} by Im a (iE + theta)
+    theta = real_form.theta
     for a, A in k_elems:
         if np.abs(A[:m, m:]).max(initial=0) > tol or np.abs(A[m:, :m]).max(initial=0) > tol:
             return UnknownDescriptor("k mixes C^m and C^{n-m}")
-        a1, a2 = a.real, a.imag
-        B = A[m:, m:]
-        expected = a2 * (1j * np.eye(n - m) + theta)
-        if np.abs(B - expected).max(initial=0) > floor:
+        if np.abs(A[m:, m:] - a.imag * (1j * np.eye(n - m) + theta)).max(initial=0) > floor:
             return UnknownDescriptor("C^{n-m} block of k is not a2 (iE + theta)")
-        if abs(a1) < DEFAULT_TOL.residual and abs(a2) < DEFAULT_TOL.residual:
-            pure_u_m.append(A[:m, :m])
-        else:
-            twist.append((a1, a2, A[:m, :m]))
-
-    theta_zero = real_form is None or real_form.is_trivial()
-    if not twist:
-        return GKLDescriptor(n, m, pure_u_m, real_form)
-    if all(abs(a1) < DEFAULT_TOL.residual for a1, _, _ in twist) and theta_zero:
-        kb = [(a2, A) for _, a2, A in twist] + [(0.0, A) for A in pure_u_m]
-        return GKJLDescriptor(n, m, kb)
-    kb = [(a1, a2, A) for a1, a2, A in twist] + [(0.0, 0.0, A) for A in pure_u_m]
-    return BergerGKDescriptor(n, m, kb, real_form)
+    # the elements with an a-part first, then those of u(m) with a set to 0
+    twist = [(a, A[:m, :m]) for a, A in k_elems if not _a_is_zero(a)]
+    pure = [(0j, A[:m, :m]) for a, A in k_elems if _a_is_zero(a)]
+    return KLDescriptor(n, m, twist + pure, real_form)
 
 
-def _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems):
+def _match_psi(xs, n, m, V_trans, real_form):
     tol, floor = DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs
     # r = complex dimension of the translation space: the translation space
     # is C^r plus the real directions where psi vanishes; C^r is its maximal
@@ -480,13 +408,10 @@ def _match_psi(alg, xs, n, m, V_trans, L_full, real_form, k_elems):
     d_stub = GK0PsiDescriptor(n, m, r, k0_basis=k0, psi_images=[np.eye(r) * 1j],
                               real_form=real_form)
     u_basis = _psi_domain_basis(d_stub)
-    B = np.array([np.concatenate([x.Z.real, x.Z.imag]) for x in xs]).T
     psi_images = []
     for X in u_basis:
-        target = np.concatenate([X.real, X.imag])
-        comb, *_ = np.linalg.lstsq(B, target, rcond=None)
-        res = target - B @ comb
-        if np.abs(res).max() > floor:
+        comb, res = span_coords(X, [x.Z for x in xs])
+        if res > floor:
             return UnknownDescriptor("U direction missing from the algebra")
         A = sum(c * x.A for c, x in zip(comb, xs))
         if np.abs(A[r:, :]).max(initial=0) > floor or np.abs(A[:, r:]).max(initial=0) > floor:
@@ -523,7 +448,7 @@ def _match_n0(alg: MatrixAlgebra):
     if alg.dim == 2 and not has_c and ddim == 2:
         return G2Descriptor()
     if alg.dim == 2 and has_c and ddim >= 1:
-        gamma = _unvec(np.concatenate([diag_rows[0][:1], diag_rows[0][1:]]))[0]
+        gamma = unflatten(diag_rows[0])[0]
         return G3Descriptor(gamma=_normalize_gamma(gamma))
     if alg.dim == 1 and has_c:
         return G3Descriptor(gamma=0.0)
@@ -558,31 +483,15 @@ def same_descriptor(d1, d2) -> bool:
         return False
     if getattr(d1, "r", None) != getattr(d2, "r", None):
         return False
-    kb1 = d1.k0_basis if d1.family == "GK0PSI" else d1.k_basis
-    kb2 = d2.k0_basis if d2.family == "GK0PSI" else d2.k_basis
     # dim k: span dimension of the k-projections
-    def kdim(d, kb):
-        if d.family == "GK":
-            vecs = [np.concatenate([[a.real, a.imag],
-                                    np.asarray(A, complex).ravel().real,
-                                    np.asarray(A, complex).ravel().imag])
-                    for a, A in kb]
-        elif d.family == "GKJL":
-            vecs = [np.concatenate([[a2], np.asarray(A, complex).ravel().real,
-                                    np.asarray(A, complex).ravel().imag])
-                    for a2, A in kb]
-        elif d.family == "BERGER_GK":
-            vecs = [np.concatenate([[a1, a2], np.asarray(A, complex).ravel().real,
-                                    np.asarray(A, complex).ravel().imag])
-                    for a1, a2, A in kb]
-        else:
-            vecs = [np.concatenate([np.asarray(A, complex).ravel().real,
-                                    np.asarray(A, complex).ravel().imag])
-                    for A in kb]
+    def kdim(d):
+        kb = [(0j, A) for A in d.k0_basis] if d.family == "GK0PSI" else d.k_basis
+        vecs = [np.concatenate([[complex(a).real, complex(a).imag],
+                                flatten([np.asarray(A, complex)])[0]]) for a, A in kb]
         if not vecs:
             return 0
         return row_space(np.array(vecs), DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs).shape[0]
-    return kdim(d1, kb1) == kdim(d2, kb2)
+    return kdim(d1) == kdim(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -591,30 +500,13 @@ def same_descriptor(d1, d2) -> bool:
 
 def is_holonomy_realizable(d) -> str:
     """'yes' for the families of the main classification; 'berger_only' for
-    Berger algebras excluded by the non-existence theorem; 'not_berger'
-    otherwise."""
-    fam = d.family
-    if fam in ("G0", "G1", "G2", "G3", "GK", "GKJL", "GKL", "GK0PSI"):
-        try:
-            build_family(d)
-        except ValueError:
-            return "not_berger"
-        return "yes"
-    if fam == "BERGER_GK":
-        try:
-            build_family(d)
-        except ValueError:
-            return "not_berger"
-        if d.m == d.n:
-            return "yes"
-        theta_zero = d.real_form is None or d.real_form.is_trivial()
-        for a1, a2, _ in d.k_basis:
-            if abs(a1) > DEFAULT_TOL.coeff_zero:
-                return "berger_only"
-            if abs(a2) > DEFAULT_TOL.coeff_zero and not theta_zero:
-                return "berger_only"
-        return "yes"
-    return "not_berger"
+    the Berger algebras the non-existence theorem excludes, BERGER_GK;
+    'not_berger' for a descriptor that does not build."""
+    try:
+        build_family(d)
+    except ValueError:
+        return "not_berger"
+    return "berger_only" if d.family == "BERGER_GK" else "yes"
 
 
 def ricci_flat_condition(d) -> bool:
@@ -626,8 +518,9 @@ def ricci_flat_condition(d) -> bool:
 
 
 def ricci_flat_symbolic(d) -> bool:
-    """The classification corollary's symbolic trace conditions, stated per
-    family; must agree with ricci_flat_condition."""
+    """The classification corollary's symbolic trace conditions; for a (k, L)
+    family, tr A + Im a ((n - m + 2) i + tr theta) = 0 for every (a, A) of
+    k.  Must agree with ricci_flat_condition."""
     fam, tol = d.family, DEFAULT_TOL.residual
     if fam == "G0":
         return True
@@ -637,22 +530,12 @@ def ricci_flat_symbolic(d) -> bool:
         return False
     if fam == "G3":
         return abs(complex(d.gamma).imag) <= DEFAULT_TOL.coeff_zero
-    if fam == "GK":
-        return all(abs(2j * complex(a).imag + np.trace(np.asarray(A, complex))) <= tol
+    if isinstance(d, KLDescriptor):
+        tr_theta = 0.0 if d.real_form is None else np.trace(d.real_form.theta)
+        return all(abs(np.trace(np.asarray(A, complex)) + complex(a).imag
+                       * ((d.n - d.m + 2) * 1j + tr_theta)) <= tol
                    for a, A in d.k_basis)
-    if fam == "GKJL":
-        nm = d.n - d.m
-        return all(abs((nm + 2) * 1j * a2 + np.trace(np.asarray(A, complex))) <= tol
-                   for a2, A in d.k_basis)
-    if fam == "GKL":
-        return all(abs(np.trace(np.asarray(A, complex))) <= tol for A in d.k_basis)
     if fam == "GK0PSI":
         return all(abs(np.trace(np.asarray(A, complex))) <= tol
                    for A in list(d.k0_basis) + list(d.psi_images))
-    if fam == "BERGER_GK":
-        nm = d.n - d.m
-        tr_theta = 0.0 if d.real_form is None else np.trace(d.real_form.theta)
-        return all(abs(2j * a2 + nm * 1j * a2 + a2 * tr_theta
-                       + np.trace(np.asarray(A, complex))) <= tol
-                   for a1, a2, A in d.k_basis)
     raise ValueError(fam)

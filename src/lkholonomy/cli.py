@@ -1,6 +1,7 @@
 """Command-line interface: verification runs emitting JSON reports.
 
-Exit codes: 0 = expectations verified, 1 = input error, 2 = mismatch.
+Exit codes: 0 = expectations verified, 1 = input error (a usage error too),
+2 = mismatch.
 """
 from __future__ import annotations
 
@@ -31,8 +32,17 @@ def _add_common(sub):
     sub.add_argument("--out", type=str, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one line and exit 1, where argparse
+    would print the usage and exit 2, the code of a mismatch.  The
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="lkholonomy")
+    ap = _Parser(prog="lkholonomy")
     sp = ap.add_subparsers(dest="command", required=True)
 
     h = sp.add_parser("holonomy", help="holonomy algebra of a metric")
@@ -175,17 +185,17 @@ def _catalog_entries(n: int) -> list[dict]:
         for j in range(i + 1, n):
             un.append(_eij(n, i, j) - _eij(n, j, i))
             un.append(1j * (_eij(n, i, j) + _eij(n, j, i)))
-    gk = C.GKDescriptor(n, [(1.0, np.zeros((n, n), complex))]
+    gk = C.KLDescriptor(n, n, [(1.0, np.zeros((n, n), complex))]
                         + [(0.0, A) for A in un])
     entries.append({"descriptor": gk, "dim": C.family_dim(gk)})
     for m in range(n):
         um = [A[:m, :m].copy() for A in un if np.abs(A[:m, :m]).max(initial=0) > 0]
-        jl = C.GKJLDescriptor(n, m, [(1.0, np.zeros((m, m), complex))]
-                              + [(0.0, A) for A in um])
+        jl = C.KLDescriptor(n, m, [(1j, np.zeros((m, m), complex))]
+                            + [(0.0, A) for A in um])
         entries.append({"descriptor": jl, "dim": C.family_dim(jl)})
     for m in range(n + 1):
         um = [A[:m, :m].copy() for A in un if np.abs(A[:m, :m]).max(initial=0) > 0]
-        kl = C.GKLDescriptor(n, m, um)
+        kl = C.KLDescriptor(n, m, [(0.0, A) for A in um])
         entries.append({"descriptor": kl, "dim": C.family_dim(kl)})
     for r in range(1, n + 1):
         for m in range(r, n + 1):
@@ -228,9 +238,8 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -229,7 +229,7 @@ _SOLUTION_CACHE: dict[int, list[CurvatureMap]] = {}
 
 
 def _full_algebra(n: int) -> MatrixAlgebra:
-    from .classify import GKDescriptor, build_family
+    from .classify import KLDescriptor, build_family
     k_basis = [(1.0, np.zeros((n, n), complex)), (1j, np.zeros((n, n), complex))]
     for j in range(n):
         for k in range(j, n):
@@ -242,7 +242,7 @@ def _full_algebra(n: int) -> MatrixAlgebra:
                 E[k, j] = -1.0
                 k_basis.append((0.0, E.copy()))
                 k_basis.append((0.0, 1j * np.abs(E)))
-    return build_family(GKDescriptor(n, k_basis))
+    return build_family(KLDescriptor(n, n, k_basis))
 
 
 def _solution_basis(n: int) -> list[CurvatureMap]:

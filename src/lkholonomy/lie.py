@@ -43,12 +43,14 @@ def null_space(rows: np.ndarray, tol: float, floor: float = 0.0) -> np.ndarray:
 
 # -- real-span machinery ------------------------------------------------------
 
-def _flatten(mats: list[np.ndarray]) -> np.ndarray:
+def flatten(mats: list[np.ndarray]) -> np.ndarray:
+    """One real row (Re, Im) per complex matrix or vector."""
     rows = [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats]
     return np.array(rows)
 
 
-def _unflatten(row: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+def unflatten(row: np.ndarray, shape=-1) -> np.ndarray:
+    """The complex matrix or vector of the given shape behind a real row."""
     half = row.size // 2
     return (row[:half] + 1j * row[half:]).reshape(shape)
 
@@ -58,8 +60,8 @@ def real_span_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
     mats = [m for m in mats if np.abs(m).max() > 0]
     if not mats:
         return []
-    return [_unflatten(row, mats[0].shape)
-            for row in row_space(_flatten(mats), DEFAULT_TOL.rank_rel)]
+    return [unflatten(row, mats[0].shape)
+            for row in row_space(flatten(mats), DEFAULT_TOL.rank_rel)]
 
 
 def is_anti_hermitian(A: np.ndarray) -> bool:
@@ -73,17 +75,24 @@ def is_anti_hermitian(A: np.ndarray) -> bool:
 
 def in_real_span(m: np.ndarray, basis: list[np.ndarray]) -> bool:
     """span_residual within rank_rel times max(largest real component, 1)."""
-    scale = max(np.abs(_flatten([m])).max(), 1.0) if basis else 1.0
+    scale = max(np.abs(flatten([m])).max(), 1.0) if basis else 1.0
     return span_residual(m, basis) <= DEFAULT_TOL.rank_rel * scale
 
 
-def span_residual(m: np.ndarray, basis: list[np.ndarray]) -> float:
+def span_coords(m: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float]:
+    """Least-squares real coordinates of m in the real span of the basis, and
+    the largest real component of the residual; an empty basis leaves m
+    itself as the residual."""
+    v = flatten([m])[0]
     if not basis:
-        return float(np.abs(m).max())
-    B = _flatten(basis)
-    v = _flatten([m])[0]
-    coeff, *_ = np.linalg.lstsq(B.T, v, rcond=None)
-    return float(np.abs(v - B.T @ coeff).max())
+        return np.zeros(0), float(np.abs(v).max())
+    B = flatten(basis).T
+    coeff, *_ = np.linalg.lstsq(B, v, rcond=None)
+    return coeff, float(np.abs(v - B @ coeff).max())
+
+
+def span_residual(m: np.ndarray, basis: list[np.ndarray]) -> float:
+    return span_coords(m, basis)[1]
 
 
 # -- algebra container --------------------------------------------------------

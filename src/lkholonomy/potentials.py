@@ -285,7 +285,7 @@ def build_potential(d, order: int = 8) -> Jet:
 
     if fam == "GKJL":
         m = d.m
-        pairs = [(a2, A) for a2, A in d.k_basis]
+        pairs = [(complex(a).imag, A) for a, A in d.k_basis]
         (a2, At1), (b2, At2), rest = _split_a_parts(pairs)
         a2 = a2.real if isinstance(a2, complex) else a2
         if abs(a2) < DEFAULT_TOL.coeff_zero or (
@@ -308,7 +308,7 @@ def build_potential(d, order: int = 8) -> Jet:
         m = d.m
         rf = d.real_form
         lambdas = [] if rf is None else [l for l in rf.lambdas]
-        A_list = [_embed_u(n, A, m) for A in d.k_basis]
+        A_list = [_embed_u(n, A, m) for _, A in d.k_basis]
         return (fc_potential(space, 0.0, 0.0)
                 + fun_potential(space, n, A_list)
                 + fcm_potential(space, n, m, 0)

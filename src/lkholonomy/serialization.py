@@ -114,11 +114,11 @@ def encode_descriptor(d) -> dict:
                           for a, A in d.k_basis]
     elif fam == "GKJL":
         out["m"] = d.m
-        out["k_basis"] = [{"a2": float(a2), "A": encode_matrix(A)}
-                          for a2, A in d.k_basis]
+        out["k_basis"] = [{"a2": complex(a).imag, "A": encode_matrix(A)}
+                          for a, A in d.k_basis]
     elif fam == "GKL":
         out["m"] = d.m
-        out["k_basis"] = [encode_matrix(A) for A in d.k_basis]
+        out["k_basis"] = [encode_matrix(A) for _, A in d.k_basis]
         out["lambdas"] = _lambdas_of(d)
     elif fam == "GK0PSI":
         out["m"] = d.m
@@ -128,8 +128,8 @@ def encode_descriptor(d) -> dict:
         out["lambdas"] = _lambdas_of(d)
     elif fam == "BERGER_GK":
         out["m"] = d.m
-        out["k_basis"] = [{"a1": float(a1), "a2": float(a2),
-                           "A": encode_matrix(A)} for a1, a2, A in d.k_basis]
+        out["k_basis"] = [{"a1": complex(a).real, "a2": complex(a).imag,
+                           "A": encode_matrix(A)} for a, A in d.k_basis]
         out["lambdas"] = _lambdas_of(d)
     else:
         raise ValueError(f"unknown family {fam!r}")
@@ -157,28 +157,33 @@ def decode_descriptor(obj: dict):
     if fam == "GK":
         kb = [(decode_complex(e["a"]), _square(e["A"], n))
               for e in _items(obj, "k_basis", dict)]
-        return C.GKDescriptor(n, kb)
+        return C.KLDescriptor(n, n, kb)
     m = _natural(obj.get("m", n), "m")
     lambdas = [float(_check(l, (int, float), "a number")) for l in _items(obj, "lambdas")]
-    if fam == "GKJL":
-        kb = [(float(_check(e["a2"], (int, float), "a number a2")), _square(e["A"], m))
-              for e in _items(obj, "k_basis", dict)]
-        return C.GKJLDescriptor(n, m, kb)
     rf = RealFormData.from_lambdas(lambdas, n - m) if n > m else None
-    if fam == "GKL":
-        kb = [_square(e, m) for e in _items(obj, "k_basis")]
-        return C.GKLDescriptor(n, m, kb, real_form=rf)
     if fam == "GK0PSI":
         r = _natural(obj["r"], "r")
         k0 = [_square(e, r) for e in _items(obj, "k0_basis")]
         psi = [_square(e, r) for e in _items(obj, "psi_images")]
         return C.GK0PsiDescriptor(n, m, r, k0, psi, real_form=rf)
-    if fam == "BERGER_GK":
-        kb = [(float(_check(e["a1"], (int, float), "a number a1")),
-               float(_check(e["a2"], (int, float), "a number a2")), _square(e["A"], m))
+    if fam == "GKJL":
+        kb = [(1j * _real(e, "a2"), _square(e["A"], m)) for e in _items(obj, "k_basis", dict)]
+    elif fam == "GKL":
+        kb = [(0j, _square(e, m)) for e in _items(obj, "k_basis")]
+    elif fam == "BERGER_GK":
+        kb = [(complex(_real(e, "a1"), _real(e, "a2")), _square(e["A"], m))
               for e in _items(obj, "k_basis", dict)]
-        return C.BergerGKDescriptor(n, m, kb, real_form=rf)
-    raise ValueError(f"unknown family {fam!r}")
+    else:
+        raise ValueError(f"unknown family {fam!r}")
+    d = C.KLDescriptor(n, m, kb, real_form=rf)
+    if d.family != fam:
+        raise ValueError(f"the descriptor declares family {fam}, but its data give {d.family}")
+    return d
+
+
+def _real(entry: dict, key: str) -> float:
+    """entry[key] as a float, when it is a number."""
+    return float(_check(entry[key], (int, float), f"a number {key}"))
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +287,9 @@ def jsonable(obj):
         if np.iscomplexobj(obj):
             return encode_matrix(obj)
         return obj.tolist()
+    if isinstance(obj, C.DESCRIPTORS):
+        return encode_descriptor(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "family") and hasattr(obj, "__dataclass_fields__") \
-                and type(obj).__name__.endswith("Descriptor"):
-            return encode_descriptor(obj)
         return {f.name: jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):

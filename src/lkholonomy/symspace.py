@@ -10,7 +10,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .curvspace import CurvatureMap, ricci_of_map
-from .lie import MatrixAlgebra, in_real_span, real_span_basis, sigma_involution, span_residual
+from .lie import (MatrixAlgebra, in_real_span, real_span_basis, sigma_involution, span_coords,
+                  span_residual)
 
 
 @dataclass
@@ -93,22 +94,9 @@ def build_transvection(pair: SymmetricPair) -> TransvectionAlgebra:
     dim = k + N2
 
     def g_coords(w: np.ndarray) -> np.ndarray:
-        if k == 0:
-            if np.abs(w).max() > DEFAULT_TOL.rank_rel:
-                raise InvalidPairError("curvature image escapes g")
-            return np.zeros(0)
-        rows = np.array([np.concatenate([b.real.ravel(), b.imag.ravel()])
-                         for b in gb]).T
-        target = np.concatenate([w.real.ravel(), w.imag.ravel()])
-        coef, *_ = np.linalg.lstsq(rows, target, rcond=None)
-        if np.abs(rows @ coef - target).max() > DEFAULT_TOL.rank_abs:
+        coef, res = span_coords(w, gb)
+        if res > DEFAULT_TOL.rank_abs:
             raise InvalidPairError("curvature image escapes g")
-        return coef
-
-    def m_coords(x: np.ndarray) -> np.ndarray:
-        rows = np.array([np.concatenate([b.real, b.imag]) for b in mb]).T
-        target = np.concatenate([x.real, x.imag])
-        coef, *_ = np.linalg.lstsq(rows, target, rcond=None)
         return coef
 
     table = np.zeros((dim, dim, dim))
@@ -119,7 +107,7 @@ def build_transvection(pair: SymmetricPair) -> TransvectionAlgebra:
                 out = np.concatenate([g_coords(w), np.zeros(N2)])
             elif i < k <= j:
                 x = gb[i] @ mb[j - k]
-                out = np.concatenate([np.zeros(k), m_coords(x)])
+                out = np.concatenate([np.zeros(k), span_coords(x, mb)[0]])
             else:
                 w = -pair.real_curvature(mb[i - k], mb[j - k])
                 out = np.concatenate([g_coords(w), np.zeros(N2)])

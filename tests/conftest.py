@@ -15,22 +15,22 @@ def descriptor_suite():
     z00 = np.zeros((0, 0), dtype=complex)
     return [
         # GK, k = C + u(1)
-        C.GKDescriptor(1, [(1.0, _m([[0.0]])), (1j, _m([[0.0]])),
-                           (0.0, _m([[1j]]))]),
+        C.KLDescriptor(1, 1, [(1.0, _m([[0.0]])), (1j, _m([[0.0]])),
+                              (0.0, _m([[1j]]))]),
         # GK, one mixed generator
-        C.GKDescriptor(1, [(1.0, _m([[1j]]))]),
+        C.KLDescriptor(1, 1, [(1.0, _m([[1j]]))]),
         # GKJL, m = 0 < n = 1
-        C.GKJLDescriptor(1, 0, [(1.0, z00)]),
+        C.KLDescriptor(1, 0, [(1j, z00)]),
         # GKJL, m = 1 < n = 2
-        C.GKJLDescriptor(2, 1, [(1.0, _m([[1j]]))]),
+        C.KLDescriptor(2, 1, [(1j, _m([[1j]]))]),
         # GKL, m = 0, trivial twist
-        C.GKLDescriptor(1, 0, []),
+        C.KLDescriptor(1, 0, []),
         # GKL, m = 0, twisted real form
-        C.GKLDescriptor(2, 0, [], real_form=RealFormData.from_lambdas([0.5], 2)),
+        C.KLDescriptor(2, 0, [], real_form=RealFormData.from_lambdas([0.5], 2)),
         # GKL, m = 0, untwisted two-plane
-        C.GKLDescriptor(2, 0, []),
+        C.KLDescriptor(2, 0, []),
         # GKL, m = 1 with k = u(1)
-        C.GKLDescriptor(2, 1, [_m([[1j]])]),
+        C.KLDescriptor(2, 1, [(0j, _m([[1j]]))]),
         # GK0PSI, r = 1, complex psi domain
         C.GK0PsiDescriptor(2, 2, 1, [], [_m([[1j]]), _m([[2j]])]),
         # GK0PSI, r = m = 1, real psi domain

@@ -159,8 +159,8 @@ def test_criterion_5_berger_suite(rng):
 # -- 6: the Berger-only family is never realized -----------------------------
 
 def test_criterion_6_berger_only_gate():
-    d = C.BergerGKDescriptor(2, 0, [(0.0, 1.0, np.zeros((0, 0), complex))],
-                             real_form=RealFormData.from_lambdas([0.5], 2))
+    d = C.KLDescriptor(2, 0, [(1j, np.zeros((0, 0), complex))],
+                       real_form=RealFormData.from_lambdas([0.5], 2))
     assert C.is_holonomy_realizable(d) == "berger_only"
     assert berger_check(C.build_family(d))["is_berger"]
     for _, _, got in _matches():

@@ -5,10 +5,38 @@ import pytest
 from lkholonomy import classify as C
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
+from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.hermitian import RealFormData
 from lkholonomy.jetmat import jmat_max_abs
 from lkholonomy.jets import JetSpace
 from lkholonomy.lie import MatrixAlgebra
+
+
+RES = DEFAULT_TOL.residual
+TWISTED = RealFormData.from_lambdas([0.5], 2)
+
+
+@pytest.mark.parametrize("n, m, a_parts, real_form, family", [
+    (1, 1, [1.0 + 1j], None, "GK"),                      # m = n, whatever a is
+    (2, 2, [], None, "GK"),
+    (2, 0, [], None, "GKL"),                             # no k at all
+    (2, 1, [0j, 0j], None, "GKL"),                       # every a zero
+    (2, 0, [0j], TWISTED, "GKL"),
+    (2, 0, [1j, 0j], None, "GKJL"),                      # Re a = 0, L_0 untwisted
+    (2, 0, [1j], TWISTED, "BERGER_GK"),                  # Re a = 0, L_0 twisted
+    (2, 0, [1.0], None, "BERGER_GK"),                    # Re a != 0
+    (2, 0, [1j, 0.5 + 1j], None, "BERGER_GK"),
+    (2, 0, [RES], None, "BERGER_GK"),                    # +-residual is not zero
+    (2, 0, [-RES], None, "BERGER_GK"),
+    (2, 0, [RES * 1j], None, "GKJL"),
+    (2, 0, [-RES * 1j], TWISTED, "BERGER_GK"),
+    (2, 0, [0.99 * RES * (1 + 1j)], TWISTED, "GKL"),     # below it is zero
+    (2, 0, [0.99 * RES + 1j], None, "GKJL"),
+])
+def test_family_rule_at_its_boundaries(n, m, a_parts, real_form, family):
+    d = C.KLDescriptor(n, m, [(a, np.zeros((m, m), complex)) for a in a_parts], real_form)
+    assert d.family == family
+    assert C.is_holonomy_realizable(d) == ("berger_only" if family == "BERGER_GK" else "yes")
 
 
 def test_build_match_roundtrip_algebra_only(suite):
@@ -39,10 +67,10 @@ def test_n0_matches(rng):
 
 
 def test_same_descriptor_distinguishes():
-    d1 = C.GKLDescriptor(2, 0, [])
-    d2 = C.GKLDescriptor(2, 1, [])
+    d1 = C.KLDescriptor(2, 0, [])
+    d2 = C.KLDescriptor(2, 1, [])
     assert not C.same_descriptor(d1, d2)
-    assert C.same_descriptor(d1, C.GKLDescriptor(2, 0, []))
+    assert C.same_descriptor(d1, C.KLDescriptor(2, 0, []))
 
 
 def test_family_dim_equals_algebra_dim(suite):
@@ -51,11 +79,11 @@ def test_family_dim_equals_algebra_dim(suite):
 
 
 def test_realizability_gate():
-    d_ok = C.GKDescriptor(1, [(1.0, np.zeros((1, 1), complex))])
+    d_ok = C.KLDescriptor(1, 1, [(1.0, np.zeros((1, 1), complex))])
     assert C.is_holonomy_realizable(d_ok) == "yes"
     from lkholonomy.hermitian import RealFormData
-    d_berger = C.BergerGKDescriptor(
-        2, 0, [(0.0, 1.0, np.zeros((0, 0), complex))],
+    d_berger = C.KLDescriptor(
+        2, 0, [(1j, np.zeros((0, 0), complex))],
         real_form=RealFormData.from_lambdas([0.5], 2))
     assert C.is_holonomy_realizable(d_berger) == "berger_only"
 
@@ -63,8 +91,8 @@ def test_realizability_gate():
 def test_ricci_flat_corollary(suite):
     """The trace conditions of the Ricci-flat corollary agree with the trace
     of the built algebra, and with the Ricci tensor of the family's metric."""
-    berger_only = C.BergerGKDescriptor(
-        2, 0, [(0.0, 1.0, np.zeros((0, 0), complex))],
+    berger_only = C.KLDescriptor(
+        2, 0, [(1j, np.zeros((0, 0), complex))],
         real_form=RealFormData.from_lambdas([0.5], 2))
     n0 = [C.G0Descriptor(), C.G1Descriptor(), C.G2Descriptor(),
           C.G3Descriptor(gamma=0.0), C.G3Descriptor(gamma=1.0), C.G3Descriptor(gamma=1j)]

@@ -98,6 +98,47 @@ def test_order_below_two_from_the_command_line_is_input_error(tmp_path, capsys):
         assert f"order must be at least 2, not {order}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["holonomy"], ["symspace", "--family", "z"],
+                                  ["catalog", "--n", "1", "--bogus"]])
+def test_usage_errors_are_input_errors(argv, capsys):
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["holonomy", "--help"])
+    assert exit_.value.code == 0
+
+
+MISLABELLED = [
+    # a GKJL with no J part is a GKL
+    {"family": "GKJL", "n": 1, "m": 0, "k_basis": [{"a2": 0.0, "A": []}]},
+    # a GKJL on a twisted L_0 is the Berger-only family
+    {"family": "GKJL", "n": 2, "m": 0, "k_basis": [{"a2": 1.0, "A": []}],
+     "lambdas": [0.5]},
+    # L = C^n makes any (k, L) family GK
+    {"family": "GKJL", "n": 1, "m": 1, "k_basis": [{"a2": 1.0, "A": [[[0.0, 1.0]]]}]},
+    {"family": "GKL", "n": 1, "m": 1, "k_basis": []},
+    {"family": "BERGER_GK", "n": 1, "m": 1,
+     "k_basis": [{"a1": 1.0, "a2": 0.0, "A": [[[0.0, 0.0]]]}]},
+    # no twist and Re a = 0 is GKJL
+    {"family": "BERGER_GK", "n": 2, "m": 0, "k_basis": [{"a1": 0.0, "a2": 1.0, "A": []}]},
+]
+
+
+@pytest.mark.parametrize("descriptor", MISLABELLED)
+def test_mislabelled_descriptor_is_one_line_error(tmp_path, capsys, descriptor):
+    alg = _write(tmp_path, "alg.json", descriptor)
+    pot = _write(tmp_path, "pot.json", {"kind": "descriptor", "descriptor": descriptor})
+    for argv in (["classify", "--algebra", alg], ["berger", "--algebra", alg],
+                 ["holonomy", "--potential", pot]):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: the descriptor declares family ") and err.count("\n") == 1
+
+
 def test_ppwave_flags(tmp_path, capsys):
     pp = _write(tmp_path, "pp.json", {
         "kind": "ppwave", "n": 1, "order": 8,

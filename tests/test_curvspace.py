@@ -16,7 +16,7 @@ from lkholonomy.curvspace import (
     solve_curvature_space,
     _full_algebra,
 )
-from lkholonomy.lie import MatrixAlgebra, _flatten, sigma_involution
+from lkholonomy.lie import MatrixAlgebra, flatten, sigma_involution
 
 
 def test_solution_space_dimensions():
@@ -59,7 +59,7 @@ def _reference_solve(alg, sigma, tol=1e-9):
 def _real_rank(maps) -> int:
     if not maps:
         return 0
-    s = np.linalg.svd(_flatten([R.rho for R in maps]), compute_uv=False)
+    s = np.linalg.svd(flatten([R.rho for R in maps]), compute_uv=False)
     return int(np.sum(s > 1e-9 * s[0]))
 
 
@@ -78,8 +78,8 @@ def _oracle_cases(suite, rng):
               C.G3Descriptor(gamma=1.0), C.G3Descriptor(gamma=0.0)):
         cases.append((d.family, C.build_family(d)))
     cases += [(f"no iR n={n}", no_ir_counterexample(n)) for n in (1, 2, 3)]
-    berger_only = C.BergerGKDescriptor(
-        2, 0, [(0.0, 1.0, np.zeros((0, 0), complex))],
+    berger_only = C.KLDescriptor(
+        2, 0, [(1j, np.zeros((0, 0), complex))],
         real_form=RealFormData.from_lambdas([0.5], 2))
     cases.append(("BERGER_GK", C.build_family(berger_only)))
     so3 = []

@@ -45,7 +45,7 @@ def test_fun_bounds_the_hermitian_defect_of_a_alpha_itself():
     with pytest.raises(ValueError, match="anti-Hermitian"):
         P.fun_potential(space, 1, A)
     with pytest.raises(ValueError, match="anti-Hermitian"):
-        C.build_family(C.GKDescriptor(1, [(0.0, A[2])]))
+        C.build_family(C.KLDescriptor(1, 1, [(0.0, A[2])]))
 
 
 def test_fun_skips_generators_above_the_order():
@@ -85,8 +85,8 @@ def test_ppwave_potential_validation():
 
 def test_build_potential_requires_single_scalar_gkjl():
     # two independent a2-carrying generators cannot share one normalization
-    d = C.GKJLDescriptor(1, 0, [(1.0, np.zeros((0, 0), complex)),
-                                (0.5, np.zeros((0, 0), complex))])
+    d = C.KLDescriptor(1, 0, [(1j, np.zeros((0, 0), complex)),
+                              (0.5j, np.zeros((0, 0), complex))])
     f = P.build_potential(d, order=8)  # collinear pair collapses to one
     m = G.metric_from_potential(f)
     assert m.n == 1

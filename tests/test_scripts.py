@@ -8,10 +8,14 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _run(script, monkeypatch, capsys) -> str:
-    """Standard output of the script; it must exit with code 0."""
-    monkeypatch.chdir(ROOT)  # the census finds the test descriptors by relative path
-    monkeypatch.setattr(sys, "path", list(sys.path))
+def _run(script, monkeypatch, capsys, tmp_path) -> str:
+    """Standard output of the script run from a directory outside the repo,
+    with neither tests/ on the path nor its conftest imported; it must exit
+    with code 0."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", [p for p in sys.path
+                                      if pathlib.Path(p).resolve() != ROOT / "tests"])
+    monkeypatch.delitem(sys.modules, "conftest", raising=False)
     monkeypatch.setattr(sys, "argv", [script])
     with pytest.raises(SystemExit) as exit_:
         runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
@@ -23,11 +27,11 @@ def _run(script, monkeypatch, capsys) -> str:
     ("holonomy_census.py", ", 0 mismatches\n"),
     ("symspace_survey.py", ", 0 failures\n"),
 ])
-def test_script_runs_clean(script, verdict, monkeypatch, capsys):
-    assert verdict in _run(script, monkeypatch, capsys)
+def test_script_runs_clean(script, verdict, monkeypatch, capsys, tmp_path):
+    assert verdict in _run(script, monkeypatch, capsys, tmp_path)
 
 
-def test_oriented_lines_scan_stabilizes_at_every_base_point(monkeypatch, capsys):
+def test_oriented_lines_scan_stabilizes_at_every_base_point(monkeypatch, capsys, tmp_path):
     """The scan's four re-centred metrics each give dimension 2 at every order."""
-    out = _run("oriented_lines_scan.py", monkeypatch, capsys)
+    out = _run("oriented_lines_scan.py", monkeypatch, capsys, tmp_path)
     assert out.count(" dims [2, 2, 2, 2, 2] stabilized True\n") == 4

@@ -44,7 +44,7 @@ def test_empty_matrix_roundtrip():
     d = S.decode_descriptor(obj)
     assert d.k_basis[0][1].shape == (0, 0)
     assert S.encode_descriptor(d) == obj
-    assert C.same_descriptor(d, C.GKJLDescriptor(1, 0, [(1.0, np.zeros((0, 0), complex))]))
+    assert C.same_descriptor(d, C.KLDescriptor(1, 0, [(1j, np.zeros((0, 0), complex))]))
 
 
 def test_algebra_file_both_forms():
