@@ -23,10 +23,11 @@ class Tolerances:
         conditions but the first, theta = 0, the block form of A1 in _n0_of,
         CurvatureParam symmetry, the n = 0 matcher's lower-left entry, the
         family rule's zero a-parts, a real point kept for the holonomy
-        span, a symmetric pair's Jacobi identity and Ricci flags.
+        span, a symmetric pair's Jacobi identity and Calabi-Yau flag.
     rank_rel 1e-9, relative to the largest singular value: the rank rule's cut
-        for every span.  Relative to max(largest entry, 1): block-pattern fits,
-        span membership, the skew normal form, jmat_sqrt's Hermitian part.
+        for every span and for a symmetric pair's Ricci degeneracy flag.
+        Relative to max(largest entry, 1): block-pattern fits, span
+        membership, the skew normal form, jmat_sqrt's Hermitian part.
         Absolute at unit scale: zero tests on orthonormal rows in the matcher,
         a real-form basis's rank floor and orthonormality, gamma equality.
         Also the default of --tol.

@@ -27,32 +27,26 @@ class CurvatureMap:
     def dim_v(self) -> int:
         return self.n + 2
 
-    def real_value(self, i: int, j: int) -> np.ndarray:
-        """R(b_i, b_j) on real basis arguments."""
-        return self.rho[i, j] - self.rho[j, i]
+    def real_curvature(self) -> np.ndarray:
+        """Rm[a, b] = R(m_a, m_b) on the real basis m = (b_0..b_{N-1}, i b_0..i
+        b_{N-1}) of V, shape (2N, 2N, N, N).  X[a, b] = R(m_a, conj m_b) is
+        [[rho, -i rho], [i rho, rho]] and Rm = X - X^T in the argument slots;
+        every entry is exact."""
+        r = self.rho
+        X = np.concatenate([np.concatenate([r, -1j * r], 1), np.concatenate([1j * r, r], 1)])
+        return X - X.transpose(1, 0, 2, 3)
 
     def invariant_residual(self, sigma=sigma_involution) -> float:
         """Worst violation of reality, exchange symmetry, and the first
         Bianchi identity (on real arguments).  sigma is a parameter because
         the tests check algebras of real matrices with np.conj."""
-        N = self.dim_v
-        worst = 0.0
-        for i in range(N):
-            for j in range(N):
-                worst = max(worst, np.abs(self.rho[i, j]
-                                          + sigma(self.rho[j, i])).max())
-                for k in range(N):
-                    worst = max(worst, np.abs(self.rho[i, j][:, k]
-                                              - self.rho[k, j][:, i]).max())
-        # first Bianchi on real vectors: cyclic sum of R(b_i, b_j) b_k
-        for i in range(N):
-            for j in range(N):
-                for k in range(N):
-                    cyc = (self.real_value(i, j)[:, k]
-                           + self.real_value(j, k)[:, i]
-                           + self.real_value(k, i)[:, j])
-                    worst = max(worst, np.abs(cyc).max())
-        return worst
+        rho, N = self.rho, self.dim_v
+        mirror = np.array([[sigma(rho[j, i]) for j in range(N)] for i in range(N)])
+        # P[i, j, k] = R(b_i, b_j) b_k, whose cyclic sum vanishes
+        P = self.real_curvature()[:N, :N].transpose(0, 1, 3, 2)
+        return float(max(np.abs(rho + mirror).max(),
+                         np.abs(rho - rho.transpose(3, 1, 2, 0)).max(),
+                         np.abs(P + P.transpose(2, 0, 1, 3) + P.transpose(1, 2, 0, 3)).max()))
 
 
 def _complex_span_basis(mats: list[np.ndarray]):
@@ -113,13 +107,9 @@ def berger_check(alg: MatrixAlgebra) -> dict:
     generates; alg is Berger iff that span is all of alg."""
     maps = solve_curvature_space(alg)
     N = alg.n + 2
-    images: list[np.ndarray] = []
-    for R in maps:
-        for i in range(N):
-            for j in range(N):
-                images.append(R.rho[i, j] - R.rho[j, i])
-                images.append(1j * (R.rho[i, j] + R.rho[j, i]))
-    span = real_span_basis([m for m in images if np.abs(m).max() > DEFAULT_TOL.coeff_zero])
+    # R(b_i, b_j) and R(i b_i, b_j) of every map
+    span = real_span_basis([w for R in maps for w in R.real_curvature()[:, :N].reshape(-1, N, N)
+                            if np.abs(w).max() > DEFAULT_TOL.coeff_zero])
     generated = MatrixAlgebra(alg.n, span)
     contained = all(alg.contains(b) for b in generated.basis)
     return {
@@ -400,9 +390,4 @@ def no_ir_counterexample(n: int, lambdas: list[float] | None = None) -> MatrixAl
 def ricci_of_map(R: CurvatureMap) -> np.ndarray:
     """Trace contraction ric[j, i] = trace of R(b_i, conj b_j) over V^C;
     the output is Hermitian for maps with values in the parabolic algebra."""
-    N = R.dim_v
-    ric = np.empty((N, N), complex)
-    for i in range(N):
-        for j in range(N):
-            ric[j, i] = np.trace(R.rho[i, j])
-    return ric
+    return np.einsum("ijss->ji", R.rho)

@@ -80,15 +80,21 @@ def in_real_span(m: np.ndarray, basis: list[np.ndarray]) -> bool:
 
 
 def span_coords(m: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Least-squares real coordinates of m in the real span of the basis, and
-    the largest real component of the residual; an empty basis leaves m
-    itself as the residual."""
-    v = flatten([m])[0]
+    """Least-squares real coordinates in the real span of the basis of m, one
+    matrix or vector shaped like the basis elements or a stack of them along
+    leading axes, and the largest real component of the residual.  The
+    coordinates keep m's leading axes; an empty basis leaves m itself as the
+    residual."""
+    m = np.asarray(m)
     if not basis:
-        return np.zeros(0), float(np.abs(v).max())
+        return np.zeros(0), float(np.abs(flatten([m])).max(initial=0.0))
+    size = basis[0].size
+    V = np.concatenate([m.real.reshape(-1, size), m.imag.reshape(-1, size)], axis=1).T
     B = flatten(basis).T
-    coeff, *_ = np.linalg.lstsq(B, v, rcond=None)
-    return coeff, float(np.abs(v - B @ coeff).max())
+    coeff, *_ = np.linalg.lstsq(B, V, rcond=None)
+    lead = m.shape[:m.ndim - basis[0].ndim]
+    return (coeff.T.reshape(lead + (len(basis),)),
+            float(np.abs(V - B @ coeff).max(initial=0.0)))
 
 
 def span_residual(m: np.ndarray, basis: list[np.ndarray]) -> float:

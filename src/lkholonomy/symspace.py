@@ -5,18 +5,21 @@ Jacobi / Ricci / Calabi-Yau reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_TOL
 from .curvspace import CurvatureMap, ricci_of_map
-from .lie import (MatrixAlgebra, in_real_span, real_span_basis, sigma_involution, span_coords,
-                  span_residual)
+from .lie import MatrixAlgebra, in_real_span, real_span_basis, row_space, sigma_involution, span_coords
 
 
 @dataclass
 class SymmetricPair:
-    """Holonomy algebra g together with a candidate curvature value R."""
+    """Holonomy algebra g together with a candidate curvature value R.  Its
+    checks read three stages, each computed once, on first use: the real
+    curvature Rm on the m-basis (b_0..b_{N-1}, i b_0..i b_{N-1}), the
+    curvature image, and the invariant residual."""
 
     n: int
     g: MatrixAlgebra
@@ -26,45 +29,39 @@ class SymmetricPair:
     def dim(self) -> int:
         return self.n + 2
 
-    def real_curvature(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """R(X, Y) for real tangent vectors represented by x, y in C^{n+2}:
-        R(x, conj y) - R(y, conj x)."""
-        rho = self.R.rho
-        first = np.einsum("i,j,ijab->ab", x, np.conj(y), rho)
-        second = np.einsum("i,j,ijab->ab", y, np.conj(x), rho)
-        return first - second
+    @property
+    def g_matrices(self) -> np.ndarray:
+        return np.reshape(self.g.basis, (-1, self.dim, self.dim))
 
-    def curvature_image(self) -> list[np.ndarray]:
-        """Real span of R(m, m)."""
-        vals = []
-        basis = self._m_basis()
-        for i, x in enumerate(basis):
-            for y in basis[i + 1:]:
-                w = self.real_curvature(x, y)
-                if np.abs(w).max() > DEFAULT_TOL.coeff_zero:
-                    vals.append(w)
-        return real_span_basis(vals)
+    @cached_property
+    def Rm(self) -> np.ndarray:
+        """Rm[a, b] = R(m_a, m_b), shape (2N, 2N, N, N)."""
+        return self.R.real_curvature()
 
-    def _m_basis(self) -> list[np.ndarray]:
-        eye = np.eye(self.dim, dtype=complex)
-        return [eye[:, k] for k in range(self.dim)] + \
-               [1j * eye[:, k] for k in range(self.dim)]
+    @property
+    def g_on_m(self) -> np.ndarray:
+        """G[i, a, c], the real m-coordinates (Re, Im) of g_i m_a."""
+        eye = np.eye(self.dim)
+        Am = (self.g_matrices @ np.hstack([eye, 1j * eye])).transpose(0, 2, 1)
+        return np.concatenate([Am.real, Am.imag], axis=2)
 
+    @cached_property
+    def curvature_image(self) -> np.ndarray:
+        """Orthonormal real basis of R(m, m), shape (d, N, N)."""
+        N = self.dim
+        vals = self.Rm[np.triu_indices(2 * N, 1)]
+        vals = vals[np.abs(vals).max(axis=(1, 2)) > DEFAULT_TOL.coeff_zero]
+        return np.reshape(real_span_basis(vals), (-1, N, N))
+
+    @cached_property
     def invariant_residual(self) -> float:
         """Curvature-map invariants plus: image inside g, and g-invariance
-        of R (the mixed Jacobi identity)."""
-        worst = self.R.invariant_residual()
-        for w in self.curvature_image():
-            worst = max(worst, span_residual(w, self.g.basis))
-        # g-invariance: [A, R(X,Y)] = R(AX, Y) + R(X, AY)
-        basis = self._m_basis()
-        for A in self.g.basis:
-            for i, x in enumerate(basis):
-                for y in basis[i + 1:]:
-                    lhs = A @ self.real_curvature(x, y) - self.real_curvature(x, y) @ A
-                    rhs = self.real_curvature(A @ x, y) + self.real_curvature(x, A @ y)
-                    worst = max(worst, np.abs(lhs - rhs).max())
-        return float(worst)
+        of R (the mixed Jacobi identity) [A, R(X, Y)] = R(AX, Y) + R(X, AY)."""
+        Rm, G, A = self.Rm, self.g_on_m, self.g_matrices[:, None, None]
+        moved = np.einsum("iac,cbst->iabst", G, Rm) + np.einsum("ibc,acst->iabst", G, Rm)
+        return max(self.R.invariant_residual(),
+                   span_coords(self.curvature_image, self.g.basis)[1],
+                   float(np.abs(A @ Rm - Rm @ A - moved).max(initial=0.0)))
 
 
 class InvalidPairError(ValueError):
@@ -85,50 +82,34 @@ class TransvectionAlgebra:
 
 
 def build_transvection(pair: SymmetricPair) -> TransvectionAlgebra:
-    inv = pair.invariant_residual()
+    inv = pair.invariant_residual
     if inv > DEFAULT_TOL.rank_abs:
         raise InvalidPairError(f"pair invariants violated: residual {inv:.2e}")
-    gb = pair.g.basis
-    mb = pair._m_basis()
-    k, N2 = len(gb), len(mb)
-    dim = k + N2
-
-    def g_coords(w: np.ndarray) -> np.ndarray:
-        coef, res = span_coords(w, gb)
-        if res > DEFAULT_TOL.rank_abs:
-            raise InvalidPairError("curvature image escapes g")
-        return coef
-
+    gb = pair.g_matrices
+    products = gb[:, None] @ gb
+    gg, gg_res = span_coords(products - products.transpose(1, 0, 2, 3), pair.g.basis)
+    mm, mm_res = span_coords(-pair.Rm, pair.g.basis)
+    if max(gg_res, mm_res) > DEFAULT_TOL.rank_abs:
+        raise InvalidPairError("a bracket of g + m escapes g")
+    k, G = len(gb), pair.g_on_m
+    dim = k + 2 * pair.dim
     table = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if i < k and j < k:
-                w = gb[i] @ gb[j] - gb[j] @ gb[i]
-                out = np.concatenate([g_coords(w), np.zeros(N2)])
-            elif i < k <= j:
-                x = gb[i] @ mb[j - k]
-                out = np.concatenate([np.zeros(k), span_coords(x, mb)[0]])
-            else:
-                w = -pair.real_curvature(mb[i - k], mb[j - k])
-                out = np.concatenate([g_coords(w), np.zeros(N2)])
-            table[i, j] = out
-            table[j, i] = -out
+    table[:k, :k, :k] = gg
+    table[:k, k:, k:] = G
+    table[k:, :k, k:] = -G.transpose(1, 0, 2)
+    table[k:, k:, :k] = mm
 
-    jac = 0.0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for l in range(j + 1, dim):
-                # [[i,j],l] + [[j,l],i] + [[l,i],j]
-                t1 = np.einsum("a,ab->b", table[i, j], table[:, l])
-                t2 = np.einsum("a,ab->b", table[j, l], table[:, i])
-                t3 = np.einsum("a,ab->b", table[l, i], table[:, j])
-                jac = max(jac, float(np.abs(t1 + t2 + t3).max()))
+    # [[i, j], l] + [[j, l], i] + [[l, i], j], summed in place so that only
+    # two dim^4 arrays are alive at once
+    S = np.einsum("ija,alb->ijlb", table, table)
+    jacobiator = S + S.transpose(2, 0, 1, 3)
+    jacobiator += S.transpose(1, 2, 0, 3)
+    jac = float(np.abs(jacobiator, out=jacobiator).max())
     if jac > DEFAULT_TOL.residual:
         raise InvalidPairError(f"Jacobi identity fails: residual {jac:.2e}")
 
-    image = pair.curvature_image()
-    g_eq = len(image) == pair.g.dim and all(
-        in_real_span(w, pair.g.basis) for w in image)
+    image = pair.curvature_image
+    g_eq = len(image) == pair.g.dim and all(in_real_span(w, pair.g.basis) for w in image)
     return TransvectionAlgebra(pair, dim, table, jac, g_eq, len(image))
 
 
@@ -272,15 +253,12 @@ def symspace_report(pair: SymmetricPair, family: str = "?", m: int = 0) -> Symsp
     except InvalidPairError:
         jac_ok, jac_res, g_eq, dim_h = False, float("inf"), False, 0
     ric = ricci_of_map(pair.R)
-    calabi_yau = bool(np.abs(ric).max() < DEFAULT_TOL.residual)
-    degenerate = bool(abs(np.linalg.det(ric)) < DEFAULT_TOL.residual)
     return SymspaceReport(
         family=family, n=pair.n, m=m,
         jacobi=jac_ok, jacobi_residual=jac_res,
         g_equals_image=g_eq,
-        ricci_degenerate=degenerate,
-        calabi_yau=calabi_yau,
+        ricci_degenerate=len(row_space(ric, DEFAULT_TOL.rank_rel)) < pair.dim,
+        calabi_yau=bool(np.abs(ric).max() < DEFAULT_TOL.residual),
         dim_h=dim_h,
-        notes={"dim_g": pair.g.dim,
-               "invariant_residual": pair.invariant_residual()},
+        notes={"dim_g": pair.g.dim, "invariant_residual": pair.invariant_residual},
     )

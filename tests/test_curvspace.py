@@ -169,3 +169,69 @@ def test_invariant_residual_of_encoded(rng):
     p = random_param(2, rng)
     R = param_encode(p)
     assert R.invariant_residual() < 1e-10
+
+
+def _reference_invariant_residual(R, sigma=sigma_involution) -> float:
+    """The curvature-map invariants one index pair or triple at a time:
+    reality, exchange symmetry, and the cyclic sum of R(b_i, b_j) b_k."""
+    N, rho = R.dim_v, R.rho
+    worst = 0.0
+    for i in range(N):
+        for j in range(N):
+            worst = max(worst, np.abs(rho[i, j] + sigma(rho[j, i])).max())
+            for k in range(N):
+                worst = max(worst, np.abs(rho[i, j][:, k] - rho[k, j][:, i]).max())
+    for i in range(N):
+        for j in range(N):
+            for k in range(N):
+                cyc = ((rho[i, j] - rho[j, i])[:, k] + (rho[j, k] - rho[k, j])[:, i]
+                       + (rho[k, i] - rho[i, k])[:, j])
+                worst = max(worst, np.abs(cyc).max())
+    return float(worst)
+
+
+def _reference_real_curvature(rho, x, y):
+    """R(X, Y) for real tangent vectors given by x, y in C^N: R(x, conj y)
+    - R(y, conj x)."""
+    return (np.einsum("i,j,ijab->ab", x, np.conj(y), rho)
+            - np.einsum("i,j,ijab->ab", y, np.conj(x), rho))
+
+
+def _perturbed_maps(rng):
+    """Encoded maps at n = 1, 2, each also with a seeded random perturbation
+    of rho that breaks every invariant but keeps the parabolic block pattern
+    that sigma reads."""
+    maps = []
+    for n in (1, 2):
+        R = param_encode(random_param(n, rng))
+        noise = rng.standard_normal(R.rho.shape) + 1j * rng.standard_normal(R.rho.shape)
+        noise[..., 1:, 0] = noise[..., n + 1, 1:n + 1] = 0
+        maps += [R, CurvatureMap(n, R.rho + 1e-3 * noise)]
+    return maps
+
+
+def test_real_curvature_is_exact(rng):
+    """Every entry of the (2N, 2N, N, N) array equals the pairwise formula
+    on the m-basis (b_k, i b_k), bit for bit."""
+    for R in _perturbed_maps(rng):
+        N = R.dim_v
+        mb = list(np.eye(N)) + list(1j * np.eye(N))
+        Rm = R.real_curvature()
+        assert Rm.shape == (2 * N, 2 * N, N, N)
+        for a, x in enumerate(mb):
+            for b, y in enumerate(mb):
+                assert np.array_equal(Rm[a, b], _reference_real_curvature(R.rho, x, y))
+
+
+def test_invariant_residual_matches_loop_oracle(suite, rng):
+    """The whole-array residual agrees with the index loops to rounding, on
+    encoded and perturbed maps and on solved maps of algebras of real
+    matrices (sigma = np.conj)."""
+    cases = [(R, sigma_involution) for R in _perturbed_maps(rng)]
+    for _, alg in _oracle_cases(suite, rng):
+        sigma = curvspace._default_sigma(alg)
+        cases += [(R, sigma) for R in solve_curvature_space(alg)]
+    assert any(sigma is np.conj for _, sigma in cases)
+    for R, sigma in cases:
+        ref = _reference_invariant_residual(R, sigma)
+        assert abs(R.invariant_residual(sigma) - ref) <= 1e-15 * max(ref, 1.0)

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from lkholonomy.curvspace import CurvatureMap, param_decode
-from lkholonomy.lie import MatrixAlgebra
+from lkholonomy.classify import match_algebra
+from lkholonomy.config import DEFAULT_TOL
+from lkholonomy.curvspace import CurvatureMap, param_decode, solve_curvature_space
+from lkholonomy.lie import MatrixAlgebra, real_span_basis, span_coords, span_residual
 from lkholonomy.symspace import (
     InvalidPairError,
     SymmetricPair,
@@ -75,15 +77,123 @@ def test_parameter_validation():
         canonical_pair("z")
 
 
+def _reference_real_curvature(pair, x, y):
+    """R(X, Y) for real tangent vectors given by x, y in C^N: R(x, conj y)
+    - R(y, conj x), one pair at a time."""
+    rho = pair.R.rho
+    return (np.einsum("i,j,ijab->ab", x, np.conj(y), rho)
+            - np.einsum("i,j,ijab->ab", y, np.conj(x), rho))
+
+
+def _reference_m_basis(pair):
+    eye = np.eye(pair.dim, dtype=complex)
+    return list(eye) + list(1j * eye)
+
+
+def _reference_pair_checks(pair):
+    """The pair checks one pair of m-basis vectors at a time: the largest
+    fit residual of the curvature image in g, and the largest violation of
+    g-invariance [A, R(X, Y)] = R(AX, Y) + R(X, AY)."""
+    mb = _reference_m_basis(pair)
+    pairs = [(x, y) for i, x in enumerate(mb) for y in mb[i + 1:]]
+    vals = [_reference_real_curvature(pair, x, y) for x, y in pairs]
+    image = real_span_basis([w for w in vals if np.abs(w).max() > DEFAULT_TOL.coeff_zero])
+    image_res = max((span_residual(w, pair.g.basis) for w in image), default=0.0)
+    ginv = 0.0
+    for A in pair.g.basis:
+        for x, y in pairs:
+            w = _reference_real_curvature(pair, x, y)
+            rhs = (_reference_real_curvature(pair, A @ x, y)
+                   + _reference_real_curvature(pair, x, A @ y))
+            ginv = max(ginv, np.abs(A @ w - w @ A - rhs).max())
+    return image_res, float(ginv)
+
+
+def _perturbed_pairs(rng):
+    """Each canonical pair and two seeded random perturbations of its rho:
+    one along the solved curvature maps of g, which can break g-invariance
+    only, and one that breaks every check but keeps the parabolic block
+    pattern that sigma reads."""
+    out = []
+    for family, n, m in ALL_CASES:
+        pair = canonical_pair(family, n, m)
+        solved = np.array([S.rho for S in solve_curvature_space(pair.g)])
+        along = np.tensordot(rng.standard_normal(len(solved)), solved, 1)
+        noise = rng.standard_normal(pair.R.rho.shape) + 1j * rng.standard_normal(pair.R.rho.shape)
+        noise[..., 1:, 0] = noise[..., n + 1, 1:n + 1] = 0
+        out += [pair] + [SymmetricPair(n, pair.g, CurvatureMap(n, pair.R.rho + 1e-3 * d))
+                         for d in (along, noise)]
+    return out
+
+
+def test_pair_residual_matches_loop_oracle(rng):
+    """The whole-array pair residual agrees with the loops to rounding."""
+    for pair in _perturbed_pairs(rng):
+        ref = max(pair.R.invariant_residual(), *_reference_pair_checks(pair))
+        assert abs(pair.invariant_residual - ref) <= 1e-14 * max(ref, 1.0)
+
+
 def test_transvection_brackets_reproduce_curvature():
-    pair = canonical_pair("d", 1)
-    tr = build_transvection(pair)
-    k = pair.g.dim
-    mb = pair._m_basis()
-    # [X, Y] for m-indices i, j equals -R(X, Y) expanded in the g-basis
-    for i in range(len(mb)):
-        for j in range(len(mb)):
-            coef = tr.table[k + i, k + j, :k]
-            got = sum(c * b for c, b in zip(coef, pair.g.basis))
-            want = -pair.real_curvature(mb[i], mb[j])
-            assert np.abs(got - want).max() < 1e-10
+    """[X, Y] for m-indices i, j equals -R(X, Y) expanded in the g-basis,
+    and [A, X] is A X expanded in the m-basis."""
+    for family, n, m in ALL_CASES:
+        pair = canonical_pair(family, n, m)
+        tr = build_transvection(pair)
+        k = pair.g.dim
+        mb = _reference_m_basis(pair)
+        for i, x in enumerate(mb):
+            for j, y in enumerate(mb):
+                got = np.tensordot(tr.table[k + i, k + j, :k], pair.g.basis, 1)
+                want = -_reference_real_curvature(pair, x, y)
+                assert np.abs(got - want).max() < 1e-10
+            assert np.abs(tr.table[k + i, k + j, k:]).max() == 0
+        for a, A in enumerate(pair.g.basis):
+            for i, x in enumerate(mb):
+                got = np.tensordot(tr.table[a, k + i, k:], mb, 1)
+                assert np.abs(got - A @ x).max() < 1e-10
+
+
+def test_ricci_flag_is_scale_free():
+    """c with R scaled by 1e-6 is homothetic to c: its Ricci form is still
+    nondegenerate, although its determinant is below Tolerances.residual."""
+    pair = canonical_pair("c")
+    small = SymmetricPair(0, pair.g, CurvatureMap(0, 1e-6 * pair.R.rho))
+    rep = symspace_report(small, "c")
+    assert rep.jacobi
+    assert not rep.ricci_degenerate
+    assert not rep.calabi_yau
+
+
+EXPECTED_FAMILY = {"a": "G3", "b": "G3", "c": "G2", "d": "GKL", "e": "GKL"}
+
+
+@pytest.mark.parametrize("family,n,m", ALL_CASES)
+def test_pair_agrees_with_berger_solve_and_matcher(family, n, m):
+    """R lies in the real span of the Berger solve of g, and g matches its
+    listed family: GK for f(n, n), GKJL for f(n, m < n)."""
+    pair = canonical_pair(family, n, m)
+    solved = solve_curvature_space(pair.g)
+    assert span_coords(pair.R.rho, [S.rho for S in solved])[1] <= DEFAULT_TOL.rank_abs
+    want = EXPECTED_FAMILY.get(family, "GK" if m == n else "GKJL")
+    assert match_algebra(pair.g).family == want
+
+
+@pytest.mark.parametrize("family,n,m", [("f", 1, 1), ("f", 2, 1), ("f", 3, 3)])
+def test_g_invariance_is_enforced(family, n, m):
+    """Solved curvature maps of g satisfy every curvature-map invariant and
+    have their image in g, but most are not g-invariant; build_transvection
+    rejects exactly those."""
+    g = canonical_pair(family, n, m).g
+    rejected = 0
+    for R in solve_curvature_space(g):
+        pair = SymmetricPair(n, g, R)
+        image_res, ginv = _reference_pair_checks(pair)
+        assert R.invariant_residual() < 1e-10
+        assert image_res < 1e-10
+        if ginv > DEFAULT_TOL.rank_abs:
+            rejected += 1
+            with pytest.raises(InvalidPairError):
+                build_transvection(pair)
+        else:
+            assert build_transvection(pair).jacobi_residual < 1e-10
+    assert rejected > 0
