@@ -6,6 +6,7 @@ Exit codes: 0 = expectations verified, 1 = input error (a usage error too),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -41,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="lkholonomy")
     sp = ap.add_subparsers(dest="command", required=True)

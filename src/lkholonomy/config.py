@@ -23,7 +23,8 @@ class Tolerances:
         conditions but the first, theta = 0, the block form of A1 in _n0_of,
         CurvatureParam symmetry, the n = 0 matcher's lower-left entry, the
         family rule's zero a-parts, a real point kept for the holonomy
-        span, a symmetric pair's Jacobi identity and Calabi-Yau flag.
+        span, a symmetric pair's Calabi-Yau flag, and its Jacobi identity
+        (relative to max(largest structure constant squared, 1)).
     rank_rel 1e-9, relative to the largest singular value: the rank rule's cut
         for every span and for a symmetric pair's Ricci degeneracy flag.
         Relative to max(largest entry, 1): block-pattern fits, span

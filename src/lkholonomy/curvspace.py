@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .lie import MatrixAlgebra, null_space, real_span_basis, row_space, sigma_involution
+from .lie import MatrixAlgebra, null_space, row_space, sigma_involution, unflatten
 
 
 @dataclass
@@ -66,40 +66,54 @@ def _default_sigma(alg: MatrixAlgebra):
         return np.conj
 
 
-def solve_curvature_space(alg: MatrixAlgebra) -> list[CurvatureMap]:
-    """Basis of the real solution space of the two linear conditions
-    rho[i,j] = -sigma(rho[j,i]) and rho[i,j] b_k = rho[k,j] b_i, with all
-    values constrained to span_C(g).
+def _exchange_rows(M: np.ndarray) -> np.ndarray:
+    """Rows of sum_e x[a, e] M[j, e][s, b] - x[b, e] M[j, e][s, a] = 0 over
+    j, a < b and s, in the unknowns x (N, d), for M of shape (J, d, N, N)."""
+    J, d, N, _ = M.shape
+    ii, kk = np.triu_indices(N, 1)
+    X = np.zeros((len(ii), J, N, N, d), complex)
+    X[np.arange(len(ii)), :, :, ii] = M[..., kk].transpose(3, 0, 2, 1)
+    X[np.arange(len(ii)), :, :, kk] = -M[..., ii].transpose(3, 0, 2, 1)
+    return X.reshape(-1, N * d)
 
-    The exchange condition is complex-linear and the same for every slot j:
-    its null space parametrizes rho[:, j] = sum_e t[j, e] E[:, e].  sigma is
-    anti-linear, so reality for i <= j (i > j is sigma of it) is a real
-    system in (Re t, Im t) that applies sigma to the matrices E only."""
-    if alg.dim == 0:
-        return []
+
+def _complex_solutions(alg: MatrixAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows rho (k, N^4) spanning Z = W & tau W over C, and their
+    images under tau rho[i, j] = -sigma(rho[j, i]).  W, the exchange null
+    space, parametrizes rho[:, j] = sum_e t[j, e] E[:, e] with orthonormal E.
+    tau rho is in W iff the columns of -sum_e conj(t[i, e]) sigma(E[j, e])
+    satisfy the exchange condition: conjugated, one complex null space in t."""
     sigma = _default_sigma(alg)
     N = alg.n + 2
     B = np.array(_complex_span_basis(alg.basis))  # (c, N, N)
-    ii, kk = np.triu_indices(N, 1)  # exchange rows (i < k, s), unknowns (i, b)
-    X = np.zeros((len(ii), N, N, len(B)), complex)
-    X[np.arange(len(ii)), :, ii, :] = B[:, :, kk].transpose(2, 1, 0)
-    X[np.arange(len(ii)), :, kk, :] = -B[:, :, ii].transpose(2, 1, 0)
-    K = null_space(X.reshape(len(ii) * N, -1), DEFAULT_TOL.rank_rel).conj().T.reshape(N, len(B), -1)
+    K = null_space(_exchange_rows(B[None]), DEFAULT_TOL.rank_rel).conj().T.reshape(N, len(B), -1)
     d = K.shape[2]
     if d == 0:
-        return []
+        return np.zeros((0, N ** 4)), np.zeros((0, N ** 4))
     E = np.einsum("ibe,bst->iest", K, B)  # (N, d, N, N)
     S = np.array([[sigma(E[i, e]) for e in range(d)] for i in range(N)])
-    # reality rows (i <= j, s, t): t[j] . E[i] + conj(t[i]) . S[j]
-    ii, jj = np.triu_indices(N)
-    lin, anti = np.zeros((2, len(ii), N * N, N, d), complex)
-    lin[np.arange(len(ii)), :, jj, :] = E[ii].reshape(-1, d, N * N).transpose(0, 2, 1)
-    anti[np.arange(len(ii)), :, ii, :] = S[jj].reshape(-1, d, N * N).transpose(0, 2, 1)
-    plus, minus = (lin + anti).reshape(-1, N * d), (lin - anti).reshape(-1, N * d)
-    Y = null_space(np.block([[plus.real, -minus.imag], [plus.imag, minus.real]]),
+    t = null_space(_exchange_rows(S.conj()), DEFAULT_TOL.rank_rel).conj().reshape(-1, d)
+    # rho_l[i, j] = sum_e t_l[j, e] E[i, e], tau rho_l[i, j] = -sum_e conj(t_l[i, e]) S[j, e]
+    rho = (t @ E.transpose(1, 0, 2, 3).reshape(d, -1)).reshape(-1, N, N, N, N)
+    tau = -(t.conj() @ S.transpose(1, 0, 2, 3).reshape(d, -1))
+    return rho.transpose(0, 2, 1, 3, 4).reshape(-1, N ** 4), tau.reshape(-1, N ** 4)
+
+
+def solve_curvature_space(alg: MatrixAlgebra) -> list[CurvatureMap]:
+    """Basis of the real solution space of rho[i,j] = -sigma(rho[j,i]) and
+    rho[i,j] b_k = rho[k,j] b_i, values in span_C(g): the tau-fixed points of
+    Z.  tau is an anti-unitary involution of Z, so T[l, m] = <rho_l, tau rho_m>
+    is unitary and symmetric, and the fixed points a = T conj(a) are a null
+    space whose singular values are 0 and 2 only."""
+    if alg.dim == 0:
+        return []
+    rho, tau = _complex_solutions(alg)
+    k, N = len(rho), alg.n + 2
+    T = rho.conj() @ tau.T
+    a = null_space(np.block([[T.real - np.eye(k), T.imag], [T.imag, -T.real - np.eye(k)]]),
                    DEFAULT_TOL.rank_rel)
-    T = (Y[:, :N * d] + 1j * Y[:, N * d:]).reshape(-1, N, d)
-    return [CurvatureMap(alg.n, r) for r in np.einsum("kje,iest->kijst", T, E)]
+    return [CurvatureMap(alg.n, r)
+            for r in ((a[:, :k] + 1j * a[:, k:]) @ rho).reshape(-1, N, N, N, N)]
 
 
 def berger_check(alg: MatrixAlgebra) -> dict:
@@ -107,10 +121,11 @@ def berger_check(alg: MatrixAlgebra) -> dict:
     generates; alg is Berger iff that span is all of alg."""
     maps = solve_curvature_space(alg)
     N = alg.n + 2
-    # R(b_i, b_j) and R(i b_i, b_j) of every map
-    span = real_span_basis([w for R in maps for w in R.real_curvature()[:, :N].reshape(-1, N, N)
-                            if np.abs(w).max() > DEFAULT_TOL.coeff_zero])
-    generated = MatrixAlgebra(alg.n, span)
+    # R(b_i, b_j) and R(i b_i, b_j) of every map, one real row (Re, Im) each
+    W = np.reshape([R.real_curvature()[:, :N] for R in maps], (-1, N * N))
+    W = W[np.abs(W).max(axis=1) > DEFAULT_TOL.coeff_zero]
+    span = row_space(np.hstack([W.real, W.imag]), DEFAULT_TOL.rank_rel)
+    generated = MatrixAlgebra(alg.n, [unflatten(row, (N, N)) for row in span])
     contained = all(alg.contains(b) for b in generated.basis)
     return {
         "dim_R_space": len(maps),
@@ -146,18 +161,10 @@ class CurvatureParam:
 
     def __post_init__(self):
         n = self.n
-        if self.N_vec is None:
-            self.N_vec = np.zeros(n, complex)
-        if self.K is None:
-            self.K = np.zeros(n, complex)
-        if self.T is None:
-            self.T = np.zeros((n, n), complex)
-        if self.R0 is None:
-            self.R0 = np.zeros((n, n, n, n), complex)
-        if self.P is None:
-            self.P = np.zeros((n, n, n), complex)
-        if self.A is None:
-            self.A = np.zeros((n, n), complex)
+        for name, shape in (("N_vec", (n,)), ("K", (n,)), ("T", (n, n)), ("R0", (n,) * 4),
+                            ("P", (n,) * 3), ("A", (n, n))):
+            if getattr(self, name) is None:
+                setattr(self, name, np.zeros(shape, complex))
 
     def validate(self):
         n, tol = self.n, DEFAULT_TOL.residual

@@ -105,7 +105,7 @@ def build_transvection(pair: SymmetricPair) -> TransvectionAlgebra:
     jacobiator = S + S.transpose(2, 0, 1, 3)
     jacobiator += S.transpose(1, 2, 0, 3)
     jac = float(np.abs(jacobiator, out=jacobiator).max())
-    if jac > DEFAULT_TOL.residual:
+    if jac > DEFAULT_TOL.residual * max(np.abs(table).max() ** 2, 1.0):
         raise InvalidPairError(f"Jacobi identity fails: residual {jac:.2e}")
 
     image = pair.curvature_image

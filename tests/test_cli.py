@@ -4,7 +4,7 @@ import json
 import pytest
 
 from lkholonomy import serialization as S
-from lkholonomy.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
+from lkholonomy.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, build_parser, main
 
 
 def _write(tmp_path, name, obj):
@@ -104,6 +104,25 @@ def test_usage_errors_are_input_errors(argv, capsys):
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_survives_errors(tmp_path, capsys):
+    """main() reuses one parser per process: a usage error, a valid call and
+    an unknown flag in a row exit 1, 0 and 1, and the valid report is the
+    one a fresh parser writes."""
+    out = str(tmp_path / "rep.json")
+    valid = ["symspace", "--family", "f", "--n", "2", "--m", "1", "--out", out]
+    build_parser.cache_clear()
+    assert main(valid) == EXIT_OK
+    with open(out, "rb") as fh:
+        fresh = fh.read()
+    codes = [main(["symspace", "--family", "z"]), main(valid),
+             main(["catalog", "--n", "1", "--bogus"])]
+    assert codes == [EXIT_INPUT, EXIT_OK, EXIT_INPUT]
+    with open(out, "rb") as fh:
+        assert fh.read() == fresh
+    assert build_parser.cache_info().misses == 1
+    capsys.readouterr()
 
 
 def test_help_exits_0(capsys):

@@ -16,13 +16,13 @@ from lkholonomy.curvspace import (
     solve_curvature_space,
     _full_algebra,
 )
-from lkholonomy.lie import MatrixAlgebra, flatten, sigma_involution
+from lkholonomy.lie import MatrixAlgebra, flatten, null_space, sigma_involution
 
 
 def test_solution_space_dimensions():
     """Dimensions of the curvature space of the full algebra, against the
     closed form and its frozen values."""
-    for n, dim in ((1, 15), (2, 44), (3, 110), (4, 237)):
+    for n, dim in ((1, 15), (2, 44), (3, 110), (4, 237), (5, 455)):
         assert param_dim(n) == dim
         assert len(solve_curvature_space(_full_algebra(n))) == dim
 
@@ -120,6 +120,47 @@ def test_solve_applies_sigma_per_basis_matrix(monkeypatch):
     monkeypatch.setattr(curvspace, "sigma_involution", counted)
     assert len(solve_curvature_space(_full_algebra(3))) == 110
     assert 0 < len(calls) < 500
+
+
+@pytest.fixture
+def null_space_inputs(monkeypatch):
+    """Every matrix curvspace passes to null_space, in call order."""
+    inputs = []
+
+    def recorded(rows, *args, **kwargs):
+        inputs.append(rows)
+        return null_space(rows, *args, **kwargs)
+
+    monkeypatch.setattr(curvspace, "null_space", recorded)
+    return inputs
+
+
+def test_solve_builds_no_realified_system(null_space_inputs):
+    """Every null space of the solve at n = 3 has at most N d = 230 columns:
+    the reality condition is solved over C, not as a real system in
+    (Re t, Im t) with 2 N d columns."""
+    assert len(solve_curvature_space(_full_algebra(3))) == 110
+    shapes = [rows.shape for rows in null_space_inputs]
+    assert (250, 230) in shapes
+    assert all(cols <= 230 for _, cols in shapes), shapes
+
+
+def test_tau_maps_the_intersection_into_itself(suite, rng, null_space_inputs):
+    """On the orthonormal basis of Z = W & tau W, tau of every row lies in Z,
+    and the tau-split's singular values are 1 or 0 relative to the largest,
+    for every oracle case (np.conj among them) and the full algebra at
+    n = 3."""
+    for name, alg in _oracle_cases(suite, rng) + [("full n=3", _full_algebra(3))]:
+        rho, tau = curvspace._complex_solutions(alg)
+        assert np.abs(rho @ rho.conj().T - np.eye(len(rho))).max(initial=0) <= 1e-12, name
+        assert np.abs(tau - (tau @ rho.conj().T) @ rho).max(initial=0) <= 1e-12, name
+        solve_curvature_space(alg)
+        split = null_space_inputs[-1]
+        assert split.shape == (2 * len(rho), 2 * len(rho)), name
+        s = np.linalg.svd(split, compute_uv=False)
+        rel = s / s[0] if s.size else s
+        assert np.all((np.abs(rel - 1) <= 1e-12) | (rel <= 1e-12)), name
+        assert np.sum(rel > 0.5) == len(rho), name
 
 
 def _param_distance(p, q) -> float:

@@ -164,6 +164,18 @@ def test_ricci_flag_is_scale_free():
     assert not rep.calabi_yau
 
 
+@pytest.mark.parametrize("family,n,m", [("c", 0, 0), ("d", 1, 0), ("f", 2, 1), ("f", 3, 3)])
+def test_jacobi_check_is_scale_free(family, n, m):
+    """R scaled by 1e6 is homothetic to a valid pair: the Jacobi check holds
+    relative to the scale of the structure table (its residual is above
+    Tolerances.residual here), and the report's other flags do not move."""
+    pair = canonical_pair(family, n, m)
+    big = SymmetricPair(n, pair.g, CurvatureMap(n, 1e6 * pair.R.rho))
+    rep, ref = symspace_report(big, family, m), symspace_report(pair, family, m)
+    assert rep.jacobi and rep.g_equals_image and rep.dim_h == ref.dim_h
+    assert (rep.ricci_degenerate, rep.calabi_yau) == (ref.ricci_degenerate, ref.calabi_yau)
+
+
 EXPECTED_FAMILY = {"a": "G3", "b": "G3", "c": "G2", "d": "GKL", "e": "GKL"}
 
 
