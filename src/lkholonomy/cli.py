@@ -17,6 +17,7 @@ from . import serialization as S
 from . import symspace as Y
 from .config import DEFAULT_TOL
 from .curvspace import berger_check
+from .lie import unitary_basis
 
 EXIT_OK, EXIT_INPUT, EXIT_MISMATCH = 0, 1, 2
 
@@ -182,11 +183,7 @@ def _catalog_entries(n: int) -> list[dict]:
                   C.G3Descriptor(gamma=1.0), C.G3Descriptor(gamma=0.0)):
             entries.append({"descriptor": d, "dim": C.family_dim(d)})
         return entries
-    un = [1j * _eij(n, i, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            un.append(_eij(n, i, j) - _eij(n, j, i))
-            un.append(1j * (_eij(n, i, j) + _eij(n, j, i)))
+    un = unitary_basis(n)
     gk = C.KLDescriptor(n, n, [(1.0, np.zeros((n, n), complex))]
                         + [(0.0, A) for A in un])
     entries.append({"descriptor": gk, "dim": C.family_dim(gk)})
@@ -213,12 +210,6 @@ def _catalog_entries(n: int) -> list[dict]:
             except ValueError:
                 continue
     return entries
-
-
-def _eij(n, i, j):
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1.0
-    return m
 
 
 def _cmd_catalog(args) -> int:

@@ -37,7 +37,8 @@ class Tolerances:
         components are noise that a relative rule would promote to full
         rank), the matcher's block checks, least-squares fit residuals (also
         a curvature image escaping an empty g), param_decode's block pattern,
-        a symmetric pair's invariants.
+        and a symmetric pair's closure: [g, g] in g, and R(m, m) in g
+        relative to max(largest entry of R on the m-basis, 1).
     ppwave_translation 1e-7, absolute: pp-wave condition 1, on the a and A
         parts of every holonomy basis element.
     sigma_fit 1e-5, relative to max(largest entry, 1): how far a holonomy

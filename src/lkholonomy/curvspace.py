@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .lie import MatrixAlgebra, null_space, row_space, sigma_involution, unflatten
+from .lie import MatrixAlgebra, null_space, row_space, sigma_involution, unflatten, unitary_basis
 
 
 @dataclass
@@ -116,20 +116,30 @@ def solve_curvature_space(alg: MatrixAlgebra) -> list[CurvatureMap]:
             for r in ((a[:, :k] + 1j * a[:, k:]) @ rho).reshape(-1, N, N, N, N)]
 
 
+def curvature_image(maps: list[CurvatureMap]) -> list[np.ndarray]:
+    """Orthonormal real basis of the span of every value R(X, Y) of the maps.
+    R is skew, R(iX, iY) = R(X, Y) and R(i b_a, b_b) = R(i b_b, b_a), so the
+    N^2 values R(b_a, b_b) for a < b and R(i b_a, b_b) for a <= b are all of
+    them; values at or below coeff_zero are dropped."""
+    if not maps:
+        return []
+    N = maps[0].dim_v
+    skew, sym = np.triu_indices(N, 1), np.triu_indices(N)
+    W = np.reshape([np.concatenate([Rm[skew], Rm[N:][sym]])
+                    for Rm in (R.real_curvature() for R in maps)], (-1, N * N))
+    W = W[np.abs(W).max(axis=1) > DEFAULT_TOL.coeff_zero]
+    return [unflatten(row, (N, N))
+            for row in row_space(np.hstack([W.real, W.imag]), DEFAULT_TOL.rank_rel)]
+
+
 def berger_check(alg: MatrixAlgebra) -> dict:
     """Span of all curvature images, as the sigma-fixed real algebra it
     generates; alg is Berger iff that span is all of alg."""
     maps = solve_curvature_space(alg)
-    N = alg.n + 2
-    # R(b_i, b_j) and R(i b_i, b_j) of every map, one real row (Re, Im) each
-    W = np.reshape([R.real_curvature()[:, :N] for R in maps], (-1, N * N))
-    W = W[np.abs(W).max(axis=1) > DEFAULT_TOL.coeff_zero]
-    span = row_space(np.hstack([W.real, W.imag]), DEFAULT_TOL.rank_rel)
-    generated = MatrixAlgebra(alg.n, [unflatten(row, (N, N)) for row in span])
-    contained = all(alg.contains(b) for b in generated.basis)
+    generated = MatrixAlgebra(alg.n, curvature_image(maps))
     return {
         "dim_R_space": len(maps),
-        "is_berger": contained and generated.dim == alg.dim,
+        "is_berger": generated.equals(alg),
         "generated": generated,
     }
 
@@ -227,19 +237,9 @@ _SOLUTION_CACHE: dict[int, list[CurvatureMap]] = {}
 
 def _full_algebra(n: int) -> MatrixAlgebra:
     from .classify import KLDescriptor, build_family
-    k_basis = [(1.0, np.zeros((n, n), complex)), (1j, np.zeros((n, n), complex))]
-    for j in range(n):
-        for k in range(j, n):
-            E = np.zeros((n, n), complex)
-            if j == k:
-                E[j, j] = 1j
-                k_basis.append((0.0, E))
-            else:
-                E[j, k] = 1.0
-                E[k, j] = -1.0
-                k_basis.append((0.0, E.copy()))
-                k_basis.append((0.0, 1j * np.abs(E)))
-    return build_family(KLDescriptor(n, n, k_basis))
+    zero = np.zeros((n, n), complex)
+    return build_family(KLDescriptor(n, n, [(1.0, zero), (1j, zero)]
+                                     + [(0.0, A) for A in unitary_basis(n)]))
 
 
 def _solution_basis(n: int) -> list[CurvatureMap]:

@@ -80,8 +80,8 @@ def skew_normal_form(omega: np.ndarray):
     import scipy.linalg  # most of the package's import time, needed only here
 
     omega = np.asarray(omega, dtype=float)
-    scale = max(np.abs(omega).max(), 1.0)
-    if np.abs(omega + omega.T).max() > DEFAULT_TOL.residual * scale:
+    scale = max(np.abs(omega).max(initial=0.0), 1.0)
+    if np.abs(omega + omega.T).max(initial=0.0) > DEFAULT_TOL.residual * scale:
         raise ValueError("input is not skew-symmetric")
     k = omega.shape[0]
     T, Z = scipy.linalg.schur(omega, output="real")
@@ -142,7 +142,7 @@ class RealFormData:
         if len(row_space(real_stack, 0.0, floor=DEFAULT_TOL.rank_rel)) != 2 * k:
             raise ValueError("basis_f does not span a real form (iL0 and L0 intersect)")
         gram = F.conj().T @ F  # gram[k][j] = h(f_j, f_k)
-        if np.abs(gram.real - np.eye(k)).max() > DEFAULT_TOL.rank_rel:
+        if np.abs(gram.real - np.eye(k)).max(initial=0.0) > DEFAULT_TOL.rank_rel:
             raise ValueError("basis_f must be orthonormal for the real part of h")
         # h(f_j, f_k) = delta_jk + i omega_jk  ->  omega_jk = Im gram[k][j]
         self.omega = gram.imag.T.copy()
@@ -171,7 +171,7 @@ class RealFormData:
 
     def is_trivial(self) -> bool:
         """theta = 0, i.e. L_0 contains an h-orthonormal basis."""
-        return np.abs(self.omega).max() <= DEFAULT_TOL.residual
+        return np.abs(self.omega).max(initial=0.0) <= DEFAULT_TOL.residual
 
 
 def adapted_basis(rf: RealFormData) -> np.ndarray:

@@ -132,6 +132,18 @@ class MatrixAlgebra:
                 and all(in_real_span(x, other.basis) for x in self.basis))
 
 
+def unitary_basis(n: int) -> list[np.ndarray]:
+    """The real basis of u(n): i E_jj for each j, then E_jk - E_kj and
+    i (E_jk + E_kj) for each j < k."""
+    E = np.eye(n, dtype=complex)
+    basis = [1j * np.outer(E[j], E[j]) for j in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            Ejk = np.outer(E[j], E[k])
+            basis += [Ejk - Ejk.T, 1j * (Ejk + Ejk.T)]
+    return basis
+
+
 # -- the parabolic 4-tuple model ----------------------------------------------
 
 @dataclass

@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .geometry import MetricJet, metric_from_potential
-from .hermitian import _canonical_f_pair
+from .hermitian import RealFormData
 from .jets import MASK, Jet, JetSpace, _jet, field_mask, field_shift, real_part
 from .jetmat import jmat_exp, jmat_zero
 from .lie import is_anti_hermitian
@@ -121,30 +121,16 @@ def frnm_potential(space: JetSpace, n: int, m: int) -> Jet:
     return real_part(acc) * (-0.5)
 
 
-def canonical_b_matrix(lambdas: list[float], size: int) -> np.ndarray:
-    """Block-diagonal matrix of 2x2 lambda-blocks padded with 1's.
-
-    Each block is the canonical pair f_1, f_2 with h(f_1, f_2) = -i lambda;
-    the columns are what the curvature turns into translations, so this
-    choice is what makes the generated real form carry the prescribed
-    lambda invariants (a column pair with real pairing would produce the
-    untwisted form instead)."""
-    if 2 * len(lambdas) > size:
-        raise ValueError("too many lambda blocks")
-    B = np.eye(size, dtype=complex)
-    for s, lam in enumerate(lambdas):
-        lam = abs(lam)
-        if not lam < 1.0:
-            raise ValueError("|lambda| < 1 required")
-        B[2 * s: 2 * s + 2, 2 * s: 2 * s + 2] = _canonical_f_pair(lam)
-    return B
-
-
 def fl0_potential(space: JetSpace, n: int, m: int, lambdas: list[float],
                   N: int) -> Jet:
     """-Re sum_{j=m+1}^n sum_{alpha=1}^{n-m} i B_{j, m+alpha} conj(z^j)
-    / ((N+alpha)!)^2 * |u|^{2(N+alpha)} u / (N+alpha+1)."""
-    B = canonical_b_matrix(lambdas, n - m)
+    / ((N+alpha)!)^2 * |u|^{2(N+alpha)} u / (N+alpha+1).
+
+    B is the basis of the canonical real form with the given lambdas.  Its
+    columns are what the curvature turns into translations, so this choice
+    makes the generated real form carry the prescribed lambda invariants (a
+    column pair with real pairing would give the untwisted form instead)."""
+    B = RealFormData.from_lambdas(lambdas, n - m).basis_f
     u = space.variable(n + 1)
     ub = space.conj_variable(n + 1)
     acc = space.zero()
@@ -168,7 +154,7 @@ def psi_d_matrix(n: int, m: int, r: int, lambdas: list[float]) -> np.ndarray:
     q = m - r
     D[:q, :q] = 1j * np.eye(q)
     D[:q, q:2 * q] = -np.eye(q)
-    D[q:, 2 * q:] = 1j * canonical_b_matrix(lambdas, n - m)
+    D[q:, 2 * q:] = 1j * RealFormData.from_lambdas(lambdas, n - m).basis_f
     return D
 
 

@@ -10,16 +10,15 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .curvspace import CurvatureMap, ricci_of_map
-from .lie import MatrixAlgebra, in_real_span, real_span_basis, row_space, sigma_involution, span_coords
+from .curvspace import CurvatureMap, curvature_image, ricci_of_map
+from .lie import MatrixAlgebra, row_space, sigma_involution, span_coords
 
 
 @dataclass
 class SymmetricPair:
     """Holonomy algebra g together with a candidate curvature value R.  Its
-    checks read three stages, each computed once, on first use: the real
-    curvature Rm on the m-basis (b_0..b_{N-1}, i b_0..i b_{N-1}), the
-    curvature image, and the invariant residual."""
+    checks read the real curvature Rm on the m-basis (b_0..b_{N-1},
+    i b_0..i b_{N-1}), computed once, on first use."""
 
     n: int
     g: MatrixAlgebra
@@ -45,23 +44,10 @@ class SymmetricPair:
         Am = (self.g_matrices @ np.hstack([eye, 1j * eye])).transpose(0, 2, 1)
         return np.concatenate([Am.real, Am.imag], axis=2)
 
-    @cached_property
-    def curvature_image(self) -> np.ndarray:
-        """Orthonormal real basis of R(m, m), shape (d, N, N)."""
-        N = self.dim
-        vals = self.Rm[np.triu_indices(2 * N, 1)]
-        vals = vals[np.abs(vals).max(axis=(1, 2)) > DEFAULT_TOL.coeff_zero]
-        return np.reshape(real_span_basis(vals), (-1, N, N))
-
-    @cached_property
-    def invariant_residual(self) -> float:
-        """Curvature-map invariants plus: image inside g, and g-invariance
-        of R (the mixed Jacobi identity) [A, R(X, Y)] = R(AX, Y) + R(X, AY)."""
-        Rm, G, A = self.Rm, self.g_on_m, self.g_matrices[:, None, None]
-        moved = np.einsum("iac,cbst->iabst", G, Rm) + np.einsum("ibc,acst->iabst", G, Rm)
-        return max(self.R.invariant_residual(),
-                   span_coords(self.curvature_image, self.g.basis)[1],
-                   float(np.abs(A @ Rm - Rm @ A - moved).max(initial=0.0)))
+    @property
+    def curvature_image(self) -> MatrixAlgebra:
+        """The real span of R(m, m)."""
+        return MatrixAlgebra(self.n, curvature_image([self.R]))
 
 
 class InvalidPairError(ValueError):
@@ -82,14 +68,17 @@ class TransvectionAlgebra:
 
 
 def build_transvection(pair: SymmetricPair) -> TransvectionAlgebra:
-    inv = pair.invariant_residual
-    if inv > DEFAULT_TOL.rank_abs:
-        raise InvalidPairError(f"pair invariants violated: residual {inv:.2e}")
+    """The structure table of h = g + m, if h closes and satisfies the Jacobi
+    identity.  Those two checks are all the pair conditions: closure of
+    [m, m] is R(m, m) inside g; Jacobi on m x m x m is the first Bianchi
+    identity, and on g x m x m it is g-invariance
+    [A, R(X, Y)] = R(AX, Y) + R(X, AY)."""
     gb = pair.g_matrices
     products = gb[:, None] @ gb
     gg, gg_res = span_coords(products - products.transpose(1, 0, 2, 3), pair.g.basis)
     mm, mm_res = span_coords(-pair.Rm, pair.g.basis)
-    if max(gg_res, mm_res) > DEFAULT_TOL.rank_abs:
+    if (gg_res > DEFAULT_TOL.rank_abs
+            or mm_res > DEFAULT_TOL.rank_abs * max(np.abs(pair.Rm).max(), 1.0)):
         raise InvalidPairError("a bracket of g + m escapes g")
     k, G = len(gb), pair.g_on_m
     dim = k + 2 * pair.dim
@@ -109,8 +98,7 @@ def build_transvection(pair: SymmetricPair) -> TransvectionAlgebra:
         raise InvalidPairError(f"Jacobi identity fails: residual {jac:.2e}")
 
     image = pair.curvature_image
-    g_eq = len(image) == pair.g.dim and all(in_real_span(w, pair.g.basis) for w in image)
-    return TransvectionAlgebra(pair, dim, table, jac, g_eq, len(image))
+    return TransvectionAlgebra(pair, dim, table, jac, image.equals(pair.g), image.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -260,5 +248,5 @@ def symspace_report(pair: SymmetricPair, family: str = "?", m: int = 0) -> Symsp
         ricci_degenerate=len(row_space(ric, DEFAULT_TOL.rank_rel)) < pair.dim,
         calabi_yau=bool(np.abs(ric).max() < DEFAULT_TOL.residual),
         dim_h=dim_h,
-        notes={"dim_g": pair.g.dim, "invariant_residual": pair.invariant_residual},
+        notes={"dim_g": pair.g.dim, "invariant_residual": pair.R.invariant_residual()},
     )

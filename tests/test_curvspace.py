@@ -16,7 +16,14 @@ from lkholonomy.curvspace import (
     solve_curvature_space,
     _full_algebra,
 )
-from lkholonomy.lie import MatrixAlgebra, flatten, null_space, sigma_involution
+from lkholonomy.lie import (
+    MatrixAlgebra,
+    flatten,
+    null_space,
+    real_span_basis,
+    row_space,
+    sigma_involution,
+)
 
 
 def test_solution_space_dimensions():
@@ -161,6 +168,29 @@ def test_tau_maps_the_intersection_into_itself(suite, rng, null_space_inputs):
         rel = s / s[0] if s.size else s
         assert np.all((np.abs(rel - 1) <= 1e-12) | (rel <= 1e-12)), name
         assert np.sum(rel > 0.5) == len(rho), name
+
+
+def test_curvature_image_spans_every_real_value(suite, rng, monkeypatch):
+    """curvature_image passes at most N^2 rows per map to its row space, and
+    they span what all (2N)^2 values R(m_a, m_b) of real_curvature span,
+    for every oracle case and the full algebra at n = 3."""
+    shapes = []
+
+    def recorded(rows, *args, **kwargs):
+        shapes.append(rows.shape)
+        return row_space(rows, *args, **kwargs)
+
+    monkeypatch.setattr(curvspace, "row_space", recorded)
+    for name, alg in _oracle_cases(suite, rng) + [("full n=3", _full_algebra(3))]:
+        maps, N = solve_curvature_space(alg), alg.n + 2
+        shapes.clear()
+        image = curvspace.curvature_image(maps)
+        assert all(rows <= len(maps) * N * N for rows, _ in shapes), name
+        ref = real_span_basis([w for R in maps for w in R.real_curvature().reshape(-1, N, N)])
+        assert len(image) == len(ref), name
+        if ref:
+            s = np.linalg.svd(flatten(image + ref), compute_uv=False)
+            assert np.sum(s > 1e-9 * s[0]) == len(ref), name
 
 
 def _param_distance(p, q) -> float:

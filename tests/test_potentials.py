@@ -7,6 +7,7 @@ import pytest
 from lkholonomy import classify as C
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
+from lkholonomy.hermitian import RealFormData
 from lkholonomy.jets import JetSpace
 
 
@@ -59,10 +60,11 @@ def test_fun_skips_generators_above_the_order():
 
 
 def test_canonical_b_matrix_pairing():
-    B = P.canonical_b_matrix([0.5], 2)
+    """The B of fl0_potential and psi_d_matrix: the canonical real form's basis."""
+    B = RealFormData.from_lambdas([0.5], 2).basis_f
     f1, f2 = B[:, 0], B[:, 1]
     assert abs(np.conj(f2) @ f1 - (-0.5j)) < 1e-12
-    B2 = P.canonical_b_matrix([], 3)
+    B2 = RealFormData.from_lambdas([], 3).basis_f
     assert np.abs(B2 - np.eye(3)).max() < 1e-12
 
 

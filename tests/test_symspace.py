@@ -53,6 +53,16 @@ def test_invalid_pair_rejected():
         build_transvection(bad)
 
 
+def test_image_outside_g_rejected():
+    """The curvature of family a with g = i R id: the projection of R(m, m)
+    onto g is zero, so the projected table satisfies the Jacobi identity,
+    and only the closure of [m, m] in g rejects the pair."""
+    base = canonical_pair("a")
+    pair = SymmetricPair(0, MatrixAlgebra(0, [np.diag([1j, 1j])]), base.R)
+    with pytest.raises(InvalidPairError, match="escapes g"):
+        build_transvection(pair)
+
+
 def test_oversized_g_flagged_not_fatal():
     base = canonical_pair("a")
     extra = np.diag([1j, 1j])
@@ -126,11 +136,33 @@ def _perturbed_pairs(rng):
     return out
 
 
-def test_pair_residual_matches_loop_oracle(rng):
-    """The whole-array pair residual agrees with the loops to rounding."""
-    for pair in _perturbed_pairs(rng):
+def _solved_pairs():
+    """Every solved curvature map of each canonical g, as a pair with g."""
+    out = []
+    for family, n, m in ALL_CASES:
+        g = canonical_pair(family, n, m).g
+        out += [SymmetricPair(n, g, R) for R in solve_curvature_space(g)]
+    return out
+
+
+def test_closure_and_jacobi_reject_what_the_loop_oracle_rejects(rng):
+    """The pair conditions checked one pair of m-basis vectors at a time
+    (curvature-map invariants, image in g, g-invariance) reject a pair
+    exactly when build_transvection does, on the perturbed pairs and on
+    every solved curvature map of the canonical g."""
+    cases = _perturbed_pairs(rng) + _solved_pairs()
+    assert len(cases) == 128
+    rejected = 0
+    for pair in cases:
         ref = max(pair.R.invariant_residual(), *_reference_pair_checks(pair))
-        assert abs(pair.invariant_residual - ref) <= 1e-14 * max(ref, 1.0)
+        try:
+            build_transvection(pair)
+        except InvalidPairError:
+            rejected += 1
+            assert ref > DEFAULT_TOL.rank_abs
+        else:
+            assert ref <= DEFAULT_TOL.rank_abs
+    assert 0 < rejected < len(cases)
 
 
 def test_transvection_brackets_reproduce_curvature():
@@ -164,16 +196,19 @@ def test_ricci_flag_is_scale_free():
     assert not rep.calabi_yau
 
 
-@pytest.mark.parametrize("family,n,m", [("c", 0, 0), ("d", 1, 0), ("f", 2, 1), ("f", 3, 3)])
+@pytest.mark.parametrize("family,n,m", ALL_CASES)
 def test_jacobi_check_is_scale_free(family, n, m):
-    """R scaled by 1e6 is homothetic to a valid pair: the Jacobi check holds
-    relative to the scale of the structure table (its residual is above
-    Tolerances.residual here), and the report's other flags do not move."""
+    """R scaled by 1e-6, 1e6 or 1e10 is homothetic to a valid pair: closure
+    and the Jacobi identity hold relative to the scale of R and of the
+    structure table, and the report's other flags do not move."""
     pair = canonical_pair(family, n, m)
-    big = SymmetricPair(n, pair.g, CurvatureMap(n, 1e6 * pair.R.rho))
-    rep, ref = symspace_report(big, family, m), symspace_report(pair, family, m)
-    assert rep.jacobi and rep.g_equals_image and rep.dim_h == ref.dim_h
-    assert (rep.ricci_degenerate, rep.calabi_yau) == (ref.ricci_degenerate, ref.calabi_yau)
+    ref = symspace_report(pair, family, m)
+    for scale in (1e-6, 1e6, 1e10):
+        scaled = SymmetricPair(n, pair.g, CurvatureMap(n, scale * pair.R.rho))
+        rep = symspace_report(scaled, family, m)
+        assert rep.jacobi and rep.g_equals_image and rep.dim_h == ref.dim_h, scale
+        assert (rep.ricci_degenerate, rep.calabi_yau) == (ref.ricci_degenerate,
+                                                          ref.calabi_yau), scale
 
 
 EXPECTED_FAMILY = {"a": "G3", "b": "G3", "c": "G2", "d": "GKL", "e": "GKL"}
