@@ -86,6 +86,15 @@ class KLDescriptor:
             return "GKJL"
         return "BERGER_GK"
 
+    def k_matrix(self, a, A) -> np.ndarray:
+        """The action of (a, A) on C^n: A on C^m, Im a (iE + theta) on C^{n-m}."""
+        out = _zmat(self.n)
+        out[:self.m, :self.m] = A
+        if self.n > self.m:
+            out[self.m:, self.m:] = complex(a).imag * (1j * np.eye(self.n - self.m)
+                                                       + self.real_form.theta)
+        return out
+
 
 def _a_is_zero(a) -> bool:
     """Both parts of a below Tolerances.residual: the family rule's one test."""
@@ -184,12 +193,7 @@ def build_family(d) -> MatrixAlgebra:
         if not 0 <= m <= n:
             raise ValueError("a (k, L) family needs 0 <= m <= n")
         _check_k_antihermitian([A for _, A in d.k_basis])
-        theta = _zmat(0) if d.real_form is None else d.real_form.theta
-        for a, A in d.k_basis:
-            Afull = _zmat(n)
-            Afull[:m, :m] = A
-            Afull[m:, m:] = complex(a).imag * (1j * np.eye(n - m) + theta)
-            basis.append(_embed(n, a=a, A=Afull))
+        basis += [_embed(n, a=a, A=d.k_matrix(a, A)) for a, A in d.k_basis]
         basis += _translations(n, range(m)) + [_embed(n, Z=Z) for Z in _l0_vectors(d)]
         return MatrixAlgebra(n, basis)
 

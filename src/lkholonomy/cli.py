@@ -183,32 +183,26 @@ def _catalog_entries(n: int) -> list[dict]:
                   C.G3Descriptor(gamma=1.0), C.G3Descriptor(gamma=0.0)):
             entries.append({"descriptor": d, "dim": C.family_dim(d)})
         return entries
-    un = unitary_basis(n)
     gk = C.KLDescriptor(n, n, [(1.0, np.zeros((n, n), complex))]
-                        + [(0.0, A) for A in un])
+                        + [(0.0, A) for A in unitary_basis(n)])
     entries.append({"descriptor": gk, "dim": C.family_dim(gk)})
     for m in range(n):
-        um = [A[:m, :m].copy() for A in un if np.abs(A[:m, :m]).max(initial=0) > 0]
         jl = C.KLDescriptor(n, m, [(1j, np.zeros((m, m), complex))]
-                            + [(0.0, A) for A in um])
+                            + [(0.0, A) for A in unitary_basis(m)])
         entries.append({"descriptor": jl, "dim": C.family_dim(jl)})
     for m in range(n + 1):
-        um = [A[:m, :m].copy() for A in un if np.abs(A[:m, :m]).max(initial=0) > 0]
-        kl = C.KLDescriptor(n, m, [(0.0, A) for A in um])
+        kl = C.KLDescriptor(n, m, [(0.0, A) for A in unitary_basis(m)])
         entries.append({"descriptor": kl, "dim": C.family_dim(kl)})
     for r in range(1, n + 1):
+        # k0 = su(r): psi maps into the centre i R of u(r), which k0 must avoid
+        ur = unitary_basis(r)
+        su = [ur[j] - ur[j + 1] for j in range(r - 1)] + ur[r:]
         for m in range(r, n + 1):
             n_psi = 2 * (m - r) + (n - m)
-            if n_psi == 0:
-                continue
-            psi = [1j * np.eye(r, dtype=complex) for _ in range(n_psi)]
-            ur = [A[:r, :r].copy() for A in un
-                  if np.abs(A[:r, :r]).max(initial=0) > 0]
-            try:
-                d = C.GK0PsiDescriptor(n, m, r, ur, psi)
+            if n_psi:
+                psi = [1j * np.eye(r, dtype=complex) for _ in range(n_psi)]
+                d = C.GK0PsiDescriptor(n, m, r, su, psi)
                 entries.append({"descriptor": d, "dim": C.family_dim(d)})
-            except ValueError:
-                continue
     return entries
 
 

@@ -10,7 +10,7 @@ class Tolerances:
 
     exact_zero 1e-14, absolute: a unit-size descriptor parameter is exactly 0
         (psi images, the real part of a unit gamma).
-    coeff_zero 1e-12, absolute: a jet's constant term, a profile or pivot
+    coeff_zero 1e-12, absolute: a jet's constant term, a profile
         coefficient, Im gamma, a curvature image, the margin of |lambda| < 1;
         relative to max(largest coefficient, 1) in Jet.is_real_valued and
         Jet.divide_power.
@@ -20,13 +20,16 @@ class Tolerances:
         1): a quantity that is zero in exact arithmetic, or a determinant taken
         as zero.  Anti-Hermitian, skew, trace and commutator checks, reality
         of a potential, the Walker form and nondegeneracy, the pp-wave
-        conditions but the first, theta = 0, the block form of A1 in _n0_of,
-        CurvatureParam symmetry, the n = 0 matcher's lower-left entry, the
-        family rule's zero a-parts, a real point kept for the holonomy
-        span, a symmetric pair's Calabi-Yau flag, and its Jacobi identity
-        (relative to max(largest structure constant squared, 1)).
+        conditions but the first, theta = 0, CurvatureParam symmetry, the
+        n = 0 matcher's lower-left entry, the family rule's zero a-parts
+        (also the scalar generators of build_potential), a real point kept
+        for the holonomy span, a symmetric pair's Jacobi identity (relative
+        to max(largest structure constant squared, 1)) and its Calabi-Yau
+        flag (relative to the largest entry of R on the m-basis, with no
+        floor, so that a homothety of R leaves it unchanged).
     rank_rel 1e-9, relative to the largest singular value: the rank rule's cut
-        for every span and for a symmetric pair's Ricci degeneracy flag.
+        for every span, for the kernel of A1 in build_potential and for a
+        symmetric pair's Ricci degeneracy flag.
         Relative to max(largest entry, 1): block-pattern fits, span
         membership, the skew normal form, jmat_sqrt's Hermitian part.
         Absolute at unit scale: zero tests on orthonormal rows in the matcher,

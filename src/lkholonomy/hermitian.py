@@ -156,7 +156,9 @@ class RealFormData:
 
     @staticmethod
     def from_lambdas(lambdas: list[float], n_minus_m: int) -> "RealFormData":
-        """Synthesize the canonical real form with the given block invariants."""
+        """Synthesize the canonical real form with the given block invariants.
+        It keeps the lambdas it was given, not their recomputation from
+        omega, so that its basis can be rebuilt exactly from them."""
         if 2 * len(lambdas) > n_minus_m:
             raise ValueError("too many lambda blocks for the dimension")
         F = np.eye(n_minus_m, dtype=complex)
@@ -164,7 +166,9 @@ class RealFormData:
             if not abs(lam) < 1.0:
                 raise ValueError("|lambda_k| < 1 required")
             F[2 * s : 2 * s + 2, 2 * s : 2 * s + 2] = _canonical_f_pair(abs(lam))
-        return RealFormData(n_minus_m, F)
+        rf = RealFormData(n_minus_m, F)
+        rf.lambdas = [float(lam) for lam in lambdas]
+        return rf
 
     def tau(self, x: np.ndarray) -> np.ndarray:
         return self.tau_T @ np.conj(x)

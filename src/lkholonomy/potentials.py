@@ -10,12 +10,13 @@ import math
 
 import numpy as np
 
+from .classify import GK0PsiDescriptor, KLDescriptor, _a_is_zero
 from .config import DEFAULT_TOL
 from .geometry import MetricJet, metric_from_potential
 from .hermitian import RealFormData
 from .jets import MASK, Jet, JetSpace, _jet, field_mask, field_shift, real_part
 from .jetmat import jmat_exp, jmat_zero
-from .lie import is_anti_hermitian
+from .lie import is_anti_hermitian, null_space
 
 
 # ---------------------------------------------------------------------------
@@ -42,19 +43,26 @@ def antiderivative(jet: Jet, var: int, holomorphic: bool = True) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def fc_potential(space: JetSpace, a: complex, b: complex) -> Jet:
+def fc_potential(space: JetSpace, *scalars: complex) -> Jet:
     """The v-linear potential whose metric satisfies
-    h_{ubar v} = exp(-i a |u|^2 - (i b / 4) |u|^4).
+    h_{ubar v} = exp(-i sum_alpha a_alpha |u|^{2 alpha} / (alpha!)^2), the
+    scalar a_alpha placed as fun_potential places A_alpha; fc_potential(space,
+    a, b) gives exp(-i a |u|^2 - (i b / 4) |u|^4).
 
     Built by formal antidifferentiation instead of the closed erf form, so
-    it works uniformly in (a, b); the defining identity above is the thing
-    tests pin down."""
+    it works uniformly in the scalars; the defining identity above is the
+    thing tests pin down."""
     n = space.num_coords - 2
-    v = space.variable(0)
     uu = space.variable(n + 1) * space.conj_variable(n + 1)
-    E = (uu * (-1j * a) + (uu * uu) * (-1j * b / 4.0)).exp()
-    g = antiderivative(E, n + 1, holomorphic=False)
-    return real_part(v * g)
+    G = space.zero()
+    upow = space.constant(1.0)
+    for alpha, a in enumerate(scalars, start=1):
+        if 2 * alpha > space.order:
+            break  # |u|^{2 alpha} lies above the order, as in fun_potential
+        upow = upow * uu
+        G = G + upow * (-1j * a / math.factorial(alpha) ** 2)
+    g = antiderivative(G.exp(), n + 1, holomorphic=False)
+    return real_part(space.variable(0) * g)
 
 
 def fun_potential(space: JetSpace, n: int, A_list: list[np.ndarray]) -> Jet:
@@ -84,13 +92,13 @@ def fun_potential(space: JetSpace, n: int, A_list: list[np.ndarray]) -> Jet:
     return f
 
 
-def fcm_potential(space: JetSpace, n: int, m: int, n0: int = 0) -> Jet:
-    """(1/4) Re(i ubar^2 sum_{k=n0+1}^m (z^k)^2)."""
-    ub = space.conj_variable(n + 1)
+def fcm_potential(space: JetSpace, n: int, S: np.ndarray) -> Jet:
+    """(1/4) Re(i ubar^2 z^T S z) for a complex symmetric S on the first
+    len(S) coordinates z^1..z^len(S)."""
     acc = space.zero()
-    for k in range(n0, m):
-        zk = space.variable(1 + k)
-        acc = acc + zk * zk
+    for j, k in zip(*np.nonzero(S)):
+        acc = acc + space.variable(1 + j) * space.variable(1 + k) * S[j, k]
+    ub = space.conj_variable(n + 1)
     return real_part(ub * ub * acc * 0.25j)
 
 
@@ -121,6 +129,27 @@ def frnm_potential(space: JetSpace, n: int, m: int) -> Jet:
     return real_part(acc) * (-0.5)
 
 
+def _translation_potential(space: JetSpace, n: int, D: np.ndarray, N: int) -> Jet:
+    """-Re sum_{j, alpha} D_{j alpha} conj(z^j) |u|^{2p} u / ((p!)^2 (p+1)),
+    p = N + alpha, over the last len(D) coordinates z^j and alpha = 1..D's
+    column count."""
+    u = space.variable(n + 1)
+    ub = space.conj_variable(n + 1)
+    acc = space.zero()
+    first = n - D.shape[0]
+    for j in range(first, n):
+        zbj = space.conj_variable(1 + j)
+        for alpha in range(1, D.shape[1] + 1):
+            p = N + alpha
+            term = zbj * (D[j - first, alpha - 1] / (math.factorial(p) ** 2 * (p + 1)))
+            for _ in range(p + 1):
+                term = term * u
+            for _ in range(p):
+                term = term * ub
+            acc = acc + term
+    return real_part(acc) * (-1.0)
+
+
 def fl0_potential(space: JetSpace, n: int, m: int, lambdas: list[float],
                   N: int) -> Jet:
     """-Re sum_{j=m+1}^n sum_{alpha=1}^{n-m} i B_{j, m+alpha} conj(z^j)
@@ -131,21 +160,7 @@ def fl0_potential(space: JetSpace, n: int, m: int, lambdas: list[float],
     makes the generated real form carry the prescribed lambda invariants (a
     column pair with real pairing would give the untwisted form instead)."""
     B = RealFormData.from_lambdas(lambdas, n - m).basis_f
-    u = space.variable(n + 1)
-    ub = space.conj_variable(n + 1)
-    acc = space.zero()
-    for j in range(m, n):
-        zbj = space.conj_variable(1 + j)
-        for alpha in range(1, n - m + 1):
-            p = N + alpha
-            coeff = 1j * B[j - m, alpha - 1] / (math.factorial(p) ** 2 * (p + 1))
-            term = zbj * coeff
-            for _ in range(p + 1):
-                term = term * u
-            for _ in range(p):
-                term = term * ub
-            acc = acc + term
-    return real_part(acc) * (-1.0)
+    return _translation_potential(space, n, 1j * B, N)
 
 
 def psi_d_matrix(n: int, m: int, r: int, lambdas: list[float]) -> np.ndarray:
@@ -167,82 +182,12 @@ def fpsi_potential(space: JetSpace, n: int, m: int, r: int,
     rotation exactly: only then does the alpha-th Taylor coefficient of the
     curvature carry the rotation block and the translation column together,
     which is what couples each translation to its image under psi."""
-    D = psi_d_matrix(n, m, r, lambdas)
-    u = space.variable(n + 1)
-    ub = space.conj_variable(n + 1)
-    acc = space.zero()
-    for j in range(r, n):
-        zbj = space.conj_variable(1 + j)
-        for alpha in range(1, n + m - 2 * r + 1):
-            coeff = D[j - r, alpha - 1] / (math.factorial(alpha) ** 2 * (alpha + 1))
-            term = zbj * coeff
-            for _ in range(alpha + 1):
-                term = term * u
-            for _ in range(alpha):
-                term = term * ub
-            acc = acc + term
-    return real_part(acc) * (-1.0)
+    return _translation_potential(space, n, psi_d_matrix(n, m, r, lambdas), 0)
 
 
 # ---------------------------------------------------------------------------
 # assembly per family descriptor
 # ---------------------------------------------------------------------------
-
-
-def _split_a_parts(pairs):
-    """Rewrite a basis of k in C + u(n) so that at most two elements carry
-    the scalar part: returns (a, A1), (b, A2), [A3..] (A1/A2 possibly None
-    when there is no scalar part)."""
-    pairs = [(complex(a), np.asarray(A, dtype=complex)) for a, A in pairs]
-    lead: list[int] = []
-    work = [list(p) for p in pairs]
-    for col in range(2):
-        piv = None
-        for i, (a, _) in enumerate(work):
-            if i in lead:
-                continue
-            comp = (a.real, a.imag)[col]
-            if abs(comp) > DEFAULT_TOL.coeff_zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a_p, A_p = work[piv]
-        comp_p = (a_p.real, a_p.imag)[col]
-        for i, (a, A) in enumerate(work):
-            if i == piv:
-                continue
-            comp = (a.real, a.imag)[col]
-            if abs(comp) > DEFAULT_TOL.coeff_zero:
-                t = comp / comp_p
-                work[i][0] = a - t * a_p
-                work[i][1] = A - t * A_p
-        lead.append(piv)
-    scalars = [work[i] for i in lead]
-    rest = [work[i][1] for i in range(len(work)) if i not in lead]
-    a, A1 = scalars[0] if len(scalars) > 0 else (0.0, None)
-    b, A2 = scalars[1] if len(scalars) > 1 else (0.0, None)
-    return (a, A1), (b, A2), rest
-
-
-def _n0_of(A1: np.ndarray | None, m: int) -> int:
-    """Largest n0 with A1 = diag(iso on C^{n0}, 0) in the first m coords."""
-    tol = DEFAULT_TOL.residual
-    if A1 is None:
-        return 0
-    A1 = np.asarray(A1, dtype=complex)[:m, :m]
-    n0 = m
-    while n0 > 0 and max(np.abs(A1[n0 - 1, :]).max(initial=0.0),
-                         np.abs(A1[:, n0 - 1]).max(initial=0.0)) < tol:
-        n0 -= 1
-    block = A1[:n0, :n0]
-    if np.abs(A1[n0:, :n0]).max(initial=0.0) > tol or \
-            np.abs(A1[:n0, n0:]).max(initial=0.0) > tol:
-        raise ValueError("A1 is not in the block form iso + 0; "
-                         "re-express k in an adapted unitary basis")
-    if n0 and abs(np.linalg.det(block)) < tol:
-        raise ValueError("A1 must be an isomorphism on its support")
-    return n0
 
 
 def _embed_u(n: int, A: np.ndarray, size: int) -> np.ndarray:
@@ -253,66 +198,50 @@ def _embed_u(n: int, A: np.ndarray, size: int) -> np.ndarray:
 
 def build_potential(d, order: int = 8) -> Jet:
     """Real potential jet whose metric realizes the holonomy algebra of
-    the given family descriptor."""
-    fam = d.family
+    the given family descriptor.
+
+    For GK, GKJL and GKL the generators carrying a scalar part come first:
+    the alpha-th one puts a_alpha into fc_potential and every generator puts
+    its matrix on C^n into fun_potential.  The first one's A1 has kernel
+    rows X on C^m (A1 conj(x) = 0), and fcm_potential takes S = X^T X, the
+    sum of squares of the coordinates of a unitary basis adapted to A1."""
     n = d.n
     space = JetSpace(n + 2, order)
 
-    if fam == "GK":
-        (a, A1), (b, A2), rest = _split_a_parts(d.k_basis)
-        if abs(a) < DEFAULT_TOL.coeff_zero and abs(b) > DEFAULT_TOL.coeff_zero:
-            a, b = b, a
-            A1, A2 = A2, A1
-        A_list = [A for A in (A1, A2) if A is not None] + rest
-        n0 = _n0_of(A1, n) if abs(a) > DEFAULT_TOL.coeff_zero else 0
-        return (fc_potential(space, a, b)
-                + fun_potential(space, n, A_list)
-                + fcm_potential(space, n, n, n0))
+    if isinstance(d, KLDescriptor) and d.family != "BERGER_GK":
+        fam, m = d.family, d.m
+        pairs = sorted(((complex(a), np.asarray(A, dtype=complex)) for a, A in d.k_basis),
+                       key=lambda p: _a_is_zero(p[0]))
+        scalars = [a for a, _ in pairs if not _a_is_zero(a)]
+        if fam == "GKJL":
+            # frnm_potential is fitted to a = i: one generator carries Im a
+            (a1, A1), rest = pairs[0], pairs[1:]
+            pairs = [(1j, A1 / a1.imag)] + [
+                (0j, A if _a_is_zero(a) else A - (a.imag / a1.imag) * A1) for a, A in rest]
+            scalars = [1j]
+        A1 = pairs[0][1] if scalars else np.zeros((m, m), dtype=complex)
+        X = null_space(A1, DEFAULT_TOL.rank_rel)
+        f = (fc_potential(space, *scalars)
+             + fun_potential(space, n, [d.k_matrix(a, A) for a, A in pairs])
+             + fcm_potential(space, n, X.T @ X))
+        if fam == "GKJL":
+            f = f + frnm_potential(space, n, m)
+        if fam == "GKL":
+            f = f + fl0_potential(space, n, m, d.real_form.lambdas, len(pairs))
+        return f
 
-    if fam == "GKJL":
-        m = d.m
-        pairs = [(complex(a).imag, A) for a, A in d.k_basis]
-        (a2, At1), (b2, At2), rest = _split_a_parts(pairs)
-        a2 = a2.real if isinstance(a2, complex) else a2
-        if abs(a2) < DEFAULT_TOL.coeff_zero or (
-                At2 is not None and abs(b2) > DEFAULT_TOL.coeff_zero):
-            raise ValueError("GKJL needs exactly one generator with a "
-                             "nonzero scalar part")
-        At1 = At1 / a2
-        A1 = np.zeros((n, n), dtype=complex)
-        A1[:m, :m] = At1
-        A1[m:, m:] = 1j * np.eye(n - m)
-        A_list = [A1] + [_embed_u(n, A, m) for A in
-                         ([At2] if At2 is not None else []) + rest]
-        n0 = _n0_of(At1, m)
-        return (fc_potential(space, 1j, 0.0)
-                + fun_potential(space, n, A_list)
-                + fcm_potential(space, n, m, n0)
-                + frnm_potential(space, n, m))
-
-    if fam == "GKL":
-        m = d.m
-        rf = d.real_form
-        lambdas = [] if rf is None else [l for l in rf.lambdas]
-        A_list = [_embed_u(n, A, m) for _, A in d.k_basis]
-        return (fc_potential(space, 0.0, 0.0)
-                + fun_potential(space, n, A_list)
-                + fcm_potential(space, n, m, 0)
-                + fl0_potential(space, n, m, lambdas, len(A_list)))
-
-    if fam == "GK0PSI":
-        m, r = d.m, d.r
-        rf = d.real_form
-        lambdas = [] if rf is None else [l for l in rf.lambdas]
+    if isinstance(d, GK0PsiDescriptor):
+        r = d.r
         A_list = [_embed_u(n, P, r) for P in d.psi_images]
         A_list.append(np.zeros((n, n), dtype=complex))
         A_list.extend(_embed_u(n, A, r) for A in d.k0_basis)
-        return (fc_potential(space, 0.0, 0.0)
+        return (fc_potential(space)
                 + fun_potential(space, n, A_list)
-                + fcm_potential(space, n, r, 0)
-                + fpsi_potential(space, n, m, r, lambdas))
+                + fcm_potential(space, n, np.eye(r))
+                + fpsi_potential(space, n, d.m, r,
+                                 [] if d.real_form is None else d.real_form.lambdas))
 
-    raise ValueError(f"no potential construction for family {fam!r}")
+    raise ValueError(f"no potential construction for family {d.family!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ def _m(rows):
 
 
 def descriptor_suite():
-    """Ten instances spanning the four families at n = 1 and n = 2."""
+    """Eleven instances spanning the four families at n = 1 and n = 2."""
     z00 = np.zeros((0, 0), dtype=complex)
     return [
         # GK, k = C + u(1)
@@ -35,6 +35,8 @@ def descriptor_suite():
         C.GK0PsiDescriptor(2, 2, 1, [], [_m([[1j]]), _m([[2j]])]),
         # GK0PSI, r = m = 1, real psi domain
         C.GK0PsiDescriptor(2, 1, 1, [], [_m([[1j]])]),
+        # GK, the scalar generator's A with its kernel in the first coordinate
+        C.KLDescriptor(2, 2, [(1.0, _m([[0.0, 0.0], [0.0, 1j]]))]),
     ]
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from lkholonomy import classify as C
 from lkholonomy import serialization as S
 from lkholonomy.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, build_parser, main
 
@@ -48,6 +49,30 @@ def test_holonomy_gkjl_without_complex_part(tmp_path, capsys):
     assert main(["holonomy", "--potential", p, "--rmax", "5"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["matched_family"] == "GKJL"
+
+
+@pytest.mark.parametrize("A", [
+    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],   # diag(0, i)
+    [[[0.0, 0.5], [0.0, 0.5]], [[0.0, 0.5], [0.0, 0.5]]],   # i v v^H, v = (1, 1)/sqrt 2
+])
+def test_holonomy_scalar_generator_with_a_kernel_in_any_position(tmp_path, capsys, A):
+    """The scalar-carrying generator's A has a kernel that is not the last
+    coordinates: the potential is built all the same and matches back."""
+    p = _write(tmp_path, "gk.json", {
+        "kind": "descriptor", "order": 9,
+        "descriptor": {"family": "GK", "n": 2, "k_basis": [{"a": [1.0, 0.0], "A": A}]}})
+    assert main(["holonomy", "--potential", p, "--rmax", "5"]) == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["matched_family"], result["dim"]) == ("GK", 6)
+
+
+def test_holonomy_refuses_the_berger_only_family(tmp_path, capsys):
+    p = _write(tmp_path, "berger.json", {
+        "kind": "descriptor",
+        "descriptor": {"family": "BERGER_GK", "n": 2, "m": 0,
+                       "k_basis": [{"a1": 0.0, "a2": 1.0, "A": []}], "lambdas": [0.5]}})
+    assert main(["holonomy", "--potential", p]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: no potential construction for family 'BERGER_GK'\n"
 
 
 def test_holonomy_unknown_match_is_a_report(tmp_path, capsys):
@@ -204,6 +229,17 @@ def test_catalog_dimensions(capsys):
     rep0 = json.loads(capsys.readouterr().out)
     assert {e["descriptor"]["family"] for e in rep0["result"]["families"]} == \
         {"G0", "G1", "G2", "G3"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_catalog_entries_all_build(n, capsys):
+    """Every catalog entry is a realizable descriptor whose listed dimension
+    is that of the algebra it builds."""
+    assert main(["catalog", "--n", str(n)]) == EXIT_OK
+    for entry in json.loads(capsys.readouterr().out)["result"]["families"]:
+        d = S.decode_descriptor(entry["descriptor"])
+        assert C.is_holonomy_realizable(d) == "yes", entry["descriptor"]
+        assert entry["dim"] == C.build_family(d).dim, entry["descriptor"]
 
 
 def test_determinism(tmp_path, gk_potential, capsys):

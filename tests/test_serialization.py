@@ -47,6 +47,14 @@ def test_empty_matrix_roundtrip():
     assert C.same_descriptor(d, C.KLDescriptor(1, 0, [(1j, np.zeros((0, 0), complex))]))
 
 
+@pytest.mark.parametrize("n, lambdas", [(4, [0.3, 0.7]), (2, [0.5])])
+def test_declared_lambdas_roundtrip(n, lambdas):
+    """A real form built from lambdas encodes the lambdas it was given, not
+    their recomputation from omega (0.4999999999999998 for 0.5)."""
+    obj = {"family": "GKL", "n": n, "m": 0, "k_basis": [], "lambdas": lambdas}
+    assert S.encode_descriptor(S.decode_descriptor(obj)) == obj
+
+
 def test_algebra_file_both_forms():
     d = C.G1Descriptor()
     alg1 = S.decode_algebra({"family": "G1"})

@@ -198,12 +198,13 @@ def test_ricci_flag_is_scale_free():
 
 @pytest.mark.parametrize("family,n,m", ALL_CASES)
 def test_jacobi_check_is_scale_free(family, n, m):
-    """R scaled by 1e-6, 1e6 or 1e10 is homothetic to a valid pair: closure
-    and the Jacobi identity hold relative to the scale of R and of the
-    structure table, and the report's other flags do not move."""
+    """R scaled by 1e-11, 1e-6, 1e6 or 1e10 is homothetic to a valid pair:
+    closure, the Jacobi identity and the Calabi-Yau flag hold relative to
+    the scale of R and of the structure table, and the report's other flags
+    do not move."""
     pair = canonical_pair(family, n, m)
     ref = symspace_report(pair, family, m)
-    for scale in (1e-6, 1e6, 1e10):
+    for scale in (1e-11, 1e-6, 1e6, 1e10):
         scaled = SymmetricPair(n, pair.g, CurvatureMap(n, scale * pair.R.rho))
         rep = symspace_report(scaled, family, m)
         assert rep.jacobi and rep.g_equals_image and rep.dim_h == ref.dim_h, scale
