@@ -224,7 +224,7 @@ def _psi_domain_basis(d: GK0PsiDescriptor) -> list[np.ndarray]:
 
 def _validate_psi(d: GK0PsiDescriptor):
     imgs = [np.asarray(P, complex) for P in d.psi_images]
-    if all(np.abs(P).max() < DEFAULT_TOL.exact_zero for P in imgs):
+    if all(np.abs(P).max() < DEFAULT_TOL.coeff_zero for P in imgs):
         raise ValueError("psi must be non-zero")
     if len(imgs) != len(_psi_domain_basis(d)):
         raise ValueError("psi_images length must match the real basis of C^{m-r} + L_0")
@@ -272,9 +272,9 @@ def _mult_i(rows: np.ndarray) -> np.ndarray:
 def _intersect_row_spaces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[0] == 0 or B.shape[0] == 0:
         return A[:0]
-    rel, floor = DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs
-    perp = np.vstack([null_space(A, rel, floor), null_space(B, rel, floor)])
-    return null_space(perp, rel, floor)
+    floor = DEFAULT_TOL.rank_abs
+    perp = np.vstack([null_space(A, floor), null_space(B, floor)])
+    return null_space(perp, floor)
 
 
 def _support_coords(rows: np.ndarray, n: int) -> set[int]:
@@ -306,21 +306,21 @@ def match_algebra(alg: MatrixAlgebra):
 
     # translation structure
     zrows = flatten([x.Z for x in xs])
-    L_full = row_space(zrows, tol, floor)
+    L_full = row_space(zrows, floor)
     k_param_rows = np.array([
         np.concatenate([[x.a.real, x.a.imag], x.A.real.ravel(), x.A.imag.ravel()])
         for x in xs])
-    kernel = null_space(k_param_rows.T, tol, floor)
+    kernel = null_space(k_param_rows.T, floor)
     trans_z = []
     for comb in kernel:
         Z = sum(c * x.Z for c, x in zip(comb, xs))
         if np.abs(Z).max() > tol:
             trans_z.append(Z)
-    V_trans = (row_space(flatten(trans_z), tol, floor) if trans_z
+    V_trans = (row_space(flatten(trans_z), floor) if trans_z
                else np.zeros((0, 2 * n)))
 
     # complex part of L
-    iL = row_space(_mult_i(L_full), tol, floor)
+    iL = row_space(_mult_i(L_full), floor)
     Cm = _intersect_row_spaces(L_full, iL)
     if Cm.shape[0] % 2 != 0:
         return UnknownDescriptor("L cap iL has odd real dimension")
@@ -331,7 +331,7 @@ def match_algebra(alg: MatrixAlgebra):
         return UnknownDescriptor("complex part of L is not aligned with e_1..e_m")
     # L_0: orthogonal complement of C^m inside L (w.r.t. Re h = standard)
     if Cm.shape[0]:
-        L0_rows = row_space(L_full - L_full @ Cm.T @ Cm, tol, floor)
+        L0_rows = row_space(L_full - L_full @ Cm.T @ Cm, floor)
     else:
         L0_rows = L_full
     if _support_coords(L0_rows, n) - set(range(m, n)):
@@ -355,7 +355,7 @@ def match_algebra(alg: MatrixAlgebra):
 
     # the C + u(n) projection
     k_elems = []
-    for row in row_space(k_param_rows, tol, floor):
+    for row in row_space(k_param_rows, floor):
         a = row[0] + 1j * row[1]
         A = unflatten(row[2:], (n, n))
         k_elems.append((a, A))
@@ -385,7 +385,7 @@ def _match_psi(xs, n, m, V_trans, real_form):
     # r = complex dimension of the translation space: the translation space
     # is C^r plus the real directions where psi vanishes; C^r is its maximal
     # complex subspace
-    iV = row_space(_mult_i(V_trans), tol, floor)
+    iV = row_space(_mult_i(V_trans), floor)
     Vc = _intersect_row_spaces(V_trans, iV)
     if Vc.shape[0] % 2:
         return UnknownDescriptor("complex translation part has odd dimension")
@@ -399,7 +399,7 @@ def _match_psi(xs, n, m, V_trans, real_form):
     full_rows = np.array([
         np.concatenate([[x.a.real, x.a.imag], x.Z.real, x.Z.imag]) for x in xs])
     k0 = []
-    for comb in null_space(full_rows.T, tol, floor):
+    for comb in null_space(full_rows.T, floor):
         A = sum(c * x.A for c, x in zip(comb, xs))
         if np.abs(A).max() > tol:
             if np.abs(A[r:, :]).max(initial=0) > floor or np.abs(A[:, r:]).max(initial=0) > floor:
@@ -409,11 +409,8 @@ def _match_psi(xs, n, m, V_trans, real_form):
 
     # psi: for each U-basis vector, the (unique mod k0) u(r) part of the
     # element carrying it; the k0-orthogonal representative is returned.
-    d_stub = GK0PsiDescriptor(n, m, r, k0_basis=k0, psi_images=[np.eye(r) * 1j],
-                              real_form=real_form)
-    u_basis = _psi_domain_basis(d_stub)
-    psi_images = []
-    for X in u_basis:
+    d = GK0PsiDescriptor(n, m, r, k0_basis=k0, psi_images=[], real_form=real_form)
+    for X in _psi_domain_basis(d):
         comb, res = span_coords(X, [x.Z for x in xs])
         if res > floor:
             return UnknownDescriptor("U direction missing from the algebra")
@@ -425,12 +422,8 @@ def _match_psi(xs, n, m, V_trans, real_form):
             inner = np.sum((np.conj(K) * P)).real
             P = P - inner * K
         P = (P - P.conj().T) / 2  # remove numerical Hermitian drift
-        psi_images.append(P)
-    try:
-        return GK0PsiDescriptor(n, m, r, k0_basis=k0, psi_images=psi_images,
-                                real_form=real_form)
-    except ValueError as exc:
-        return UnknownDescriptor(f"psi extraction failed validation: {exc}")
+        d.psi_images.append(P)
+    return d
 
 
 def _match_n0(alg: MatrixAlgebra):
@@ -444,8 +437,7 @@ def _match_n0(alg: MatrixAlgebra):
     has_c = alg.contains(_embed(0, c=1.0))
     diag = [b[0, 0] for b in basis]  # the image of the projection onto the diagonal
     diag_rows = row_space(np.array([[z.real, z.imag] for z in diag])
-                          if diag else np.zeros((0, 2)),
-                          DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs)
+                          if diag else np.zeros((0, 2)), DEFAULT_TOL.rank_abs)
     ddim = diag_rows.shape[0]
     if alg.dim == 3 and has_c and ddim == 2:
         return G1Descriptor()
@@ -464,7 +456,7 @@ def _normalize_gamma(gamma: complex) -> complex:
     Re > 0, or Re = 0 and Im > 0."""
     if gamma == 0:
         return 0.0
-    g, zero = gamma / abs(gamma), DEFAULT_TOL.exact_zero
+    g, zero = gamma / abs(gamma), DEFAULT_TOL.coeff_zero
     if g.real < -zero or (abs(g.real) <= zero and g.imag < 0):
         g = -g
     if abs(g.real) <= zero:
@@ -494,7 +486,7 @@ def same_descriptor(d1, d2) -> bool:
                                 flatten([np.asarray(A, complex)])[0]]) for a, A in kb]
         if not vecs:
             return 0
-        return row_space(np.array(vecs), DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs).shape[0]
+        return row_space(np.array(vecs), DEFAULT_TOL.rank_abs).shape[0]
     return kdim(d1) == kdim(d2)
 
 

@@ -22,11 +22,15 @@ from .lie import unitary_basis
 EXIT_OK, EXIT_INPUT, EXIT_MISMATCH = 0, 1, 2
 
 
-def _add_common(sub):
+def _add_jet(sub, rmax: bool = True):
     sub.add_argument("--order", type=int, default=None,
                      help="jet order of the potential; wins over the file's order, "
                           "which wins over the default 8")
-    sub.add_argument("--rmax", type=int, default=4)
+    if rmax:
+        sub.add_argument("--rmax", type=int, default=4)
+
+
+def _add_common(sub):
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL.rank_rel,
                      help="absolute bound for the --expect comparison, the ricci_flat "
                           "flag of holonomy and the four residual checks of validate")
@@ -50,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sp.add_parser("holonomy", help="holonomy algebra of a metric")
     h.add_argument("--potential", required=True)
+    _add_jet(h)
     _add_common(h)
 
     c = sp.add_parser("classify", help="match an algebra to a canonical family")
@@ -62,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("ppwave", help="pp-wave condition checks")
     p.add_argument("--metric", required=True)
+    _add_jet(p)
     _add_common(p)
 
     y = sp.add_parser("symspace", help="symmetric-space transvection checks")
@@ -72,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sp.add_parser("validate", help="metric invariants of a potential")
     v.add_argument("--potential", "--metric", dest="potential", required=True)
+    _add_jet(v, rmax=False)
     _add_common(v)
 
     k = sp.add_parser("catalog", help="canonical family list with dimensions")
@@ -144,13 +151,12 @@ def _cmd_berger(args) -> int:
 def _cmd_ppwave(args) -> int:
     m = S.build_metric_from_config(S.load_json(args.metric), args.order)
     rep = G.ppwave_check(m, r_max=args.rmax)
-    payload = rep
-    return _finish(args, "ppwave", payload, rep.consistent,
+    return _finish(args, "ppwave", rep, rep.consistent,
                    {"tol": args.tol, "r_max": args.rmax})
 
 
 def _cmd_symspace(args) -> int:
-    pair = Y.canonical_pair(args.family, args.n, args.m)
+    pair = Y.canonical_pair(args.family, _bounded_n(args.n), args.m)
     rep = Y.symspace_report(pair, args.family, args.m)
     ok = rep.jacobi and rep.g_equals_image
     return _finish(args, "symspace", rep, ok,
@@ -176,6 +182,14 @@ def _cmd_validate(args) -> int:
     return _finish(args, "validate", payload, ok, {"tol": args.tol})
 
 
+def _bounded_n(n: int) -> int:
+    """--n of catalog and symspace, at most the n of a potential or metric
+    file: the catalog grows about as n^5 (93 MB of JSON at n = 16)."""
+    if n > S.MAX_METRIC_N:
+        raise ValueError(f"--n must be at most {S.MAX_METRIC_N}, not {n}")
+    return n
+
+
 def _catalog_entries(n: int) -> list[dict]:
     entries: list[dict] = []
     if n == 0:
@@ -193,23 +207,30 @@ def _catalog_entries(n: int) -> list[dict]:
     for m in range(n + 1):
         kl = C.KLDescriptor(n, m, [(0.0, A) for A in unitary_basis(m)])
         entries.append({"descriptor": kl, "dim": C.family_dim(kl)})
+    # GK0PSI, q = m - r: ker psi holds no complex line of C^q, or the matcher
+    # reads more than C^r; psi's abelian image has dim <= r, so q <= r.
     for r in range(1, n + 1):
-        # k0 = su(r): psi maps into the centre i R of u(r), which k0 must avoid
         ur = unitary_basis(r)
-        su = [ur[j] - ur[j + 1] for j in range(r - 1)] + ur[r:]
-        for m in range(r, n + 1):
-            n_psi = 2 * (m - r) + (n - m)
-            if n_psi:
-                psi = [1j * np.eye(r, dtype=complex) for _ in range(n_psi)]
-                d = C.GK0PsiDescriptor(n, m, r, su, psi)
+        for m in range(r, min(2 * r, n) + 1):
+            q = m - r
+            if q <= 1:
+                # psi = iE maps into the centre i R of u(r), which k0 = su(r) avoids
+                k0 = [ur[j] - ur[j + 1] for j in range(r - 1)] + ur[r:]
+                psi = [1j * np.eye(r, dtype=complex) for _ in range(2 * q + n - m)]
+            else:
+                # psi(e_{r+j}) = psi(i e_{r+j}) = i E_jj and psi = i E_11 on L_0;
+                # k0 = u(r - q) on the block where psi is zero
+                k0 = [np.pad(A, (q, 0)) for A in unitary_basis(r - q)]
+                psi = ur[:q] * 2 + ur[:1] * (n - m)
+            if psi:
+                d = C.GK0PsiDescriptor(n, m, r, k0, psi)
                 entries.append({"descriptor": d, "dim": C.family_dim(d)})
     return entries
 
 
 def _cmd_catalog(args) -> int:
-    entries = _catalog_entries(args.n)
-    payload = {"n": args.n, "families": entries,
-               "count": len(entries)}
+    entries = _catalog_entries(_bounded_n(args.n))
+    payload = {"n": args.n, "families": entries, "count": len(entries)}
     return _finish(args, "catalog", payload, True, {})
 
 

@@ -50,7 +50,7 @@ class CurvatureMap:
 
 
 def _complex_span_basis(mats: list[np.ndarray]):
-    rows = row_space(np.array([m.ravel() for m in mats]), DEFAULT_TOL.rank_rel)
+    rows = row_space(np.array([m.ravel() for m in mats]))
     return [row.reshape(mats[0].shape) for row in rows]
 
 
@@ -86,13 +86,13 @@ def _complex_solutions(alg: MatrixAlgebra) -> tuple[np.ndarray, np.ndarray]:
     sigma = _default_sigma(alg)
     N = alg.n + 2
     B = np.array(_complex_span_basis(alg.basis))  # (c, N, N)
-    K = null_space(_exchange_rows(B[None]), DEFAULT_TOL.rank_rel).conj().T.reshape(N, len(B), -1)
+    K = null_space(_exchange_rows(B[None])).conj().T.reshape(N, len(B), -1)
     d = K.shape[2]
     if d == 0:
         return np.zeros((0, N ** 4)), np.zeros((0, N ** 4))
     E = np.einsum("ibe,bst->iest", K, B)  # (N, d, N, N)
     S = np.array([[sigma(E[i, e]) for e in range(d)] for i in range(N)])
-    t = null_space(_exchange_rows(S.conj()), DEFAULT_TOL.rank_rel).conj().reshape(-1, d)
+    t = null_space(_exchange_rows(S.conj())).conj().reshape(-1, d)
     # rho_l[i, j] = sum_e t_l[j, e] E[i, e], tau rho_l[i, j] = -sum_e conj(t_l[i, e]) S[j, e]
     rho = (t @ E.transpose(1, 0, 2, 3).reshape(d, -1)).reshape(-1, N, N, N, N)
     tau = -(t.conj() @ S.transpose(1, 0, 2, 3).reshape(d, -1))
@@ -110,8 +110,7 @@ def solve_curvature_space(alg: MatrixAlgebra) -> list[CurvatureMap]:
     rho, tau = _complex_solutions(alg)
     k, N = len(rho), alg.n + 2
     T = rho.conj() @ tau.T
-    a = null_space(np.block([[T.real - np.eye(k), T.imag], [T.imag, -T.real - np.eye(k)]]),
-                   DEFAULT_TOL.rank_rel)
+    a = null_space(np.block([[T.real - np.eye(k), T.imag], [T.imag, -T.real - np.eye(k)]]))
     return [CurvatureMap(alg.n, r)
             for r in ((a[:, :k] + 1j * a[:, k:]) @ rho).reshape(-1, N, N, N, N)]
 
@@ -129,7 +128,7 @@ def curvature_image(maps: list[CurvatureMap]) -> list[np.ndarray]:
                     for Rm in (R.real_curvature() for R in maps)], (-1, N * N))
     W = W[np.abs(W).max(axis=1) > DEFAULT_TOL.coeff_zero]
     return [unflatten(row, (N, N))
-            for row in row_space(np.hstack([W.real, W.imag]), DEFAULT_TOL.rank_rel)]
+            for row in row_space(np.hstack([W.real, W.imag]))]
 
 
 def berger_check(alg: MatrixAlgebra) -> dict:

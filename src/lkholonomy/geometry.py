@@ -35,7 +35,7 @@ from .jetmat import (
     jmat_zero,
 )
 from .hermitian import WittMetric
-from .lie import MatrixAlgebra, real_span_basis, row_space, sigma_involution
+from .lie import ABZCElement, MatrixAlgebra, real_span_basis, row_space, sigma_involution
 
 
 class DegeneracyError(ValueError):
@@ -368,7 +368,7 @@ class HolonomyResult:
 def _real_points(cbasis: list[np.ndarray]) -> list[np.ndarray]:
     cands = []
     for w in cbasis:
-        s = sigma_involution(w, tol=DEFAULT_TOL.sigma_fit)
+        s = sigma_involution(w)
         cands.append(w + s)
         cands.append(1j * (w - s))
     return real_span_basis([c for c in cands if np.abs(c).max() > DEFAULT_TOL.residual])
@@ -407,10 +407,10 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
     cbasis_rows = np.zeros((0, m.dim * m.dim), complex)
     scale = max((np.abs(w).max() for ws in coeffs_by_deg.values() for w in ws),
                 default=1.0)
-    noise = DEFAULT_TOL.span_noise * scale
+    noise = DEFAULT_TOL.coeff_zero * scale
     for r in range(r_max + 1):
         rows = [w.ravel() / scale for w in coeffs_by_deg[r] if np.abs(w).max() > noise]
-        cbasis_rows = row_space(np.vstack([cbasis_rows, *rows]), DEFAULT_TOL.rank_rel)
+        cbasis_rows = row_space(np.vstack([cbasis_rows, *rows]))
         dims.append(len(cbasis_rows))
     cbasis = [row.reshape(m.dim, m.dim) for row in cbasis_rows]
     real_basis = _real_points(cbasis)
@@ -441,8 +441,8 @@ def iterated_covariant_span(m: MetricJet, r_max: int) -> list[np.ndarray]:
         level = nxt
         collected.extend(Qinv @ jmat_eval0(xi) @ Q for xi in level)
     rows = np.array([w.ravel() for w in collected
-                     if np.abs(w).max() > DEFAULT_TOL.span_noise])
-    return [row.reshape(m.dim, m.dim) for row in row_space(rows, DEFAULT_TOL.rank_rel)]
+                     if np.abs(w).max() > DEFAULT_TOL.coeff_zero])
+    return [row.reshape(m.dim, m.dim) for row in row_space(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +483,6 @@ class PPWaveReport:
 
 def ppwave_check(m: MetricJet, r_max: int = 3) -> PPWaveReport:
     """The equivalent pp-wave conditions, each computed independently."""
-    from .lie import ABZCElement
     n, v, u, tol = m.n, m.v, m.u, DEFAULT_TOL.residual
     res: dict = {}
 
@@ -498,12 +497,12 @@ def ppwave_check(m: MetricJet, r_max: int = 3) -> PPWaveReport:
     worst1 = 0.0
     for b in hol.algebra.basis:
         try:
-            el = ABZCElement.from_matrix(b, tol=DEFAULT_TOL.sigma_fit)
+            el = ABZCElement.from_matrix(b)
             worst1 = max(worst1, abs(el.a), np.abs(el.A).max(initial=0.0))
         except ValueError:
             worst1 = max(worst1, 1.0)
     res["holonomy_translation_residual"] = float(worst1)
-    cond1 = worst1 <= DEFAULT_TOL.ppwave_translation
+    cond1 = worst1 <= tol
 
     curv = m.curv
     worst2 = worst3 = 0.0

@@ -139,7 +139,7 @@ class RealFormData:
         # real-form condition: the f_j and i f_j together span C^{n-m} over R
         big = np.column_stack([F, 1j * F])
         real_stack = np.vstack([big.real, big.imag])
-        if len(row_space(real_stack, 0.0, floor=DEFAULT_TOL.rank_rel)) != 2 * k:
+        if len(row_space(real_stack, DEFAULT_TOL.rank_rel)) != 2 * k:
             raise ValueError("basis_f does not span a real form (iL0 and L0 intersect)")
         gram = F.conj().T @ F  # gram[k][j] = h(f_j, f_k)
         if np.abs(gram.real - np.eye(k)).max(initial=0.0) > DEFAULT_TOL.rank_rel:

@@ -16,29 +16,29 @@ from .config import DEFAULT_TOL
 
 # -- the rank rule ------------------------------------------------------------
 
-def numerical_rank(s: np.ndarray, tol: float, floor: float = 0.0) -> int:
+def numerical_rank(s: np.ndarray, floor: float = 0.0) -> int:
     """Number of singular values (sorted descending) above
-    max(tol * s[0], floor); 0 for an empty or all-zero spectrum.  Here and in
-    row_space and null_space, tol and floor are parameters because the
-    matcher and RealFormData pass floors."""
+    max(rank_rel * s[0], floor); 0 for an empty or all-zero spectrum.  Here
+    and in row_space and null_space, floor is a parameter because the
+    matcher, same_descriptor and RealFormData pass floors."""
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > max(tol * s[0], floor)))
+    return int(np.sum(s > max(DEFAULT_TOL.rank_rel * s[0], floor)))
 
 
-def row_space(rows: np.ndarray, tol: float, floor: float = 0.0) -> np.ndarray:
+def row_space(rows: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Orthonormal rows spanning the row space, from a thin SVD."""
     if rows.size == 0:
         return rows[:0]
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    return vt[:numerical_rank(s, tol, floor)]
+    return vt[:numerical_rank(s, floor)]
 
 
-def null_space(rows: np.ndarray, tol: float, floor: float = 0.0) -> np.ndarray:
+def null_space(rows: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Orthonormal rows x with rows @ x.conj() = 0 spanning the null space;
     U is built in full only when it is smaller than V^H."""
     _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
-    return vt[numerical_rank(s, tol, floor):]
+    return vt[numerical_rank(s, floor):]
 
 
 # -- real-span machinery ------------------------------------------------------
@@ -61,7 +61,7 @@ def real_span_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
     if not mats:
         return []
     return [unflatten(row, mats[0].shape)
-            for row in row_space(flatten(mats), DEFAULT_TOL.rank_rel)]
+            for row in row_space(flatten(mats))]
 
 
 def is_anti_hermitian(A: np.ndarray) -> bool:
@@ -171,41 +171,37 @@ class ABZCElement:
         return m
 
     @staticmethod
-    def from_matrix(m: np.ndarray, tol: float = DEFAULT_TOL.rank_rel) -> "ABZCElement":
-        """(a, A, Z, c) of m; tol is a parameter for the pp-wave check's sigma_fit."""
+    def from_matrix(m: np.ndarray) -> "ABZCElement":
+        """(a, A, Z, c) of m, each block fitted within rank_rel·max(|m|, 1)."""
         n = m.shape[0] - 2
-        scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m[1:, 0]).max(initial=0.0) > tol * scale:
-            raise ValueError("matrix is not in the parabolic block pattern")
-        if n > 0 and np.abs(m[n + 1, 1:n + 1]).max() > tol * scale:
+        tol = DEFAULT_TOL.rank_rel * max(np.abs(m).max(), 1.0)
+        if max(np.abs(m[1:, 0]).max(), np.abs(m[n + 1, 1:n + 1]).max(initial=0.0)) > tol:
             raise ValueError("matrix is not in the parabolic block pattern")
         a = m[0, 0]
-        if abs(m[n + 1, n + 1] + np.conj(a)) > tol * scale:
+        if abs(m[n + 1, n + 1] + np.conj(a)) > tol:
             raise ValueError("corner entries are not (a, -conj(a))")
         Z = m[1:n + 1, n + 1].copy()
-        if np.abs(m[0, 1:n + 1] + np.conj(Z)).max(initial=0.0) > tol * scale:
+        if np.abs(m[0, 1:n + 1] + np.conj(Z)).max(initial=0.0) > tol:
             raise ValueError("row and column Z-parts disagree")
         ic = m[0, n + 1]
-        if abs(ic.real) > tol * scale:
+        if abs(ic.real) > tol:
             raise ValueError("corner entry is not purely imaginary")
         A = m[1:n + 1, 1:n + 1].copy()
-        if np.abs(A + A.conj().T).max(initial=0.0) > tol * scale:
+        if np.abs(A + A.conj().T).max(initial=0.0) > tol:
             raise ValueError("middle block is not anti-Hermitian")
         return ABZCElement(a, A, Z, ic.imag)
 
 
 # -- sigma involution ---------------------------------------------------------
 
-def sigma_involution(xi: np.ndarray, tol: float = DEFAULT_TOL.rank_rel) -> np.ndarray:
+def sigma_involution(xi: np.ndarray) -> np.ndarray:
     """Anti-linear involution on the T^{1,0} block form; its fixed points are
-    the embeddings of the real parabolic elements.  tol is a parameter
-    because the holonomy's real points use Tolerances.sigma_fit."""
+    the embeddings of the real parabolic elements.  The block pattern is
+    fitted within rank_rel·max(|xi|, 1)."""
     d = xi.shape[0]
     n = d - 2
-    scale = max(np.abs(xi).max(), 1.0)
-    if np.abs(xi[1:, 0]).max(initial=0.0) > tol * scale:
-        raise ValueError("sigma: matrix violates the upper-triangular block pattern")
-    if n > 0 and np.abs(xi[n + 1, 1:n + 1]).max() > tol * scale:
+    tol = DEFAULT_TOL.rank_rel * max(np.abs(xi).max(), 1.0)
+    if max(np.abs(xi[1:, 0]).max(), np.abs(xi[n + 1, 1:n + 1]).max(initial=0.0)) > tol:
         raise ValueError("sigma: matrix violates the upper-triangular block pattern")
     a = xi[0, 0]
     Wbar_t = xi[0, 1:n + 1]

@@ -220,7 +220,7 @@ def build_potential(d, order: int = 8) -> Jet:
                 (0j, A if _a_is_zero(a) else A - (a.imag / a1.imag) * A1) for a, A in rest]
             scalars = [1j]
         A1 = pairs[0][1] if scalars else np.zeros((m, m), dtype=complex)
-        X = null_space(A1, DEFAULT_TOL.rank_rel)
+        X = null_space(A1)
         f = (fc_potential(space, *scalars)
              + fun_potential(space, n, [d.k_matrix(a, A) for a, A in pairs])
              + fcm_potential(space, n, X.T @ X))

@@ -245,7 +245,7 @@ def symspace_report(pair: SymmetricPair, family: str = "?", m: int = 0) -> Symsp
         family=family, n=pair.n, m=m,
         jacobi=jac_ok, jacobi_residual=jac_res,
         g_equals_image=g_eq,
-        ricci_degenerate=len(row_space(ric, DEFAULT_TOL.rank_rel)) < pair.dim,
+        ricci_degenerate=len(row_space(ric)) < pair.dim,
         calabi_yau=bool(np.abs(ric).max() <= DEFAULT_TOL.residual * np.abs(pair.Rm).max()),
         dim_h=dim_h,
         notes={"dim_g": pair.g.dim, "invariant_residual": pair.R.invariant_residual()},

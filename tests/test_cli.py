@@ -124,7 +124,8 @@ def test_order_below_two_from_the_command_line_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["holonomy"], ["symspace", "--family", "z"],
-                                  ["catalog", "--n", "1", "--bogus"]])
+                                  ["catalog", "--n", "1", "--bogus"],
+                                  ["classify", "--algebra", "alg.json", "--rmax", "3"]])
 def test_usage_errors_are_input_errors(argv, capsys):
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
@@ -231,15 +232,25 @@ def test_catalog_dimensions(capsys):
         {"G0", "G1", "G2", "G3"}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_catalog_entries_all_build(n, capsys):
     """Every catalog entry is a realizable descriptor whose listed dimension
-    is that of the algebra it builds."""
+    is that of the algebra it builds, and the matcher reads that algebra back
+    as the entry."""
     assert main(["catalog", "--n", str(n)]) == EXIT_OK
     for entry in json.loads(capsys.readouterr().out)["result"]["families"]:
         d = S.decode_descriptor(entry["descriptor"])
+        alg = C.build_family(d)
         assert C.is_holonomy_realizable(d) == "yes", entry["descriptor"]
-        assert entry["dim"] == C.build_family(d).dim, entry["descriptor"]
+        assert entry["dim"] == alg.dim == C.family_dim(d), entry["descriptor"]
+        assert C.same_descriptor(C.match_algebra(alg), d), entry["descriptor"]
+
+
+@pytest.mark.parametrize("argv", [["catalog", "--n"], ["symspace", "--family", "f", "--n"]])
+def test_n_above_the_metric_bound_is_one_line_error(argv, capsys):
+    assert main(argv + [str(S.MAX_METRIC_N + 1)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: --n must be at most {S.MAX_METRIC_N}, not {S.MAX_METRIC_N + 1}\n"
 
 
 def test_determinism(tmp_path, gk_potential, capsys):

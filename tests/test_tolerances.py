@@ -1,20 +1,21 @@
 """config.Tolerances is the only source of thresholds: no small literal and no
 tolerance parameter outside the few functions whose callers need one."""
 import ast
+import dataclasses
 import pathlib
+import re
 
 import pytest
+
+from lkholonomy.config import Tolerances
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "lkholonomy"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "config.py")
 
 # (module, qualified function name) of the tol/sigma parameters callers set:
-# the rank rule takes floors, the block-pattern fits take sigma_fit,
 # is_real_valued takes the metric's residual, compare_expected takes --tol,
 # and invariant_residual takes np.conj in the curvature-space tests.
 KEEP = {
-    ("lie", "numerical_rank"), ("lie", "row_space"), ("lie", "null_space"),
-    ("lie", "sigma_involution"), ("lie", "ABZCElement.from_matrix"),
     ("jets", "Jet.is_real_valued"), ("serialization", "compare_expected"),
     ("curvspace", "CurvatureMap.invariant_residual"),
 }
@@ -62,4 +63,14 @@ def test_the_checks_catch_a_literal_and_a_parameter():
     source = "def f(x, tol=1e-9):\n    return x > 1e-10\n"
     assert small_literals(source) == ["1: 1e-09", "2: 1e-10"]
     assert tolerance_parameters(source, "lie") == ["f"]
-    assert tolerance_parameters("def numerical_rank(s, tol): pass", "lie") == []
+    assert tolerance_parameters("def numerical_rank(s, tol): pass", "lie") == ["numerical_rank"]
+    assert tolerance_parameters("def compare_expected(e, a, tol): pass", "serialization") == []
+
+
+def test_tolerances_docstring_has_one_entry_per_field():
+    """The docstring's entries are the dataclass fields, in order, and each
+    field name occurs once: a folded or renamed field left in it fails."""
+    doc = Tolerances.__doc__
+    names = [f.name for f in dataclasses.fields(Tolerances)]
+    assert re.findall(r"^ {4}(\w+) \d", doc, re.M) == names
+    assert [len(re.findall(rf"\b{name}\b", doc)) for name in names] == [1] * len(names)
