@@ -183,8 +183,11 @@ def _cmd_validate(args) -> int:
 
 
 def _bounded_n(n: int) -> int:
-    """--n of catalog and symspace, at most the n of a potential or metric
-    file: the catalog grows about as n^5 (93 MB of JSON at n = 16)."""
+    """--n of catalog and symspace, at least 0 and at most the n of a
+    potential or metric file: the catalog grows about as n^5 (93 MB of JSON
+    at n = 16)."""
+    if n < 0:
+        raise ValueError(f"--n must be at least 0, not {n}")
     if n > S.MAX_METRIC_N:
         raise ValueError(f"--n must be at most {S.MAX_METRIC_N}, not {n}")
     return n

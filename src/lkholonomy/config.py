@@ -20,13 +20,14 @@ class Tolerances:
         as zero.  Anti-Hermitian, skew, trace and commutator checks, reality
         of a potential, the Walker form and nondegeneracy, the five pp-wave
         conditions (the first on the a and A parts of every holonomy basis
-        element), theta = 0, CurvatureParam symmetry, the n = 0 matcher's
-        lower-left entry, the family rule's zero a-parts (also the scalar
-        generators of build_potential), a real point kept for the holonomy
-        span, a symmetric pair's Jacobi identity (relative to max(largest
-        structure constant squared, 1)) and its Calabi-Yau flag (relative to
-        the largest entry of R on the m-basis, with no floor, so that a
-        homothety of R leaves it unchanged).
+        element), theta = 0, the n = 0 matcher's lower-left entry, the
+        family rule's zero a-parts (also the scalar generators of
+        build_potential), a real point kept for the holonomy span, a
+        symmetric pair's Jacobi identity (relative to max(largest structure
+        constant squared, 1)) and its Calabi-Yau flag (relative to the
+        largest entry of R on the m-basis, with no floor, so that a
+        homothety of R leaves it unchanged), and param_encode's one
+        invariant check (relative to max(largest entry, 1)).
     rank_rel 1e-9, relative to the largest singular value: the rank rule's
         one cut, for every span and null space, among them the kernel of A1
         in build_potential and a symmetric pair's Ricci degeneracy flag.
@@ -40,9 +41,9 @@ class Tolerances:
         same_descriptor (their inputs come from unit-norm bases, so smaller
         components are noise that a relative rule would promote to full
         rank), the matcher's block checks, least-squares fit residuals (also
-        a curvature image escaping an empty g), param_decode's block pattern,
-        and a symmetric pair's closure: [g, g] in g, and R(m, m) in g
-        relative to max(largest entry of R on the m-basis, 1).
+        a curvature image escaping an empty g), param_decode's re-encoding
+        of what it read, and a symmetric pair's closure: [g, g] in g, and
+        R(m, m) in g relative to max(largest entry of R on the m-basis, 1).
     """
 
     coeff_zero: float = 1e-12

@@ -153,8 +153,9 @@ class CurvatureParam:
     """Free parameters of the curvature space of the full parabolic algebra.
 
     T is symmetric; P is symmetric in its two covariant (conjugate) slots;
-    R0 has the unitary curvature symmetries; A is an arbitrary complex
-    matrix; its real dimension count is validated against the solver.
+    R0 has the unitary curvature symmetries; A is Hermitian; c is real.
+    These are the reality and exchange identities of the map param_encode
+    writes, which refuses parameters that break them.
     """
 
     n: int
@@ -174,21 +175,6 @@ class CurvatureParam:
                             ("P", (n,) * 3), ("A", (n, n))):
             if getattr(self, name) is None:
                 setattr(self, name, np.zeros(shape, complex))
-
-    def validate(self):
-        n, tol = self.n, DEFAULT_TOL.residual
-        if np.abs(self.T - self.T.T).max(initial=0) > tol:
-            raise ValueError("T must be symmetric")
-        if np.abs(self.P - np.transpose(self.P, (0, 2, 1))).max(initial=0) > tol:
-            raise ValueError("P must be symmetric in its two covariant slots")
-        for j in range(n):
-            for k in range(n):
-                B = self.R0[:, :, j, k]
-                Bc = self.R0[:, :, k, j]
-                if np.abs(B - Bc.conj().T).max(initial=0) > tol:
-                    raise ValueError("R0 violates the exchange/reality symmetry")
-        if abs(complex(self.c).imag) > tol:
-            raise ValueError("c must be real")
 
 
 def param_dim(n: int) -> int:
@@ -212,11 +198,12 @@ def random_param(n: int, rng: np.random.Generator) -> CurvatureParam:
     P = (P + np.transpose(P, (0, 2, 1))) / 2
     A = crandn(n, n)
     A = (A + A.conj().T) / 2
+    # the average over the 8-element group generated by the holomorphic-pair,
+    # antiholomorphic-pair and reality symmetries: exact in one pass
     R0 = crandn(n, n, n, n)
-    for _ in range(200):  # alternate projections onto the symmetry spaces
-        R0 = (R0 + np.transpose(R0, (0, 2, 1, 3))) / 2   # holomorphic pair
-        R0 = (R0 + np.transpose(R0, (3, 1, 2, 0))) / 2   # antiholomorphic pair
-        R0 = (R0 + np.conj(np.transpose(R0, (1, 0, 3, 2)))) / 2  # reality
+    R0 = R0 + np.transpose(R0, (0, 2, 1, 3))
+    R0 = R0 + np.transpose(R0, (3, 1, 2, 0))
+    R0 = (R0 + np.conj(np.transpose(R0, (1, 0, 3, 2)))) / 8
     return CurvatureParam(
         n,
         alpha=complex(crandn()),
@@ -231,9 +218,6 @@ def random_param(n: int, rng: np.random.Generator) -> CurvatureParam:
     )
 
 
-_SOLUTION_CACHE: dict[int, list[CurvatureMap]] = {}
-
-
 def _full_algebra(n: int) -> MatrixAlgebra:
     from .classify import KLDescriptor, build_family
     zero = np.zeros((n, n), complex)
@@ -241,139 +225,61 @@ def _full_algebra(n: int) -> MatrixAlgebra:
                                      + [(0.0, A) for A in unitary_basis(n)]))
 
 
-def _solution_basis(n: int) -> list[CurvatureMap]:
-    if n not in _SOLUTION_CACHE:
-        _SOLUTION_CACHE[n] = solve_curvature_space(_full_algebra(n))
-    return _SOLUTION_CACHE[n]
-
-
-def _display_entries(R: CurvatureMap) -> np.ndarray:
-    """The parameter-bearing entries of the four displayed blocks, as a real
-    vector (used to fit a solution to prescribed parameters)."""
-    n = R.n
-    q = n + 1
-    vals = [R.rho[0, q][0, :]]                       # alpha, N^t, beta
-    for j in range(1, n + 1):
-        vals.append(R.rho[j, q][0, 1:q])             # T(e_j)^t
-        vals.append(R.rho[j, q][1:q, 1:q + 1].ravel())  # P(e_j), A e_j
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            vals.append(R.rho[j, k][1:q, 1:q].ravel())  # R0
-    vals.append(R.rho[q, q].ravel())                 # beta, K-bar, c, A, K
-    v = np.concatenate(vals)
-    return np.concatenate([v.real, v.imag])
-
-
-def _target_entries(p: CurvatureParam) -> np.ndarray:
-    n = p.n
-    q = n + 1
-    zero = np.zeros((n + 2, n + 2), complex)
-
-    def blk_pq():
-        B = zero.copy()
-        B[0, 0] = p.alpha
-        B[0, 1:q] = p.N_vec
-        B[0, q] = p.beta
-        return B
-
-    def blk_Xq(j):
-        B = zero.copy()
-        X = np.zeros(n, complex)
-        X[j] = 1.0
-        B[0, 0] = 4 * p.N_vec @ X
-        B[0, 1:q] = p.T @ X
-        B[0, q] = 4 * np.conj(p.K) @ X
-        B[1:q, 1:q] = p.P[:, :, j]
-        B[1:q, q] = p.A @ X
-        return B
-
-    def blk_XY(j, k):
-        # X = e_{j+1}, Y = e_k (1-based block column index k)
-        B = zero.copy()
-        B[0, 1:q] = 4 * p.P[k - 1, :, j]          # g(P(X) . , conj Y)
-        B[0, q] = 4 * p.A[k - 1, j]               # g(A X, conj Y)
-        B[1:q, 1:q] = p.R0[:, :, j, k - 1]
-        B[1:q, q] = np.conj(p.P[j, :, k - 1])     # conj(P(Y))^t X
-        return B
-
-    def blk_qq():
-        B = zero.copy()
-        B[0, 0] = p.beta
-        B[0, 1:q] = np.conj(p.K)
-        B[0, q] = p.c
-        B[1:q, 1:q] = p.A
-        B[1:q, q] = p.K
-        B[q, q] = np.conj(p.beta)
-        return B
-
-    vals = [blk_pq()[0, :]]
-    for j in range(n):
-        Bj = blk_Xq(j)
-        vals.append(Bj[0, 1:q])
-        vals.append(Bj[1:q, 1:q + 1].ravel())
-    for j in range(n):
-        for k in range(1, n + 1):
-            Bjk = blk_XY(j, k)
-            vals.append(Bjk[1:q, 1:q].ravel())
-    vals.append(blk_qq().ravel())
-    v = np.concatenate(vals)
-    return np.concatenate([v.real, v.imag])
-
-
 def param_encode(p: CurvatureParam) -> CurvatureMap:
-    """The unique curvature map of the full algebra whose displayed blocks
-    carry the given parameters (fit within the solved curvature space)."""
-    p.validate()
-    basis = _solution_basis(p.n)
-    if not basis:
-        raise ValueError("empty curvature space")
-    Mat = np.array([_display_entries(R) for R in basis]).T
-    target = _target_entries(p)
-    coeff, res, *_ = np.linalg.lstsq(Mat, target, rcond=None)
-    fit = Mat @ coeff
-    if np.abs(fit - target).max() > DEFAULT_TOL.rank_abs:
+    """The curvature map of the full algebra carrying the given parameters.
+    With q = n + 1 and e_j = b_j, whose parameters sit at index j - 1, the
+    blocks are
+        rho[0, q] row 0 = (alpha, N^T, beta),
+        rho[j, q] = [[N_j, T[:, j]^T, conj K_j], [P(e_j), A e_j]],
+        rho[j, k] = [[0, P[k, :, j], A[k, j]], [R0[:, :, j, k], conj P[j, :, k]]],
+        rho[q, q] = [[beta, conj K^T, c], [A, K], [conj beta]],
+        rho[q, i] = -sigma(rho[i, q]),
+    and every other block is zero.  The parameters' symmetries are the
+    map's reality and exchange identities, so one invariant_residual check,
+    within residual relative to max(largest entry, 1), refuses any
+    parameters that break them."""
+    n, q = p.n, p.n + 1
+    rho = np.zeros((q + 1,) * 4, complex)
+    rho[0, q][0] = np.concatenate([[p.alpha], p.N_vec, [p.beta]])
+    for j in range(n):
+        B = rho[1 + j, q]
+        B[0] = np.concatenate([[p.N_vec[j]], p.T[:, j], [np.conj(p.K[j])]])
+        B[1:q, 1:q], B[1:q, q] = p.P[:, :, j], p.A[:, j]
+        for k in range(n):
+            B = rho[1 + j, 1 + k]
+            B[0, 1:] = np.concatenate([p.P[k, :, j], [p.A[k, j]]])
+            B[1:q, 1:q], B[1:q, q] = p.R0[:, :, j, k], np.conj(p.P[j, :, k])
+    B = rho[q, q]
+    B[0] = np.concatenate([[p.beta], np.conj(p.K), [p.c]])
+    B[1:q, 1:q], B[1:q, q], B[q, q] = p.A, p.K, np.conj(p.beta)
+    for i in range(q):
+        rho[q, i] = -sigma_involution(rho[i, q])
+    R = CurvatureMap(n, rho)
+    if R.invariant_residual() > DEFAULT_TOL.residual * max(np.abs(rho).max(), 1.0):
         raise ValueError("parameters are not realized by any curvature map")
-    rho = sum(c * R.rho for c, R in zip(coeff, basis))
-    return CurvatureMap(p.n, rho)
+    return R
 
 
 def param_decode(R: CurvatureMap) -> CurvatureParam:
-    """Read the block parameters off a curvature map of the full algebra."""
-    n, tol = R.n, DEFAULT_TOL.rank_abs
-    q = n + 1
-    B_pq = R.rho[0, q]
-    B_qq = R.rho[q, q]
-    if np.abs(B_pq[1:, :]).max(initial=0) > tol:
-        raise ValueError("R(p, conj q) violates the block pattern")
+    """Read the block parameters off a curvature map of the full algebra:
+    the entries param_encode writes, read once each.  The map is refused
+    unless param_encode accepts them and their re-encoding is R within
+    rank_abs."""
+    n, q, rho = R.n, R.n + 1, R.rho
     p = CurvatureParam(
         n,
-        alpha=complex(B_pq[0, 0]),
-        beta=complex(B_pq[0, q]),
-        c=float(B_qq[0, q].real),
-        N_vec=B_pq[0, 1:q].copy(),
-        K=B_qq[1:q, q].copy(),
-        A=B_qq[1:q, 1:q].copy(),
+        alpha=complex(rho[0, q][0, 0]),
+        beta=complex(rho[0, q][0, q]),
+        c=float(rho[q, q][0, q].real),
+        N_vec=rho[0, q][0, 1:q].copy(),
+        K=rho[q, q][1:q, q].copy(),
+        T=rho[1:q, q, 0, 1:q].T.copy(),
+        R0=rho[1:q, 1:q, 1:q, 1:q].transpose(2, 3, 0, 1).copy(),
+        P=rho[1:q, q, 1:q, 1:q].transpose(1, 2, 0).copy(),
+        A=rho[q, q][1:q, 1:q].copy(),
     )
-    if abs(B_qq[0, q].imag) > tol:
-        raise ValueError("c entry is not real")
-    if abs(B_qq[0, 0] - p.beta) > tol or abs(B_qq[q, q] - np.conj(p.beta)) > tol:
-        raise ValueError("beta entries are inconsistent")
-    T = np.empty((n, n), complex)
-    P = np.empty((n, n, n), complex)
-    for j in range(1, n + 1):
-        Bj = R.rho[j, q]
-        T[:, j - 1] = Bj[0, 1:q]
-        P[:, :, j - 1] = Bj[1:q, 1:q]
-        if np.abs(Bj[1:q, q] - p.A @ np.eye(n)[:, j - 1]).max(initial=0) > tol:
-            raise ValueError("A entries are inconsistent between blocks")
-    R0 = np.empty((n, n, n, n), complex)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            R0[:, :, j - 1, k - 1] = R.rho[j, k][1:q, 1:q]
-    p.T = T
-    p.P = P
-    p.R0 = R0
-    p.validate()
+    if np.abs(param_encode(p).rho - rho).max() > DEFAULT_TOL.rank_abs:
+        raise ValueError("curvature map is not in the block form of the full algebra")
     return p
 
 

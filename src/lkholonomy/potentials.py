@@ -96,7 +96,7 @@ def fcm_potential(space: JetSpace, n: int, S: np.ndarray) -> Jet:
     """(1/4) Re(i ubar^2 z^T S z) for a complex symmetric S on the first
     len(S) coordinates z^1..z^len(S)."""
     acc = space.zero()
-    for j, k in zip(*np.nonzero(S)):
+    for j, k in np.argwhere(S).tolist():  # Python ints: packed jet keys outgrow int64
         acc = acc + space.variable(1 + j) * space.variable(1 + k) * S[j, k]
     ub = space.conj_variable(n + 1)
     return real_part(ub * ub * acc * 0.25j)

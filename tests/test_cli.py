@@ -248,9 +248,22 @@ def test_catalog_entries_all_build(n, capsys):
 
 @pytest.mark.parametrize("argv", [["catalog", "--n"], ["symspace", "--family", "f", "--n"]])
 def test_n_above_the_metric_bound_is_one_line_error(argv, capsys):
-    assert main(argv + [str(S.MAX_METRIC_N + 1)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err == f"error: --n must be at most {S.MAX_METRIC_N}, not {S.MAX_METRIC_N + 1}\n"
+    for n, bound in ((S.MAX_METRIC_N + 1, f"at most {S.MAX_METRIC_N}"), (-1, "at least 0")):
+        assert main(argv + [str(n)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"error: --n must be {bound}, not {n}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_holonomy_of_the_first_n4_catalog_entry_gives_a_report(tmp_path, capsys):
+    """The GK entry at n = 4 packs exponent fields above bit 63: its jet keys
+    must stay Python ints, with no overflow warning or traceback."""
+    assert main(["catalog", "--n", "4"]) == EXIT_OK
+    entry = json.loads(capsys.readouterr().out)["result"]["families"][0]
+    assert entry["descriptor"]["family"] == "GK"
+    pot = _write(tmp_path, "gk4.json", {"kind": "descriptor", "descriptor": entry["descriptor"]})
+    assert main(["holonomy", "--potential", pot]) in (EXIT_OK, EXIT_MISMATCH)
+    assert json.loads(capsys.readouterr().out)["result"]["matched_family"] == "GK"
 
 
 def test_determinism(tmp_path, gk_potential, capsys):

@@ -26,12 +26,20 @@ from lkholonomy.lie import (
 )
 
 
-def test_solution_space_dimensions():
+def test_solution_space_dimensions(rng):
     """Dimensions of the curvature space of the full algebra, against the
-    closed form and its frozen values."""
+    closed form and its frozen values.  For n <= 4 the closed-form map
+    params -> rho is injective with the solved space as its image:
+    param_dim(n) + 5 random encoded maps have real rank param_dim(n), and
+    the solver's basis adds nothing to their span."""
     for n, dim in ((1, 15), (2, 44), (3, 110), (4, 237), (5, 455)):
         assert param_dim(n) == dim
-        assert len(solve_curvature_space(_full_algebra(n))) == dim
+        solved = solve_curvature_space(_full_algebra(n))
+        assert len(solved) == dim
+        if n <= 4:
+            encoded = [param_encode(random_param(n, rng)) for _ in range(dim + 5)]
+            assert _real_rank(encoded) == dim, n
+            assert _real_rank(encoded + solved) == dim, n
 
 
 def _reference_solve(alg, sigma, tol=1e-9):
@@ -201,11 +209,50 @@ def _param_distance(p, q) -> float:
 
 
 def test_codec_roundtrip(rng):
-    for n in (1, 2):
+    for n in (1, 2, 3, 4):
         for _ in range(50):
             p = random_param(n, rng)
             q = param_decode(param_encode(p))
             assert _param_distance(p, q) < 1e-12
+
+
+def test_random_param_has_every_r0_symmetry(rng):
+    """The group average leaves no symmetry error at all: the holomorphic
+    pair, the antiholomorphic pair and reality hold exactly."""
+    for n in (1, 2, 3):
+        R0 = random_param(n, rng).R0
+        assert np.array_equal(R0, np.transpose(R0, (0, 2, 1, 3)))
+        assert np.array_equal(R0, np.transpose(R0, (3, 1, 2, 0)))
+        assert np.array_equal(R0, np.conj(np.transpose(R0, (1, 0, 3, 2))))
+
+
+def test_encode_refuses_parameters_that_break_a_symmetry(rng):
+    """An asymmetric T, an R0 that breaks one holomorphic-pair symmetry, and
+    a complex c are each realized by no curvature map."""
+    broken = [random_param(2, rng) for _ in range(3)]
+    broken[0].T[0, 1] += 1e-3
+    broken[1].R0[0, 1, 0, 1] += 1e-3
+    broken[2].c += 1e-3j
+    for p in broken:
+        with pytest.raises(ValueError, match="not realized by any curvature map"):
+            param_encode(p)
+
+
+def test_decode_refuses_maps_outside_the_block_form(rng):
+    """Each perturbed map of _perturbed_maps, and an encoded map whose
+    A entry in rho[1, 1] alone moves by 1e-3, is refused; the unperturbed
+    maps decode."""
+    maps = _perturbed_maps(rng)
+    for R in maps[0::2]:
+        param_decode(R)
+    for R in maps[1::2]:
+        with pytest.raises(ValueError):
+            param_decode(R)
+    for n in (1, 2):
+        R = param_encode(random_param(n, rng))
+        R.rho[1, 1][0, n + 1] += 1e-3
+        with pytest.raises(ValueError, match="block form of the full algebra"):
+            param_decode(R)
 
 
 def test_full_algebra_is_berger():

@@ -112,6 +112,17 @@ def test_build_potential_collapses_collinear_gkjl_scalars():
     assert list(f.coeffs.items()) == list(g.coeffs.items())
 
 
+@pytest.mark.parametrize("n,order", [(4, 8), (3, 20)])
+def test_build_potential_keys_are_python_ints(n, order):
+    """From n = 3 the packed exponent fields reach past bit 63, where numpy
+    integer keys would wrap or overflow; every key of every catalog entry's
+    potential is a Python int."""
+    from lkholonomy.cli import _catalog_entries
+    for entry in _catalog_entries(n):
+        f = P.build_potential(entry["descriptor"], order)
+        assert {type(k) for k in f.terms} == {int}, entry["descriptor"]
+
+
 def test_oriented_lines_variants():
     mh = P.oriented_lines_metric(order=8, variant="hermitized")
     assert mh.hermitian_residual() < 1e-12

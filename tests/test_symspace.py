@@ -4,7 +4,7 @@ import pytest
 
 from lkholonomy.classify import match_algebra
 from lkholonomy.config import DEFAULT_TOL
-from lkholonomy.curvspace import CurvatureMap, param_decode, solve_curvature_space
+from lkholonomy.curvspace import CurvatureMap, param_decode, param_encode, solve_curvature_space
 from lkholonomy.lie import MatrixAlgebra, real_span_basis, span_coords, span_residual
 from lkholonomy.symspace import (
     InvalidPairError,
@@ -27,8 +27,8 @@ def test_canonical_pairs(family, n, m):
     assert tr.dim == pair.g.dim + 2 * (n + 2)
     rep = symspace_report(pair, family, m)
     assert rep.calabi_yau == (family in "abde")
-    # the curvature value decodes as a valid block parameter
-    param_decode(pair.R)
+    # the curvature value decodes as a valid block parameter and re-encodes exactly
+    assert np.array_equal(param_encode(param_decode(pair.R)).rho, pair.R.rho)
 
 
 def test_negation_families_exact():
