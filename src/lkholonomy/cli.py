@@ -16,7 +16,7 @@ from . import geometry as G
 from . import serialization as S
 from . import symspace as Y
 from .config import DEFAULT_TOL
-from .curvspace import berger_check
+from .curvspace import MAX_BERGER_N, berger_check
 from .lie import unitary_basis
 
 EXIT_OK, EXIT_INPUT, EXIT_MISMATCH = 0, 1, 2
@@ -136,7 +136,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_berger(args) -> int:
-    alg = S.decode_algebra(S.load_json(args.algebra))
+    obj = S.load_json(args.algebra)
+    n = obj.get("n")
+    if isinstance(n, int) and n > MAX_BERGER_N:
+        raise ValueError(f"berger takes n <= {MAX_BERGER_N}, not {n}")
+    alg = S.decode_algebra(obj)
     res = berger_check(alg)
     payload = {
         "dim": alg.dim,

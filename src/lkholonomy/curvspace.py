@@ -5,6 +5,15 @@ A curvature map is stored through its mixed values rho[i, j] = R(b_i, conj
 b_j) on the Witt basis b_0 = p, b_1..b_n = e_j, b_{n+1} = q.  The (1,0)-(1,0)
 and (0,1)-(0,1) values vanish identically, and real arguments are recovered
 by R(X, Y) = R(X, conj Y) - R(Y, conj X).
+
+The curvature space K(g) is solved by one of two routes, chosen from the
+basis of g alone.  When every basis matrix fits the parabolic block pattern,
+g lies in the full algebra u(1,n+1)_{Cp}, whose curvature space is the
+image of the closed-form map param_encode; K(g) is then one real null space
+in the param_dim(n) block parameters, and for the full algebra itself no
+null space at all.  Other bases (the n = 0 family G0, algebras of real
+matrices) take the generic two-stage solve: an exchange null space, a
+complex intersection, and a tau-split.
 """
 from __future__ import annotations
 
@@ -14,6 +23,13 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .lie import MatrixAlgebra, null_space, row_space, sigma_involution, unflatten, unitary_basis
+
+
+# The largest n of an algebra file for berger.  On one core of a 2-core
+# Intel Xeon machine the full algebra takes about 0.5 s at a peak RSS of
+# 261 MB at n = 6, 1.2-1.5 s at 586 MB at n = 7 and 2.5-3.0 s at 1336 MB at
+# n = 8; the unit parameters alone are param_dim(n) (n + 2)^4 complex entries.
+MAX_BERGER_N = 6
 
 
 @dataclass
@@ -38,15 +54,23 @@ class CurvatureMap:
 
     def invariant_residual(self, sigma=sigma_involution) -> float:
         """Worst violation of reality, exchange symmetry, and the first
-        Bianchi identity (on real arguments).  sigma is a parameter because
-        the tests check algebras of real matrices with np.conj."""
-        rho, N = self.rho, self.dim_v
-        mirror = np.array([[sigma(rho[j, i]) for j in range(N)] for i in range(N)])
+        Bianchi identity (on real arguments), over every map when rho carries
+        a leading axis.  sigma is a parameter because the tests check
+        algebras of real matrices with np.conj."""
+        rho = self.rho
+        swapped = rho.swapaxes(-4, -3)  # rho[j, i]
         # P[i, j, k] = R(b_i, b_j) b_k, whose cyclic sum vanishes
-        P = self.real_curvature()[:N, :N].transpose(0, 1, 3, 2)
-        return float(max(np.abs(rho + mirror).max(),
-                         np.abs(rho - rho.transpose(3, 1, 2, 0)).max(),
-                         np.abs(P + P.transpose(2, 0, 1, 3) + P.transpose(1, 2, 0, 3)).max()))
+        P = (rho - swapped).swapaxes(-2, -1)
+        return float(max(np.abs(rho + sigma(swapped)).max(),
+                         np.abs(rho - rho.swapaxes(-4, -1)).max(),
+                         np.abs(P + np.moveaxis(P, -2, -4) + np.moveaxis(P, -4, -2)).max()))
+
+
+def _pairs(n: int, strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs j <= k of range(n), or j < k when strict, in row
+    order: np.triu_indices at a fraction of its cost."""
+    r = np.arange(n)
+    return np.nonzero(r[:, None] < r if strict else r[:, None] <= r)
 
 
 def _complex_span_basis(mats: list[np.ndarray]):
@@ -58,9 +82,9 @@ def _default_sigma(alg: MatrixAlgebra):
     """The anti-linear involution of span_C(g) fixing g: the parabolic block
     involution when the basis fits that pattern, entrywise conjugation for
     algebras of real matrices."""
+    N = alg.n + 2
     try:
-        for b in alg.basis:
-            sigma_involution(b)
+        sigma_involution(np.reshape(alg.basis, (-1, N, N)))
         return sigma_involution
     except ValueError:
         return np.conj
@@ -91,7 +115,7 @@ def _complex_solutions(alg: MatrixAlgebra) -> tuple[np.ndarray, np.ndarray]:
     if d == 0:
         return np.zeros((0, N ** 4)), np.zeros((0, N ** 4))
     E = np.einsum("ibe,bst->iest", K, B)  # (N, d, N, N)
-    S = np.array([[sigma(E[i, e]) for e in range(d)] for i in range(N)])
+    S = sigma(E)
     t = null_space(_exchange_rows(S.conj())).conj().reshape(-1, d)
     # rho_l[i, j] = sum_e t_l[j, e] E[i, e], tau rho_l[i, j] = -sum_e conj(t_l[i, e]) S[j, e]
     rho = (t @ E.transpose(1, 0, 2, 3).reshape(d, -1)).reshape(-1, N, N, N, N)
@@ -99,20 +123,68 @@ def _complex_solutions(alg: MatrixAlgebra) -> tuple[np.ndarray, np.ndarray]:
     return rho.transpose(0, 2, 1, 3, 4).reshape(-1, N ** 4), tau.reshape(-1, N ** 4)
 
 
-def solve_curvature_space(alg: MatrixAlgebra) -> list[CurvatureMap]:
-    """Basis of the real solution space of rho[i,j] = -sigma(rho[j,i]) and
-    rho[i,j] b_k = rho[k,j] b_i, values in span_C(g): the tau-fixed points of
-    Z.  tau is an anti-unitary involution of Z, so T[l, m] = <rho_l, tau rho_m>
-    is unitary and symmetric, and the fixed points a = T conj(a) are a null
-    space whose singular values are 0 and 2 only."""
-    if alg.dim == 0:
-        return []
+def _two_stage_solve(alg: MatrixAlgebra) -> np.ndarray:
+    """Rows rho (k, N^4) spanning the real solution space of rho[i,j] =
+    -sigma(rho[j,i]) and rho[i,j] b_k = rho[k,j] b_i, values in span_C(g):
+    the tau-fixed points of Z.  tau is an anti-unitary involution of Z, so
+    T[l, m] = <rho_l, tau rho_m> is unitary and symmetric, and the fixed
+    points a = T conj(a) are a null space whose singular values are 0 and 2
+    only."""
     rho, tau = _complex_solutions(alg)
-    k, N = len(rho), alg.n + 2
+    k = len(rho)
     T = rho.conj() @ tau.T
     a = null_space(np.block([[T.real - np.eye(k), T.imag], [T.imag, -T.real - np.eye(k)]]))
-    return [CurvatureMap(alg.n, r)
-            for r in ((a[:, :k] + 1j * a[:, k:]) @ rho).reshape(-1, N, N, N, N)]
+    return (a[:, :k] + 1j * a[:, k:]) @ rho
+
+
+def _param_solve(alg: MatrixAlgebra) -> np.ndarray:
+    """Rows rho (k, N^4) spanning K(g) for g inside the full algebra: the
+    maps E x, x real, of the unit parameters E whose every value rho[i, j]
+    lies in span_C(g).  Within the block pattern, where all values of E
+    live, span_C(g) is the orthogonal complement of the orthonormal rows H,
+    so slot (i, j) asks H^* rho[i, j] = 0.  The orthonormal columns X of
+    the admissible parameters are restricted by one null space per pair of
+    mirror slots (i, j), (j, i), over the columns that pair reaches.  A
+    singular value counts above rank_rel times the norm of all the
+    conditions: rounding is all that is left of a condition that H or the
+    slots before it make zero.  The full algebra has no H and takes no null
+    space."""
+    N = alg.n + 2
+    E = _encode(_unit_params(alg.n)).reshape(-1, N * N, N * N)
+    B = np.reshape(_complex_span_basis(alg.basis), (-1, N * N))
+    nonzero = E != 0
+    pattern = nonzero.any(axis=(0, 1))
+    if len(B) == np.count_nonzero(pattern):
+        return E.reshape(len(E), -1)
+    complement = null_space(B[:, pattern])
+    H = np.zeros((N * N, len(complement)), complex)
+    H[pattern] = complement.conj().T
+    C = (E.reshape(-1, N * N) @ H).reshape(len(E), N, N, -1)
+    floor = DEFAULT_TOL.rank_rel * np.linalg.norm(C)
+    reach = nonzero.any(axis=2).reshape(len(E), N, N)
+    reach = reach | reach.swapaxes(1, 2)
+    X = np.eye(len(E))
+    for i, j in zip(*np.nonzero(np.triu(reach.any(axis=0)))):
+        reached = np.flatnonzero(reach[:, i, j])
+        active = X[reached].any(axis=0)
+        if active.any():
+            # the conditions on slot (i, j) and on its mirror (j, i)
+            rows = C[reached[:, None], [i, j], [j, i]].reshape(len(reached), -1)
+            rows = np.concatenate([rows.real, rows.imag], axis=1)
+            x = null_space(rows.T @ X[np.ix_(reached, active)], floor)
+            X = np.concatenate([X[:, ~active], X[:, active] @ x.T], axis=1)
+    return X.T @ E.reshape(len(E), -1)
+
+
+def solve_curvature_space(alg: MatrixAlgebra) -> list[CurvatureMap]:
+    """A real basis of the curvature space K(g): by the block parameters
+    when the basis of g fits the parabolic pattern, else by the two-stage
+    solve."""
+    if alg.dim == 0:
+        return []
+    N = alg.n + 2
+    solve = _param_solve if _default_sigma(alg) is sigma_involution else _two_stage_solve
+    return [CurvatureMap(alg.n, r) for r in solve(alg).reshape(-1, N, N, N, N)]
 
 
 def curvature_image(maps: list[CurvatureMap]) -> list[np.ndarray]:
@@ -123,9 +195,11 @@ def curvature_image(maps: list[CurvatureMap]) -> list[np.ndarray]:
     if not maps:
         return []
     N = maps[0].dim_v
-    skew, sym = np.triu_indices(N, 1), np.triu_indices(N)
-    W = np.reshape([np.concatenate([Rm[skew], Rm[N:][sym]])
-                    for Rm in (R.real_curvature() for R in maps)], (-1, N * N))
+    rho = np.array([R.rho for R in maps])
+    (a, b), (s, t) = _pairs(N, strict=True), _pairs(N)
+    # R(b_a, b_b) = rho[a, b] - rho[b, a] and R(i b_s, b_t) = i (rho[s, t] + rho[t, s])
+    W = np.concatenate([rho[:, a, b] - rho[:, b, a], 1j * (rho[:, s, t] + rho[:, t, s])],
+                       axis=1).reshape(-1, N * N)
     W = W[np.abs(W).max(axis=1) > DEFAULT_TOL.coeff_zero]
     return [unflatten(row, (N, N))
             for row in row_space(np.hstack([W.real, W.imag]))]
@@ -181,9 +255,19 @@ def param_dim(n: int) -> int:
     """Real dimension of the parameter space: alpha, beta (2 each), c (1),
     N, K (2n each), symmetric complex T (n(n+1)), Hermitian A (n^2),
     complex P (n^2(n+1)), and R0 in the real unitary curvature space
-    (n^2(n+1)^2/4).  Matches the solver's null-space dimension."""
+    (n^2(n+1)^2/4).  The number of unit parameters _unit_params builds, and
+    the dimension of K(u(1,n+1)_{Cp}) by either solve route."""
     return (2 + 2 + 1 + 2 * n + 2 * n + n * (n + 1) + n * n
             + n * n * (n + 1) + n * n * (n + 1) * (n + 1) // 4)
+
+
+def _r0_average(R0: np.ndarray) -> np.ndarray:
+    """The average over the 8-element group generated by the holomorphic-pair,
+    antiholomorphic-pair and reality symmetries of R0, along leading axes:
+    exact in one pass."""
+    R0 = R0 + R0.swapaxes(-3, -2)
+    R0 = R0 + R0.swapaxes(-4, -1)
+    return (R0 + np.conj(R0.swapaxes(-4, -3).swapaxes(-2, -1))) / 8
 
 
 def random_param(n: int, rng: np.random.Generator) -> CurvatureParam:
@@ -198,12 +282,7 @@ def random_param(n: int, rng: np.random.Generator) -> CurvatureParam:
     P = (P + np.transpose(P, (0, 2, 1))) / 2
     A = crandn(n, n)
     A = (A + A.conj().T) / 2
-    # the average over the 8-element group generated by the holomorphic-pair,
-    # antiholomorphic-pair and reality symmetries: exact in one pass
-    R0 = crandn(n, n, n, n)
-    R0 = R0 + np.transpose(R0, (0, 2, 1, 3))
-    R0 = R0 + np.transpose(R0, (3, 1, 2, 0))
-    R0 = (R0 + np.conj(np.transpose(R0, (1, 0, 3, 2)))) / 8
+    R0 = _r0_average(crandn(n, n, n, n))
     return CurvatureParam(
         n,
         alpha=complex(crandn()),
@@ -218,6 +297,44 @@ def random_param(n: int, rng: np.random.Generator) -> CurvatureParam:
     )
 
 
+def _unit_params(n: int) -> CurvatureParam:
+    """A real basis of the parameter space along one leading axis of length
+    param_dim(n): 1 and i in each free complex entry, 1 in c, the Hermitian
+    units of A, and for R0 one orbit sum of a unit tensor under the group of
+    _r0_average per orbit.  R0 is a Hermitian form on symmetric pairs,
+    R0[a, b, j, k] at the pairs (a, k) and (b, j): a unit at u <= v of the
+    pairs, and i times it when u < v."""
+    j, k = _pairs(n)
+    sym = np.zeros((len(j), n, n))
+    sym[np.arange(len(j)), j, k] = sym[np.arange(len(j)), k, j] = 1.0
+    u, v = _pairs(len(j))
+    R0 = np.zeros((len(u),) + (n,) * 4, complex)
+    R0[np.arange(len(u)), j[u], j[v], k[v], k[u]] = 1.0
+    eye = np.eye(n)
+
+    def cplx(U):
+        return np.concatenate([U, 1j * U])
+
+    units = {
+        "alpha": cplx(np.ones(1)),
+        "beta": cplx(np.ones(1)),
+        "c": np.ones(1),
+        "N_vec": cplx(eye),
+        "K": cplx(eye),
+        "T": cplx(sym),
+        "R0": _r0_average(np.concatenate([R0, 1j * R0[u < v]])),
+        "P": (eye[:, None, :, None, None] * cplx(sym)[:, None])
+               .reshape((2 * n * len(j),) + (n,) * 3),
+        "A": np.concatenate([sym, 1j * sym[j < k] * (np.tri(n).T - np.tri(n))]),
+    }
+    p, start, fields = param_dim(n), 0, {}
+    for name, U in units.items():
+        fields[name] = np.zeros((p,) + U.shape[1:], U.dtype)
+        fields[name][start:start + len(U)] = U
+        start += len(U)
+    return CurvatureParam(n, **fields)
+
+
 def _full_algebra(n: int) -> MatrixAlgebra:
     from .classify import KLDescriptor, build_family
     zero = np.zeros((n, n), complex)
@@ -225,8 +342,29 @@ def _full_algebra(n: int) -> MatrixAlgebra:
                                      + [(0.0, A) for A in unitary_basis(n)]))
 
 
+def _encode(p: CurvatureParam) -> np.ndarray:
+    """rho of param_encode, unchecked, along the leading axes of the parameters."""
+    n, q = p.n, p.n + 1
+    alpha, beta, c = np.asarray(p.alpha), np.asarray(p.beta), np.asarray(p.c)
+    rho = np.zeros(alpha.shape + (q + 1,) * 4, complex)
+    rho[..., 0, q, 0, :] = np.concatenate([alpha[..., None], p.N_vec, beta[..., None]], -1)
+    jq = rho[..., 1:q, q, :, :]
+    jq[..., 0, 0], jq[..., 0, 1:q], jq[..., 0, q] = p.N_vec, p.T.swapaxes(-2, -1), np.conj(p.K)
+    jq[..., 1:q, 1:q], jq[..., 1:q, q] = np.moveaxis(p.P, -1, -3), p.A.swapaxes(-2, -1)
+    jk = rho[..., 1:q, 1:q, :, :]
+    jk[..., 0, 1:q], jk[..., 0, q] = np.moveaxis(p.P, -1, -3), p.A.swapaxes(-2, -1)
+    jk[..., 1:q, 1:q] = np.moveaxis(p.R0, (-2, -1), (-4, -3))
+    jk[..., 1:q, q] = np.conj(p.P).swapaxes(-2, -1)
+    qq = rho[..., q, q, :, :]
+    qq[..., 0, :] = np.concatenate([beta[..., None], np.conj(p.K), c[..., None]], -1)
+    qq[..., 1:q, 1:q], qq[..., 1:q, q], qq[..., q, q] = p.A, p.K, np.conj(beta)
+    rho[..., q, :q, :, :] = -sigma_involution(rho[..., :q, q, :, :])
+    return rho
+
+
 def param_encode(p: CurvatureParam) -> CurvatureMap:
-    """The curvature map of the full algebra carrying the given parameters.
+    """The curvature map of the full algebra carrying the given parameters,
+    or the stack of maps when every parameter carries one leading axis.
     With q = n + 1 and e_j = b_j, whose parameters sit at index j - 1, the
     blocks are
         rho[0, q] row 0 = (alpha, N^T, beta),
@@ -238,24 +376,8 @@ def param_encode(p: CurvatureParam) -> CurvatureMap:
     map's reality and exchange identities, so one invariant_residual check,
     within residual relative to max(largest entry, 1), refuses any
     parameters that break them."""
-    n, q = p.n, p.n + 1
-    rho = np.zeros((q + 1,) * 4, complex)
-    rho[0, q][0] = np.concatenate([[p.alpha], p.N_vec, [p.beta]])
-    for j in range(n):
-        B = rho[1 + j, q]
-        B[0] = np.concatenate([[p.N_vec[j]], p.T[:, j], [np.conj(p.K[j])]])
-        B[1:q, 1:q], B[1:q, q] = p.P[:, :, j], p.A[:, j]
-        for k in range(n):
-            B = rho[1 + j, 1 + k]
-            B[0, 1:] = np.concatenate([p.P[k, :, j], [p.A[k, j]]])
-            B[1:q, 1:q], B[1:q, q] = p.R0[:, :, j, k], np.conj(p.P[j, :, k])
-    B = rho[q, q]
-    B[0] = np.concatenate([[p.beta], np.conj(p.K), [p.c]])
-    B[1:q, 1:q], B[1:q, q], B[q, q] = p.A, p.K, np.conj(p.beta)
-    for i in range(q):
-        rho[q, i] = -sigma_involution(rho[i, q])
-    R = CurvatureMap(n, rho)
-    if R.invariant_residual() > DEFAULT_TOL.residual * max(np.abs(rho).max(), 1.0):
+    R = CurvatureMap(p.n, _encode(p))
+    if R.invariant_residual() > DEFAULT_TOL.residual * max(np.abs(R.rho).max(), 1.0):
         raise ValueError("parameters are not realized by any curvature map")
     return R
 

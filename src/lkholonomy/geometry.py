@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -59,6 +60,16 @@ class MetricJet:
     n: int
     h: np.ndarray  # (n+2, n+2) object array of Jets, h[a][b] = h_{abar b}
     potential: Jet | None = None
+
+    def __post_init__(self):
+        """Refuse a metric or potential with a non-finite coefficient, in one
+        pass over all of them: a jet product that overflows gives inf or nan
+        without an error, and max() drops nan, so every residual of such a
+        metric would read 0."""
+        jets = list(self.h.flat) + ([self.potential] if self.potential is not None else [])
+        coeffs = np.fromiter(chain.from_iterable(j.terms.values() for j in jets), complex)
+        if not np.isfinite(coeffs).all():
+            raise ValueError("the metric or its potential has a non-finite jet coefficient")
 
     @cached_property
     def hinv(self) -> np.ndarray:

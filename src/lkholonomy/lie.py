@@ -128,8 +128,12 @@ class MatrixAlgebra:
         return worst
 
     def equals(self, other: "MatrixAlgebra") -> bool:
-        return (self.dim == other.dim
-                and all(in_real_span(x, other.basis) for x in self.basis))
+        """Equal dimensions, and the basis of self in the real span of other
+        within rank_rel: in_real_span's bound for each basis matrix, whose
+        orthonormal entries are at most 1, checked in one fit."""
+        return self.dim == other.dim and (
+            self.dim == 0
+            or span_residual(np.array(self.basis), other.basis) <= DEFAULT_TOL.rank_rel)
 
 
 def unitary_basis(n: int) -> list[np.ndarray]:
@@ -196,24 +200,20 @@ class ABZCElement:
 
 def sigma_involution(xi: np.ndarray) -> np.ndarray:
     """Anti-linear involution on the T^{1,0} block form; its fixed points are
-    the embeddings of the real parabolic elements.  The block pattern is
-    fitted within rank_rel·max(|xi|, 1)."""
-    d = xi.shape[0]
-    n = d - 2
-    tol = DEFAULT_TOL.rank_rel * max(np.abs(xi).max(), 1.0)
-    if max(np.abs(xi[1:, 0]).max(), np.abs(xi[n + 1, 1:n + 1]).max(initial=0.0)) > tol:
+    the embeddings of the real parabolic elements.  xi may carry leading
+    axes; each matrix's block pattern is fitted within rank_rel·max(|xi|, 1)."""
+    n = xi.shape[-1] - 2
+    off = np.maximum(np.abs(xi[..., 1:, 0]).max(axis=-1),
+                     np.abs(xi[..., n + 1, 1:n + 1]).max(axis=-1, initial=0.0))
+    # the scale max(|xi|, 1) is at least 1, so it is read only past rank_rel
+    if off.max() > DEFAULT_TOL.rank_rel and np.any(
+            off > DEFAULT_TOL.rank_rel * np.maximum(np.abs(xi).max(axis=(-2, -1)), 1.0)):
         raise ValueError("sigma: matrix violates the upper-triangular block pattern")
-    a = xi[0, 0]
-    Wbar_t = xi[0, 1:n + 1]
-    c = xi[0, n + 1]
-    A = xi[1:n + 1, 1:n + 1]
-    Z = xi[1:n + 1, n + 1]
-    b = xi[n + 1, n + 1]
     out = np.zeros_like(xi)
-    out[0, 0] = -np.conj(b)
-    out[0, 1:n + 1] = -np.conj(Z)
-    out[0, n + 1] = -np.conj(c)
-    out[1:n + 1, 1:n + 1] = -np.conj(A).T
-    out[1:n + 1, n + 1] = -np.conj(Wbar_t)
-    out[n + 1, n + 1] = -np.conj(a)
+    out[..., 0, 0] = -np.conj(xi[..., n + 1, n + 1])
+    out[..., 0, 1:n + 1] = -np.conj(xi[..., 1:n + 1, n + 1])
+    out[..., 0, n + 1] = -np.conj(xi[..., 0, n + 1])
+    out[..., 1:n + 1, 1:n + 1] = -np.conj(xi[..., 1:n + 1, 1:n + 1]).swapaxes(-2, -1)
+    out[..., 1:n + 1, n + 1] = -np.conj(xi[..., 0, 1:n + 1])
+    out[..., n + 1, n + 1] = -np.conj(xi[..., 0, 0])
     return out

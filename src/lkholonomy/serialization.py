@@ -311,7 +311,9 @@ def make_report(command: str, payload: dict, tolerances: dict | None = None) -> 
 
 
 def dump_json(obj: dict, path: str | None) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The report as text, also written atomically to path if given; a NaN
+    or infinite number is a ValueError, so no report holds one."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path:
         d = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")

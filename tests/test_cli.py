@@ -6,6 +6,7 @@ import pytest
 from lkholonomy import classify as C
 from lkholonomy import serialization as S
 from lkholonomy.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, build_parser, main
+from lkholonomy.curvspace import MAX_BERGER_N
 
 
 def _write(tmp_path, name, obj):
@@ -246,12 +247,23 @@ def test_catalog_entries_all_build(n, capsys):
         assert C.same_descriptor(C.match_algebra(alg), d), entry["descriptor"]
 
 
-@pytest.mark.parametrize("argv", [["catalog", "--n"], ["symspace", "--family", "f", "--n"]])
-def test_n_above_the_metric_bound_is_one_line_error(argv, capsys):
-    for n, bound in ((S.MAX_METRIC_N + 1, f"at most {S.MAX_METRIC_N}"), (-1, "at least 0")):
-        assert main(argv + [str(n)]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err == f"error: --n must be {bound}, not {n}\n"
+@pytest.mark.parametrize("argv", [["catalog", "--n"], ["symspace", "--family", "f", "--n"],
+                                  ["berger", "--algebra"]])
+def test_n_above_the_metric_bound_is_one_line_error(argv, tmp_path, capsys):
+    """catalog and symspace bound --n; berger bounds the n of its file, a
+    descriptor or a basis, before it reads anything else of it."""
+    cases = [(argv + [str(n)], f"error: --n must be {bound}, not {n}\n")
+             for n, bound in ((S.MAX_METRIC_N + 1, f"at most {S.MAX_METRIC_N}"), (-1, "at least 0"))]
+    if argv[0] == "berger":
+        n = MAX_BERGER_N + 1
+        files = [_write(tmp_path, "descriptor.json",
+                        {"family": "GKL", "n": n, "m": 0, "k_basis": "unread"}),
+                 _write(tmp_path, "basis.json", {"n": n, "basis": "unread"})]
+        cases = [(argv + [f], f"error: berger takes n <= {MAX_BERGER_N}, not {n}\n")
+                 for f in files]
+    for cmd, err in cases:
+        assert main(cmd) == EXIT_INPUT
+        assert capsys.readouterr().err == err
 
 
 @pytest.mark.filterwarnings("error")
@@ -264,6 +276,17 @@ def test_holonomy_of_the_first_n4_catalog_entry_gives_a_report(tmp_path, capsys)
     pot = _write(tmp_path, "gk4.json", {"kind": "descriptor", "descriptor": entry["descriptor"]})
     assert main(["holonomy", "--potential", pot]) in (EXIT_OK, EXIT_MISMATCH)
     assert json.loads(capsys.readouterr().out)["result"]["matched_family"] == "GK"
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_potential_is_one_line_error(tmp_path, capsys):
+    """The jet products of this potential overflow to nan; the metric is
+    refused, where every residual used to read 0.0 with exit 0."""
+    pot = _write(tmp_path, "fc.json", {"kind": "fc", "a": [1e300, 0.0], "b": 0.5, "order": 6})
+    assert main(["validate", "--potential", pot]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the metric or its potential has a non-finite jet coefficient\n"
 
 
 def test_determinism(tmp_path, gk_potential, capsys):

@@ -6,6 +6,7 @@ from lkholonomy import classify as C
 from lkholonomy import curvspace
 from lkholonomy.curvspace import (
     CurvatureMap,
+    CurvatureParam,
     berger_check,
     no_ir_counterexample,
     param_decode,
@@ -124,8 +125,8 @@ def test_solve_matches_reference_assembly(suite, rng):
 
 
 def test_solve_applies_sigma_per_basis_matrix(monkeypatch):
-    """sigma is applied to the N d exchange-space matrices, not to 2 c N^2
-    probes (22 518 calls at n = 3 by unit-vector assembly)."""
+    """The two-stage solve applies sigma to the N d exchange-space matrices,
+    not to 2 c N^2 probes (22 518 calls at n = 3 by unit-vector assembly)."""
     calls = []
 
     def counted(xi, *args, **kwargs):
@@ -133,8 +134,57 @@ def test_solve_applies_sigma_per_basis_matrix(monkeypatch):
         return sigma_involution(xi, *args, **kwargs)
 
     monkeypatch.setattr(curvspace, "sigma_involution", counted)
-    assert len(solve_curvature_space(_full_algebra(3))) == 110
+    assert len(curvspace._two_stage_solve(_full_algebra(3))) == 110
     assert 0 < len(calls) < 500
+
+
+def _routes_agree(alg) -> tuple[int, int]:
+    """The dimensions of the parameter and the two-stage solution spaces,
+    asserting that each is a basis and that they span the same space."""
+    N = alg.n + 2
+    by_param = [CurvatureMap(alg.n, r) for r in curvspace._param_solve(alg).reshape(-1, N, N, N, N)]
+    by_stages = [CurvatureMap(alg.n, r)
+                 for r in curvspace._two_stage_solve(alg).reshape(-1, N, N, N, N)]
+    assert _real_rank(by_param) == len(by_param)
+    assert _real_rank(by_stages) == len(by_stages)
+    assert _real_rank(by_param + by_stages) == len(by_stages)
+    return len(by_param), len(by_stages)
+
+
+def test_parameter_route_matches_two_stage_route(suite, rng):
+    """On every oracle case and every catalog entry with n <= 4 whose basis
+    fits the block pattern, the parameter route spans the space of the
+    two-stage solve; the n = 0 family G0 and so(3) are the only ones
+    outside the pattern, and solve_curvature_space gives them the two-stage
+    route."""
+    from lkholonomy.cli import _catalog_entries
+    cases = _oracle_cases(suite, rng)
+    for n in range(5):
+        cases += [(f"catalog n={n} {e['descriptor'].family}", C.build_family(e["descriptor"]))
+                  for e in _catalog_entries(n)]
+    outside = []
+    for name, alg in cases:
+        if curvspace._default_sigma(alg) is not sigma_involution:
+            outside.append(name)
+            assert len(solve_curvature_space(alg)) == len(curvspace._two_stage_solve(alg)), name
+            continue
+        dims = _routes_agree(alg)
+        assert dims[0] == dims[1], name
+    assert outside == ["G0", "so(3)", "catalog n=0 G0"]
+
+
+def test_unit_parameters_are_a_basis():
+    """The encoded unit parameters E have real rank param_dim(n), satisfy
+    every curvature identity exactly, and R0 takes n^2 (n + 1)^2 / 4 of
+    them."""
+    for n in range(6):
+        units = curvspace._unit_params(n)
+        E = curvspace._encode(units)
+        assert E.shape == (param_dim(n),) + (n + 2,) * 4
+        assert _real_rank([CurvatureMap(n, r) for r in E]) == param_dim(n), n
+        assert CurvatureMap(n, E).invariant_residual() == 0.0, n
+        r0_units = np.count_nonzero(units.R0.reshape(len(E), -1).any(axis=1))
+        assert r0_units == n * n * (n + 1) * (n + 1) // 4, n
 
 
 @pytest.fixture
@@ -151,25 +201,33 @@ def null_space_inputs(monkeypatch):
 
 
 def test_solve_builds_no_realified_system(null_space_inputs):
-    """Every null space of the solve at n = 3 has at most N d = 230 columns:
-    the reality condition is solved over C, not as a real system in
+    """Every null space of the two-stage solve at n = 3 has at most N d = 230
+    columns: the reality condition is solved over C, not as a real system in
     (Re t, Im t) with 2 N d columns."""
-    assert len(solve_curvature_space(_full_algebra(3))) == 110
+    assert len(curvspace._two_stage_solve(_full_algebra(3))) == 110
     shapes = [rows.shape for rows in null_space_inputs]
     assert (250, 230) in shapes
     assert all(cols <= 230 for _, cols in shapes), shapes
 
 
+def test_full_algebra_takes_no_null_space(null_space_inputs):
+    """On the full algebra the parameter route returns the param_dim(n)
+    unit maps with no constraint to solve: curvspace calls no null space."""
+    for n in range(1, 6):
+        assert len(solve_curvature_space(_full_algebra(n))) == param_dim(n)
+        assert null_space_inputs == [], n
+
+
 def test_tau_maps_the_intersection_into_itself(suite, rng, null_space_inputs):
     """On the orthonormal basis of Z = W & tau W, tau of every row lies in Z,
-    and the tau-split's singular values are 1 or 0 relative to the largest,
-    for every oracle case (np.conj among them) and the full algebra at
-    n = 3."""
+    and the two-stage solve's tau-split has singular values 1 or 0 relative
+    to the largest, for every oracle case (np.conj among them) and the full
+    algebra at n = 3."""
     for name, alg in _oracle_cases(suite, rng) + [("full n=3", _full_algebra(3))]:
         rho, tau = curvspace._complex_solutions(alg)
         assert np.abs(rho @ rho.conj().T - np.eye(len(rho))).max(initial=0) <= 1e-12, name
         assert np.abs(tau - (tau @ rho.conj().T) @ rho).max(initial=0) <= 1e-12, name
-        solve_curvature_space(alg)
+        curvspace._two_stage_solve(alg)
         split = null_space_inputs[-1]
         assert split.shape == (2 * len(rho), 2 * len(rho)), name
         s = np.linalg.svd(split, compute_uv=False)
@@ -206,6 +264,41 @@ def _param_distance(p, q) -> float:
     for name in ("N_vec", "K", "T", "R0", "P", "A"):
         worst = max(worst, np.abs(getattr(p, name) - getattr(q, name)).max(initial=0))
     return float(worst)
+
+
+def _reference_encode(p):
+    """param_encode's block layout one slot at a time, as a loop."""
+    n, q = p.n, p.n + 1
+    rho = np.zeros((q + 1,) * 4, complex)
+    rho[0, q][0] = np.concatenate([[p.alpha], p.N_vec, [p.beta]])
+    for j in range(n):
+        B = rho[1 + j, q]
+        B[0] = np.concatenate([[p.N_vec[j]], p.T[:, j], [np.conj(p.K[j])]])
+        B[1:q, 1:q], B[1:q, q] = p.P[:, :, j], p.A[:, j]
+        for k in range(n):
+            B = rho[1 + j, 1 + k]
+            B[0, 1:] = np.concatenate([p.P[k, :, j], [p.A[k, j]]])
+            B[1:q, 1:q], B[1:q, q] = p.R0[:, :, j, k], np.conj(p.P[j, :, k])
+    B = rho[q, q]
+    B[0] = np.concatenate([[p.beta], np.conj(p.K), [p.c]])
+    B[1:q, 1:q], B[1:q, q], B[q, q] = p.A, p.K, np.conj(p.beta)
+    for i in range(q):
+        rho[q, i] = -sigma_involution(rho[i, q])
+    return rho
+
+
+def test_encode_matches_the_block_loop(rng):
+    """The whole-array encoder writes the loop's blocks bit for bit, for one
+    parameter tuple and for each unit parameter of a stack."""
+    for n in (0, 1, 2, 3):
+        p = random_param(n, rng)
+        assert np.array_equal(param_encode(p).rho, _reference_encode(p))
+        units = curvspace._unit_params(n)
+        stack = param_encode(units).rho
+        for u in range(param_dim(n)):
+            unit = CurvatureParam(n, **{f: getattr(units, f)[u] for f in (
+                "alpha", "beta", "c", "N_vec", "K", "T", "R0", "P", "A")})
+            assert np.array_equal(stack[u], _reference_encode(unit)), (n, u)
 
 
 def test_codec_roundtrip(rng):

@@ -55,10 +55,40 @@ def test_sigma_involution(rng):
         assert np.abs(sigma_involution(fixed) - fixed).max() < 1e-12
 
 
+def test_sigma_on_a_stack_is_sigma_of_each_matrix(rng):
+    """Leading axes map matrix by matrix, bit for bit, and each matrix is
+    fitted to the block pattern at its own scale: 1e-8 off the pattern
+    passes in a matrix of entries near 100 and fails one near 1."""
+    for n in (0, 1, 3):
+        stack = np.array([[_random_abzc(rng, n).to_matrix() * 10.0 ** k for k in range(3)]
+                          for _ in range(2)])
+        out = sigma_involution(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(stack.shape[:2]):
+            assert np.array_equal(out[idx], sigma_involution(stack[idx]))
+        stack[1, 2, n + 1, 0] = 1e-8
+        sigma_involution(stack)
+        stack[1, 0, n + 1, 0] = 1e-8
+        with pytest.raises(ValueError):
+            sigma_involution(stack)
+
+
 def test_sigma_rejects_bad_pattern():
     bad = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         sigma_involution(bad)
+
+
+def test_equals_is_in_real_span_for_every_basis_matrix(rng):
+    """One fit of the whole basis decides as in_real_span does for each
+    basis matrix, for moves below, near and above rank_rel."""
+    for n in (0, 1, 2):
+        alg = MatrixAlgebra(n, [_random_abzc(rng, n).to_matrix() for _ in range(3)])
+        for eps in (0.0, 1e-11, 1e-9, 1e-7):
+            noise = rng.standard_normal((3, n + 2, n + 2))
+            moved = MatrixAlgebra(n, [b + eps * e for b, e in zip(alg.basis, noise)])
+            assert moved.equals(alg) == all(in_real_span(x, alg.basis) for x in moved.basis)
+        assert not MatrixAlgebra(n, alg.basis[:2]).equals(alg)
 
 
 def test_real_span_basis_dimensions():

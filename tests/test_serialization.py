@@ -107,6 +107,15 @@ def test_dump_json_atomic_and_deterministic(tmp_path):
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+def test_dump_json_refuses_non_finite_numbers(tmp_path, value):
+    """A report never holds NaN or Infinity, and nothing is written."""
+    path = str(tmp_path / "out.json")
+    with pytest.raises(ValueError):
+        S.dump_json(S.make_report("test", {"value": value}), path)
+    assert os.listdir(tmp_path) == []
+
+
 def test_report_carries_version_and_digest():
     rep = S.make_report("x", {})
     assert rep["version"]
