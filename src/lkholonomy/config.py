@@ -14,7 +14,7 @@ class Tolerances:
         real part of a unit gamma), a coefficient left out of the direct
         iterated span; relative to the largest Taylor coefficient: a
         coefficient left out of the holonomy span; relative to max(largest
-        coefficient, 1) in Jet.is_real_valued and Jet.divide_power.
+        coefficient, 1) in Jet.is_real_valued.
     residual 1e-10, absolute at unit scale or relative to max(largest entry,
         1): a quantity that is zero in exact arithmetic, or a determinant taken
         as zero.  Anti-Hermitian, skew, trace and commutator checks, reality
@@ -33,9 +33,9 @@ class Tolerances:
         in build_potential and a symmetric pair's Ricci degeneracy flag.
         Relative to max(largest entry, 1): the block-pattern fits of sigma
         and of (a, A, Z, c), also for the holonomy's real points and the
-        pp-wave check, span membership, the skew normal form, jmat_sqrt's
-        Hermitian part.  Absolute at unit scale: zero tests on orthonormal
-        rows in the matcher, a real-form basis's rank floor and
+        pp-wave check, span membership, the lambda count of a real form,
+        jmat_sqrt's Hermitian part.  Absolute at unit scale: zero tests on
+        orthonormal rows in the matcher, a real-form basis's rank floor and
         orthonormality, gamma equality.  Also the default of --tol.
     rank_abs 1e-8, absolute: the singular-value floor of the matcher and of
         same_descriptor (their inputs come from unit-norm bases, so smaller

@@ -1,8 +1,7 @@
 """Linear algebra over the Witt model of C^{1,n+1}.
 
-Hermitian forms, the exp-derivative series, skew normal forms, and the
-real-form data (omega, lambda_k, theta, tau) attached to a real subspace L_0
-of C^{n-m}.
+Hermitian forms, the exp-derivative series, and the real-form data
+(omega, lambda_k, theta, tau) attached to a real subspace L_0 of C^{n-m}.
 
 Convention: the Hermitian form is linear in the first argument and
 conjugate-linear in the second, h(X, Y) = conj(Y)^T . Gram . X.  This is the
@@ -25,7 +24,7 @@ from .jetmat import (
     jmat_scale,
     jmat_space,
 )
-from .lie import row_space
+from .lie import numerical_rank, row_space
 
 
 @dataclass(frozen=True)
@@ -71,47 +70,6 @@ def exp_derivative_series(G: np.ndarray, var: int) -> np.ndarray:
     return acc
 
 
-def skew_normal_form(omega: np.ndarray):
-    """Orthogonal normal form of a real skew-symmetric matrix.
-
-    Returns (Q, lambdas, zero_count) with Q^T omega Q block-diagonal:
-    2x2 blocks [[0, -l], [l, 0]] with l >= 0 sorted descending, then zeros.
-    """
-    import scipy.linalg  # most of the package's import time, needed only here
-
-    omega = np.asarray(omega, dtype=float)
-    scale = max(np.abs(omega).max(initial=0.0), 1.0)
-    if np.abs(omega + omega.T).max(initial=0.0) > DEFAULT_TOL.residual * scale:
-        raise ValueError("input is not skew-symmetric")
-    k = omega.shape[0]
-    T, Z = scipy.linalg.schur(omega, output="real")
-    # collect 2x2 blocks and zero rows of the quasi-triangular (here block-
-    # diagonal) Schur form
-    blocks: list[tuple[float, int]] = []  # (lambda, column index of block start)
-    zero_cols: list[int] = []
-    j = 0
-    while j < k:
-        if j + 1 < k and abs(T[j + 1, j]) > DEFAULT_TOL.rank_rel * scale:
-            blocks.append((T[j + 1, j], j))
-            j += 2
-        else:
-            zero_cols.append(j)
-            j += 1
-    # orient each block so the (2,1) entry is +lambda with lambda >= 0
-    cols = []
-    lambdas = []
-    for lam, j in sorted(blocks, key=lambda t: -abs(t[0])):
-        if lam >= 0:
-            cols.extend([j, j + 1])
-            lambdas.append(lam)
-        else:
-            cols.extend([j + 1, j])
-            lambdas.append(-lam)
-    cols.extend(zero_cols)
-    Q = Z[:, cols]
-    return Q, lambdas, len(zero_cols)
-
-
 def _canonical_f_pair(lam: float) -> np.ndarray:
     """Columns f_1, f_2 in C^2 with |f_i| = 1 and h(f_1, f_2) = -i lam."""
     r = math.sqrt(2.0) / 2.0
@@ -146,7 +104,11 @@ class RealFormData:
             raise ValueError("basis_f must be orthonormal for the real part of h")
         # h(f_j, f_k) = delta_jk + i omega_jk  ->  omega_jk = Im gram[k][j]
         self.omega = gram.imag.T.copy()
-        _, self.lambdas, _ = skew_normal_form(self.omega)
+        # omega is orthogonally similar to blocks [[0, l], [-l, 0]] and zeros,
+        # so each lambda_k is a singular value of omega, taken twice
+        s = np.linalg.svd(self.omega, compute_uv=False)
+        blocks = numerical_rank(s, DEFAULT_TOL.rank_rel) // 2
+        self.lambdas = [float(x) for x in s[:2 * blocks:2]]
         if any(l >= 1.0 - DEFAULT_TOL.coeff_zero for l in self.lambdas):
             raise ValueError("|lambda_k| < 1 violated: h is not positive definite")
         # With h conjugate-linear in its SECOND argument, the defining scalar
@@ -177,24 +139,3 @@ class RealFormData:
         """theta = 0, i.e. L_0 contains an h-orthonormal basis."""
         return np.abs(self.omega).max(initial=0.0) <= DEFAULT_TOL.residual
 
-
-def adapted_basis(rf: RealFormData) -> np.ndarray:
-    """Adapted h-orthonormal basis diagonalizing theta.
-
-    Columns e_{2k-1}, e_{2k} per lambda block (theta-eigenvalues -+ i lam_k),
-    then the theta-kernel vectors.  Built from the normal form of omega.
-    """
-    F = rf.basis_f
-    Q, lambdas, n_zero = skew_normal_form(rf.omega)
-    Fc = F @ Q  # canonical f-basis: gram with omega in normal form
-    k = rf.n_minus_m
-    out = np.empty((k, k), dtype=complex)
-    for s, lam in enumerate(lambdas):
-        if not abs(lam) < 1.0:
-            raise ValueError("|lambda_k| < 1 required for the adapted basis")
-        f1, f2 = Fc[:, 2 * s], Fc[:, 2 * s + 1]
-        out[:, 2 * s] = math.sqrt(2) / (2 * math.sqrt(1 - lam)) * (f1 + 1j * f2)
-        out[:, 2 * s + 1] = math.sqrt(2) / (2 * math.sqrt(1 + lam)) * (f2 + 1j * f1)
-    for j in range(n_zero):
-        out[:, 2 * len(lambdas) + j] = Fc[:, 2 * len(lambdas) + j]
-    return out

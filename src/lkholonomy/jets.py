@@ -18,7 +18,6 @@ so no field ever carries into its neighbour.  ``Jet.coeffs`` is a read-only
 """
 from __future__ import annotations
 
-import math
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from operator import mul
@@ -37,10 +36,6 @@ MAX_ORDER = MASK       # the packing limit on the truncation order
 
 class JetShapeError(ValueError):
     """Operands live in different jet spaces."""
-
-
-class DivisibilityError(ValueError):
-    """A series is not divisible by the requested power of a variable."""
 
 
 class InsufficientOrderError(ValueError):
@@ -200,15 +195,6 @@ class Jet:
                 return False
         return True
 
-    def derivative_at_zero(self, I: MultiIndex, J: MultiIndex) -> complex:
-        """Partial derivative d^{I}_z d^{J}_zbar at the base point."""
-        fac = 1.0
-        for k in I:
-            fac *= math.factorial(k)
-        for k in J:
-            fac *= math.factorial(k)
-        return self.coefficient(I, J) * fac
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other: "Jet") -> int:
@@ -288,29 +274,6 @@ class Jet:
             if d:
                 out[k - unit] = 0.0 + d * c
         return _jet(self.num_coords, self.order - 1, out)
-
-    def divide_power(self, var: int, k: int, holomorphic: bool = True) -> "Jet":
-        """Divide by the k-th power of a variable; the series must be divisible.
-
-        Raises DivisibilityError when low-order terms obstruct the division:
-        that signals a genuinely singular, non-removable expression.
-        """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        scale = max(self.max_abs(), 1.0)
-        shift = field_shift(self.num_coords, var, holomorphic)
-        step = k + (k << shift)
-        out: dict[int, complex] = {}
-        for key, c in self.terms.items():
-            if (key >> shift) & MASK < k:
-                if abs(c) > DEFAULT_TOL.coeff_zero * scale:
-                    raise DivisibilityError(
-                        f"series is not divisible by variable {var}^{k}: "
-                        f"residual coefficient {c!r} at {unpack(key, self.num_coords)}"
-                    )
-                continue
-            out[key - step] = c
-        return _jet(self.num_coords, self.order - k, out)
 
     # -- graded parts and analytic functions ----------------------------------
 

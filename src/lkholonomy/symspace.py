@@ -10,8 +10,14 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .curvspace import CurvatureMap, curvature_image, ricci_of_map
-from .lie import MatrixAlgebra, row_space, sigma_involution, span_coords
+from .curvspace import (
+    CurvatureMap,
+    CurvatureParam,
+    curvature_image,
+    param_encode,
+    ricci_of_map,
+)
+from .lie import MatrixAlgebra, row_space, span_coords
 
 
 @dataclass
@@ -112,22 +118,6 @@ def _corner(N: int, val: complex) -> np.ndarray:
     return w
 
 
-def _rho_from_entries(n: int, entries: list[tuple[int, int, np.ndarray]]) -> CurvatureMap:
-    """Assemble rho from the listed nonzero values R^{1,0}(b_i, conj b_j);
-    all unlisted pairs are zero except those implied by the reality
-    condition rho_ji = -sigma(rho_ij)."""
-    N = n + 2
-    rho = np.zeros((N, N, N, N), dtype=complex)
-    for i, j, w in entries:
-        rho[i, j] = w
-    for i, j, w in entries:
-        if i != j:
-            implied = -sigma_involution(w)
-            if np.abs(rho[j, i]).max() == 0:
-                rho[j, i] = implied
-    return CurvatureMap(n, rho)
-
-
 def canonical_pair(family: str, n: int = 0, m: int = 0) -> SymmetricPair:
     """The six symmetric pairs; b) and e) are the negations of a) and d)."""
     family = family.lower()
@@ -135,33 +125,22 @@ def canonical_pair(family: str, n: int = 0, m: int = 0) -> SymmetricPair:
         if n != 0:
             raise ValueError("families a, b require n = 0")
         g = MatrixAlgebra(0, [np.array([[0, 1j], [0, 0]], dtype=complex)])
-        R = _rho_from_entries(0, [(1, 1, _corner(2, 1.0))])
-        if family == "b":
-            R = CurvatureMap(0, -R.rho)
-        return SymmetricPair(0, g, R)
+        c = 1.0 if family == "a" else -1.0
+        return SymmetricPair(0, g, param_encode(CurvatureParam(0, c=c)))
     if family == "c":
         if n != 0:
             raise ValueError("family c requires n = 0")
         g = MatrixAlgebra(0, [np.diag([1.0, -1.0]).astype(complex),
                               np.diag([1j, 1j])])
-        w = np.diag([1.0, 0.0]).astype(complex)
-        R = _rho_from_entries(0, [(0, 1, w)])
-        return SymmetricPair(0, g, R)
+        return SymmetricPair(0, g, param_encode(CurvatureParam(0, alpha=1.0)))
     if family in ("d", "e"):
         if n != 1:
             raise ValueError("families d, e require n = 1")
         x_gen = np.array([[0, -1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
         c_gen = _corner(3, 1j)
         g = MatrixAlgebra(1, [x_gen, c_gen])
-        r_eq = np.zeros((3, 3), dtype=complex)
-        r_eq[0, 2] = -1j
-        r_qq = np.zeros((3, 3), dtype=complex)
-        r_qq[0, 1] = -1j
-        r_qq[1, 2] = 1j
-        R = _rho_from_entries(1, [(1, 2, r_eq), (2, 2, r_qq)])
-        if family == "e":
-            R = CurvatureMap(1, -R.rho)
-        return SymmetricPair(1, g, R)
+        K = np.array([1j if family == "d" else -1j])
+        return SymmetricPair(1, g, param_encode(CurvatureParam(1, K=K)))
     if family == "f":
         if n < 1 or not 0 <= m <= n:
             raise ValueError("family f requires n >= 1 and 0 <= m <= n")
@@ -188,28 +167,13 @@ def canonical_pair(family: str, n: int = 0, m: int = 0) -> SymmetricPair:
             basis.append(t)
         g = MatrixAlgebra(n, basis)
 
-        q = N - 1
-        entries = [(0, q, _corner(N, 1.0))]
-        for j in range(1, m + 1):
-            entries.append((j, j, _corner(N, 0.5)))
-            t = np.zeros((N, N), dtype=complex)
-            t[j, q] = 0.5
-            entries.append((j, q, t))
         # The exchange identity forces R(e_k, conj e_k) = R(p, conj q) for the
-        # real-translation directions k; the invariant solution space admits no
-        # other consistent value (checked against the least-squares fit).
-        for k in range(m + 1, n + 1):
-            entries.append((k, k, _corner(N, 1.0)))
-            t = np.zeros((N, N), dtype=complex)
-            t[k, q] = 1.0
-            t[0, k] = -1.0
-            entries.append((k, q, t))
-        r_qq = np.eye(N, dtype=complex)
-        for j in range(1, m + 1):
-            r_qq[j, j] = 0.5
-        entries.append((q, q, r_qq))
-        R = _rho_from_entries(n, entries)
-        return SymmetricPair(n, g, R)
+        # real-translation directions k > m, so A_kk = beta = 1 and T_kk = -1;
+        # the invariant solution space admits no other consistent value.
+        ones = np.ones(n - m)
+        A = np.diag(np.concatenate([np.full(m, 0.5), ones])).astype(complex)
+        T = np.diag(np.concatenate([np.zeros(m), -ones])).astype(complex)
+        return SymmetricPair(n, g, param_encode(CurvatureParam(n, beta=1.0, T=T, A=A)))
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -312,3 +312,33 @@ def test_order_and_n_past_their_limits_are_one_line_errors(tmp_path, capsys):
     with pytest.raises(ValueError, match=f"n <= {S.MAX_METRIC_N}"):
         S.build_metric_from_config({"kind": "descriptor", "descriptor": descriptor})
     assert main(["validate", "--potential", flat, "--order", str(MAX_ORDER)]) == EXIT_OK
+
+
+def test_verdicts_do_not_load_scipy(tmp_path):
+    """numpy is the only runtime dependency: a fresh process that runs
+    catalog, classify on a twisted GKL file and holonomy on its potential
+    never imports scipy."""
+    import os
+    import subprocess
+    import sys
+
+    import lkholonomy
+
+    gkl = {"family": "GKL", "n": 2, "m": 0, "k_basis": [], "lambdas": [0.5]}
+    alg = _write(tmp_path, "gkl.json", gkl)
+    pot = _write(tmp_path, "pot.json", {"kind": "descriptor", "order": 9, "descriptor": gkl})
+    script = (
+        "import contextlib, io, sys\n"
+        "from lkholonomy.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['catalog', '--n', '3']),\n"
+        f"             main(['classify', '--algebra', {alg!r}]),\n"
+        f"             main(['holonomy', '--potential', {pot!r}, '--rmax', '5'])]\n"
+        "print(codes, 'scipy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(lkholonomy.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}] False"

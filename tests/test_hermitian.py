@@ -6,9 +6,7 @@ from lkholonomy.hermitian import (
     RealFormData,
     WittMetric,
     _canonical_f_pair,
-    adapted_basis,
     exp_derivative_series,
-    skew_normal_form,
 )
 from lkholonomy.jetmat import (
     jmat_derivative,
@@ -36,20 +34,16 @@ def test_exp_derivative_series_oracle(rng):
     assert jmat_residual(direct, series) < 1e-10
 
 
-def test_skew_normal_form(rng):
-    for k in (2, 3, 4, 5):
-        M = rng.standard_normal((k, k))
-        omega = 0.4 * (M - M.T) / k
-        Q, lambdas, n_zero = skew_normal_form(omega)
-        assert np.abs(Q.T @ Q - np.eye(k)).max() < 1e-10
-        B = Q.T @ omega @ Q
-        # block diagonal with [[0, lam], [-lam, 0]] blocks then zeros
-        rebuilt = np.zeros((k, k))
-        for s, lam in enumerate(lambdas):
-            rebuilt[2 * s, 2 * s + 1] = lam
-            rebuilt[2 * s + 1, 2 * s] = -lam
-        assert np.abs(np.abs(B) - np.abs(rebuilt)).max() < 1e-9
-        assert 2 * len(lambdas) + n_zero == k
+def test_lambdas_are_recomputed_from_any_orthonormal_basis(rng):
+    """The lambda rule on F @ Q, Q a random real orthogonal matrix: the same
+    real form in another basis gives back from_lambdas' lambdas."""
+    for n_minus_m in (2, 3, 4, 5):
+        for blocks in range(n_minus_m // 2 + 1):  # a kernel when 2 * blocks < n - m
+            lambdas = sorted(rng.uniform(0.05, 0.95, blocks), reverse=True)
+            F = RealFormData.from_lambdas(lambdas, n_minus_m).basis_f
+            Q, _ = np.linalg.qr(rng.standard_normal((n_minus_m, n_minus_m)))
+            rf = RealFormData(n_minus_m, F @ Q)
+            assert rf.lambdas == pytest.approx(lambdas, rel=0, abs=1e-14)
 
 
 def test_canonical_f_pair_pairings():
@@ -67,7 +61,7 @@ def test_real_form_tau_involution():
     x = np.array([0.3 + 0.1j, -0.2 + 0.7j])
     assert np.abs(rf.tau(rf.tau(x)) - x).max() < 1e-12
     assert not rf.is_trivial()
-    assert np.allclose(sorted(abs(l) for l in rf.lambdas), [0.5, 0.5])
+    assert rf.lambdas == [0.5]
 
 
 def test_real_form_trivial():
@@ -76,14 +70,13 @@ def test_real_form_trivial():
     assert np.abs(rf.theta).max() < 1e-12
 
 
-def test_adapted_basis_diagonalizes_theta():
-    rf = RealFormData.from_lambdas([0.4], 2)
-    E = adapted_basis(rf)
-    # columns are h-orthonormal and theta acts by -+ i lam on the pair
-    G = np.conj(E).T @ E
-    assert np.abs(G - np.eye(2)).max() < 1e-10
-    th = np.conj(E).T @ rf.theta @ E
-    assert np.abs(np.sort(np.abs(np.diag(th))) - [0.4, 0.4]).max() < 1e-10
+def test_theta_eigenvalues_are_plus_minus_i_lambda():
+    for lambdas, n_minus_m in (([0.4], 2), ([0.7, 0.2], 4), ([0.6], 3), ([0.9, 0.3], 5)):
+        rf = RealFormData.from_lambdas(lambdas, n_minus_m)
+        expected = lambdas + [-l for l in lambdas] + [0.0] * (n_minus_m - 2 * len(lambdas))
+        eig = np.linalg.eigvals(rf.theta)
+        assert np.abs(eig.real).max() < 1e-12
+        assert np.abs(np.sort(eig.imag) - np.sort(expected)).max() < 1e-12
 
 
 def test_witt_and_hermitian_forms():

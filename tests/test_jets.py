@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lkholonomy.jets import MAX_ORDER, DivisibilityError, Jet, JetSpace, real_part
+from lkholonomy.jets import MAX_ORDER, Jet, JetSpace, real_part
 from lkholonomy.potentials import antiderivative
 
 NC, ORDER = 2, 5
@@ -90,26 +90,12 @@ def test_reciprocal_inverts(a):
     assert _close(g * g.reciprocal(), SPACE.constant(1.0), 1e-9)
 
 
-def test_derivative_at_zero_factorials():
-    u = SPACE.variable(1)
-    f = u * u * u
-    assert abs(f.derivative_at_zero((0, 3), (0, 0)) - 6.0) < 1e-14
-
-
 def test_mixed_partials_commute():
     f = (SPACE.variable(0) * SPACE.conj_variable(1)
          + SPACE.variable(1) * SPACE.variable(1) * SPACE.conj_variable(0))
     d1 = f.derivative(0, True).derivative(1, False)
     d2 = f.derivative(1, False).derivative(0, True)
     assert _close(d1, d2, 0.0)
-
-
-def test_divide_power_inverts_multiplication():
-    u = SPACE.variable(1)
-    a = SPACE.constant(2.0) + SPACE.conj_variable(0)
-    prod = a * u * u
-    back = prod.divide_power(1, 2, holomorphic=True)
-    assert _close(back, a.truncated(back.order))
 
 
 def test_finite_difference_oracle(rng):
@@ -361,14 +347,6 @@ def test_calculus_matches_the_tuple_loops(jc, var, holo):
         if _deg(k) <= a.order:
             ref[k] = c / k[side][var]
     assert _same_bits(antiderivative(a, var, holo), Jet(NC, a.order, ref))
-    for k in (1, 2):
-        rest = {key: c for key, c in t.items() if key[side][var] >= k}
-        b = Jet(NC, a.order, rest)
-        ref = {_shifted(key, var, holo, -k): c for key, c in rest.items()}
-        assert _same_bits(b.divide_power(var, k, holo), Jet(NC, a.order - k, ref))
-        if len(rest) < len(t):
-            with pytest.raises(DivisibilityError):
-                Jet(NC, a.order, {key: 1.0 for key in t}).divide_power(var, k, holo)
 
 
 @given(limit_jets())
