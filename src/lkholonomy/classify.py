@@ -30,7 +30,9 @@ from .lie import (
 
 @dataclass
 class G0Descriptor:
-    """sl(2,R) inside su(1,1), acting on C^2 with Gram [[0,-i],[i,0]]."""
+    """su(1,1) in the Witt frame of C^{1,1}: D^-1 sl(2,R) D with
+    D = diag(1, i), spanned by [[1,0],[0,-1]], [[0,i],[0,0]] and
+    [[0,0],[-i,0]]."""
 
     family: str = "G0"
     n: int = 0
@@ -169,8 +171,8 @@ def build_family(d) -> MatrixAlgebra:
     fam = d.family
     if fam == "G0":
         basis = [np.array([[1, 0], [0, -1]], dtype=complex),
-                 np.array([[0, 1], [0, 0]], dtype=complex),
-                 np.array([[0, 0], [1, 0]], dtype=complex)]
+                 np.array([[0, 1j], [0, 0]]),
+                 np.array([[0, 0], [-1j, 0]])]
         return MatrixAlgebra(0, basis)
     if fam == "G1":
         return MatrixAlgebra(0, [_embed(0, a=1.0), _embed(0, a=1j), _embed(0, c=1.0)])

@@ -6,14 +6,12 @@ b_j) on the Witt basis b_0 = p, b_1..b_n = e_j, b_{n+1} = q.  The (1,0)-(1,0)
 and (0,1)-(0,1) values vanish identically, and real arguments are recovered
 by R(X, Y) = R(X, conj Y) - R(Y, conj X).
 
-The curvature space K(g) is solved by one of two routes, chosen from the
-basis of g alone.  When every basis matrix fits the parabolic block pattern,
-g lies in the full algebra u(1,n+1)_{Cp}, whose curvature space is the
-image of the closed-form map param_encode; K(g) is then one real null space
-in the param_dim(n) block parameters, and for the full algebra itself no
-null space at all.  Other bases (the n = 0 family G0, algebras of real
-matrices) take the generic two-stage solve: an exchange null space, a
-complex intersection, and a tau-split.
+The curvature space K(g) is one constraint solve on the closed-form
+curvature space of an ambient algebra: the real combinations of its unit
+maps whose every value lies in span_C(g).  A basis of g with no entry
+outside the parabolic block pattern takes the full algebra u(1,n+1)_{Cp},
+whose unit maps are param_encode of the param_dim(n) unit parameters; any
+other basis (G0, a U(1,n+1)-conjugate of a family) takes u(1,n+1) itself.
 """
 from __future__ import annotations
 
@@ -22,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
+from .hermitian import WittMetric
 from .lie import MatrixAlgebra, null_space, row_space, sigma_involution, unflatten, unitary_basis
 
 
@@ -29,6 +28,8 @@ from .lie import MatrixAlgebra, null_space, row_space, sigma_involution, unflatt
 # Intel Xeon machine the full algebra takes about 0.5 s at a peak RSS of
 # 261 MB at n = 6, 1.2-1.5 s at 586 MB at n = 7 and 2.5-3.0 s at 1336 MB at
 # n = 8; the unit parameters alone are param_dim(n) (n + 2)^4 complex entries.
+# Worst at n = 6 is a basis outside the pattern: a U(1,7)-conjugate of the
+# first catalog entry takes 4-5 s at 410 MB (the entry: 2.0 s, 355 MB).
 MAX_BERGER_N = 6
 
 
@@ -52,16 +53,16 @@ class CurvatureMap:
         X = np.concatenate([np.concatenate([r, -1j * r], 1), np.concatenate([1j * r, r], 1)])
         return X - X.transpose(1, 0, 2, 3)
 
-    def invariant_residual(self, sigma=sigma_involution) -> float:
+    def invariant_residual(self) -> float:
         """Worst violation of reality, exchange symmetry, and the first
         Bianchi identity (on real arguments), over every map when rho carries
-        a leading axis.  sigma is a parameter because the tests check
-        algebras of real matrices with np.conj."""
+        a leading axis.  Reality reads sigma_involution, so the values must
+        fit the parabolic block pattern."""
         rho = self.rho
         swapped = rho.swapaxes(-4, -3)  # rho[j, i]
         # P[i, j, k] = R(b_i, b_j) b_k, whose cyclic sum vanishes
         P = (rho - swapped).swapaxes(-2, -1)
-        return float(max(np.abs(rho + sigma(swapped)).max(),
+        return float(max(np.abs(rho + sigma_involution(swapped)).max(),
                          np.abs(rho - rho.swapaxes(-4, -1)).max(),
                          np.abs(P + np.moveaxis(P, -2, -4) + np.moveaxis(P, -4, -2)).max()))
 
@@ -78,79 +79,20 @@ def _complex_span_basis(mats: list[np.ndarray]):
     return [row.reshape(mats[0].shape) for row in rows]
 
 
-def _default_sigma(alg: MatrixAlgebra):
-    """The anti-linear involution of span_C(g) fixing g: the parabolic block
-    involution when the basis fits that pattern, entrywise conjugation for
-    algebras of real matrices."""
+def _constrained_solve(E: np.ndarray, alg: MatrixAlgebra) -> np.ndarray:
+    """Rows rho (k, N^4) spanning K(g) for g inside an ambient algebra whose
+    curvature space has the real basis E: the maps E x, x real, whose every
+    value rho[i, j] lies in span_C(g).  Within the pattern of entries where
+    the values of E live, span_C(g) is the orthogonal complement of the
+    orthonormal rows H, so slot (i, j) asks H^* rho[i, j] = 0.  The
+    orthonormal columns X of the admissible parameters are restricted by
+    one null space per pair of mirror slots (i, j), (j, i), over the
+    columns that pair reaches.  A singular value counts above rank_rel
+    times the norm of all the conditions: rounding is all that is left of
+    a condition that H or the slots before it make zero.  The ambient
+    itself has no H and takes no null space."""
     N = alg.n + 2
-    try:
-        sigma_involution(np.reshape(alg.basis, (-1, N, N)))
-        return sigma_involution
-    except ValueError:
-        return np.conj
-
-
-def _exchange_rows(M: np.ndarray) -> np.ndarray:
-    """Rows of sum_e x[a, e] M[j, e][s, b] - x[b, e] M[j, e][s, a] = 0 over
-    j, a < b and s, in the unknowns x (N, d), for M of shape (J, d, N, N)."""
-    J, d, N, _ = M.shape
-    ii, kk = np.triu_indices(N, 1)
-    X = np.zeros((len(ii), J, N, N, d), complex)
-    X[np.arange(len(ii)), :, :, ii] = M[..., kk].transpose(3, 0, 2, 1)
-    X[np.arange(len(ii)), :, :, kk] = -M[..., ii].transpose(3, 0, 2, 1)
-    return X.reshape(-1, N * d)
-
-
-def _complex_solutions(alg: MatrixAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal rows rho (k, N^4) spanning Z = W & tau W over C, and their
-    images under tau rho[i, j] = -sigma(rho[j, i]).  W, the exchange null
-    space, parametrizes rho[:, j] = sum_e t[j, e] E[:, e] with orthonormal E.
-    tau rho is in W iff the columns of -sum_e conj(t[i, e]) sigma(E[j, e])
-    satisfy the exchange condition: conjugated, one complex null space in t."""
-    sigma = _default_sigma(alg)
-    N = alg.n + 2
-    B = np.array(_complex_span_basis(alg.basis))  # (c, N, N)
-    K = null_space(_exchange_rows(B[None])).conj().T.reshape(N, len(B), -1)
-    d = K.shape[2]
-    if d == 0:
-        return np.zeros((0, N ** 4)), np.zeros((0, N ** 4))
-    E = np.einsum("ibe,bst->iest", K, B)  # (N, d, N, N)
-    S = sigma(E)
-    t = null_space(_exchange_rows(S.conj())).conj().reshape(-1, d)
-    # rho_l[i, j] = sum_e t_l[j, e] E[i, e], tau rho_l[i, j] = -sum_e conj(t_l[i, e]) S[j, e]
-    rho = (t @ E.transpose(1, 0, 2, 3).reshape(d, -1)).reshape(-1, N, N, N, N)
-    tau = -(t.conj() @ S.transpose(1, 0, 2, 3).reshape(d, -1))
-    return rho.transpose(0, 2, 1, 3, 4).reshape(-1, N ** 4), tau.reshape(-1, N ** 4)
-
-
-def _two_stage_solve(alg: MatrixAlgebra) -> np.ndarray:
-    """Rows rho (k, N^4) spanning the real solution space of rho[i,j] =
-    -sigma(rho[j,i]) and rho[i,j] b_k = rho[k,j] b_i, values in span_C(g):
-    the tau-fixed points of Z.  tau is an anti-unitary involution of Z, so
-    T[l, m] = <rho_l, tau rho_m> is unitary and symmetric, and the fixed
-    points a = T conj(a) are a null space whose singular values are 0 and 2
-    only."""
-    rho, tau = _complex_solutions(alg)
-    k = len(rho)
-    T = rho.conj() @ tau.T
-    a = null_space(np.block([[T.real - np.eye(k), T.imag], [T.imag, -T.real - np.eye(k)]]))
-    return (a[:, :k] + 1j * a[:, k:]) @ rho
-
-
-def _param_solve(alg: MatrixAlgebra) -> np.ndarray:
-    """Rows rho (k, N^4) spanning K(g) for g inside the full algebra: the
-    maps E x, x real, of the unit parameters E whose every value rho[i, j]
-    lies in span_C(g).  Within the block pattern, where all values of E
-    live, span_C(g) is the orthogonal complement of the orthonormal rows H,
-    so slot (i, j) asks H^* rho[i, j] = 0.  The orthonormal columns X of
-    the admissible parameters are restricted by one null space per pair of
-    mirror slots (i, j), (j, i), over the columns that pair reaches.  A
-    singular value counts above rank_rel times the norm of all the
-    conditions: rounding is all that is left of a condition that H or the
-    slots before it make zero.  The full algebra has no H and takes no null
-    space."""
-    N = alg.n + 2
-    E = _encode(_unit_params(alg.n)).reshape(-1, N * N, N * N)
+    E = E.reshape(-1, N * N, N * N)
     B = np.reshape(_complex_span_basis(alg.basis), (-1, N * N))
     nonzero = E != 0
     pattern = nonzero.any(axis=(0, 1))
@@ -177,14 +119,18 @@ def _param_solve(alg: MatrixAlgebra) -> np.ndarray:
 
 
 def solve_curvature_space(alg: MatrixAlgebra) -> list[CurvatureMap]:
-    """A real basis of the curvature space K(g): by the block parameters
-    when the basis of g fits the parabolic pattern, else by the two-stage
-    solve."""
+    """A real basis of the curvature space K(g), as a constraint on the
+    curvature space of the full parabolic algebra when g has no entry
+    outside the pattern of its unit maps, else on that of u(1,n+1).  The
+    basis of g is orthonormal, so an entry counts above rank_rel."""
     if alg.dim == 0:
         return []
     N = alg.n + 2
-    solve = _param_solve if _default_sigma(alg) is sigma_involution else _two_stage_solve
-    return [CurvatureMap(alg.n, r) for r in solve(alg).reshape(-1, N, N, N, N)]
+    E = _encode(_unit_params(alg.n))
+    outside = ~(E != 0).any(axis=(0, 1, 2))
+    if np.abs(np.array(alg.basis)[:, outside]).max(initial=0.0) > DEFAULT_TOL.rank_rel:
+        E = _unitary_units(alg.n)
+    return [CurvatureMap(alg.n, r) for r in _constrained_solve(E, alg).reshape(-1, N, N, N, N)]
 
 
 def curvature_image(maps: list[CurvatureMap]) -> list[np.ndarray]:
@@ -256,7 +202,7 @@ def param_dim(n: int) -> int:
     N, K (2n each), symmetric complex T (n(n+1)), Hermitian A (n^2),
     complex P (n^2(n+1)), and R0 in the real unitary curvature space
     (n^2(n+1)^2/4).  The number of unit parameters _unit_params builds, and
-    the dimension of K(u(1,n+1)_{Cp}) by either solve route."""
+    the dimension of K(u(1,n+1)_{Cp})."""
     return (2 + 2 + 1 + 2 * n + 2 * n + n * (n + 1) + n * n
             + n * n * (n + 1) + n * n * (n + 1) * (n + 1) // 4)
 
@@ -297,19 +243,33 @@ def random_param(n: int, rng: np.random.Generator) -> CurvatureParam:
     )
 
 
+def _r0_units(size: int) -> np.ndarray:
+    """A real basis of the unitary curvature tensors R0 on C^size along one
+    leading axis of length (size (size + 1) / 2)^2: one orbit sum of a unit
+    tensor under the group of _r0_average per orbit.  R0 is a Hermitian
+    form on symmetric pairs, R0[a, b, j, k] at the pairs (a, k) and (b, j):
+    a unit at u <= v of the pairs, and i times it when u < v."""
+    j, k = _pairs(size)
+    u, v = _pairs(len(j))
+    R0 = np.zeros((len(u),) + (size,) * 4, complex)
+    R0[np.arange(len(u)), j[u], j[v], k[v], k[u]] = 1.0
+    return _r0_average(np.concatenate([R0, 1j * R0[u < v]]))
+
+
+def _unitary_units(n: int) -> np.ndarray:
+    """A real basis of K(u(1,n+1)) along one leading axis of length
+    (N (N + 1) / 2)^2, N = n + 2: rho[i, j] = Gram R0[:, :, i, j] for the R0
+    units at size N, as Gram rho[i, j] meets the reality condition of u(N)."""
+    return WittMetric(n).gram @ np.moveaxis(_r0_units(n + 2), (-2, -1), (-4, -3))
+
+
 def _unit_params(n: int) -> CurvatureParam:
     """A real basis of the parameter space along one leading axis of length
     param_dim(n): 1 and i in each free complex entry, 1 in c, the Hermitian
-    units of A, and for R0 one orbit sum of a unit tensor under the group of
-    _r0_average per orbit.  R0 is a Hermitian form on symmetric pairs,
-    R0[a, b, j, k] at the pairs (a, k) and (b, j): a unit at u <= v of the
-    pairs, and i times it when u < v."""
+    units of A, and the R0 units at size n."""
     j, k = _pairs(n)
     sym = np.zeros((len(j), n, n))
     sym[np.arange(len(j)), j, k] = sym[np.arange(len(j)), k, j] = 1.0
-    u, v = _pairs(len(j))
-    R0 = np.zeros((len(u),) + (n,) * 4, complex)
-    R0[np.arange(len(u)), j[u], j[v], k[v], k[u]] = 1.0
     eye = np.eye(n)
 
     def cplx(U):
@@ -322,7 +282,7 @@ def _unit_params(n: int) -> CurvatureParam:
         "N_vec": cplx(eye),
         "K": cplx(eye),
         "T": cplx(sym),
-        "R0": _r0_average(np.concatenate([R0, 1j * R0[u < v]])),
+        "R0": _r0_units(n),
         "P": (eye[:, None, :, None, None] * cplx(sym)[:, None])
                .reshape((2 * n * len(j),) + (n,) * 3),
         "A": np.concatenate([sym, 1j * sym[j < k] * (np.tri(n).T - np.tri(n))]),

@@ -50,9 +50,11 @@ class WittMetric:
         return complex(np.conj(Y) @ self.gram @ X)
 
     def is_anti_hermitian(self, xi: np.ndarray) -> bool:
+        """|xi^H Gram + Gram xi| within residual times max(|xi|, 1), per matrix."""
         g = self.gram
-        res = xi.conj().T @ g + g @ xi
-        return np.abs(res).max() <= DEFAULT_TOL.residual * max(np.abs(xi).max(), 1.0)
+        res = np.abs(xi.conj().swapaxes(-2, -1) @ g + g @ xi).max(axis=(-2, -1))
+        scale = np.maximum(np.abs(xi).max(axis=(-2, -1)), 1.0)
+        return bool(np.all(res <= DEFAULT_TOL.residual * scale))
 
 
 def exp_derivative_series(G: np.ndarray, var: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_TOL
-from .hermitian import RealFormData
+from .hermitian import RealFormData, WittMetric
 from .jets import Jet, JetSpace, check_order
 from . import classify as C
 from . import potentials as P
@@ -192,13 +192,16 @@ def _real(entry: dict, key: str) -> float:
 
 
 def decode_algebra(obj: dict):
-    """An algebra file is either a descriptor or an explicit real basis."""
+    """An algebra file is either a descriptor or an explicit real basis of
+    matrices in u(1,n+1) of the Witt frame."""
     from .lie import MatrixAlgebra
     if "family" in obj:
         d = decode_descriptor(obj)
         return C.build_family(d)
     n = _natural(obj["n"], "n")
     basis = [_square(b, n + 2) for b in _check(obj["basis"], list, "a list basis")]
+    if basis and not WittMetric(n).is_anti_hermitian(np.array(basis)):
+        raise ValueError(f"a basis matrix is not in u(1,{n + 1}) of the Witt frame")
     return MatrixAlgebra(n, basis)
 
 

@@ -188,7 +188,7 @@ class SymspaceReport:
     n: int
     m: int
     jacobi: bool
-    jacobi_residual: float
+    jacobi_residual: float | None  # None when the pair is rejected
     g_equals_image: bool
     ricci_degenerate: bool
     calabi_yau: bool
@@ -203,7 +203,7 @@ def symspace_report(pair: SymmetricPair, family: str = "?", m: int = 0) -> Symsp
         g_eq = tr.g_equals_image
         dim_h = tr.dim
     except InvalidPairError:
-        jac_ok, jac_res, g_eq, dim_h = False, float("inf"), False, 0
+        jac_ok, jac_res, g_eq, dim_h = False, None, False, 0
     ric = ricci_of_map(pair.R)
     return SymspaceReport(
         family=family, n=pair.n, m=m,

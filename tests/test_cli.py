@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv)."""
 import json
 
+import numpy as np
 import pytest
 
 from lkholonomy import classify as C
@@ -203,6 +204,49 @@ def test_classify_and_berger(tmp_path, capsys):
     assert main(["berger", "--algebra", alg]) == EXIT_OK
     out2 = json.loads(capsys.readouterr().out)
     assert out2["result"]["is_berger"] is True
+
+
+def _unitary_basis_file(n):
+    """u(1,n+1) in the Witt frame as a basis file: Gram S for every
+    anti-Hermitian S."""
+    from lkholonomy.hermitian import WittMetric
+    from lkholonomy.lie import unitary_basis
+    return {"n": n, "basis": [S.encode_matrix(WittMetric(n).gram @ A)
+                              for A in unitary_basis(n + 2)]}
+
+
+@pytest.mark.parametrize("n, dim", [(0, 9), (1, 36)])
+def test_berger_on_the_unitary_algebra(n, dim, tmp_path, capsys):
+    """u(1,1) and u(1,2) are Berger, with curvature spaces of dimension 9
+    and 36."""
+    alg = _write(tmp_path, "u.json", _unitary_basis_file(n))
+    assert main(["berger", "--algebra", alg]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert (res["dim_R_space"], res["is_berger"]) == (dim, True)
+
+
+def test_basis_outside_the_unitary_algebra_is_one_line_error(tmp_path, capsys):
+    """so(3) is no subalgebra of u(1,2) in the Witt frame: berger refuses
+    its basis file with one error line."""
+    so3 = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        E = np.zeros((3, 3), complex)
+        E[i, j], E[j, i] = 1.0, -1.0
+        so3.append(S.encode_matrix(E))
+    alg = _write(tmp_path, "so3.json", {"n": 1, "basis": so3})
+    assert main(["berger", "--algebra", alg]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: a basis matrix is not in u(1,2) of the Witt frame\n"
+
+
+def test_catalog_algebras_pass_the_basis_check():
+    """Every catalog algebra at n = 0..4, written as a basis file, decodes
+    to an algebra of the same span."""
+    from lkholonomy.cli import _catalog_entries
+    for n in range(5):
+        for e in _catalog_entries(n):
+            alg = C.build_family(e["descriptor"])
+            back = S.decode_algebra({"n": n, "basis": [S.encode_matrix(b) for b in alg.basis]})
+            assert back.equals(alg), e["descriptor"]
 
 
 def test_symspace_and_out_file(tmp_path, capsys):

@@ -38,7 +38,10 @@ ALGEBRAS = [
     {"family": "GK0PSI", "n": 2, "m": 1, "r": 1, "k0_basis": [], "psi_images": [[[I]]]},
     {"family": "BERGER_GK", "n": 2, "m": 0,
      "k_basis": [{"a1": 0.0, "a2": 1.0, "A": []}], "lambdas": [0.5]},
-    {"n": 0, "basis": [[[Z, [1.0, 0.0]], [Z, Z]]]},
+    {"n": 0, "basis": [[[Z, I], [Z, Z]]]},
+    # G0, outside the parabolic pattern: berger solves it on the unitary ambient
+    {"n": 0, "basis": [[[[1.0, 0.0], Z], [Z, [-1.0, 0.0]]], [[Z, I], [Z, Z]],
+                       [[Z, Z], [[0.0, -1.0], Z]]]},
 ]
 
 COMMANDS = {"holonomy": ("--potential", POTENTIALS), "validate": ("--potential", POTENTIALS),

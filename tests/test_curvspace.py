@@ -17,6 +17,7 @@ from lkholonomy.curvspace import (
     solve_curvature_space,
     _full_algebra,
 )
+from lkholonomy.hermitian import WittMetric
 from lkholonomy.lie import (
     MatrixAlgebra,
     flatten,
@@ -24,6 +25,7 @@ from lkholonomy.lie import (
     real_span_basis,
     row_space,
     sigma_involution,
+    unitary_basis,
 )
 
 
@@ -79,10 +81,45 @@ def _real_rank(maps) -> int:
     return int(np.sum(s > 1e-9 * s[0]))
 
 
+def _witt_sigma(X):
+    """The anti-linear involution -Gram X^H Gram of gl(N) whose fixed points
+    are u(1,n+1) in the Witt frame, along leading axes."""
+    N = X.shape[-1]
+    swap = np.r_[N - 1, 1:N - 1, 0]
+    return -np.conj(X).swapaxes(-2, -1)[..., swap, :][..., swap]
+
+
+def _witt_residual(rho) -> float:
+    """invariant_residual's three identities with reality read by
+    _witt_sigma, which takes values outside the parabolic pattern."""
+    swapped = rho.swapaxes(-4, -3)
+    P = (rho - swapped).swapaxes(-2, -1)
+    return float(max(np.abs(rho + _witt_sigma(swapped)).max(),
+                     np.abs(rho - rho.swapaxes(-4, -1)).max(),
+                     np.abs(P + np.moveaxis(P, -2, -4) + np.moveaxis(P, -4, -2)).max()))
+
+
+def _unitary_algebra(n):
+    """u(1,n+1) in the Witt frame: Gram S for every anti-Hermitian S."""
+    return MatrixAlgebra(n, [WittMetric(n).gram @ S for S in unitary_basis(n + 2)])
+
+
+def _fits_pattern(alg) -> bool:
+    """Whether sigma_involution, the parabolic block involution, accepts the
+    basis: the route check of the solve, read off the other copy of the
+    pattern."""
+    try:
+        sigma_involution(np.array(alg.basis))
+    except ValueError:
+        return False
+    return True
+
+
 def _oracle_cases(suite, rng):
     """(name, algebra) pairs: the full algebra, every regression family and
     a real change of basis of it, the n = 0 families, the algebras with no
-    curvature, the Berger-only family, and an algebra of real matrices."""
+    curvature, the Berger-only family, and u(1,1) and u(1,2), which with G0
+    are the cases outside the parabolic pattern."""
     from lkholonomy.hermitian import RealFormData
     cases = [(f"full n={n}", _full_algebra(n)) for n in (1, 2)]
     for d in suite:
@@ -98,79 +135,106 @@ def _oracle_cases(suite, rng):
         2, 0, [(1j, np.zeros((0, 0), complex))],
         real_form=RealFormData.from_lambdas([0.5], 2))
     cases.append(("BERGER_GK", C.build_family(berger_only)))
-    so3 = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        E = np.zeros((3, 3), complex)
-        E[i, j], E[j, i] = 1.0, -1.0
-        so3.append(E)
-    cases.append(("so(3)", MatrixAlgebra(1, so3)))
+    cases += [(f"u(1,{n + 1})", _unitary_algebra(n)) for n in (0, 1)]
     return cases
 
 
 def test_solve_matches_reference_assembly(suite, rng):
     """The structured solve and the unit-vector assembly span the same real
-    space, and every returned map satisfies all curvature identities."""
-    sigmas = {}
+    space, and every returned map satisfies all curvature identities, with
+    reality read by the Witt involution."""
     for name, alg in _oracle_cases(suite, rng):
-        sigma = sigmas[name] = curvspace._default_sigma(alg)
         got = solve_curvature_space(alg)
-        ref = _reference_solve(alg, sigma)
+        ref = _reference_solve(alg, _witt_sigma)
         assert _real_rank(got) == len(got), name
         assert _real_rank(ref) == len(ref), name
         assert _real_rank(got + ref) == len(got) == len(ref), name
         for R in got:
-            assert R.invariant_residual(sigma) < 1e-10, name
-    assert sigmas["full n=2"] is sigma_involution
-    assert sigmas["so(3)"] is np.conj
+            assert _reference_invariant_residual(R, _witt_sigma) < 1e-10, name
 
 
-def test_solve_applies_sigma_per_basis_matrix(monkeypatch):
-    """The two-stage solve applies sigma to the N d exchange-space matrices,
-    not to 2 c N^2 probes (22 518 calls at n = 3 by unit-vector assembly)."""
-    calls = []
-
-    def counted(xi, *args, **kwargs):
-        calls.append(1)
-        return sigma_involution(xi, *args, **kwargs)
-
-    monkeypatch.setattr(curvspace, "sigma_involution", counted)
-    assert len(curvspace._two_stage_solve(_full_algebra(3))) == 110
-    assert 0 < len(calls) < 500
-
-
-def _routes_agree(alg) -> tuple[int, int]:
-    """The dimensions of the parameter and the two-stage solution spaces,
-    asserting that each is a basis and that they span the same space."""
+def _solve_in(E, alg) -> list[CurvatureMap]:
     N = alg.n + 2
-    by_param = [CurvatureMap(alg.n, r) for r in curvspace._param_solve(alg).reshape(-1, N, N, N, N)]
-    by_stages = [CurvatureMap(alg.n, r)
-                 for r in curvspace._two_stage_solve(alg).reshape(-1, N, N, N, N)]
-    assert _real_rank(by_param) == len(by_param)
-    assert _real_rank(by_stages) == len(by_stages)
-    assert _real_rank(by_param + by_stages) == len(by_stages)
-    return len(by_param), len(by_stages)
+    return [CurvatureMap(alg.n, r)
+            for r in curvspace._constrained_solve(E, alg).reshape(-1, N, N, N, N)]
 
 
-def test_parameter_route_matches_two_stage_route(suite, rng):
-    """On every oracle case and every catalog entry with n <= 4 whose basis
-    fits the block pattern, the parameter route spans the space of the
-    two-stage solve; the n = 0 family G0 and so(3) are the only ones
-    outside the pattern, and solve_curvature_space gives them the two-stage
-    route."""
+def test_parabolic_ambient_matches_unitary_ambient(suite, rng, monkeypatch):
+    """On every oracle case and every catalog entry with n <= 4, the solve
+    on the unitary ambient gives a basis, and where the basis of g fits the
+    block pattern the parabolic ambient spans the same space.  G0, u(1,1)
+    and u(1,2) are the only ones outside the pattern, and
+    solve_curvature_space gives exactly them the unitary ambient."""
     from lkholonomy.cli import _catalog_entries
     cases = _oracle_cases(suite, rng)
     for n in range(5):
         cases += [(f"catalog n={n} {e['descriptor'].family}", C.build_family(e["descriptor"]))
                   for e in _catalog_entries(n)]
+    ambients = []
+    solve = curvspace._constrained_solve
+    monkeypatch.setattr(curvspace, "_constrained_solve",
+                        lambda E, alg: ambients.append(len(E)) or solve(E, alg))
     outside = []
     for name, alg in cases:
-        if curvspace._default_sigma(alg) is not sigma_involution:
+        by_unitary = _solve_in(curvspace._unitary_units(alg.n), alg)
+        assert _real_rank(by_unitary) == len(by_unitary), name
+        assert len(solve_curvature_space(alg)) == len(by_unitary), name
+        N = alg.n + 2
+        if not _fits_pattern(alg):
             outside.append(name)
-            assert len(solve_curvature_space(alg)) == len(curvspace._two_stage_solve(alg)), name
+            assert ambients[-1] == (N * (N + 1) // 2) ** 2, name
             continue
-        dims = _routes_agree(alg)
-        assert dims[0] == dims[1], name
-    assert outside == ["G0", "so(3)", "catalog n=0 G0"]
+        assert ambients[-1] == param_dim(alg.n), name
+        by_param = _solve_in(curvspace._encode(curvspace._unit_params(alg.n)), alg)
+        assert _real_rank(by_param) == len(by_param), name
+        assert _real_rank(by_param + by_unitary) == len(by_param) == len(by_unitary), name
+    assert outside == ["G0", "u(1,1)", "u(1,2)", "catalog n=0 G0"]
+
+
+def test_unitary_units_are_a_basis():
+    """The unitary units have real rank (N (N + 1) / 2)^2, the dimension of
+    the Kaehler curvature tensors on C^N, and satisfy every curvature
+    identity of u(1,n+1) exactly."""
+    for n in range(6):
+        N = n + 2
+        E = curvspace._unitary_units(n)
+        assert E.shape == (((N * (N + 1)) // 2) ** 2,) + (N,) * 4
+        assert _real_rank([CurvatureMap(n, r) for r in E]) == len(E), n
+        assert _witt_residual(E) == 0.0, n
+
+
+def test_unitary_algebra_is_berger():
+    """u(1,1) and u(1,2) in the Witt frame have the curvature spaces of
+    dimension 9 and 36, and generate themselves."""
+    for n, dim in ((0, 9), (1, 36)):
+        res = berger_check(_unitary_algebra(n))
+        assert (res["dim_R_space"], res["is_berger"]) == (dim, True), n
+
+
+def _random_unitary(n, rng):
+    """The Cayley transform (1 - X)^-1 (1 + X) of a seeded random X in
+    u(1,n+1): an element of U(1,n+1) in the Witt frame."""
+    N = n + 2
+    S = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    X = WittMetric(n).gram @ (S - S.conj().T) / 4
+    return np.linalg.solve(np.eye(N) - X, np.eye(N) + X)
+
+
+def test_berger_verdict_is_invariant_under_unitary_conjugation(rng):
+    """A seeded U(1,n+1)-conjugate of every catalog entry at n = 1, 2 and of
+    the no-iR counterexample leaves the parabolic pattern and keeps the
+    dimension of K(g) and the Berger verdict."""
+    from lkholonomy.cli import _catalog_entries
+    algebras = [C.build_family(e["descriptor"]) for n in (1, 2) for e in _catalog_entries(n)]
+    algebras += [no_ir_counterexample(n) for n in (1, 2)]
+    for alg in algebras:
+        U = _random_unitary(alg.n, rng)
+        gram = WittMetric(alg.n).gram
+        assert np.abs(U.conj().T @ gram @ U - gram).max() < 1e-12
+        moved = MatrixAlgebra(alg.n, [U @ b @ np.linalg.inv(U) for b in alg.basis])
+        assert not _fits_pattern(moved)
+        want, got = berger_check(alg), berger_check(moved)
+        assert (got["dim_R_space"], got["is_berger"]) == (want["dim_R_space"], want["is_berger"])
 
 
 def test_unit_parameters_are_a_basis():
@@ -200,40 +264,12 @@ def null_space_inputs(monkeypatch):
     return inputs
 
 
-def test_solve_builds_no_realified_system(null_space_inputs):
-    """Every null space of the two-stage solve at n = 3 has at most N d = 230
-    columns: the reality condition is solved over C, not as a real system in
-    (Re t, Im t) with 2 N d columns."""
-    assert len(curvspace._two_stage_solve(_full_algebra(3))) == 110
-    shapes = [rows.shape for rows in null_space_inputs]
-    assert (250, 230) in shapes
-    assert all(cols <= 230 for _, cols in shapes), shapes
-
-
 def test_full_algebra_takes_no_null_space(null_space_inputs):
-    """On the full algebra the parameter route returns the param_dim(n)
+    """On the full algebra the parabolic ambient returns the param_dim(n)
     unit maps with no constraint to solve: curvspace calls no null space."""
     for n in range(1, 6):
         assert len(solve_curvature_space(_full_algebra(n))) == param_dim(n)
         assert null_space_inputs == [], n
-
-
-def test_tau_maps_the_intersection_into_itself(suite, rng, null_space_inputs):
-    """On the orthonormal basis of Z = W & tau W, tau of every row lies in Z,
-    and the two-stage solve's tau-split has singular values 1 or 0 relative
-    to the largest, for every oracle case (np.conj among them) and the full
-    algebra at n = 3."""
-    for name, alg in _oracle_cases(suite, rng) + [("full n=3", _full_algebra(3))]:
-        rho, tau = curvspace._complex_solutions(alg)
-        assert np.abs(rho @ rho.conj().T - np.eye(len(rho))).max(initial=0) <= 1e-12, name
-        assert np.abs(tau - (tau @ rho.conj().T) @ rho).max(initial=0) <= 1e-12, name
-        curvspace._two_stage_solve(alg)
-        split = null_space_inputs[-1]
-        assert split.shape == (2 * len(rho), 2 * len(rho)), name
-        s = np.linalg.svd(split, compute_uv=False)
-        rel = s / s[0] if s.size else s
-        assert np.all((np.abs(rel - 1) <= 1e-12) | (rel <= 1e-12)), name
-        assert np.sum(rel > 0.5) == len(rho), name
 
 
 def test_curvature_image_spans_every_real_value(suite, rng, monkeypatch):
@@ -436,13 +472,12 @@ def test_real_curvature_is_exact(rng):
 
 def test_invariant_residual_matches_loop_oracle(suite, rng):
     """The whole-array residual agrees with the index loops to rounding, on
-    encoded and perturbed maps and on solved maps of algebras of real
-    matrices (sigma = np.conj)."""
-    cases = [(R, sigma_involution) for R in _perturbed_maps(rng)]
+    encoded and perturbed maps and on the solved maps of every oracle case
+    in the parabolic pattern."""
+    cases = _perturbed_maps(rng)
     for _, alg in _oracle_cases(suite, rng):
-        sigma = curvspace._default_sigma(alg)
-        cases += [(R, sigma) for R in solve_curvature_space(alg)]
-    assert any(sigma is np.conj for _, sigma in cases)
-    for R, sigma in cases:
-        ref = _reference_invariant_residual(R, sigma)
-        assert abs(R.invariant_residual(sigma) - ref) <= 1e-15 * max(ref, 1.0)
+        if _fits_pattern(alg):
+            cases += solve_curvature_space(alg)
+    for R in cases:
+        ref = _reference_invariant_residual(R)
+        assert abs(R.invariant_residual() - ref) <= 1e-15 * max(ref, 1.0)

@@ -1,10 +1,20 @@
 """Symmetric pairs, transvection algebras, canonical families."""
+import json
+
 import numpy as np
 import pytest
 
+from lkholonomy import serialization as S
+
 from lkholonomy.classify import match_algebra
 from lkholonomy.config import DEFAULT_TOL
-from lkholonomy.curvspace import CurvatureMap, param_decode, param_encode, solve_curvature_space
+from lkholonomy.curvspace import (
+    CurvatureMap,
+    param_decode,
+    param_encode,
+    random_param,
+    solve_curvature_space,
+)
 from lkholonomy.lie import MatrixAlgebra, real_span_basis, span_coords, span_residual
 from lkholonomy.symspace import (
     InvalidPairError,
@@ -61,6 +71,28 @@ def test_image_outside_g_rejected():
     pair = SymmetricPair(0, MatrixAlgebra(0, [np.diag([1j, 1j])]), base.R)
     with pytest.raises(InvalidPairError, match="escapes g"):
         build_transvection(pair)
+
+
+def test_reports_of_rejected_pairs_can_be_written(rng):
+    """A pair rejected by closure and one rejected by the Jacobi identity
+    each give a report with jacobi_residual null that dump_json writes."""
+    g = canonical_pair("f", 1, 1).g
+    closure = SymmetricPair(1, g, param_encode(random_param(1, rng)))
+    with pytest.raises(InvalidPairError, match="escapes g"):
+        build_transvection(closure)
+    pairs = [closure]
+    for R in solve_curvature_space(g):
+        try:
+            build_transvection(SymmetricPair(1, g, R))
+        except InvalidPairError as err:
+            if str(err).startswith("Jacobi"):
+                pairs.append(SymmetricPair(1, g, R))
+                break
+    assert len(pairs) == 2
+    for pair in pairs:
+        text = S.dump_json(S.make_report("symspace", symspace_report(pair, "f", 1)), None)
+        result = json.loads(text)["result"]
+        assert (result["jacobi"], result["jacobi_residual"]) == (False, None)
 
 
 def test_oversized_g_flagged_not_fatal():

@@ -13,12 +13,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "lkholonomy"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "config.py")
 
 # (module, qualified function name) of the tol/sigma parameters callers set:
-# is_real_valued takes the metric's residual, compare_expected takes --tol,
-# and invariant_residual takes np.conj in the curvature-space tests.
-KEEP = {
-    ("jets", "Jet.is_real_valued"), ("serialization", "compare_expected"),
-    ("curvspace", "CurvatureMap.invariant_residual"),
-}
+# is_real_valued takes the metric's residual and compare_expected takes --tol.
+KEEP = {("jets", "Jet.is_real_valued"), ("serialization", "compare_expected")}
 
 
 def _functions(tree, prefix=""):
