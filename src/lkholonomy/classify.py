@@ -1,6 +1,6 @@
 """Canonical families of weakly irreducible subalgebras of u(1,n+1)_{Cp}:
 constructors, a matcher working in the canonical Witt frame, and the
-realizability / Ricci-flat predicates.
+realizability predicate.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from .hermitian import RealFormData
 from .lie import (
     ABZCElement,
     MatrixAlgebra,
+    fits_pattern,
     flatten,
     in_real_span,
     is_anti_hermitian,
@@ -274,9 +275,9 @@ def _mult_i(rows: np.ndarray) -> np.ndarray:
 def _intersect_row_spaces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[0] == 0 or B.shape[0] == 0:
         return A[:0]
-    floor = DEFAULT_TOL.rank_abs
-    perp = np.vstack([null_space(A, floor), null_space(B, floor)])
-    return null_space(perp, floor)
+    tol = DEFAULT_TOL.rank_rel
+    perp = np.vstack([null_space(A, tol), null_space(B, tol)])
+    return null_space(perp, tol)
 
 
 def _support_coords(rows: np.ndarray, n: int) -> set[int]:
@@ -292,7 +293,7 @@ def _support_coords(rows: np.ndarray, n: int) -> set[int]:
 def match_algebra(alg: MatrixAlgebra):
     """Identify the canonical family of a bracket-closed algebra given in the
     canonical Witt frame.  Returns a descriptor, or UnknownDescriptor."""
-    n, tol, floor = alg.n, DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs
+    n, tol = alg.n, DEFAULT_TOL.rank_rel
     if alg.dim == 0:
         return UnknownDescriptor("zero algebra")
     if n == 0:
@@ -308,21 +309,21 @@ def match_algebra(alg: MatrixAlgebra):
 
     # translation structure
     zrows = flatten([x.Z for x in xs])
-    L_full = row_space(zrows, floor)
+    L_full = row_space(zrows, tol)
     k_param_rows = np.array([
         np.concatenate([[x.a.real, x.a.imag], x.A.real.ravel(), x.A.imag.ravel()])
         for x in xs])
-    kernel = null_space(k_param_rows.T, floor)
+    kernel = null_space(k_param_rows.T, tol)
     trans_z = []
     for comb in kernel:
         Z = sum(c * x.Z for c, x in zip(comb, xs))
         if np.abs(Z).max() > tol:
             trans_z.append(Z)
-    V_trans = (row_space(flatten(trans_z), floor) if trans_z
+    V_trans = (row_space(flatten(trans_z), tol) if trans_z
                else np.zeros((0, 2 * n)))
 
     # complex part of L
-    iL = row_space(_mult_i(L_full), floor)
+    iL = row_space(_mult_i(L_full), tol)
     Cm = _intersect_row_spaces(L_full, iL)
     if Cm.shape[0] % 2 != 0:
         return UnknownDescriptor("L cap iL has odd real dimension")
@@ -333,7 +334,7 @@ def match_algebra(alg: MatrixAlgebra):
         return UnknownDescriptor("complex part of L is not aligned with e_1..e_m")
     # L_0: orthogonal complement of C^m inside L (w.r.t. Re h = standard)
     if Cm.shape[0]:
-        L0_rows = row_space(L_full - L_full @ Cm.T @ Cm, floor)
+        L0_rows = row_space(L_full - L_full @ Cm.T @ Cm, tol)
     else:
         L0_rows = L_full
     if _support_coords(L0_rows, n) - set(range(m, n)):
@@ -357,7 +358,7 @@ def match_algebra(alg: MatrixAlgebra):
 
     # the C + u(n) projection
     k_elems = []
-    for row in row_space(k_param_rows, floor):
+    for row in row_space(k_param_rows, tol):
         a = row[0] + 1j * row[1]
         A = unflatten(row[2:], (n, n))
         k_elems.append((a, A))
@@ -374,7 +375,7 @@ def match_algebra(alg: MatrixAlgebra):
     for a, A in k_elems:
         if np.abs(A[:m, m:]).max(initial=0) > tol or np.abs(A[m:, :m]).max(initial=0) > tol:
             return UnknownDescriptor("k mixes C^m and C^{n-m}")
-        if np.abs(A[m:, m:] - a.imag * (1j * np.eye(n - m) + theta)).max(initial=0) > floor:
+        if np.abs(A[m:, m:] - a.imag * (1j * np.eye(n - m) + theta)).max(initial=0) > tol:
             return UnknownDescriptor("C^{n-m} block of k is not a2 (iE + theta)")
     # the elements with an a-part first, then those of u(m) with a set to 0
     twist = [(a, A[:m, :m]) for a, A in k_elems if not _a_is_zero(a)]
@@ -383,11 +384,11 @@ def match_algebra(alg: MatrixAlgebra):
 
 
 def _match_psi(xs, n, m, V_trans, real_form):
-    tol, floor = DEFAULT_TOL.rank_rel, DEFAULT_TOL.rank_abs
+    tol = DEFAULT_TOL.rank_rel
     # r = complex dimension of the translation space: the translation space
     # is C^r plus the real directions where psi vanishes; C^r is its maximal
     # complex subspace
-    iV = row_space(_mult_i(V_trans), floor)
+    iV = row_space(_mult_i(V_trans), tol)
     Vc = _intersect_row_spaces(V_trans, iV)
     if Vc.shape[0] % 2:
         return UnknownDescriptor("complex translation part has odd dimension")
@@ -401,10 +402,10 @@ def _match_psi(xs, n, m, V_trans, real_form):
     full_rows = np.array([
         np.concatenate([[x.a.real, x.a.imag], x.Z.real, x.Z.imag]) for x in xs])
     k0 = []
-    for comb in null_space(full_rows.T, floor):
+    for comb in null_space(full_rows.T, tol):
         A = sum(c * x.A for c, x in zip(comb, xs))
         if np.abs(A).max() > tol:
-            if np.abs(A[r:, :]).max(initial=0) > floor or np.abs(A[:, r:]).max(initial=0) > floor:
+            if np.abs(A[r:, :]).max(initial=0) > tol or np.abs(A[:, r:]).max(initial=0) > tol:
                 return UnknownDescriptor("k0 is not contained in u(r)")
             k0.append(A[:r, :r])
     k0 = real_span_basis(k0)
@@ -414,10 +415,10 @@ def _match_psi(xs, n, m, V_trans, real_form):
     d = GK0PsiDescriptor(n, m, r, k0_basis=k0, psi_images=[], real_form=real_form)
     for X in _psi_domain_basis(d):
         comb, res = span_coords(X, [x.Z for x in xs])
-        if res > floor:
+        if res > tol:
             return UnknownDescriptor("U direction missing from the algebra")
         A = sum(c * x.A for c, x in zip(comb, xs))
-        if np.abs(A[r:, :]).max(initial=0) > floor or np.abs(A[:, r:]).max(initial=0) > floor:
+        if np.abs(A[r:, :]).max(initial=0) > tol or np.abs(A[:, r:]).max(initial=0) > tol:
             return UnknownDescriptor("psi image is not contained in u(r)")
         P = A[:r, :r]
         for K in k0:
@@ -430,8 +431,7 @@ def _match_psi(xs, n, m, V_trans, real_form):
 
 def _match_n0(alg: MatrixAlgebra):
     basis = alg.basis
-    upper = all(abs(b[1, 0]) <= DEFAULT_TOL.residual * max(np.abs(b).max(), 1.0) for b in basis)
-    if not upper:
+    if not fits_pattern(np.array(basis)).all():
         g0 = build_family(G0Descriptor())
         if alg.dim == 3 and all(in_real_span(b, g0.basis) for b in basis):
             return G0Descriptor()
@@ -439,7 +439,7 @@ def _match_n0(alg: MatrixAlgebra):
     has_c = alg.contains(_embed(0, c=1.0))
     diag = [b[0, 0] for b in basis]  # the image of the projection onto the diagonal
     diag_rows = row_space(np.array([[z.real, z.imag] for z in diag])
-                          if diag else np.zeros((0, 2)), DEFAULT_TOL.rank_abs)
+                          if diag else np.zeros((0, 2)), DEFAULT_TOL.rank_rel)
     ddim = diag_rows.shape[0]
     if alg.dim == 3 and has_c and ddim == 2:
         return G1Descriptor()
@@ -488,7 +488,7 @@ def same_descriptor(d1, d2) -> bool:
                                 flatten([np.asarray(A, complex)])[0]]) for a, A in kb]
         if not vecs:
             return 0
-        return row_space(np.array(vecs), DEFAULT_TOL.rank_abs).shape[0]
+        return row_space(np.array(vecs), DEFAULT_TOL.rank_rel).shape[0]
     return kdim(d1) == kdim(d2)
 
 
@@ -505,35 +505,3 @@ def is_holonomy_realizable(d) -> str:
     except ValueError:
         return "not_berger"
     return "berger_only" if d.family == "BERGER_GK" else "yes"
-
-
-def ricci_flat_condition(d) -> bool:
-    """True iff all generators of the built algebra are trace-free, i.e. the
-    algebra is inside su(1,n+1)."""
-    alg = build_family(d)
-    return all(abs(np.trace(b)) <= DEFAULT_TOL.residual * max(np.abs(b).max(), 1.0)
-               for b in alg.basis)
-
-
-def ricci_flat_symbolic(d) -> bool:
-    """The classification corollary's symbolic trace conditions; for a (k, L)
-    family, tr A + Im a ((n - m + 2) i + tr theta) = 0 for every (a, A) of
-    k.  Must agree with ricci_flat_condition."""
-    fam, tol = d.family, DEFAULT_TOL.residual
-    if fam == "G0":
-        return True
-    if fam == "G1":
-        return False
-    if fam == "G2":
-        return False
-    if fam == "G3":
-        return abs(complex(d.gamma).imag) <= DEFAULT_TOL.coeff_zero
-    if isinstance(d, KLDescriptor):
-        tr_theta = 0.0 if d.real_form is None else np.trace(d.real_form.theta)
-        return all(abs(np.trace(np.asarray(A, complex)) + complex(a).imag
-                       * ((d.n - d.m + 2) * 1j + tr_theta)) <= tol
-                   for a, A in d.k_basis)
-    if fam == "GK0PSI":
-        return all(abs(np.trace(np.asarray(A, complex))) <= tol
-                   for A in list(d.k0_basis) + list(d.psi_images))
-    raise ValueError(fam)

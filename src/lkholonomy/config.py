@@ -20,36 +20,34 @@ class Tolerances:
         as zero.  Anti-Hermitian, skew, trace and commutator checks, reality
         of a potential, the Walker form and nondegeneracy, the five pp-wave
         conditions (the first on the a and A parts of every holonomy basis
-        element), theta = 0, the n = 0 matcher's lower-left entry, the
-        family rule's zero a-parts (also the scalar generators of
-        build_potential), a real point kept for the holonomy span, a
-        symmetric pair's Jacobi identity (relative to max(largest structure
-        constant squared, 1)) and its Calabi-Yau flag (relative to the
-        largest entry of R on the m-basis, with no floor, so that a
+        element), theta = 0, the family rule's zero a-parts (also the scalar
+        generators of build_potential), a real point kept for the holonomy
+        span, a symmetric pair's Jacobi identity (relative to max(largest
+        structure constant squared, 1)) and its Calabi-Yau flag (relative to
+        the largest entry of R on the m-basis, with no floor, so that a
         homothety of R leaves it unchanged), and param_encode's one
         invariant check (relative to max(largest entry, 1)).
     rank_rel 1e-9, relative to the largest singular value: the rank rule's
         one cut, for every span and null space, among them the kernel of A1
         in build_potential and a symmetric pair's Ricci degeneracy flag.
-        Relative to max(largest entry, 1): the block-pattern fits of sigma
-        and of (a, A, Z, c), also for the holonomy's real points and the
-        pp-wave check, span membership, the lambda count of a real form,
-        jmat_sqrt's Hermitian part.  Absolute at unit scale: zero tests on
-        orthonormal rows in the matcher, a real-form basis's rank floor and
-        orthonormality, gamma equality.  Also the default of --tol.
-    rank_abs 1e-8, absolute: the singular-value floor of the matcher and of
-        same_descriptor (their inputs come from unit-norm bases, so smaller
-        components are noise that a relative rule would promote to full
-        rank), the matcher's block checks, least-squares fit residuals (also
-        a curvature image escaping an empty g), param_decode's re-encoding
-        of what it read, and a symmetric pair's closure: [g, g] in g, and
-        R(m, m) in g relative to max(largest entry of R on the m-basis, 1).
+        Relative to max(largest entry, 1): lie.fits_pattern, the one test of
+        the block pattern (read by sigma, also on the holonomy's real
+        points, by the (a, A, Z, c) fit and its sigma-fixed check, also in
+        the pp-wave check, by the Berger ambient choice and the n = 0
+        matcher), span membership, the lambda count of a real form,
+        jmat_sqrt's Hermitian part, a symmetric pair's closure R(m, m) in g
+        (on the entries of R on the m-basis).  Absolute at unit scale, on
+        data from unit-norm bases: the singular-value floor of the matcher
+        and of same_descriptor (a relative rule would promote noise-only
+        rows to full rank), the matcher's zero tests, block checks and fit
+        residuals, param_decode's re-encoding, [g, g] in g for a symmetric
+        pair, a real-form basis's rank floor and orthonormality, gamma
+        equality.  Also the default of --tol.
     """
 
     coeff_zero: float = 1e-12
     residual: float = 1e-10
     rank_rel: float = 1e-9
-    rank_abs: float = 1e-8
 
 
 DEFAULT_TOL = Tolerances()

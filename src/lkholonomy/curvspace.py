@@ -8,10 +8,11 @@ by R(X, Y) = R(X, conj Y) - R(Y, conj X).
 
 The curvature space K(g) is one constraint solve on the closed-form
 curvature space of an ambient algebra: the real combinations of its unit
-maps whose every value lies in span_C(g).  A basis of g with no entry
-outside the parabolic block pattern takes the full algebra u(1,n+1)_{Cp},
-whose unit maps are param_encode of the param_dim(n) unit parameters; any
-other basis (G0, a U(1,n+1)-conjugate of a family) takes u(1,n+1) itself.
+maps whose every value lies in span_C(g).  A basis of g that fits the
+parabolic block pattern (lie.fits_pattern) takes the full algebra
+u(1,n+1)_{Cp}, whose unit maps are param_encode of the param_dim(n) unit
+parameters; any other basis (G0, a U(1,n+1)-conjugate of a family) takes
+u(1,n+1) itself.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .hermitian import WittMetric
-from .lie import MatrixAlgebra, null_space, row_space, sigma_involution, unflatten, unitary_basis
+from .lie import (MatrixAlgebra, fits_pattern, null_space, row_space, sigma_involution, unflatten,
+                  unitary_basis)
 
 
 # The largest n of an algebra file for berger.  On one core of a 2-core
@@ -120,16 +122,13 @@ def _constrained_solve(E: np.ndarray, alg: MatrixAlgebra) -> np.ndarray:
 
 def solve_curvature_space(alg: MatrixAlgebra) -> list[CurvatureMap]:
     """A real basis of the curvature space K(g), as a constraint on the
-    curvature space of the full parabolic algebra when g has no entry
-    outside the pattern of its unit maps, else on that of u(1,n+1).  The
-    basis of g is orthonormal, so an entry counts above rank_rel."""
+    curvature space of the full parabolic algebra when the basis of g fits
+    the block pattern, else on that of u(1,n+1)."""
     if alg.dim == 0:
         return []
     N = alg.n + 2
-    E = _encode(_unit_params(alg.n))
-    outside = ~(E != 0).any(axis=(0, 1, 2))
-    if np.abs(np.array(alg.basis)[:, outside]).max(initial=0.0) > DEFAULT_TOL.rank_rel:
-        E = _unitary_units(alg.n)
+    E = (_encode(_unit_params(alg.n)) if fits_pattern(np.array(alg.basis)).all()
+         else _unitary_units(alg.n))
     return [CurvatureMap(alg.n, r) for r in _constrained_solve(E, alg).reshape(-1, N, N, N, N)]
 
 
@@ -214,33 +213,6 @@ def _r0_average(R0: np.ndarray) -> np.ndarray:
     R0 = R0 + R0.swapaxes(-3, -2)
     R0 = R0 + R0.swapaxes(-4, -1)
     return (R0 + np.conj(R0.swapaxes(-4, -3).swapaxes(-2, -1))) / 8
-
-
-def random_param(n: int, rng: np.random.Generator) -> CurvatureParam:
-    """A random parameter tuple satisfying all invariants."""
-
-    def crandn(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    T = crandn(n, n)
-    T = (T + T.T) / 2
-    P = crandn(n, n, n)
-    P = (P + np.transpose(P, (0, 2, 1))) / 2
-    A = crandn(n, n)
-    A = (A + A.conj().T) / 2
-    R0 = _r0_average(crandn(n, n, n, n))
-    return CurvatureParam(
-        n,
-        alpha=complex(crandn()),
-        beta=complex(crandn()),
-        c=float(rng.standard_normal()),
-        N_vec=crandn(n),
-        K=crandn(n),
-        T=T,
-        R0=R0,
-        P=P,
-        A=A,
-    )
 
 
 def _r0_units(size: int) -> np.ndarray:
@@ -346,7 +318,7 @@ def param_decode(R: CurvatureMap) -> CurvatureParam:
     """Read the block parameters off a curvature map of the full algebra:
     the entries param_encode writes, read once each.  The map is refused
     unless param_encode accepts them and their re-encoding is R within
-    rank_abs."""
+    rank_rel."""
     n, q, rho = R.n, R.n + 1, R.rho
     p = CurvatureParam(
         n,
@@ -360,7 +332,7 @@ def param_decode(R: CurvatureMap) -> CurvatureParam:
         P=rho[1:q, q, 1:q, 1:q].transpose(1, 2, 0).copy(),
         A=rho[q, q][1:q, 1:q].copy(),
     )
-    if np.abs(param_encode(p).rho - rho).max() > DEFAULT_TOL.rank_abs:
+    if np.abs(param_encode(p).rho - rho).max() > DEFAULT_TOL.rank_rel:
         raise ValueError("curvature map is not in the block form of the full algebra")
     return p
 

@@ -392,6 +392,8 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
     The derivatives are read off as Taylor coefficients of the curvature in
     a radially parallel gauge; coefficients of total degree r correspond to
     derivative order r."""
+    if r_max < 0:
+        raise ValueError(f"r_max must be at least 0, not {r_max}")
     if m.space.order - 2 < r_max:
         raise InsufficientOrderError(
             f"jet order {m.space.order} cannot reach derivative order {r_max}; "

@@ -7,6 +7,7 @@ becomes an honest linear map.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,9 @@ from .config import DEFAULT_TOL
 def numerical_rank(s: np.ndarray, floor: float = 0.0) -> int:
     """Number of singular values (sorted descending) above
     max(rank_rel * s[0], floor); 0 for an empty or all-zero spectrum.  Here
-    and in row_space and null_space, floor is a parameter because the
-    matcher, same_descriptor and RealFormData pass floors."""
+    and in row_space and null_space, floor is a parameter: the matcher,
+    same_descriptor and RealFormData pass rank_rel at unit scale, and the
+    Berger solve rank_rel times the norm of its conditions."""
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > max(DEFAULT_TOL.rank_rel * s[0], floor)))
@@ -176,44 +178,45 @@ class ABZCElement:
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "ABZCElement":
-        """(a, A, Z, c) of m, each block fitted within rank_rel·max(|m|, 1)."""
-        n = m.shape[0] - 2
-        tol = DEFAULT_TOL.rank_rel * max(np.abs(m).max(), 1.0)
-        if max(np.abs(m[1:, 0]).max(), np.abs(m[n + 1, 1:n + 1]).max(initial=0.0)) > tol:
+        """(a, A, Z, c) of m: m fits the block pattern and is fixed by sigma,
+        both within rank_rel·max(|m|, 1)."""
+        n, tol = m.shape[0] - 2, DEFAULT_TOL.rank_rel * max(np.abs(m).max(), 1.0)
+        if not fits_pattern(m):
             raise ValueError("matrix is not in the parabolic block pattern")
-        a = m[0, 0]
-        if abs(m[n + 1, n + 1] + np.conj(a)) > tol:
-            raise ValueError("corner entries are not (a, -conj(a))")
-        Z = m[1:n + 1, n + 1].copy()
-        if np.abs(m[0, 1:n + 1] + np.conj(Z)).max(initial=0.0) > tol:
-            raise ValueError("row and column Z-parts disagree")
-        ic = m[0, n + 1]
-        if abs(ic.real) > tol:
-            raise ValueError("corner entry is not purely imaginary")
-        A = m[1:n + 1, 1:n + 1].copy()
-        if np.abs(A + A.conj().T).max(initial=0.0) > tol:
-            raise ValueError("middle block is not anti-Hermitian")
-        return ABZCElement(a, A, Z, ic.imag)
+        if np.abs(sigma_involution(m) - m).max() > tol:
+            raise ValueError("matrix is not fixed by sigma")
+        return ABZCElement(m[0, 0], m[1:n + 1, 1:n + 1].copy(), m[1:n + 1, n + 1].copy(),
+                           m[0, n + 1].imag)
 
 
-# -- sigma involution ---------------------------------------------------------
+# -- the parabolic block pattern and sigma -------------------------------------
+
+@functools.cache
+def parabolic_mask(n: int) -> np.ndarray:
+    """The entries of u(1,n+1)_{Cp}^C, the stabilizer of the null line p:
+    block upper triangular in the Witt blocks (p), (e_1..e_n), (q).  One
+    read-only array per n."""
+    block = np.array([0] + [1] * n + [2])
+    mask = block[:, None] <= block
+    mask.flags.writeable = False
+    return mask
+
+
+def fits_pattern(X: np.ndarray) -> np.ndarray:
+    """Whether each matrix of X, which may carry leading axes, has its
+    entries off parabolic_mask within rank_rel·max(|X|, 1): the one test of
+    the block pattern."""
+    off = np.abs(X[..., ~parabolic_mask(X.shape[-1] - 2)]).max(axis=-1)
+    return off <= DEFAULT_TOL.rank_rel * np.maximum(np.abs(X).max(axis=(-2, -1)), 1.0)
+
 
 def sigma_involution(xi: np.ndarray) -> np.ndarray:
-    """Anti-linear involution on the T^{1,0} block form; its fixed points are
-    the embeddings of the real parabolic elements.  xi may carry leading
-    axes; each matrix's block pattern is fitted within rank_rel·max(|xi|, 1)."""
+    """The anti-linear involution X -> -Gram X^H Gram on the block pattern,
+    whose fixed points are the embeddings of the real parabolic elements;
+    entries off the pattern map to 0.  xi may carry leading axes, and each
+    matrix must fit the pattern."""
     n = xi.shape[-1] - 2
-    off = np.maximum(np.abs(xi[..., 1:, 0]).max(axis=-1),
-                     np.abs(xi[..., n + 1, 1:n + 1]).max(axis=-1, initial=0.0))
-    # the scale max(|xi|, 1) is at least 1, so it is read only past rank_rel
-    if off.max() > DEFAULT_TOL.rank_rel and np.any(
-            off > DEFAULT_TOL.rank_rel * np.maximum(np.abs(xi).max(axis=(-2, -1)), 1.0)):
+    if not fits_pattern(xi).all():
         raise ValueError("sigma: matrix violates the upper-triangular block pattern")
-    out = np.zeros_like(xi)
-    out[..., 0, 0] = -np.conj(xi[..., n + 1, n + 1])
-    out[..., 0, 1:n + 1] = -np.conj(xi[..., 1:n + 1, n + 1])
-    out[..., 0, n + 1] = -np.conj(xi[..., 0, n + 1])
-    out[..., 1:n + 1, 1:n + 1] = -np.conj(xi[..., 1:n + 1, 1:n + 1]).swapaxes(-2, -1)
-    out[..., 1:n + 1, n + 1] = -np.conj(xi[..., 0, 1:n + 1])
-    out[..., n + 1, n + 1] = -np.conj(xi[..., 0, 0])
-    return out
+    swap = [n + 1, *range(1, n + 1), 0]
+    return np.where(parabolic_mask(n), -np.conj(xi[..., swap, :][..., swap]).swapaxes(-2, -1), 0)

@@ -83,8 +83,8 @@ def build_transvection(pair: SymmetricPair) -> TransvectionAlgebra:
     products = gb[:, None] @ gb
     gg, gg_res = span_coords(products - products.transpose(1, 0, 2, 3), pair.g.basis)
     mm, mm_res = span_coords(-pair.Rm, pair.g.basis)
-    if (gg_res > DEFAULT_TOL.rank_abs
-            or mm_res > DEFAULT_TOL.rank_abs * max(np.abs(pair.Rm).max(), 1.0)):
+    if (gg_res > DEFAULT_TOL.rank_rel
+            or mm_res > DEFAULT_TOL.rank_rel * max(np.abs(pair.Rm).max(), 1.0)):
         raise InvalidPairError("a bracket of g + m escapes g")
     k, G = len(gb), pair.g_on_m
     dim = k + 2 * pair.dim

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import descriptor_suite
+from oracles import random_param
 
 from lkholonomy import classify as C
 from lkholonomy import geometry as G
@@ -14,7 +15,6 @@ from lkholonomy.curvspace import (
     no_ir_counterexample,
     param_decode,
     param_encode,
-    random_param,
 )
 from lkholonomy.hermitian import RealFormData, exp_derivative_series
 from lkholonomy.jetmat import (

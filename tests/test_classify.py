@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from oracles import ricci_flat_condition, ricci_flat_symbolic
+
 from lkholonomy import classify as C
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
@@ -97,12 +99,12 @@ def test_ricci_flat_corollary(suite):
     n0 = [C.G0Descriptor(), C.G1Descriptor(), C.G2Descriptor(),
           C.G3Descriptor(gamma=0.0), C.G3Descriptor(gamma=1.0), C.G3Descriptor(gamma=1j)]
     for d in suite + n0 + [berger_only]:
-        assert C.ricci_flat_condition(d) == C.ricci_flat_symbolic(d), d.family
+        assert ricci_flat_condition(d) == ricci_flat_symbolic(d), d.family
     flat = []
     for d in suite:
         m = G.metric_from_potential(P.build_potential(d, order=6))
-        assert (jmat_max_abs(G.ricci(m)) == 0) == C.ricci_flat_symbolic(d), d.family
-        flat.append(C.ricci_flat_symbolic(d))
+        assert (jmat_max_abs(G.ricci(m)) == 0) == ricci_flat_symbolic(d), d.family
+        flat.append(ricci_flat_symbolic(d))
     assert flat.count(True) == 3  # the three untwisted GKL cases
 
 

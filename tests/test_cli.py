@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles import random_unitary
+
 from lkholonomy import classify as C
 from lkholonomy import serialization as S
 from lkholonomy.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, build_parser, main
@@ -249,6 +251,23 @@ def test_catalog_algebras_pass_the_basis_check():
             assert back.equals(alg), e["descriptor"]
 
 
+def test_classify_of_a_unitary_conjugate_keeps_its_unknown_reason(tmp_path, capsys, rng):
+    """A U(1,n+1)-conjugate of a catalog entry at n = 1, 2, written as a
+    basis file, moves the null line p: classify reports UNKNOWN with exit 2
+    and the block-pattern reason."""
+    from lkholonomy.cli import _catalog_entries
+    reason = "not in the parabolic block pattern: matrix is not in the parabolic block pattern"
+    for n in (1, 2):
+        for e in _catalog_entries(n):
+            U = random_unitary(n, rng)
+            basis = [U @ b @ np.linalg.inv(U) for b in C.build_family(e["descriptor"]).basis]
+            alg = _write(tmp_path, "moved.json",
+                         {"n": n, "basis": [S.encode_matrix(b) for b in basis]})
+            assert main(["classify", "--algebra", alg]) == EXIT_MISMATCH
+            d = json.loads(capsys.readouterr().out)["result"]["descriptor"]
+            assert (d["family"], d["reason"]) == ("UNKNOWN", reason), e["descriptor"]
+
+
 def test_symspace_and_out_file(tmp_path, capsys):
     out = str(tmp_path / "rep.json")
     assert main(["symspace", "--family", "f", "--n", "2", "--m", "1",
@@ -348,7 +367,9 @@ def test_order_and_n_past_their_limits_are_one_line_errors(tmp_path, capsys):
     too_deep = _write(tmp_path, "deep.json", {"kind": "fc", "order": MAX_ORDER + 1})
     for argv in (["validate", "--potential", flat, "--order", str(MAX_ORDER + 1)],
                  ["validate", "--potential", too_deep],
-                 ["holonomy", "--potential", too_wide]):
+                 ["holonomy", "--potential", too_wide],
+                 ["holonomy", "--potential", flat, "--rmax", "-1"],
+                 ["ppwave", "--metric", flat, "--rmax", "-2"]):
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

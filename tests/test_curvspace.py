@@ -2,8 +2,11 @@
 import numpy as np
 import pytest
 
+from oracles import random_param, random_unitary
+
 from lkholonomy import classify as C
 from lkholonomy import curvspace
+from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.curvspace import (
     CurvatureMap,
     CurvatureParam,
@@ -12,7 +15,6 @@ from lkholonomy.curvspace import (
     param_decode,
     param_dim,
     param_encode,
-    random_param,
     ricci_of_map,
     solve_curvature_space,
     _full_algebra,
@@ -22,6 +24,7 @@ from lkholonomy.lie import (
     MatrixAlgebra,
     flatten,
     null_space,
+    parabolic_mask,
     real_span_basis,
     row_space,
     sigma_involution,
@@ -105,14 +108,32 @@ def _unitary_algebra(n):
 
 
 def _fits_pattern(alg) -> bool:
-    """Whether sigma_involution, the parabolic block involution, accepts the
-    basis: the route check of the solve, read off the other copy of the
-    pattern."""
-    try:
-        sigma_involution(np.array(alg.basis))
-    except ValueError:
-        return False
-    return True
+    """Whether the orthonormal basis of g has no entry above rank_rel off
+    parabolic_mask: the route check of the solve, read off the mask."""
+    off = np.array(alg.basis)[:, ~parabolic_mask(alg.n)]
+    return np.abs(off).max(initial=0.0) <= DEFAULT_TOL.rank_rel
+
+
+def test_parabolic_mask_is_where_the_unit_maps_live():
+    """The closed-form mask is the support of the values of the encoded
+    unit parameters, the pattern the solve used to read off them."""
+    for n in range(6):
+        E = curvspace._encode(curvspace._unit_params(n))
+        assert np.array_equal((E != 0).any(axis=(0, 1, 2)), parabolic_mask(n)), n
+
+
+def test_sigma_is_the_witt_involution_on_the_pattern(rng):
+    """On stacks in the pattern, random complex ones and the values of an
+    encoded map, sigma writes the bits _witt_sigma writes on the mask and
+    exact zeros off it, also when the entries off the mask are not zero but
+    within the fit."""
+    for n in range(4):
+        N, mask = n + 2, parabolic_mask(n)
+        stack = (rng.standard_normal((3, 2, N, N)) + 1j * rng.standard_normal((3, 2, N, N))) * mask
+        for X in (stack, param_encode(random_param(n, rng)).rho, stack + 1e-12 * ~mask):
+            got, want = sigma_involution(X), _witt_sigma(X)
+            assert got[..., mask].tobytes() == want[..., mask].tobytes(), n
+            assert not got[..., ~mask].any(), n
 
 
 def _oracle_cases(suite, rng):
@@ -211,13 +232,25 @@ def test_unitary_algebra_is_berger():
         assert (res["dim_R_space"], res["is_berger"]) == (dim, True), n
 
 
-def _random_unitary(n, rng):
-    """The Cayley transform (1 - X)^-1 (1 + X) of a seeded random X in
-    u(1,n+1): an element of U(1,n+1) in the Witt frame."""
-    N = n + 2
-    S = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    X = WittMetric(n).gram @ (S - S.conj().T) / 4
-    return np.linalg.solve(np.eye(N) - X, np.eye(N) + X)
+def test_algebras_outside_the_pattern_build_no_parabolic_units(rng, monkeypatch):
+    """G0, u(1,1), u(1,2) and a U(1,3)-conjugate of a catalog entry at
+    n = 2 take the unitary ambient without building the parabolic unit
+    parameters; the conjugate keeps the entry's verdict."""
+    from lkholonomy.cli import _catalog_entries
+    entry = C.build_family(_catalog_entries(2)[2]["descriptor"])
+    U = random_unitary(2, rng)
+    moved = MatrixAlgebra(2, [U @ b @ np.linalg.inv(U) for b in entry.basis])
+    want = berger_check(entry)
+
+    def refuse(n):
+        raise AssertionError("parabolic unit parameters built")
+
+    monkeypatch.setattr(curvspace, "_unit_params", refuse)
+    cases = [(C.build_family(C.G0Descriptor()), 5, True), (_unitary_algebra(0), 9, True),
+             (_unitary_algebra(1), 36, True), (moved, want["dim_R_space"], want["is_berger"])]
+    for alg, dim, is_berger in cases:
+        got = berger_check(alg)
+        assert (got["dim_R_space"], got["is_berger"]) == (dim, is_berger)
 
 
 def test_berger_verdict_is_invariant_under_unitary_conjugation(rng):
@@ -228,7 +261,7 @@ def test_berger_verdict_is_invariant_under_unitary_conjugation(rng):
     algebras = [C.build_family(e["descriptor"]) for n in (1, 2) for e in _catalog_entries(n)]
     algebras += [no_ir_counterexample(n) for n in (1, 2)]
     for alg in algebras:
-        U = _random_unitary(alg.n, rng)
+        U = random_unitary(alg.n, rng)
         gram = WittMetric(alg.n).gram
         assert np.abs(U.conj().T @ gram @ U - gram).max() < 1e-12
         moved = MatrixAlgebra(alg.n, [U @ b @ np.linalg.inv(U) for b in alg.basis])
@@ -452,7 +485,7 @@ def _perturbed_maps(rng):
     for n in (1, 2):
         R = param_encode(random_param(n, rng))
         noise = rng.standard_normal(R.rho.shape) + 1j * rng.standard_normal(R.rho.shape)
-        noise[..., 1:, 0] = noise[..., n + 1, 1:n + 1] = 0
+        noise *= parabolic_mask(n)
         maps += [R, CurvatureMap(n, R.rho + 1e-3 * noise)]
     return maps
 

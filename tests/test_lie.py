@@ -38,6 +38,26 @@ def test_abzc_roundtrip(rng):
             assert np.abs(back.Z - el.Z).max() < 1e-12
 
 
+def test_abzc_fit_refuses_off_pattern_and_non_fixed_matrices(rng):
+    """An entry off the pattern, and each of the four sigma-fixed block
+    conditions broken, are refused at rank_rel·max(|m|, 1): 1e-8 passes in
+    a matrix of entries near 100 and fails one near 1."""
+    n = 2
+    m = _random_abzc(rng, n).to_matrix()
+    for idx, message in (((n + 1, 1), "not in the parabolic block pattern"),
+                         ((n + 1, n + 1), "not fixed by sigma"),
+                         ((0, 1), "not fixed by sigma"),
+                         ((0, n + 1), "not fixed by sigma"),
+                         ((1, 2), "not fixed by sigma")):
+        big = 100 * m
+        big[idx] += 1e-8
+        ABZCElement.from_matrix(big)
+        moved = m / np.abs(m).max()
+        moved[idx] += 1e-8
+        with pytest.raises(ValueError, match=message):
+            ABZCElement.from_matrix(moved)
+
+
 def test_abzc_matrix_shape(rng):
     el = _random_abzc(rng, 2)
     m = el.to_matrix()
@@ -121,7 +141,7 @@ def test_rank_of_zero_and_empty_input():
 
 def test_rank_floor_drops_noise_only_rows():
     noise = 1e-12 * np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    floor = DEFAULT_TOL.rank_abs
+    floor = DEFAULT_TOL.rank_rel
     assert row_space(noise, floor).shape[0] == 0
     assert row_space(noise).shape[0] == 1
     assert null_space(noise, floor).shape[0] == 3

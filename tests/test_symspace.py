@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles import random_param
+
 from lkholonomy import serialization as S
 
 from lkholonomy.classify import match_algebra
@@ -12,7 +14,6 @@ from lkholonomy.curvspace import (
     CurvatureMap,
     param_decode,
     param_encode,
-    random_param,
     solve_curvature_space,
 )
 from lkholonomy.lie import MatrixAlgebra, real_span_basis, span_coords, span_residual
@@ -191,9 +192,9 @@ def test_closure_and_jacobi_reject_what_the_loop_oracle_rejects(rng):
             build_transvection(pair)
         except InvalidPairError:
             rejected += 1
-            assert ref > DEFAULT_TOL.rank_abs
+            assert ref > DEFAULT_TOL.rank_rel
         else:
-            assert ref <= DEFAULT_TOL.rank_abs
+            assert ref <= DEFAULT_TOL.rank_rel
     assert 0 < rejected < len(cases)
 
 
@@ -253,7 +254,7 @@ def test_pair_agrees_with_berger_solve_and_matcher(family, n, m):
     listed family: GK for f(n, n), GKJL for f(n, m < n)."""
     pair = canonical_pair(family, n, m)
     solved = solve_curvature_space(pair.g)
-    assert span_coords(pair.R.rho, [S.rho for S in solved])[1] <= DEFAULT_TOL.rank_abs
+    assert span_coords(pair.R.rho, [S.rho for S in solved])[1] <= DEFAULT_TOL.rank_rel
     want = EXPECTED_FAMILY.get(family, "GK" if m == n else "GKJL")
     assert match_algebra(pair.g).family == want
 
@@ -270,7 +271,7 @@ def test_g_invariance_is_enforced(family, n, m):
         image_res, ginv = _reference_pair_checks(pair)
         assert R.invariant_residual() < 1e-10
         assert image_res < 1e-10
-        if ginv > DEFAULT_TOL.rank_abs:
+        if ginv > DEFAULT_TOL.rank_rel:
             rejected += 1
             with pytest.raises(InvalidPairError):
                 build_transvection(pair)

@@ -63,6 +63,15 @@ def test_the_checks_catch_a_literal_and_a_parameter():
     assert tolerance_parameters("def compare_expected(e, a, tol): pass", "serialization") == []
 
 
+def test_every_field_is_read_outside_config():
+    """Each Tolerances field is read as DEFAULT_TOL.<field> by some module
+    other than config.py: a field that nothing reads is a dead threshold."""
+    read = {node.attr for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "DEFAULT_TOL"}
+    assert [f.name for f in dataclasses.fields(Tolerances) if f.name not in read] == []
+
+
 def test_tolerances_docstring_has_one_entry_per_field():
     """The docstring's entries are the dataclass fields, in order, and each
     field name occurs once: a folded or renamed field left in it fails."""
