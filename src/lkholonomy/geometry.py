@@ -377,11 +377,13 @@ class HolonomyResult:
 
 
 def _real_points(cbasis: list[np.ndarray]) -> list[np.ndarray]:
-    cands = []
-    for w in cbasis:
-        s = sigma_involution(w)
-        cands.append(w + s)
-        cands.append(1j * (w - s))
+    """The real span of w + sigma(w) and i(w - sigma(w)) over the complex
+    basis, sigma applied to the whole stack at once."""
+    if not cbasis:
+        return []
+    W = np.array(cbasis)
+    S = sigma_involution(W)
+    cands = [x for w, s in zip(W, S) for x in (w + s, 1j * (w - s))]
     return real_span_basis([c for c in cands if np.abs(c).max() > DEFAULT_TOL.residual])
 
 
@@ -407,7 +409,10 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
     coeffs_by_deg: dict[int, list[np.ndarray]] = {r: [] for r in range(r_max + 1)}
     for c in range(m.dim):
         for d in range(m.dim):
-            M = jmat_mul(Pinv, jmat_mul(jmat_truncated(m.curv[c][d], r_max), P))
+            R = jmat_truncated(m.curv[c][d], r_max)
+            if not any(j.terms for j in R.flat):
+                continue  # a zero block conjugates to zero and adds no coefficient
+            M = jmat_mul(Pinv, jmat_mul(R, P))
             table: dict = {}
             for idx in np.ndindex(*M.shape):
                 for key, val in M[idx].terms.items():
@@ -488,10 +493,6 @@ class PPWaveReport:
         if not self.parallel_p:
             return True
         return len(set(self.flags)) == 1
-
-    @property
-    def is_ppwave(self) -> bool:
-        return self.parallel_p and all(self.flags)
 
 
 def ppwave_check(m: MetricJet, r_max: int = 3) -> PPWaveReport:

@@ -6,22 +6,32 @@ These are small (at most (n+2)x(n+2)), so dense object arrays are fine.
 """
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .config import DEFAULT_TOL
 from .jets import Jet, JetShapeError, JetSpace, _jet, graded_sum, product_into
 
 
-def _entrywise(f, A: np.ndarray, dtype=object) -> np.ndarray:
-    """The array of f(a) over the entries a of A."""
-    out = np.empty(A.shape, dtype=dtype)
-    for idx in np.ndindex(*A.shape):
-        out[idx] = f(A[idx])
+def _filled(shape: tuple[int, ...], values, dtype=object) -> np.ndarray:
+    """The array of the given shape whose entries, in C order, are values."""
+    out = np.empty(shape, dtype=dtype)
+    out.flat = list(values)
     return out
 
 
+def _entrywise(f, A: np.ndarray, dtype=object) -> np.ndarray:
+    """The array of f(a) over the entries a of A."""
+    return _filled(A.shape, map(f, A.flat), dtype)
+
+
 def jmat_from_const(M: np.ndarray, space: JetSpace) -> np.ndarray:
-    return _entrywise(space.constant, np.asarray(M, dtype=complex))
+    """The constant jet matrix M; its zero entries are one shared empty jet,
+    which is safe because jets are values."""
+    M = np.asarray(M, dtype=complex)
+    zero = space.zero()
+    return _filled(M.shape, (zero if v == 0 else space.constant(v) for v in M.flat))
 
 
 def jmat_zero(shape: tuple[int, int], space: JetSpace) -> np.ndarray:
@@ -50,35 +60,43 @@ def jmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     products straight into one dict, with the floats, the key order and the
     jet order of the entrywise loop acc = acc + A[i, l] * B[l, j].
 
-    Entry (i, j) has the least order of its pairs, so only products of
-    degree <= that order are formed.  Each product sums its pairs in the
-    order of the jet product and is merged as Jet.__add__ merges, and the
-    degree-filtered term lists of B[l, j] are shared across the rows."""
+    The jet space is checked once.  Entry (i, j) has the least order of row
+    i of A and column j of B, so only products of degree <= that order are
+    formed, and only over the l, in increasing order, at which both A[i, l]
+    and B[l, j] have terms: an empty factor adds nothing to the loop's sum.
+    Each product sums its pairs in the order of the jet product and is
+    merged as Jet.__add__ merges, and the degree-filtered term lists of
+    B[l, j] are shared across the rows."""
     r, k = A.shape
     k2, c = B.shape
     if k != k2:
         raise ValueError("shape mismatch in jet matrix product")
     out = np.empty((r, c), dtype=object)
+    if not out.size:
+        return out
+    n = A.flat[0].num_coords
+    if any(a.num_coords != n for a in A.flat) or any(b.num_coords != n for b in B.flat):
+        raise JetShapeError("jet spaces differ in a jet matrix product")
+    row_order = [min(a.order for a in row) for row in A]
+    col_order = [min(b.order for b in col) for col in B.T]
+    rows = [[(l, a.terms) for l, a in enumerate(row) if a.terms] for row in A]
     for j in range(c):
-        col = [B[l, j] for l in range(k)]
+        col = [b.terms for b in B[:, j]]
         fits = [{} for _ in range(k)]
         for i in range(r):
-            row = [A[i, l] for l in range(k)]
-            n = row[0].num_coords
-            if any(a.num_coords != n or b.num_coords != n for a, b in zip(row, col)):
-                raise JetShapeError("jet spaces differ in a jet matrix product")
-            order = min(min(a.order, b.order) for a, b in zip(row, col))
+            order = min(row_order[i], col_order[j])
             acc: dict = {}
-            for a, b, f in zip(row, col, fits):
-                if not (a.terms and b.terms):
+            for l, a in rows[i]:
+                b = col[l]
+                if not b:
                     continue
                 if not acc:
                     # merging into nothing would add 0.0 to sums that start
                     # at 0.0 and so are never -0.0: no bit would change
-                    product_into(acc, a.terms, b.terms, order, f)
+                    product_into(acc, a, b, order, fits[l])
                     continue
                 prod: dict = {}
-                product_into(prod, a.terms, b.terms, order, f)
+                product_into(prod, a, b, order, fits[l])
                 get = acc.get
                 for key, v in prod.items():
                     acc[key] = get(key, 0.0) + v
@@ -111,27 +129,26 @@ def jmat_conj_transpose(A: np.ndarray) -> np.ndarray:
 
 
 def jmat_max_abs(A: np.ndarray) -> float:
-    return max(A[idx].max_abs() for idx in np.ndindex(*A.shape))
+    return max(a.max_abs() for a in A.flat)
 
 
 def jmat_graded(A: np.ndarray) -> list[np.ndarray | None]:
     """The homogeneous parts of degree 0..order of a jet matrix, None where
     every entry's part is empty."""
     space = jmat_space(A)
-    parts = [jmat_zero(A.shape, space) for _ in range(space.order + 1)]
-    for idx in np.ndindex(*A.shape):
-        for d, part in enumerate(A[idx].graded()):
+    zero = space.zero()
+    parts = [[zero] * A.size for _ in range(space.order + 1)]
+    for i, a in enumerate(A.flat):
+        for d, part in enumerate(a.graded()):
             if part is not None:
-                parts[d][idx] = part
-    return [p if any(j.terms for j in p.flat) else None for p in parts]
+                parts[d][i] = part
+    return [_filled(A.shape, p) if any(j.terms for j in p) else None for p in parts]
 
 
 def jmat_from_graded(parts: list[np.ndarray | None]) -> np.ndarray:
     """The jet matrix whose homogeneous parts these are; parts[0] must exist."""
-    out = np.empty(parts[0].shape, dtype=object)
-    for idx in np.ndindex(*out.shape):
-        out[idx] = Jet.from_graded([None if p is None else p[idx] for p in parts])
-    return out
+    entries = zip(*(repeat(None) if p is None else p.flat for p in parts))
+    return _filled(parts[0].shape, map(Jet.from_graded, entries))
 
 
 def jmat_inverse(A: np.ndarray) -> np.ndarray:
@@ -184,7 +201,3 @@ def jmat_sqrt(A: np.ndarray) -> np.ndarray:
         R = B[d] if s is None else -s if B[d] is None else B[d] - s
         T.append(None if R is None else R * (1.0 / np.add.outer(root, root)))
     return jmat_mul(Uc, jmat_mul(jmat_from_graded(T), Uh))
-
-
-def jmat_residual(A: np.ndarray, B: np.ndarray) -> float:
-    return jmat_max_abs(jmat_add(A, jmat_scale(B, -1.0)))

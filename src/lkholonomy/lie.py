@@ -183,7 +183,7 @@ class ABZCElement:
         n, tol = m.shape[0] - 2, DEFAULT_TOL.rank_rel * max(np.abs(m).max(), 1.0)
         if not fits_pattern(m):
             raise ValueError("matrix is not in the parabolic block pattern")
-        if np.abs(sigma_involution(m) - m).max() > tol:
+        if np.abs(_sigma(m) - m).max() > tol:
             raise ValueError("matrix is not fixed by sigma")
         return ABZCElement(m[0, 0], m[1:n + 1, 1:n + 1].copy(), m[1:n + 1, n + 1].copy(),
                            m[0, n + 1].imag)
@@ -215,8 +215,14 @@ def sigma_involution(xi: np.ndarray) -> np.ndarray:
     whose fixed points are the embeddings of the real parabolic elements;
     entries off the pattern map to 0.  xi may carry leading axes, and each
     matrix must fit the pattern."""
-    n = xi.shape[-1] - 2
     if not fits_pattern(xi).all():
         raise ValueError("sigma: matrix violates the upper-triangular block pattern")
+    return _sigma(xi)
+
+
+def _sigma(xi: np.ndarray) -> np.ndarray:
+    """sigma_involution without the pattern check, for a caller that has
+    made it."""
+    n = xi.shape[-1] - 2
     swap = [n + 1, *range(1, n + 1), 0]
     return np.where(parabolic_mask(n), -np.conj(xi[..., swap, :][..., swap]).swapaxes(-2, -1), 0)

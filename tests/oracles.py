@@ -1,12 +1,14 @@
 """Test-side oracles: a random curvature parameter tuple, a random element
-of U(1,n+1), and the two Ricci-flat predicates of the classification
-corollary."""
+of U(1,n+1), the two Ricci-flat predicates of the classification
+corollary, the entrywise jet-matrix product, the distance of two jet
+matrices and the pp-wave verdict of a report."""
 import numpy as np
 
 from lkholonomy.classify import KLDescriptor, build_family
 from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.curvspace import CurvatureParam, _r0_average
 from lkholonomy.hermitian import WittMetric
+from lkholonomy.jetmat import jmat_add, jmat_max_abs, jmat_scale
 
 
 def random_param(n: int, rng: np.random.Generator) -> CurvatureParam:
@@ -75,3 +77,26 @@ def ricci_flat_symbolic(d) -> bool:
         return all(abs(np.trace(np.asarray(A, complex))) <= tol
                    for A in list(d.k0_basis) + list(d.psi_images))
     raise ValueError(fam)
+
+
+def reference_mul(A, B):
+    """The entrywise loop acc = acc + A[i, l] * B[l, j] through Jet.__mul__
+    and Jet.__add__: the product the fused jmat_mul must reproduce exactly."""
+    out = np.empty((A.shape[0], B.shape[1]), dtype=object)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = A[i, 0] * B[0, j]
+            for l in range(1, A.shape[1]):
+                acc = acc + A[i, l] * B[l, j]
+            out[i, j] = acc
+    return out
+
+
+def jmat_residual(A, B) -> float:
+    """The largest coefficient of A - B over every entry."""
+    return jmat_max_abs(jmat_add(A, jmat_scale(B, -1.0)))
+
+
+def is_ppwave(rep) -> bool:
+    """A PPWaveReport's verdict: p is parallel and every condition holds."""
+    return rep.parallel_p and all(rep.flags)

@@ -6,14 +6,17 @@ import pathlib
 import numpy as np
 import pytest
 
+from oracles import is_ppwave, jmat_residual, reference_mul
+
 from lkholonomy import classify as C
 from lkholonomy import cli
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
+from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.jetmat import (jmat_add, jmat_derivative, jmat_eval0, jmat_inverse,
-                               jmat_max_abs, jmat_mul, jmat_residual, jmat_scale,
-                               jmat_truncated)
-from lkholonomy.jets import JetSpace, real_part
+                               jmat_max_abs, jmat_mul, jmat_scale, jmat_truncated)
+from lkholonomy.jets import MASK, JetSpace, real_part
+from lkholonomy.lie import MatrixAlgebra, row_space
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -198,13 +201,13 @@ def test_ppwave_check_positive_and_negative():
     phi = z * z * ub * ub + z * ub * ub * ub * 0.5
     m = G.metric_from_potential(P.ppwave_potential(space, 1, phi))
     rep = G.ppwave_check(m)
-    assert rep.parallel_p and rep.is_ppwave and rep.consistent
+    assert rep.parallel_p and is_ppwave(rep) and rep.consistent
     hol = G.infinitesimal_holonomy(m, r_max=3)
     assert hol.algebra.dim == 3  # C^1 |x iR
 
     bad = _fc_metric(1.0, 0.0)
     rep2 = G.ppwave_check(bad)
-    assert not rep2.parallel_p and not rep2.is_ppwave
+    assert not rep2.parallel_p and not is_ppwave(rep2)
 
 
 def test_insufficient_order_raises():
@@ -288,3 +291,57 @@ def test_truncated_conjugation_keeps_every_coefficient_it_reads(monkeypatch):
                 assert list(low) == list(cut[idx].coeffs)
                 assert (np.array(list(low.values()), complex).tobytes()
                         == np.array(list(cut[idx].coeffs.values()), complex).tobytes())
+
+
+def _reference_holonomy(m, r_max):
+    """infinitesimal_holonomy with every block P^-1 R_cd P, zero or not,
+    conjugated through the entrywise product: dims_by_order, the basis and
+    the bracket residual."""
+    Q = m.frame0
+    Qinv = np.linalg.inv(Q)
+    P = G.radial_parallel_gauge([jmat_truncated(g, r_max) for g in m.gamma])
+    Pinv = jmat_inverse(P)
+    coeffs_by_deg = {r: [] for r in range(r_max + 1)}
+    for row in m.curv:
+        for R in row:
+            M = reference_mul(Pinv, reference_mul(jmat_truncated(R, r_max), P))
+            table = {}
+            for idx in np.ndindex(*M.shape):
+                for key, val in M[idx].terms.items():
+                    if key & MASK <= r_max:
+                        table.setdefault(key, np.zeros((m.dim, m.dim), complex))[idx] = val
+            for key, mat in table.items():
+                coeffs_by_deg[key & MASK].append(Qinv @ mat @ Q)
+    scale = max((np.abs(w).max() for ws in coeffs_by_deg.values() for w in ws), default=1.0)
+    dims, rows = [], np.zeros((0, m.dim * m.dim), complex)
+    for r in range(r_max + 1):
+        new = [w.ravel() / scale for w in coeffs_by_deg[r]
+               if np.abs(w).max() > DEFAULT_TOL.coeff_zero * scale]
+        rows = row_space(np.vstack([rows, *new]))
+        dims.append(len(rows))
+    alg = MatrixAlgebra(m.n, G._real_points([row.reshape(m.dim, m.dim) for row in rows]))
+    return dims, alg.basis, alg.bracket_residual()
+
+
+@pytest.mark.parametrize("metric", ["flat", "gkl", "dense"])
+def test_holonomy_skipping_zero_blocks_matches_the_full_conjugation(metric, suite, monkeypatch):
+    """Skipping the blocks R_cd with no terms changes no bit: on the flat
+    metric (all 16 blocks zero), the order-9 GKL(2, 0) potential (11 of 16)
+    and a seeded dense n = 1 potential (3 of 9)."""
+    if metric == "flat":
+        space = JetSpace(4, 9)
+        f = P.fc_potential(space, 0.0, 0.0) + P.fun_potential(space, 2, [])
+    elif metric == "gkl":
+        f = P.build_potential(suite[6], order=9)
+    else:
+        f = _dense_walker_potential(monkeypatch, (0, 3), 1, 7)
+    m = G.metric_from_potential(f)
+    r_max = m.space.order - 4
+    zero = [not any(j.terms for j in jmat_truncated(R, r_max).flat)
+            for row in m.curv for R in row]
+    assert sum(zero) == {"flat": 16, "gkl": 11, "dense": 3}[metric]
+    hol = G.infinitesimal_holonomy(m, r_max)
+    dims, basis, bracket = _reference_holonomy(m, r_max)
+    assert hol.dims_by_order == dims
+    assert np.array(hol.algebra.basis).tobytes() == np.array(basis).tobytes()
+    assert np.float64(hol.bracket_residual).tobytes() == np.float64(bracket).tobytes()

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from oracles import jmat_residual
+
 from lkholonomy.hermitian import (
     RealFormData,
     WittMetric,
@@ -13,7 +15,6 @@ from lkholonomy.jetmat import (
     jmat_exp,
     jmat_inverse,
     jmat_mul,
-    jmat_residual,
     jmat_zero,
 )
 from lkholonomy.jets import JetSpace

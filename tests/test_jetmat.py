@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import jmat_residual, reference_mul
+
 from lkholonomy.jetmat import (
     jmat_add,
     jmat_commutator,
@@ -19,7 +21,6 @@ from lkholonomy.jetmat import (
     jmat_inverse,
     jmat_max_abs,
     jmat_mul,
-    jmat_residual,
     jmat_scale,
     jmat_space,
     jmat_sqrt,
@@ -170,19 +171,6 @@ def test_sqrt_rejects_an_indefinite_constant_part():
 
 # -- the fused product against the entrywise loop --------------------------------
 
-def _reference_mul(A, B):
-    """The entrywise loop acc = acc + A[i, l] * B[l, j] through Jet.__mul__
-    and Jet.__add__: the product the fused jmat_mul must reproduce exactly."""
-    out = np.empty((A.shape[0], B.shape[1]), dtype=object)
-    for i in range(A.shape[0]):
-        for j in range(B.shape[1]):
-            acc = A[i, 0] * B[0, j]
-            for l in range(1, A.shape[1]):
-                acc = acc + A[i, l] * B[l, j]
-            out[i, j] = acc
-    return out
-
-
 def _same_bits(a: Jet, b: Jet) -> bool:
     """Same order, same keys in the same order, bit-equal coefficients."""
     return (a.order == b.order and list(a.coeffs) == list(b.coeffs)
@@ -190,15 +178,24 @@ def _same_bits(a: Jet, b: Jet) -> bool:
             == np.array(list(b.coeffs.values()), complex).tobytes())
 
 
+def _same_product(A, B) -> bool:
+    """jmat_mul(A, B) has the shape and, entry by entry, the bits of the
+    entrywise loop."""
+    got, ref = jmat_mul(A, B), reference_mul(A, B)
+    return got.shape == ref.shape and all(
+        _same_bits(got[idx], ref[idx]) for idx in np.ndindex(*ref.shape))
+
+
 _KEYS = [((i1, i2), (j1, j2)) for i1 in range(5) for i2 in range(5 - i1)
          for j1 in range(5 - i1 - i2) for j2 in range(5 - i1 - i2 - j1)]
 
 
 @st.composite
-def entries(draw):
-    """A jet of order 0..4 with up to 8 terms, empty about one time in four."""
+def entries(draw, empty_in_four=1):
+    """A jet of order 0..4 with up to 8 terms, empty about empty_in_four
+    times in four."""
     keys = draw(st.lists(st.sampled_from(_KEYS), max_size=8, unique=True))
-    if draw(st.integers(0, 3)) == 0:
+    if draw(st.integers(0, 3)) < empty_in_four:
         keys = []
     return Jet(2, draw(st.integers(0, 4)),
                {k: complex(draw(st.integers(-3, 3)), draw(st.integers(-3, 3))) / 4
@@ -207,23 +204,39 @@ def entries(draw):
 
 
 @st.composite
-def jet_matrices(draw):
-    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+def jet_matrices(draw, size=3, empty_in_four=1):
+    r, k, c = (draw(st.integers(1, size)) for _ in range(3))
     A = np.empty((r, k), dtype=object)
     B = np.empty((k, c), dtype=object)
     for M in (A, B):
         for idx in np.ndindex(*M.shape):
-            M[idx] = draw(entries())
+            M[idx] = draw(entries(empty_in_four))
     return A, B
 
 
 @given(jet_matrices())
 @settings(max_examples=150, deadline=None)
 def test_fused_product_matches_the_entrywise_loop_bit_for_bit(AB):
-    A, B = AB
-    got, ref = jmat_mul(A, B), _reference_mul(A, B)
-    assert got.shape == ref.shape
-    assert all(_same_bits(got[idx], ref[idx]) for idx in np.ndindex(*ref.shape))
+    assert _same_product(*AB)
+
+
+@st.composite
+def sparse_jet_matrices(draw):
+    """A and B with about three entries in four empty, some whole rows of A
+    and whole columns of B empty, and entry orders mixed over 0..4."""
+    A, B = draw(jet_matrices(size=4, empty_in_four=3))
+    (r, k), c = A.shape, B.shape[1]
+    for i in draw(st.sets(st.integers(0, r - 1))):
+        A[i, :] = [Jet(2, draw(st.integers(0, 4))) for _ in range(k)]
+    for j in draw(st.sets(st.integers(0, c - 1))):
+        B[:, j] = [Jet(2, draw(st.integers(0, 4))) for _ in range(k)]
+    return A, B
+
+
+@given(sparse_jet_matrices())
+@settings(max_examples=100, deadline=None)
+def test_sparse_product_matches_the_entrywise_loop_bit_for_bit(AB):
+    assert _same_product(*AB)
 
 
 def test_fused_product_matches_on_dense_matrices(rng):
@@ -232,8 +245,7 @@ def test_fused_product_matches_on_dense_matrices(rng):
     B[1, 2] = Jet(2, 4, {})
     B[0, 0] = B[0, 0].truncated(2)
     for X, Y in [(A, B), (B, A), (B, B), (A[:2], B)]:
-        got, ref = jmat_mul(X, Y), _reference_mul(X, Y)
-        assert all(_same_bits(got[idx], ref[idx]) for idx in np.ndindex(*ref.shape))
+        assert _same_product(X, Y)
 
 
 def test_fused_product_rejects_mixed_jet_spaces():

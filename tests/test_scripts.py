@@ -8,7 +8,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _run(script, monkeypatch, capsys, tmp_path) -> str:
+def _run(script, monkeypatch, capsys, tmp_path, *args) -> str:
     """Standard output of the script run from a directory outside the repo,
     with neither tests/ on the path nor its conftest imported; it must exit
     with code 0."""
@@ -16,7 +16,7 @@ def _run(script, monkeypatch, capsys, tmp_path) -> str:
     monkeypatch.setattr(sys, "path", [p for p in sys.path
                                       if pathlib.Path(p).resolve() != ROOT / "tests"])
     monkeypatch.delitem(sys.modules, "conftest", raising=False)
-    monkeypatch.setattr(sys, "argv", [script])
+    monkeypatch.setattr(sys, "argv", [script, *args])
     with pytest.raises(SystemExit) as exit_:
         runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
     assert exit_.value.code == 0
@@ -35,3 +35,17 @@ def test_oriented_lines_scan_stabilizes_at_every_base_point(monkeypatch, capsys,
     """The scan's four re-centred metrics each give dimension 2 at every order."""
     out = _run("oriented_lines_scan.py", monkeypatch, capsys, tmp_path)
     assert out.count(" dims [2, 2, 2, 2, 2] stabilized True\n") == 4
+
+
+def test_report_digests_are_repeatable(monkeypatch, capsys, tmp_path):
+    """Two runs of the digest script on a subset of its verdicts print the
+    same lines: one sha256, exit code and name per selected verdict."""
+    only = ["--only", "catalog-n1", "*-n1-e0", "holonomy-d1", "ppwave-d1", "symspace-d-*"]
+    first = _run("report_digests.py", monkeypatch, capsys, tmp_path, *only)
+    second = _run("report_digests.py", monkeypatch, capsys, tmp_path, *only)
+    lines = first.splitlines()
+    assert [line.split()[2] for line in lines] == [
+        "catalog-n1", "classify-n1-e0", "berger-n1-e0", "holonomy-d1", "ppwave-d1",
+        "symspace-d-1-0"]
+    assert all(len(line.split()[0]) == 64 and line.split()[1] == "0" for line in lines)
+    assert second == first
