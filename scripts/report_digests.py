@@ -12,6 +12,15 @@ The verdicts run in-process through ``lkholonomy.cli.main``:
 Each line is ``<sha256> <exit code> <verdict>``.  The digest is of the
 ``--out`` report, or of the error output when no report is written.
 
+No CLI path reaches the seeded dense Walker potentials of the benchmark's
+``holonomy-dense`` workload, so ten more lines run them in the library:
+the five (n, order, r_max) cases of that workload at seeds 0 and 7, each
+potential drawn from ``numpy.random.default_rng((seed, case))`` by
+``perfbench/inputs.py``, which is loaded by path and only read.  Their
+digest is of Gamma and R (order, keys and coefficient bytes of every
+entry, in dict order), of the holonomy basis bytes, ``dims_by_order`` and
+the ``bracket_residual`` bytes; their exit code column is ``-``.
+
 Usage: PYTHONPATH=src python3 scripts/report_digests.py [--only PATTERN ...]
 
 ``--only`` keeps the verdicts whose name matches one of the shell-style
@@ -21,6 +30,7 @@ import argparse
 import contextlib
 import fnmatch
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -28,10 +38,14 @@ import pathlib
 import sys
 import tempfile
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
 from conftest import descriptor_suite  # noqa: E402
 
 from lkholonomy import cli  # noqa: E402
+from lkholonomy import geometry as G  # noqa: E402
 from lkholonomy import serialization as S  # noqa: E402
 
 CATALOG_N = range(5)
@@ -39,6 +53,8 @@ ALGEBRA_NMAX = 3
 ORDER = 9
 SYMSPACE_CASES = [("a", 0, 0), ("b", 0, 0), ("c", 0, 0), ("d", 1, 0), ("e", 1, 0)] + [
     ("f", n, m) for n in (1, 2, 3) for m in range(n + 1)]
+DENSE_CASES = [(0, 8, 4), (0, 10, 4), (1, 6, 2), (1, 7, 3), (2, 6, 2)]  # (n, order, r_max)
+DENSE_SEEDS = (0, 7)
 
 
 def _verdict(work: str, name: str, argv: list[str]) -> tuple[str, int]:
@@ -88,15 +104,62 @@ def verdicts(work: str):
                ["symspace", "--family", fam, "--n", str(n), "--m", str(m)])
 
 
+def _benchmark_inputs():
+    """perfbench/inputs.py, loaded by path with no bytecode written; the
+    sys.path entries its import of perfbench/common.py adds are removed
+    again, so lkholonomy keeps coming from the tree already imported."""
+    path, bytecode = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("inputs", ROOT / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = path, bytecode
+    return inputs
+
+
+def dense_cases():
+    """(name, n, order, r_max, seed, case) of every dense line, in order."""
+    for seed in DENSE_SEEDS:
+        for case, (n, order, r_max) in enumerate(DENSE_CASES):
+            yield f"dense-n{n}-o{order}-s{seed}", n, order, r_max, seed, case
+
+
+def _dense_digest(inputs, n: int, order: int, r_max: int, seed: int, case: int) -> str:
+    f = inputs.dense_walker_potential(np.random.default_rng((seed, case)), n, order, order)
+    m = G.metric_from_potential(f)
+    hol = G.infinitesimal_holonomy(m, r_max=r_max)
+    digest = hashlib.sha256()
+    for M in m.gamma + [R for row in m.curv for R in row]:
+        for jet in M.flat:
+            digest.update(repr((jet.order, list(jet.coeffs))).encode())
+            digest.update(np.array(list(jet.coeffs.values()), complex).tobytes())
+    digest.update(np.array(hol.algebra.basis, complex).tobytes())
+    digest.update(repr(hol.dims_by_order).encode())
+    digest.update(np.float64(hol.bracket_residual).tobytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--only", nargs="+", default=["*"], metavar="PATTERN")
     args = ap.parse_args()
+
+    def selected(name):
+        return any(fnmatch.fnmatchcase(name, p) for p in args.only)
+
     with tempfile.TemporaryDirectory() as work:
         for name, argv in verdicts(work):
-            if any(fnmatch.fnmatchcase(name, p) for p in args.only):
+            if selected(name):
                 digest, code = _verdict(work, name, argv)
                 print(f"{digest} {code} {name}")
+    dense = [case for case in dense_cases() if selected(case[0])]
+    if dense:
+        inputs = _benchmark_inputs()
+        for name, *case in dense:
+            print(f"{_dense_digest(inputs, *case)} - {name}")
     return 0
 
 

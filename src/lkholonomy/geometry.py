@@ -73,8 +73,15 @@ class MetricJet:
 
     @cached_property
     def hinv(self) -> np.ndarray:
-        """h^{abar b}: the closed-form Walker inverse when it applies."""
-        return walker_inverse(self) if self.is_walker() else generic_inverse(self)
+        """h^{abar b} at the metric's full order; only the inverse residual
+        reads it, since Gamma needs one degree less (`christoffel`)."""
+        return self.inverse()
+
+    def inverse(self, order: int | None = None) -> np.ndarray:
+        """h^{abar b} to the given order (default the metric's): the
+        closed-form Walker inverse when the full metric is in Walker form,
+        else plain jet inversion."""
+        return (walker_inverse if self.is_walker() else generic_inverse)(self, order)
 
     @cached_property
     def gamma(self) -> list[np.ndarray]:
@@ -210,19 +217,28 @@ def metric_from_potential(f: Jet) -> MetricJet:
 # ---------------------------------------------------------------------------
 
 
-def walker_inverse(m: MetricJet) -> np.ndarray:
+def _truncated_h(m: MetricJet, order: int | None) -> np.ndarray:
+    """h cut to the order, or all of it when the order is None."""
+    return m.h if order is None else jmat_truncated(m.h, order)
+
+
+def walker_inverse(m: MetricJet, order: int | None = None) -> np.ndarray:
     """Closed-form inverse for the isotropic-line normal form:
-    hinv[a][b] = h^{abar b} with sum_a h^{abar b} h_{abar c} = delta^b_c."""
+    hinv[a][b] = h^{abar b} with sum_a h^{abar b} h_{abar c} = delta^b_c,
+    from h cut to the order (default the metric's).  Every product filters
+    its pairs by degree, so each coefficient up to that order has the bits
+    and the key order it has in the full inverse."""
     if not m.is_walker():
         raise ValueError("metric is not in the isotropic-line normal form")
     n, v, u = m.n, m.v, m.u
-    space = m.space
+    h = _truncated_h(m, order)
+    space = jmat_space(h)
     hinv = jmat_zero((m.dim, m.dim), space)
-    tilde = m.h[1:n + 1, 1:n + 1]
+    tilde = h[1:n + 1, 1:n + 1]
     # tilde-inverse with index convention sum_l tinv[l][k] tilde[l][j] = delta
     tinv = jmat_inverse(tilde).T.copy() if n else tilde
-    hvu_inv = m.h[v, u].reciprocal()   # 1 / h_{vbar u}
-    huv_inv = m.h[u, v].reciprocal()   # 1 / h_{ubar v}
+    hvu_inv = h[v, u].reciprocal()   # 1 / h_{vbar u}
+    huv_inv = h[u, v].reciprocal()   # 1 / h_{ubar v}
     hinv[v, u] = hvu_inv
     hinv[u, v] = huv_inv
     for j in range(n):
@@ -231,20 +247,21 @@ def walker_inverse(m: MetricJet) -> np.ndarray:
     for k in range(n):
         acc = space.zero()
         for j in range(n):
-            acc = acc + m.h[1 + j, u] * tinv[j, k]
+            acc = acc + h[1 + j, u] * tinv[j, k]
         hinv[v, 1 + k] = acc * hvu_inv * (-1.0)
         hinv[1 + k, v] = hinv[v, 1 + k].conjugate()
     acc = space.zero()
     for l in range(n):
         for j in range(n):
-            acc = acc + m.h[1 + l, u] * tinv[l, j] * m.h[u, 1 + j]
-    hinv[v, v] = (acc - m.h[u, u]) * (huv_inv * hvu_inv)
+            acc = acc + h[1 + l, u] * tinv[l, j] * h[u, 1 + j]
+    hinv[v, v] = (acc - h[u, u]) * (huv_inv * hvu_inv)
     return hinv
 
 
-def generic_inverse(m: MetricJet) -> np.ndarray:
-    """hinv from plain jet-matrix inversion (oracle for walker_inverse)."""
-    return jmat_inverse(m.h).T.copy()
+def generic_inverse(m: MetricJet, order: int | None = None) -> np.ndarray:
+    """hinv from plain jet-matrix inversion of h cut to the order (oracle
+    for walker_inverse)."""
+    return jmat_inverse(_truncated_h(m, order)).T.copy()
 
 
 def inverse_residual(m: MetricJet) -> float:
@@ -255,24 +272,21 @@ def inverse_residual(m: MetricJet) -> float:
 
 
 def christoffel(m: MetricJet) -> list[np.ndarray]:
-    """Gamma[c][a][b] = Gamma^a_{bc} = sum_d h^{dbar a} d_c h_{dbar b}."""
-    out = []
-    hinv_t = m.hinv.T.copy()
-    for c in range(m.dim):
-        out.append(jmat_mul(hinv_t, jmat_derivative(m.h, c, holomorphic=True)))
-    return out
+    """Gamma[c][a][b] = Gamma^a_{bc} = sum_d h^{dbar a} d_c h_{dbar b}.
+
+    d_c h has one order less than h, so the product reads no term of the
+    inverse above that order, and the inverse is built only up to it: the
+    same coefficients, bit for bit, as from the full `hinv`.  The
+    derivatives come first, so a metric of order 0 stops at them."""
+    dh = [jmat_derivative(m.h, c, holomorphic=True) for c in range(m.dim)]
+    hinv_t = m.inverse(m.space.order - 1).T.copy()
+    return [jmat_mul(hinv_t, d) for d in dh]
 
 
 def curvature(m: MetricJet) -> list[list[np.ndarray]]:
     """R[c][d][a][b] = R^a_{b c dbar} = -d_{zbar^d} Gamma^a_{bc}."""
-    gamma = m.gamma
-    out = []
-    for c in range(m.dim):
-        row = []
-        for d in range(m.dim):
-            row.append(jmat_scale(jmat_derivative(gamma[c], d, holomorphic=False), -1.0))
-        out.append(row)
-    return out
+    return [[jmat_derivative(g, d, holomorphic=False, factor=-1.0) for d in range(m.dim)]
+            for g in m.gamma]
 
 
 def covariant_derivative(xi: np.ndarray, gamma: list[np.ndarray], var: int,
@@ -413,13 +427,21 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
             if not any(j.terms for j in R.flat):
                 continue  # a zero block conjugates to zero and adds no coefficient
             M = jmat_mul(Pinv, jmat_mul(R, P))
-            table: dict = {}
-            for idx in np.ndindex(*M.shape):
-                for key, val in M[idx].terms.items():
+            # one slot per key, in order of first appearance (entries in C
+            # order, then dict order), and one stacked conjugation by Q
+            slot: dict = {}
+            slots, cells, vals = [], [], []
+            for i, jet in enumerate(M.flat):
+                for key, val in jet.terms.items():
                     if key & MASK <= r_max:
-                        table.setdefault(key, np.zeros((m.dim, m.dim), complex))[idx] = val
-            for key, mat in table.items():
-                coeffs_by_deg[key & MASK].append(Qinv @ mat @ Q)
+                        slots.append(slot.setdefault(key, len(slot)))
+                        cells.append(i)
+                        vals.append(val)
+            stack = np.zeros((len(slot), M.size), complex)
+            stack[slots, cells] = vals
+            stack = Qinv @ stack.reshape(len(slot), *M.shape) @ Q
+            for key, mat in zip(slot, stack):
+                coeffs_by_deg[key & MASK].append(mat)
 
     dims = []
     cbasis_rows = np.zeros((0, m.dim * m.dim), complex)
@@ -522,11 +544,8 @@ def ppwave_check(m: MetricJet, r_max: int = 3) -> PPWaveReport:
     worst2 = worst3 = 0.0
     for c in range(n + 1):
         for d in range(n + 1):
-            mixed = curv[c][d]
-            skew = jmat_add(curv[c][d], jmat_scale(curv[d][c], -1.0))
-            symm = jmat_add(curv[c][d], curv[d][c])
-            worst3 = max(worst3, jmat_max_abs(mixed))
-            worst2 = max(worst2, jmat_max_abs(skew), jmat_max_abs(symm))
+            worst3 = max(worst3, jmat_max_abs(curv[c][d]))
+            worst2 = max(worst2, _skew_and_sum_max_abs(curv[c][d], curv[d][c]))
     res["real_curvature_residual"] = float(worst2)
     res["mixed_curvature_residual"] = float(worst3)
     cond2 = worst2 <= tol
@@ -554,6 +573,25 @@ def ppwave_check(m: MetricJet, r_max: int = 3) -> PPWaveReport:
         cond5 = worst5 <= tol
 
     return PPWaveReport(parallel_p, cond1, cond2, cond3, cond4, cond5, res)
+
+
+def _skew_and_sum_max_abs(X: np.ndarray, Y: np.ndarray) -> float:
+    """The largest coefficient of X + (-1) Y and of X + Y, for jet matrices
+    of one order, read from the term dicts: on a key of both, |x + y * -1|
+    and |x + y|; on a key of one, the same with 0.0 for the other side.
+    abs cannot see the sign of a zero, so this is the max_abs of the two
+    sums that jmat_add would build."""
+    minus = complex(-1.0)
+    worst = 0.0
+    for x, y in zip(X.flat, Y.flat):
+        a, b = x.terms, y.terms
+        for k, c in a.items():
+            e = b.get(k, 0.0)
+            worst = max(worst, abs(c + e * minus), abs(c + e))
+        for k, e in b.items():
+            if k not in a:
+                worst = max(worst, abs(0.0 + e * minus), abs(0.0 + e))
+    return worst
 
 
 def _ppwave_potential_residual(f: Jet, n: int) -> float:

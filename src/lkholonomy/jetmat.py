@@ -116,8 +116,9 @@ def jmat_eval0(A: np.ndarray) -> np.ndarray:
     return _entrywise(Jet.constant_term, A, complex)
 
 
-def jmat_derivative(A: np.ndarray, var: int, holomorphic: bool = True) -> np.ndarray:
-    return _entrywise(lambda a: a.derivative(var, holomorphic), A)
+def jmat_derivative(A: np.ndarray, var: int, holomorphic: bool = True,
+                    factor=None) -> np.ndarray:
+    return _entrywise(lambda a: a.derivative(var, holomorphic, factor), A)
 
 
 def jmat_conj(A: np.ndarray) -> np.ndarray:

@@ -263,16 +263,26 @@ class Jet:
 
     # -- calculus -------------------------------------------------------------
 
-    def derivative(self, var: int, holomorphic: bool = True) -> "Jet":
+    def derivative(self, var: int, holomorphic: bool = True, factor=None) -> "Jet":
+        """The partial derivative in z^var (or zbar^var), each coefficient
+        0.0 + d * c; with a factor, (0.0 + d * c) * complex(factor), the
+        floats of the derivative times that scalar, in one pass."""
         if self.order < 1:
             raise InsufficientOrderError("jet order exhausted; rebuild with a larger truncation order")
         shift = field_shift(self.num_coords, var, holomorphic)
         unit = 1 + (1 << shift)
         out: dict[int, complex] = {}
-        for k, c in self.terms.items():
-            d = (k >> shift) & MASK
-            if d:
-                out[k - unit] = 0.0 + d * c
+        if factor is None:
+            for k, c in self.terms.items():
+                d = (k >> shift) & MASK
+                if d:
+                    out[k - unit] = 0.0 + d * c
+        else:
+            z = complex(factor)
+            for k, c in self.terms.items():
+                d = (k >> shift) & MASK
+                if d:
+                    out[k - unit] = (0.0 + d * c) * z
         return _jet(self.num_coords, self.order - 1, out)
 
     # -- graded parts and analytic functions ----------------------------------
@@ -311,25 +321,6 @@ class Jet:
             s = graded_sum(a, X, d)
             X.append(None if s is None else s * (-1.0 / a0))
         return Jet.from_graded(X)
-
-    # -- evaluation -----------------------------------------------------------
-
-    def evaluate(self, point: np.ndarray, conj_point: np.ndarray | None = None) -> complex:
-        """Evaluate the polynomial at a point; conjugate variables default to
-        the actual conjugates of the point (on-diagonal evaluation)."""
-        z = np.asarray(point, dtype=complex)
-        zb = np.conj(z) if conj_point is None else np.asarray(conj_point, dtype=complex)
-        total = 0.0 + 0.0j
-        for (I, J), c in self.coeffs.items():
-            term = c
-            for i, e in enumerate(I):
-                if e:
-                    term *= z[i] ** e
-            for i, e in enumerate(J):
-                if e:
-                    term *= zb[i] ** e
-            total += term
-        return total
 
     def __repr__(self) -> str:  # compact, for debugging
         terms = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0]))

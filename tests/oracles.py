@@ -1,7 +1,8 @@
 """Test-side oracles: a random curvature parameter tuple, a random element
 of U(1,n+1), the two Ricci-flat predicates of the classification
-corollary, the entrywise jet-matrix product, the distance of two jet
-matrices and the pp-wave verdict of a report."""
+corollary, the value of a jet at a point, the entrywise jet-matrix
+product, bit-for-bit equality of jets and jet matrices, the distance of
+two jet matrices and the pp-wave verdict of a report."""
 import numpy as np
 
 from lkholonomy.classify import KLDescriptor, build_family
@@ -79,6 +80,24 @@ def ricci_flat_symbolic(d) -> bool:
     raise ValueError(fam)
 
 
+def evaluate(jet, point, conj_point=None) -> complex:
+    """The polynomial of the jet at a point; the conjugate variables default
+    to the conjugates of the point (on-diagonal evaluation)."""
+    z = np.asarray(point, dtype=complex)
+    zb = np.conj(z) if conj_point is None else np.asarray(conj_point, dtype=complex)
+    total = 0.0 + 0.0j
+    for (I, J), c in jet.coeffs.items():
+        term = c
+        for i, e in enumerate(I):
+            if e:
+                term *= z[i] ** e
+        for i, e in enumerate(J):
+            if e:
+                term *= zb[i] ** e
+        total += term
+    return total
+
+
 def reference_mul(A, B):
     """The entrywise loop acc = acc + A[i, l] * B[l, j] through Jet.__mul__
     and Jet.__add__: the product the fused jmat_mul must reproduce exactly."""
@@ -90,6 +109,18 @@ def reference_mul(A, B):
                 acc = acc + A[i, l] * B[l, j]
             out[i, j] = acc
     return out
+
+
+def same_bits(a, b) -> bool:
+    """Same order, same keys in the same order, bit-equal coefficients."""
+    return (a.order == b.order and list(a.coeffs) == list(b.coeffs)
+            and np.array(list(a.coeffs.values()), complex).tobytes()
+            == np.array(list(b.coeffs.values()), complex).tobytes())
+
+
+def same_matrix_bits(A, B) -> bool:
+    """Same shape and, entry by entry, same_bits."""
+    return A.shape == B.shape and all(same_bits(a, b) for a, b in zip(A.flat, B.flat))
 
 
 def jmat_residual(A, B) -> float:

@@ -369,10 +369,13 @@ def test_order_and_n_past_their_limits_are_one_line_errors(tmp_path, capsys):
                  ["validate", "--potential", too_deep],
                  ["holonomy", "--potential", too_wide],
                  ["holonomy", "--potential", flat, "--rmax", "-1"],
-                 ["ppwave", "--metric", flat, "--rmax", "-2"]):
+                 ["ppwave", "--metric", flat, "--rmax", "-2"],
+                 ["ppwave", "--metric", flat, "--order", "2"]):
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # h of order 0 leaves no order for Gamma: the derivative says so
+    assert err == "error: jet order exhausted; rebuild with a larger truncation order\n"
     descriptor = {"family": "GKL", "n": S.MAX_METRIC_N + 1, "m": 0, "k_basis": []}
     with pytest.raises(ValueError, match=f"n <= {S.MAX_METRIC_N}"):
         S.build_metric_from_config({"kind": "descriptor", "descriptor": descriptor})

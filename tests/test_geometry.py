@@ -6,12 +6,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from oracles import is_ppwave, jmat_residual, reference_mul
+from oracles import is_ppwave, jmat_residual, reference_mul, same_matrix_bits
 
 from lkholonomy import classify as C
 from lkholonomy import cli
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
+from lkholonomy import serialization as S
 from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.jetmat import (jmat_add, jmat_derivative, jmat_eval0, jmat_inverse,
                                jmat_max_abs, jmat_mul, jmat_scale, jmat_truncated)
@@ -110,13 +111,19 @@ def test_witt_frame_gram():
     assert G.frame_gram_residual(m, F) < 1e-10
 
 
-def _dense_walker_potential(monkeypatch, seed, n, order):
-    """The benchmark's seeded dense Walker potential, loaded by file path."""
+def _inputs(monkeypatch):
+    """The benchmark's input generators, loaded by file path."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # inputs.py imports common
     spec = importlib.util.spec_from_file_location("inputs", PERFBENCH / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    return inputs.dense_walker_potential(np.random.default_rng(seed), n, order, order)
+    return inputs
+
+
+def _dense_walker_potential(monkeypatch, seed, n, order):
+    """The benchmark's seeded dense Walker potential."""
+    return _inputs(monkeypatch).dense_walker_potential(np.random.default_rng(seed),
+                                                       n, order, order)
 
 
 def test_witt_frame_when_the_square_root_step_stalls(monkeypatch):
@@ -345,3 +352,74 @@ def test_holonomy_skipping_zero_blocks_matches_the_full_conjugation(metric, suit
     assert hol.dims_by_order == dims
     assert np.array(hol.algebra.basis).tobytes() == np.array(basis).tobytes()
     assert np.float64(hol.bracket_residual).tobytes() == np.float64(bracket).tobytes()
+
+
+@pytest.mark.parametrize("metric", ["dense-n0", "dense-n1", "dense-n2", "gk-n1", "gk0psi-n2",
+                                    "not-walker"])
+def test_gamma_from_the_cut_inverse_is_gamma_from_the_full_inverse(metric, suite, monkeypatch):
+    """Gamma built from h^-1 at order - 1 has the keys, the key order and
+    the bits of Gamma built from the full-order `hinv`: on seeded dense
+    Walker potentials at n = 0, 1, 2, two regression descriptors at order
+    10, and a metric outside the Walker form, whose inverse is the generic
+    one."""
+    if metric.startswith("dense"):
+        n = int(metric[-1])
+        f = _dense_walker_potential(monkeypatch, (0, n), n, (8, 7, 6)[n])
+    elif metric == "not-walker":
+        space = JetSpace(3, 7)
+        z, zb = space.variable(1), space.conj_variable(1)
+        v, vb = space.variable(0), space.conj_variable(0)
+        f = P.fc_potential(space, 1.0, 0.5) + z * zb + v * vb * 0.5 + real_part(v * z * zb * 0.3)
+    else:
+        f = P.build_potential(suite[0 if metric == "gk-n1" else 8], order=10)
+    m = G.metric_from_potential(f)
+    assert m.is_walker() == (metric != "not-walker")
+    hinv_t = m.hinv.T.copy()
+    assert hinv_t[0, 0].order == m.space.order
+    for c in range(m.dim):
+        assert same_matrix_bits(m.gamma[c], jmat_mul(hinv_t, jmat_derivative(m.h, c)))
+
+
+def _skew_and_sum_max_abs_of_jets(X, Y):
+    return max(jmat_max_abs(jmat_add(X, jmat_scale(Y, -1.0))), jmat_max_abs(jmat_add(X, Y)))
+
+
+def _real_curvature_residual_from_jets(m):
+    """The pp-wave real-curvature residual as the jet sums R_cd - R_dc and
+    R_cd + R_dc over c, d <= n give it."""
+    worst = 0.0
+    for c in range(m.n + 1):
+        for d in range(m.n + 1):
+            worst = max(worst, _skew_and_sum_max_abs_of_jets(m.curv[c][d], m.curv[d][c]))
+    return float(worst)
+
+
+def test_skew_and_sum_residual_reads_the_keys_of_either_side():
+    """The largest coefficient may sit on a key of X only, of Y only, or of
+    both."""
+    space = JetSpace(2, 3)
+    x, y = space.variable(0), space.conj_variable(1)
+    X = np.array([[x * 0.5 + y * 0.25, y * -4.0]], dtype=object)
+    for Y, want in [(np.array([[x * 0.5 + y * y * -3.0, x]], dtype=object), 4.0),
+                    (np.array([[x * 0.5 + y * y * -5.0, x]], dtype=object), 5.0),
+                    (np.array([[x * 6.0, y]], dtype=object), 6.5)]:
+        assert G._skew_and_sum_max_abs(X, Y) == _skew_and_sum_max_abs_of_jets(X, Y) == want
+
+
+def test_real_curvature_residual_is_the_residual_of_the_jet_sums(suite, monkeypatch):
+    """ppwave_check reads the residual from the term dicts with the bits of
+    the jet sums, on the ten regression descriptors at order 8 and the six
+    pp-wave profiles of the benchmark's verdict-mix at seed 0."""
+    inputs = _inputs(monkeypatch)
+    rng = np.random.default_rng((0, 1))
+    metrics = [G.metric_from_potential(P.build_potential(d, order=8)) for d in suite[:10]]
+    metrics += [S.build_metric_from_config({"kind": "ppwave", "n": n, "order": 8,
+                                            "phi_terms": inputs.ppwave_profile(rng, n)})
+                for n in (1, 1, 1, 2, 2, 2)]
+    nonzero = 0
+    for m in metrics:
+        got = G.ppwave_check(m).residuals["real_curvature_residual"]
+        want = _real_curvature_residual_from_jets(m)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        nonzero += want > 0
+    assert nonzero == 7  # the pp-wave profiles and GKL with m = 0 give exactly 0

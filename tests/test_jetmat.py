@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jmat_residual, reference_mul
+from oracles import jmat_residual, reference_mul, same_bits, same_matrix_bits
 
 from lkholonomy.jetmat import (
     jmat_add,
@@ -24,6 +24,7 @@ from lkholonomy.jetmat import (
     jmat_scale,
     jmat_space,
     jmat_sqrt,
+    jmat_truncated,
     jmat_zero,
 )
 from lkholonomy.jets import Jet, JetShapeError, JetSpace
@@ -171,19 +172,10 @@ def test_sqrt_rejects_an_indefinite_constant_part():
 
 # -- the fused product against the entrywise loop --------------------------------
 
-def _same_bits(a: Jet, b: Jet) -> bool:
-    """Same order, same keys in the same order, bit-equal coefficients."""
-    return (a.order == b.order and list(a.coeffs) == list(b.coeffs)
-            and np.array(list(a.coeffs.values()), complex).tobytes()
-            == np.array(list(b.coeffs.values()), complex).tobytes())
-
-
 def _same_product(A, B) -> bool:
     """jmat_mul(A, B) has the shape and, entry by entry, the bits of the
     entrywise loop."""
-    got, ref = jmat_mul(A, B), reference_mul(A, B)
-    return got.shape == ref.shape and all(
-        _same_bits(got[idx], ref[idx]) for idx in np.ndindex(*ref.shape))
+    return same_matrix_bits(jmat_mul(A, B), reference_mul(A, B))
 
 
 _KEYS = [((i1, i2), (j1, j2)) for i1 in range(5) for i2 in range(5 - i1)
@@ -256,3 +248,31 @@ def test_fused_product_rejects_mixed_jet_spaces():
         jmat_mul(A, B)
     with pytest.raises(ValueError, match="shape mismatch"):
         jmat_mul(A, jmat_identity(3, SPACE))
+
+
+# -- truncated operands give the truncated result ---------------------------------
+
+@st.composite
+def invertible_jet_matrices(draw):
+    """A square jet matrix of one order 0..4, its entries drawn as in
+    `entries`, with 8 added to the constant term of each diagonal entry, so
+    that the constant part is strictly diagonally dominant."""
+    size, order = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    A = np.empty((size, size), dtype=object)
+    for i, j in np.ndindex(size, size):
+        A[i, j] = Jet(2, order, draw(entries()).coeffs) + (8.0 if i == j else 0.0)
+    return A
+
+
+@given(jet_matrices(), invertible_jet_matrices(), st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_truncated_operands_give_the_truncated_result_bit_for_bit(AB, M, k):
+    """The product, the inverse and the reciprocal filter their pairs by
+    degree, so operands cut at k give, key for key and bit for bit, the
+    result cut at k: no term above k is read by a term at or below it."""
+    A, B = AB
+    assert same_matrix_bits(jmat_mul(jmat_truncated(A, k), jmat_truncated(B, k)),
+                            jmat_truncated(jmat_mul(A, B), k))
+    assert same_matrix_bits(jmat_inverse(jmat_truncated(M, k)),
+                            jmat_truncated(jmat_inverse(M), k))
+    assert same_bits(M[0, 0].truncated(k).reciprocal(), M[0, 0].reciprocal().truncated(k))

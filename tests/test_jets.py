@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import evaluate, same_bits
+
 from lkholonomy.jets import MAX_ORDER, Jet, JetSpace, real_part
 from lkholonomy.potentials import antiderivative
 
@@ -110,11 +112,11 @@ def test_finite_difference_oracle(rng):
         for var in range(NC):
             e = np.zeros(NC, complex)
             e[var] = h
-            fd = (f.evaluate(z + e, zb) - f.evaluate(z - e, zb)) / (2 * h)
-            exact = f.derivative(var, True).evaluate(z, zb)
+            fd = (evaluate(f, z + e, zb) - evaluate(f, z - e, zb)) / (2 * h)
+            exact = evaluate(f.derivative(var, True), z, zb)
             assert abs(fd - exact) <= 1e-6 * max(abs(exact), 1.0)
-            fd = (f.evaluate(z, zb + e) - f.evaluate(z, zb - e)) / (2 * h)
-            exact = f.derivative(var, False).evaluate(z, zb)
+            fd = (evaluate(f, z, zb + e) - evaluate(f, z, zb - e)) / (2 * h)
+            exact = evaluate(f.derivative(var, False), z, zb)
             assert abs(fd - exact) <= 1e-6 * max(abs(exact), 1.0)
 
 
@@ -150,13 +152,6 @@ def _reference_product(a: Jet, b: Jet) -> Jet:
     return Jet(a.num_coords, order, out)
 
 
-def _same_bits(a: Jet, b: Jet) -> bool:
-    """Same order, same keys in the same order, bit-equal coefficients."""
-    return (a.order == b.order and list(a.coeffs) == list(b.coeffs)
-            and np.array(list(a.coeffs.values()), complex).tobytes()
-            == np.array(list(b.coeffs.values()), complex).tobytes())
-
-
 # keys up to two degrees above ORDER, so some stored terms exceed the order
 _WIDE_KEYS = [((i1, i2), (j1, j2))
               for i1 in range(ORDER + 3) for i2 in range(ORDER + 3 - i1)
@@ -173,8 +168,8 @@ def wide_jets(draw, max_terms=12):
 @given(wide_jets(), wide_jets())
 @settings(max_examples=200, deadline=None)
 def test_product_matches_the_reference_loop_bit_for_bit(a, b):
-    assert _same_bits(a * b, _reference_product(a, b))
-    assert _same_bits(b * a, _reference_product(b, a))
+    assert same_bits(a * b, _reference_product(a, b))
+    assert same_bits(b * a, _reference_product(b, a))
 
 
 def test_dense_product_matches_the_reference_loop_bit_for_bit():
@@ -190,12 +185,12 @@ def test_dense_product_matches_the_reference_loop_bit_for_bit():
         return Jet(nc, order, coeffs)
 
     a, b = dense(7, 150), dense(5, 80)
-    assert _same_bits(a * b, _reference_product(a, b))
-    assert _same_bits(b * a, _reference_product(b, a))
-    assert _same_bits(a * a, _reference_product(a, a))
+    assert same_bits(a * b, _reference_product(a, b))
+    assert same_bits(b * a, _reference_product(b, a))
+    assert same_bits(a * a, _reference_product(a, a))
     empty = Jet(nc, 7, {})
-    assert _same_bits(a * empty, _reference_product(a, empty))
-    assert _same_bits(empty * b, _reference_product(empty, b))
+    assert same_bits(a * empty, _reference_product(a, empty))
+    assert same_bits(empty * b, _reference_product(empty, b))
 
 
 # -- graded recursions against the power series they replaced ------------------
@@ -311,7 +306,7 @@ def test_constructor_keeps_the_terms_up_to_the_order_in_their_order(jc):
 def test_conjugate_and_reality_match_the_tuple_loops(jc):
     a, _ = jc
     t = _tuple_jet(a)
-    assert _same_bits(a.conjugate(), Jet(NC, a.order, {(J, I): np.conj(c)
+    assert same_bits(a.conjugate(), Jet(NC, a.order, {(J, I): np.conj(c)
                                                        for (I, J), c in t.items()}))
     scale = max(a.max_abs(), 1.0)
     real = all(abs(c - np.conj(t.get((J, I), 0.0))) <= 1e-12 * scale
@@ -340,13 +335,24 @@ def test_calculus_matches_the_tuple_loops(jc, var, holo):
             if d:
                 k = _shifted(key, var, holo, -1)
                 ref[k] = ref.get(k, 0.0) + d * c
-        assert _same_bits(a.derivative(var, holo), Jet(NC, a.order - 1, ref))
+        assert same_bits(a.derivative(var, holo), Jet(NC, a.order - 1, ref))
     ref = {}
     for key, c in t.items():
         k = _shifted(key, var, holo, 1)
         if _deg(k) <= a.order:
             ref[k] = c / k[side][var]
-    assert _same_bits(antiderivative(a, var, holo), Jet(NC, a.order, ref))
+    assert same_bits(antiderivative(a, var, holo), Jet(NC, a.order, ref))
+
+
+@pytest.mark.parametrize("factor", [-1.0, 0.5j, 2.0 - 1.0j])
+def test_a_derivative_with_a_factor_is_the_scaled_derivative_bit_for_bit(factor):
+    """One pass gives the floats of the derivative times the scalar, down to
+    the sign of every zero part."""
+    parts = [complex(x, y) for x in (0.0, -0.0, 1.5) for y in (0.0, -0.0, -2.5)]
+    a = Jet(NC, ORDER, {k: parts[i % len(parts)] for i, k in enumerate(_KEYS)})
+    for var in range(NC):
+        for holo in (True, False):
+            assert same_bits(a.derivative(var, holo, factor), a.derivative(var, holo) * factor)
 
 
 @given(limit_jets())
@@ -360,7 +366,7 @@ def test_graded_parts_match_the_tuple_loop(jc):
     assert [p is None for p in parts] == [not r for r in ref]
     for p, r in zip(parts, ref):
         if r:
-            assert _same_bits(p, Jet(NC, a.order, r))
+            assert same_bits(p, Jet(NC, a.order, r))
 
 
 def test_the_top_degree_stays_in_its_fields():

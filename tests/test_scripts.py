@@ -39,13 +39,17 @@ def test_oriented_lines_scan_stabilizes_at_every_base_point(monkeypatch, capsys,
 
 def test_report_digests_are_repeatable(monkeypatch, capsys, tmp_path):
     """Two runs of the digest script on a subset of its verdicts print the
-    same lines: one sha256, exit code and name per selected verdict."""
-    only = ["--only", "catalog-n1", "*-n1-e0", "holonomy-d1", "ppwave-d1", "symspace-d-*"]
+    same lines: one sha256, exit code and name per selected verdict, with
+    the library-level dense lines last and no exit code."""
+    only = ["--only", "catalog-n1", "*-n1-e0", "holonomy-d1", "ppwave-d1", "symspace-d-*",
+            "dense-n1-o6-*"]
     first = _run("report_digests.py", monkeypatch, capsys, tmp_path, *only)
     second = _run("report_digests.py", monkeypatch, capsys, tmp_path, *only)
-    lines = first.splitlines()
-    assert [line.split()[2] for line in lines] == [
+    lines = [line.split() for line in first.splitlines()]
+    assert [name for _, _, name in lines] == [
         "catalog-n1", "classify-n1-e0", "berger-n1-e0", "holonomy-d1", "ppwave-d1",
-        "symspace-d-1-0"]
-    assert all(len(line.split()[0]) == 64 and line.split()[1] == "0" for line in lines)
+        "symspace-d-1-0", "dense-n1-o6-s0", "dense-n1-o6-s7"]
+    assert all(len(digest) == 64 for digest, _, _ in lines)
+    assert [code for _, code, _ in lines] == ["0"] * 6 + ["-"] * 2
+    assert lines[-2][0] != lines[-1][0]
     assert second == first
