@@ -7,7 +7,11 @@ The verdicts run in-process through ``lkholonomy.cli.main``:
   - ``classify`` and ``berger`` on every catalog entry with n <= 3;
   - ``holonomy --rmax 5``, ``ppwave --rmax 4`` and ``validate`` at order 9
     on the ten regression descriptors (the first ten of the test suite's);
-  - ``symspace`` on the 14 canonical cases of scripts/symspace_survey.py.
+  - ``symspace`` on the 14 canonical cases of scripts/symspace_survey.py;
+  - after the dense lines below, ``holonomy --rmax 5``, ``ppwave --rmax 4``
+    and ``validate`` at order 9 on the descriptor potentials of the five
+    ``catalog --n 0`` entries (G0 has no potential: its lines digest the
+    one-line error, with exit code 1).
 
 Each line is ``<sha256> <exit code> <verdict>``.  The digest is of the
 ``--out`` report, or of the error output when no report is written.
@@ -104,6 +108,18 @@ def verdicts(work: str):
                ["symspace", "--family", fam, "--n", str(n), "--m", str(m)])
 
 
+def n0_verdicts(work: str):
+    """(name, argv) of the verdicts on the n = 0 catalog entries' descriptor
+    potentials, printed after the dense lines so that the lines before them
+    keep their order."""
+    for i, entry in enumerate(_catalog(work, 0)):
+        pot = _write(work, f"n0-d{i}", {"kind": "descriptor", "order": ORDER,
+                                        "descriptor": entry["descriptor"]})
+        yield f"holonomy-n0-e{i}", ["holonomy", "--potential", pot, "--rmax", "5"]
+        yield f"ppwave-n0-e{i}", ["ppwave", "--metric", pot, "--rmax", "4"]
+        yield f"validate-n0-e{i}", ["validate", "--potential", pot]
+
+
 def _benchmark_inputs():
     """perfbench/inputs.py, loaded by path with no bytecode written; the
     sys.path entries its import of perfbench/common.py adds are removed
@@ -150,16 +166,20 @@ def main() -> int:
     def selected(name):
         return any(fnmatch.fnmatchcase(name, p) for p in args.only)
 
-    with tempfile.TemporaryDirectory() as work:
-        for name, argv in verdicts(work):
+    def run(work, cases):
+        for name, argv in cases:
             if selected(name):
                 digest, code = _verdict(work, name, argv)
                 print(f"{digest} {code} {name}")
-    dense = [case for case in dense_cases() if selected(case[0])]
-    if dense:
-        inputs = _benchmark_inputs()
-        for name, *case in dense:
-            print(f"{_dense_digest(inputs, *case)} - {name}")
+
+    with tempfile.TemporaryDirectory() as work:
+        run(work, verdicts(work))
+        dense = [case for case in dense_cases() if selected(case[0])]
+        if dense:
+            inputs = _benchmark_inputs()
+            for name, *case in dense:
+                print(f"{_dense_digest(inputs, *case)} - {name}")
+        run(work, n0_verdicts(work))
     return 0
 
 

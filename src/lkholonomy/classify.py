@@ -5,6 +5,7 @@ realizability predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,32 +31,15 @@ from .lie import (
 
 
 @dataclass
-class G0Descriptor:
-    """su(1,1) in the Witt frame of C^{1,1}: D^-1 sl(2,R) D with
-    D = diag(1, i), spanned by [[1,0],[0,-1]], [[0,i],[0,0]] and
+class N0Descriptor:
+    """The n = 0 families G0..G3, told apart by the tag alone; gamma is read
+    by G3 only.  G0 is su(1,1) in the Witt frame of C^{1,1}: D^-1 sl(2,R) D
+    with D = diag(1, i), spanned by [[1,0],[0,-1]], [[0,i],[0,0]] and
     [[0,0],[-i,0]]."""
 
-    family: str = "G0"
-    n: int = 0
-
-
-@dataclass
-class G1Descriptor:
-    family: str = "G1"
-    n: int = 0
-
-
-@dataclass
-class G2Descriptor:
-    family: str = "G2"
-    n: int = 0
-
-
-@dataclass
-class G3Descriptor:
+    family: str
     gamma: complex = 0.0
-    family: str = "G3"
-    n: int = 0
+    n: ClassVar[int] = 0
 
 
 @dataclass
@@ -132,8 +116,7 @@ class UnknownDescriptor:
     family: str = "UNKNOWN"
 
 
-DESCRIPTORS = (G0Descriptor, G1Descriptor, G2Descriptor, G3Descriptor, KLDescriptor,
-               GK0PsiDescriptor, UnknownDescriptor)
+DESCRIPTORS = (N0Descriptor, KLDescriptor, GK0PsiDescriptor, UnknownDescriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +415,9 @@ def _match_psi(xs, n, m, V_trans, real_form):
 def _match_n0(alg: MatrixAlgebra):
     basis = alg.basis
     if not fits_pattern(np.array(basis)).all():
-        g0 = build_family(G0Descriptor())
+        g0 = build_family(N0Descriptor("G0"))
         if alg.dim == 3 and all(in_real_span(b, g0.basis) for b in basis):
-            return G0Descriptor()
+            return N0Descriptor("G0")
         return UnknownDescriptor("n=0 algebra is neither parabolic nor sl(2,R)")
     has_c = alg.contains(_embed(0, c=1.0))
     diag = [b[0, 0] for b in basis]  # the image of the projection onto the diagonal
@@ -442,14 +425,14 @@ def _match_n0(alg: MatrixAlgebra):
                           if diag else np.zeros((0, 2)), DEFAULT_TOL.rank_rel)
     ddim = diag_rows.shape[0]
     if alg.dim == 3 and has_c and ddim == 2:
-        return G1Descriptor()
+        return N0Descriptor("G1")
     if alg.dim == 2 and not has_c and ddim == 2:
-        return G2Descriptor()
+        return N0Descriptor("G2")
     if alg.dim == 2 and has_c and ddim >= 1:
         gamma = unflatten(diag_rows[0])[0]
-        return G3Descriptor(gamma=_normalize_gamma(gamma))
+        return N0Descriptor("G3", _normalize_gamma(gamma))
     if alg.dim == 1 and has_c:
-        return G3Descriptor(gamma=0.0)
+        return N0Descriptor("G3")
     return UnknownDescriptor("unrecognized n=0 algebra")
 
 

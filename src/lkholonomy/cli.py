@@ -31,9 +31,6 @@ def _add_jet(sub, rmax: bool = True):
 
 
 def _add_common(sub):
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL.rank_rel,
-                     help="absolute bound for the --expect comparison, the ricci_flat "
-                          "flag of holonomy and the four residual checks of validate")
     sub.add_argument("--expect", type=str, default=None)
     sub.add_argument("--out", type=str, default=None)
 
@@ -92,7 +89,7 @@ def _finish(args, command: str, payload: dict, ok: bool,
     report = S.make_report(command, payload, tolerances)
     if getattr(args, "expect", None):
         expected = S.load_json(args.expect)
-        errs = S.compare_expected(expected, report["result"], tol=args.tol)
+        errs = S.compare_expected(expected, report["result"])
         report["expectation_errors"] = errs
         ok = not errs
     text = S.dump_json(report, getattr(args, "out", None))
@@ -112,13 +109,13 @@ def _cmd_holonomy(args) -> int:
         "dim": hol.algebra.dim,
         "matched_family": d.family,
         "descriptor": d,
-        "ricci_flat": bool(ric_max < args.tol),
+        "ricci_flat": bool(ric_max < DEFAULT_TOL.rank_rel),
         "bracket_residual": hol.bracket_residual,
         "realizable": C.is_holonomy_realizable(d) if d.family != "UNKNOWN" else "unknown",
     }
     ok = hol.stabilized and d.family != "UNKNOWN"
     return _finish(args, "holonomy", payload,
-                   ok, {"tol": args.tol, "r_max": args.rmax})
+                   ok, {"tol": DEFAULT_TOL.rank_rel, "r_max": args.rmax})
 
 
 def _cmd_classify(args) -> int:
@@ -156,7 +153,7 @@ def _cmd_ppwave(args) -> int:
     m = S.build_metric_from_config(S.load_json(args.metric), args.order)
     rep = G.ppwave_check(m, r_max=args.rmax)
     return _finish(args, "ppwave", rep, rep.consistent,
-                   {"tol": args.tol, "r_max": args.rmax})
+                   {"tol": DEFAULT_TOL.rank_rel, "r_max": args.rmax})
 
 
 def _cmd_symspace(args) -> int:
@@ -179,11 +176,9 @@ def _cmd_validate(args) -> int:
         "inverse_residual": G.inverse_residual(m),
         "frame_gram_residual": G.frame_gram_residual(m, F),
     }
-    ok = (payload["hermitian_residual"] < args.tol
-          and payload["kahler_residual"] < args.tol
-          and payload["inverse_residual"] < args.tol
-          and payload["frame_gram_residual"] < args.tol)
-    return _finish(args, "validate", payload, ok, {"tol": args.tol})
+    ok = all(payload[key] < DEFAULT_TOL.rank_rel for key in (
+        "hermitian_residual", "kahler_residual", "inverse_residual", "frame_gram_residual"))
+    return _finish(args, "validate", payload, ok, {"tol": DEFAULT_TOL.rank_rel})
 
 
 def _bounded_n(n: int) -> int:
@@ -200,8 +195,8 @@ def _bounded_n(n: int) -> int:
 def _catalog_entries(n: int) -> list[dict]:
     entries: list[dict] = []
     if n == 0:
-        for d in (C.G0Descriptor(), C.G1Descriptor(), C.G2Descriptor(),
-                  C.G3Descriptor(gamma=1.0), C.G3Descriptor(gamma=0.0)):
+        for d in (C.N0Descriptor("G0"), C.N0Descriptor("G1"), C.N0Descriptor("G2"),
+                  C.N0Descriptor("G3", 1.0), C.N0Descriptor("G3")):
             entries.append({"descriptor": d, "dim": C.family_dim(d)})
         return entries
     gk = C.KLDescriptor(n, n, [(1.0, np.zeros((n, n), complex))]

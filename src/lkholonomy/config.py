@@ -42,7 +42,9 @@ class Tolerances:
         rows to full rank), the matcher's zero tests, block checks and fit
         residuals, param_decode's re-encoding, [g, g] in g for a symmetric
         pair, a real-form basis's rank floor and orthonormality, gamma
-        equality.  Also the default of --tol.
+        equality.  Absolute, in the CLI: the --expect comparison, the
+        ricci_flat flag of holonomy and validate's Hermitian, Kahler,
+        inverse and frame-Gram checks.
     """
 
     coeff_zero: float = 1e-12

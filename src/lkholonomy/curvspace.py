@@ -337,19 +337,15 @@ def param_decode(R: CurvatureMap) -> CurvatureParam:
     return p
 
 
-def no_ir_counterexample(n: int, lambdas: list[float] | None = None) -> MatrixAlgebra:
-    """The span R(i, i id + theta) + L_0 with m = 0 and no iR line.  Its
-    curvature space is forced to zero, so it is not a Berger algebra (this
-    is why every weakly irreducible Berger subalgebra contains iR)."""
-    from .hermitian import RealFormData
+def no_ir_counterexample(n: int) -> MatrixAlgebra:
+    """The span R(i, i id) + L_0 with m = 0, the untwisted L_0 = R^n, and no
+    iR line.  Its curvature space is forced to zero, so it is not a Berger
+    algebra (this is why every weakly irreducible Berger subalgebra contains
+    iR)."""
     from .lie import ABZCElement
-    rf = RealFormData.from_lambdas(lambdas or [], n)
-    twist = ABZCElement(1j, 1j * np.eye(n) + rf.theta,
-                        np.zeros(n, complex), 0.0).to_matrix()
-    basis = [twist]
-    for j in range(n):
-        basis.append(ABZCElement(0.0, np.zeros((n, n), complex),
-                                 rf.basis_f[:, j], 0.0).to_matrix())
+    eye = np.eye(n, dtype=complex)
+    basis = [ABZCElement(1j, 1j * eye, np.zeros(n, complex), 0.0).to_matrix()]
+    basis += [ABZCElement(0.0, np.zeros((n, n), complex), e, 0.0).to_matrix() for e in eye]
     return MatrixAlgebra(n, basis)
 
 

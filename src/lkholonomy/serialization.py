@@ -145,14 +145,9 @@ def _lambdas_of(d) -> list[float]:
 
 def decode_descriptor(obj: dict):
     fam = _check(obj, dict, "a descriptor object")["family"]
-    if fam == "G0":
-        return C.G0Descriptor()
-    if fam == "G1":
-        return C.G1Descriptor()
-    if fam == "G2":
-        return C.G2Descriptor()
-    if fam == "G3":
-        return C.G3Descriptor(gamma=decode_complex(obj.get("gamma", 0.0)))
+    if fam in ("G0", "G1", "G2", "G3"):
+        gamma = decode_complex(obj.get("gamma", 0.0)) if fam == "G3" else 0.0
+        return C.N0Descriptor(fam, gamma)
     n = _natural(obj["n"], "n")
     if fam == "GK":
         kb = [(decode_complex(e["a"]), _square(e["A"], n))
@@ -226,7 +221,8 @@ def build_metric_from_config(obj: dict, order: int | None = None):
     """Build a MetricJet from a potential/metric description, at the jet
     order `order` if given, else the file's `order`, else 8.
 
-    kinds: flat {n}; fc {a, b}; descriptor {descriptor}; small {tag, gamma};
+    kinds: flat {n}; fc {a, b}; descriptor {descriptor}, whose G1, G2 and G3
+    are the small metrics; small {tag, gamma};
     oriented_lines {variant}; ppwave {n, phi_terms}.
     """
     from .geometry import metric_from_potential
@@ -249,6 +245,9 @@ def build_metric_from_config(obj: dict, order: int | None = None):
     if kind == "descriptor":
         d = decode_descriptor(obj["descriptor"])
         _metric_n(d.n)
+        if d.family in ("G1", "G2", "G3"):
+            tag = {"G1": "g1", "G2": "g2", "G3": "g3gamma" if d.gamma != 0 else "g3zero"}
+            return P.small_dim_metric(tag[d.family], order=order, gamma=d.gamma)
         return metric_from_potential(P.build_potential(d, order=order))
     if kind == "small":
         gamma = decode_complex(obj.get("gamma", 1.0))
@@ -341,11 +340,10 @@ def load_json(path: str) -> dict:
     return obj
 
 
-def compare_expected(expected, actual, tol: float = DEFAULT_TOL.rank_rel,
-                     path: str = "") -> list[str]:
+def compare_expected(expected, actual, path: str = "") -> list[str]:
     """Recursive subset comparison: every key in `expected` must match
-    `actual` within `tol` for numeric leaves.  Returns mismatch messages.
-    tol is a parameter because the CLI passes --tol."""
+    `actual` within rank_rel, absolute, for numeric leaves.  Returns mismatch
+    messages."""
     errs: list[str] = []
     if isinstance(expected, dict):
         if not isinstance(actual, dict):
@@ -354,20 +352,20 @@ def compare_expected(expected, actual, tol: float = DEFAULT_TOL.rank_rel,
             if k not in actual:
                 errs.append(f"{path}.{k}: missing")
             else:
-                errs.extend(compare_expected(v, actual[k], tol, f"{path}.{k}"))
+                errs.extend(compare_expected(v, actual[k], f"{path}.{k}"))
         return errs
     if isinstance(expected, list):
         if not isinstance(actual, list) or len(expected) != len(actual):
             return [f"{path}: list shape mismatch"]
         for i, (e, a) in enumerate(zip(expected, actual)):
-            errs.extend(compare_expected(e, a, tol, f"{path}[{i}]"))
+            errs.extend(compare_expected(e, a, f"{path}[{i}]"))
         return errs
     if isinstance(expected, bool) or isinstance(actual, bool):
         if bool(expected) != bool(actual):
             errs.append(f"{path}: expected {expected}, got {actual}")
         return errs
     if isinstance(expected, (int, float)) and isinstance(actual, (int, float)):
-        if abs(float(expected) - float(actual)) > tol:
+        if abs(float(expected) - float(actual)) > DEFAULT_TOL.rank_rel:
             errs.append(f"{path}: expected {expected}, got {actual}")
         return errs
     if expected != actual:

@@ -9,6 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .classify import KLDescriptor, N0Descriptor, build_family
 from .config import DEFAULT_TOL
 from .curvspace import (
     CurvatureMap,
@@ -112,69 +113,39 @@ def build_transvection(pair: SymmetricPair) -> TransvectionAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _corner(N: int, val: complex) -> np.ndarray:
-    w = np.zeros((N, N), dtype=complex)
-    w[0, N - 1] = val
-    return w
-
-
 def canonical_pair(family: str, n: int = 0, m: int = 0) -> SymmetricPair:
-    """The six symmetric pairs; b) and e) are the negations of a) and d)."""
+    """The six symmetric pairs, each a classification descriptor d with a
+    curvature parameter p: g = build_family(d) and R = param_encode(p).  b)
+    and e) are the negations of a) and d)."""
     family = family.lower()
     if family in ("a", "b"):
         if n != 0:
             raise ValueError("families a, b require n = 0")
-        g = MatrixAlgebra(0, [np.array([[0, 1j], [0, 0]], dtype=complex)])
-        c = 1.0 if family == "a" else -1.0
-        return SymmetricPair(0, g, param_encode(CurvatureParam(0, c=c)))
-    if family == "c":
+        d, p = N0Descriptor("G3"), CurvatureParam(0, c=1.0 if family == "a" else -1.0)
+    elif family == "c":
         if n != 0:
             raise ValueError("family c requires n = 0")
-        g = MatrixAlgebra(0, [np.diag([1.0, -1.0]).astype(complex),
-                              np.diag([1j, 1j])])
-        return SymmetricPair(0, g, param_encode(CurvatureParam(0, alpha=1.0)))
-    if family in ("d", "e"):
+        d, p = N0Descriptor("G2"), CurvatureParam(0, alpha=1.0)
+    elif family in ("d", "e"):
         if n != 1:
             raise ValueError("families d, e require n = 1")
-        x_gen = np.array([[0, -1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
-        c_gen = _corner(3, 1j)
-        g = MatrixAlgebra(1, [x_gen, c_gen])
         K = np.array([1j if family == "d" else -1j])
-        return SymmetricPair(1, g, param_encode(CurvatureParam(1, K=K)))
-    if family == "f":
+        d, p = KLDescriptor(1, 0, []), CurvatureParam(1, K=K)
+    elif family == "f":
         if n < 1 or not 0 <= m <= n:
             raise ValueError("family f requires n >= 1 and 0 <= m <= n")
-        N = n + 2
-        basis = []
-        a_gen = np.zeros((N, N), dtype=complex)
-        a_gen[0, 0] = a_gen[N - 1, N - 1] = 2j
-        for j in range(1, m + 1):
-            a_gen[j, j] = 1j
-        for k in range(m + 1, n + 1):
-            a_gen[k, k] = 2j
-        basis.append(a_gen)
-        basis.append(_corner(N, 1j))
-        for j in range(1, m + 1):
-            for vec in (1.0, 1j):
-                t = np.zeros((N, N), dtype=complex)
-                t[j, N - 1] = vec
-                t[0, j] = -np.conj(vec)
-                basis.append(t)
-        for k in range(m + 1, n + 1):
-            t = np.zeros((N, N), dtype=complex)
-            t[k, N - 1] = 1.0
-            t[0, k] = -1.0
-            basis.append(t)
-        g = MatrixAlgebra(n, basis)
-
-        # The exchange identity forces R(e_k, conj e_k) = R(p, conj q) for the
-        # real-translation directions k > m, so A_kk = beta = 1 and T_kk = -1;
-        # the invariant solution space admits no other consistent value.
+        # GKJL for m < n, GK for m = n.  The exchange identity forces
+        # R(e_k, conj e_k) = R(p, conj q) for the real-translation directions
+        # k > m, so A_kk = beta = 1 and T_kk = -1; the invariant solution
+        # space admits no other consistent value.
+        d = KLDescriptor(n, m, [(2j, 1j * np.eye(m))])
         ones = np.ones(n - m)
         A = np.diag(np.concatenate([np.full(m, 0.5), ones])).astype(complex)
         T = np.diag(np.concatenate([np.zeros(m), -ones])).astype(complex)
-        return SymmetricPair(n, g, param_encode(CurvatureParam(n, beta=1.0, T=T, A=A)))
-    raise ValueError(f"unknown family {family!r}")
+        p = CurvatureParam(n, beta=1.0, T=T, A=A)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return SymmetricPair(n, build_family(d), param_encode(p))
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,8 @@ def test_criterion_4_construction_roundtrip():
 def test_criterion_5_berger_suite(rng):
     for d in descriptor_suite():
         assert berger_check(C.build_family(d))["is_berger"], d.family
-    for d in (C.G0Descriptor(), C.G1Descriptor(), C.G2Descriptor(),
-              C.G3Descriptor(gamma=1.0), C.G3Descriptor(gamma=0.0)):
+    for d in (C.N0Descriptor("G0"), C.N0Descriptor("G1"), C.N0Descriptor("G2"),
+              C.N0Descriptor("G3", 1.0), C.N0Descriptor("G3", 0.0)):
         assert berger_check(C.build_family(d))["is_berger"], d.family
 
     res = berger_check(no_ir_counterexample(2))

@@ -52,10 +52,7 @@ def test_n0_matches(rng):
     tags = [("G0", None), ("G1", None), ("G2", None), ("G3", 1.0), ("G3", 0.0),
             ("G3", 1j), ("G3", 1 + 1j)]
     for fam, gamma in tags:
-        d = {"G0": C.G0Descriptor(), "G1": C.G1Descriptor(),
-             "G2": C.G2Descriptor()}.get(fam)
-        if d is None:
-            d = C.G3Descriptor(gamma=gamma)
+        d = C.N0Descriptor(fam, gamma or 0.0)
         alg = C.build_family(d)
         # the same algebra after a real change of basis
         mix = rng.standard_normal((alg.dim, alg.dim)) + 2 * np.eye(alg.dim)
@@ -96,8 +93,8 @@ def test_ricci_flat_corollary(suite):
     berger_only = C.KLDescriptor(
         2, 0, [(1j, np.zeros((0, 0), complex))],
         real_form=RealFormData.from_lambdas([0.5], 2))
-    n0 = [C.G0Descriptor(), C.G1Descriptor(), C.G2Descriptor(),
-          C.G3Descriptor(gamma=0.0), C.G3Descriptor(gamma=1.0), C.G3Descriptor(gamma=1j)]
+    n0 = [C.N0Descriptor("G0"), C.N0Descriptor("G1"), C.N0Descriptor("G2"),
+          C.N0Descriptor("G3", 0.0), C.N0Descriptor("G3", 1.0), C.N0Descriptor("G3", 1j)]
     for d in suite + n0 + [berger_only]:
         assert ricci_flat_condition(d) == ricci_flat_symbolic(d), d.family
     flat = []

@@ -129,7 +129,8 @@ def test_order_below_two_from_the_command_line_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["holonomy"], ["symspace", "--family", "z"],
                                   ["catalog", "--n", "1", "--bogus"],
-                                  ["classify", "--algebra", "alg.json", "--rmax", "3"]])
+                                  ["classify", "--algebra", "alg.json", "--rmax", "3"],
+                                  ["symspace", "--family", "a", "--tol", "1e-6"]])
 def test_usage_errors_are_input_errors(argv, capsys):
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
@@ -339,6 +340,27 @@ def test_holonomy_of_the_first_n4_catalog_entry_gives_a_report(tmp_path, capsys)
     pot = _write(tmp_path, "gk4.json", {"kind": "descriptor", "descriptor": entry["descriptor"]})
     assert main(["holonomy", "--potential", pot]) in (EXIT_OK, EXIT_MISMATCH)
     assert json.loads(capsys.readouterr().out)["result"]["matched_family"] == "GK"
+
+
+def test_holonomy_of_the_n0_catalog_entries(tmp_path, capsys):
+    """The descriptor potentials of G1, G2 and both G3 entries are the small
+    metrics: holonomy matches each back to its entry with exit 0.  G0 has no
+    potential construction and is a one-line error."""
+    assert main(["catalog", "--n", "0"]) == EXIT_OK
+    entries = json.loads(capsys.readouterr().out)["result"]["families"]
+    assert [e["descriptor"]["family"] for e in entries] == ["G0", "G1", "G2", "G3", "G3"]
+    for i, entry in enumerate(entries):
+        pot = _write(tmp_path, f"n0-{i}.json",
+                     {"kind": "descriptor", "descriptor": entry["descriptor"]})
+        code = main(["holonomy", "--potential", pot])
+        out, err = capsys.readouterr()
+        if entry["descriptor"]["family"] == "G0":
+            assert code == EXIT_INPUT
+            assert err == "error: no potential construction for family 'G0'\n"
+            continue
+        assert code == EXIT_OK, entry["descriptor"]
+        got = S.decode_descriptor(json.loads(out)["result"]["descriptor"])
+        assert C.same_descriptor(got, S.decode_descriptor(entry["descriptor"]))
 
 
 @pytest.mark.filterwarnings("error")

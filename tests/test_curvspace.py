@@ -148,8 +148,8 @@ def _oracle_cases(suite, rng):
         mix = rng.standard_normal((alg.dim, alg.dim)) + 2 * np.eye(alg.dim)
         mixed = MatrixAlgebra(alg.n, list(np.tensordot(mix, np.array(alg.basis), 1)))
         cases += [(d.family, alg), (d.family + " mixed", mixed)]
-    for d in (C.G0Descriptor(), C.G1Descriptor(), C.G2Descriptor(),
-              C.G3Descriptor(gamma=1.0), C.G3Descriptor(gamma=0.0)):
+    for d in (C.N0Descriptor("G0"), C.N0Descriptor("G1"), C.N0Descriptor("G2"),
+              C.N0Descriptor("G3", 1.0), C.N0Descriptor("G3", 0.0)):
         cases.append((d.family, C.build_family(d)))
     cases += [(f"no iR n={n}", no_ir_counterexample(n)) for n in (1, 2, 3)]
     berger_only = C.KLDescriptor(
@@ -246,7 +246,7 @@ def test_algebras_outside_the_pattern_build_no_parabolic_units(rng, monkeypatch)
         raise AssertionError("parabolic unit parameters built")
 
     monkeypatch.setattr(curvspace, "_unit_params", refuse)
-    cases = [(C.build_family(C.G0Descriptor()), 5, True), (_unitary_algebra(0), 9, True),
+    cases = [(C.build_family(C.N0Descriptor("G0")), 5, True), (_unitary_algebra(0), 9, True),
              (_unitary_algebra(1), 36, True), (moved, want["dim_R_space"], want["is_berger"])]
     for alg, dim, is_berger in cases:
         got = berger_check(alg)

@@ -40,7 +40,7 @@ def test_oriented_lines_scan_stabilizes_at_every_base_point(monkeypatch, capsys,
 def test_report_digests_are_repeatable(monkeypatch, capsys, tmp_path):
     """Two runs of the digest script on a subset of its verdicts print the
     same lines: one sha256, exit code and name per selected verdict, with
-    the library-level dense lines last and no exit code."""
+    the library-level dense lines after the CLI verdicts and no exit code."""
     only = ["--only", "catalog-n1", "*-n1-e0", "holonomy-d1", "ppwave-d1", "symspace-d-*",
             "dense-n1-o6-*"]
     first = _run("report_digests.py", monkeypatch, capsys, tmp_path, *only)
@@ -53,3 +53,14 @@ def test_report_digests_are_repeatable(monkeypatch, capsys, tmp_path):
     assert [code for _, code, _ in lines] == ["0"] * 6 + ["-"] * 2
     assert lines[-2][0] != lines[-1][0]
     assert second == first
+
+
+def test_report_digests_end_with_the_n0_descriptor_potentials(monkeypatch, capsys, tmp_path):
+    """The n = 0 lines come after the dense ones: G0, which has no potential,
+    exits 1 on each command, and G1, G2 and both G3 exit 0."""
+    out = _run("report_digests.py", monkeypatch, capsys, tmp_path,
+               "--only", "dense-n0-o8-s7", "holonomy-n0-*", "ppwave-n0-*", "validate-n0-*")
+    lines = [line.split() for line in out.splitlines()]
+    names = [f"{cmd}-n0-e{i}" for i in range(5) for cmd in ("holonomy", "ppwave", "validate")]
+    assert [name for _, _, name in lines] == ["dense-n0-o8-s7"] + names
+    assert [code for _, code, _ in lines] == ["-"] + ["1"] * 3 + ["0"] * 12

@@ -33,10 +33,22 @@ def test_descriptor_roundtrip(suite):
 
 
 def test_n0_descriptor_roundtrip():
-    for d in (C.G0Descriptor(), C.G1Descriptor(), C.G2Descriptor(),
-              C.G3Descriptor(gamma=1j)):
+    for d in (C.N0Descriptor("G0"), C.N0Descriptor("G1"), C.N0Descriptor("G2"),
+              C.N0Descriptor("G3", 1j)):
         back = S.decode_descriptor(S.encode_descriptor(d))
         assert C.same_descriptor(back, d)
+
+
+def test_n0_catalog_entries_reencode_exactly():
+    """encode -> decode -> encode gives the same JSON for each n = 0 catalog
+    entry; a stray gamma on G1 is ignored, as on G0 and G2."""
+    from lkholonomy.cli import _catalog_entries
+    for entry in _catalog_entries(0):
+        obj = S.encode_descriptor(entry["descriptor"])
+        back = S.decode_descriptor(json.loads(json.dumps(obj)))
+        assert back == entry["descriptor"]
+        assert S.encode_descriptor(back) == obj
+    assert S.decode_descriptor({"family": "G1", "gamma": [0.5, 1.0]}) == C.N0Descriptor("G1")
 
 
 def test_empty_matrix_roundtrip():
@@ -56,7 +68,7 @@ def test_declared_lambdas_roundtrip(n, lambdas):
 
 
 def test_algebra_file_both_forms():
-    d = C.G1Descriptor()
+    d = C.N0Descriptor("G1")
     alg1 = S.decode_algebra({"family": "G1"})
     alg2 = S.decode_algebra({
         "n": 0, "basis": [S.encode_matrix(b) for b in C.build_family(d).basis]})
@@ -89,9 +101,9 @@ def test_jsonable_handles_numpy_and_dataclasses(suite):
 
 def test_compare_expected_subset_and_tolerance():
     actual = {"a": 1.0000000001, "nested": {"flag": True, "extra": 5}}
-    assert S.compare_expected({"a": 1.0}, actual, tol=1e-6) == []
+    assert S.compare_expected({"a": 1.0}, actual) == []
     assert S.compare_expected({"nested": {"flag": True}}, actual) == []
-    assert S.compare_expected({"a": 2.0}, actual, tol=1e-6)
+    assert S.compare_expected({"a": 2.0}, actual)
     assert S.compare_expected({"missing": 1}, actual)
     assert S.compare_expected({"nested": {"flag": False}}, actual)
 

@@ -8,6 +8,7 @@ from oracles import random_param
 
 from lkholonomy import serialization as S
 
+from lkholonomy import classify as C
 from lkholonomy.classify import match_algebra
 from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.curvspace import (
@@ -248,15 +249,75 @@ def test_jacobi_check_is_scale_free(family, n, m):
 EXPECTED_FAMILY = {"a": "G3", "b": "G3", "c": "G2", "d": "GKL", "e": "GKL"}
 
 
+def _expected_descriptor(family, n, m):
+    """The descriptor each canonical g matches: G3 with gamma = 0 for a and
+    b, G2 for c, GKL(1, 0) with k = 0 for d and e, and for f(n, m) the one
+    k-generator (2i, i I_m): GK when m = n, GKJL when m < n."""
+    if family in "ab":
+        return C.N0Descriptor("G3")
+    if family == "c":
+        return C.N0Descriptor("G2")
+    if family in "de":
+        return C.KLDescriptor(1, 0, [])
+    return C.KLDescriptor(n, m, [(2j, 1j * np.eye(m))])
+
+
 @pytest.mark.parametrize("family,n,m", ALL_CASES)
 def test_pair_agrees_with_berger_solve_and_matcher(family, n, m):
     """R lies in the real span of the Berger solve of g, and g matches its
-    listed family: GK for f(n, n), GKJL for f(n, m < n)."""
+    listed descriptor: GK for f(n, n), GKJL for f(n, m < n)."""
     pair = canonical_pair(family, n, m)
     solved = solve_curvature_space(pair.g)
     assert span_coords(pair.R.rho, [S.rho for S in solved])[1] <= DEFAULT_TOL.rank_rel
-    want = EXPECTED_FAMILY.get(family, "GK" if m == n else "GKJL")
-    assert match_algebra(pair.g).family == want
+    want = _expected_descriptor(family, n, m)
+    assert want.family == EXPECTED_FAMILY.get(family, "GK" if m == n else "GKJL")
+    assert C.same_descriptor(match_algebra(pair.g), want)
+
+
+def _top_right(N, val):
+    w = np.zeros((N, N), dtype=complex)
+    w[0, N - 1] = val
+    return w
+
+
+def _reference_basis(family, n, m):
+    """The algebra g of each canonical pair, written out by hand entry by
+    entry, independently of the classification's builders."""
+    if family in "ab":
+        return [np.array([[0, 1j], [0, 0]], dtype=complex)]
+    if family == "c":
+        return [np.diag([1.0, -1.0]).astype(complex), np.diag([1j, 1j])]
+    if family in "de":
+        return [np.array([[0, -1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex), _top_right(3, 1j)]
+    N = n + 2
+    a_gen = np.zeros((N, N), dtype=complex)
+    a_gen[0, 0] = a_gen[N - 1, N - 1] = 2j
+    for j in range(1, m + 1):
+        a_gen[j, j] = 1j
+    for k in range(m + 1, n + 1):
+        a_gen[k, k] = 2j
+    basis = [a_gen, _top_right(N, 1j)]
+    for j in range(1, m + 1):
+        for vec in (1.0, 1j):
+            t = np.zeros((N, N), dtype=complex)
+            t[j, N - 1] = vec
+            t[0, j] = -np.conj(vec)
+            basis.append(t)
+    for k in range(m + 1, n + 1):
+        t = np.zeros((N, N), dtype=complex)
+        t[k, N - 1] = 1.0
+        t[0, k] = -1.0
+        basis.append(t)
+    return basis
+
+
+@pytest.mark.parametrize("family,n,m", ALL_CASES + [("f", 4, m) for m in range(5)])
+def test_pair_g_is_the_hand_written_algebra(family, n, m):
+    """g = build_family(d) spans the hand-written algebra of the pair, and
+    matches back to d, also for f(4, m), which the survey leaves out."""
+    g = canonical_pair(family, n, m).g
+    assert g.equals(MatrixAlgebra(n, _reference_basis(family, n, m)))
+    assert C.same_descriptor(match_algebra(g), _expected_descriptor(family, n, m))
 
 
 @pytest.mark.parametrize("family,n,m", [("f", 1, 1), ("f", 2, 1), ("f", 3, 3)])

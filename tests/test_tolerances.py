@@ -13,8 +13,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "lkholonomy"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "config.py")
 
 # (module, qualified function name) of the tol/sigma parameters callers set:
-# is_real_valued takes the metric's residual and compare_expected takes --tol.
-KEEP = {("jets", "Jet.is_real_valued"), ("serialization", "compare_expected")}
+# is_real_valued takes the metric's residual.
+KEEP = {("jets", "Jet.is_real_valued")}
 
 
 def _functions(tree, prefix=""):
@@ -60,7 +60,8 @@ def test_the_checks_catch_a_literal_and_a_parameter():
     assert small_literals(source) == ["1: 1e-09", "2: 1e-10"]
     assert tolerance_parameters(source, "lie") == ["f"]
     assert tolerance_parameters("def numerical_rank(s, tol): pass", "lie") == ["numerical_rank"]
-    assert tolerance_parameters("def compare_expected(e, a, tol): pass", "serialization") == []
+    kept = "class Jet:\n    def is_real_valued(self, tol): pass"
+    assert tolerance_parameters(kept, "jets") == []
 
 
 def test_every_field_is_read_outside_config():
