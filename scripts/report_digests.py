@@ -11,7 +11,14 @@ The verdicts run in-process through ``lkholonomy.cli.main``:
   - after the dense lines below, ``holonomy --rmax 5``, ``ppwave --rmax 4``
     and ``validate`` at order 9 on the descriptor potentials of the five
     ``catalog --n 0`` entries (G0 has no potential: its lines digest the
-    one-line error, with exit code 1).
+    one-line error, with exit code 1);
+  - last, ``berger`` on three conjugates of every catalog entry with
+    1 <= n <= 3, written as basis files: ``-levi`` (a unitary rotation of
+    e_1..e_n), ``-parabolic`` and ``-unitary`` (an element of U(1,n+1)),
+    drawn by ``tests/oracles.py::conjugations`` from
+    ``numpy.random.default_rng((n, i))`` for entry i; then on the full
+    algebra at n = 4 and 5 and on the first entry of ``catalog --n 4`` and
+    ``catalog --n 5``.
 
 Each line is ``<sha256> <exit code> <verdict>``.  The digest is of the
 ``--out`` report, or of the error output when no report is written.
@@ -47,10 +54,13 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 from conftest import descriptor_suite  # noqa: E402
+from oracles import conjugations  # noqa: E402
 
+from lkholonomy import classify as C  # noqa: E402
 from lkholonomy import cli  # noqa: E402
 from lkholonomy import geometry as G  # noqa: E402
 from lkholonomy import serialization as S  # noqa: E402
+from lkholonomy.lie import unitary_basis  # noqa: E402
 
 CATALOG_N = range(5)
 ALGEBRA_NMAX = 3
@@ -120,6 +130,28 @@ def n0_verdicts(work: str):
         yield f"validate-n0-e{i}", ["validate", "--potential", pot]
 
 
+def berger_verdicts(work: str):
+    """(name, argv) of the berger verdicts on conjugated basis files, the
+    full algebra at n = 4 and 5 and the first catalog entry at n = 4 and
+    5, printed last so that the lines before them keep their order."""
+    for n in range(1, ALGEBRA_NMAX + 1):
+        for i, entry in enumerate(_catalog(work, n)):
+            basis = C.build_family(S.decode_descriptor(entry["descriptor"])).basis
+            for kind, U in conjugations(n, np.random.default_rng((n, i))).items():
+                moved = [S.encode_matrix(U @ b @ np.linalg.inv(U)) for b in basis]
+                alg = _write(work, f"n{n}-e{i}-{kind}", {"n": n, "basis": moved})
+                yield f"berger-n{n}-e{i}-{kind}", ["berger", "--algebra", alg]
+    for n in (4, 5):
+        zero = np.zeros((n, n), complex)
+        full = C.KLDescriptor(n, n, [(1.0, zero), (1j, zero)]
+                              + [(0.0, A) for A in unitary_basis(n)])
+        alg = _write(work, f"full-n{n}", S.encode_descriptor(full))
+        yield f"berger-full-n{n}", ["berger", "--algebra", alg]
+    for n in (4, 5):
+        alg = _write(work, f"n{n}-e0", _catalog(work, n)[0]["descriptor"])
+        yield f"berger-n{n}-e0", ["berger", "--algebra", alg]
+
+
 def _benchmark_inputs():
     """perfbench/inputs.py, loaded by path with no bytecode written; the
     sys.path entries its import of perfbench/common.py adds are removed
@@ -180,6 +212,7 @@ def main() -> int:
             for name, *case in dense:
                 print(f"{_dense_digest(inputs, *case)} - {name}")
         run(work, n0_verdicts(work))
+        run(work, berger_verdicts(work))
     return 0
 
 

@@ -14,6 +14,7 @@ from .config import DEFAULT_TOL
 from .curvspace import (
     CurvatureMap,
     CurvatureParam,
+    UnitMaps,
     curvature_image,
     param_encode,
     ricci_of_map,
@@ -53,8 +54,9 @@ class SymmetricPair:
 
     @property
     def curvature_image(self) -> MatrixAlgebra:
-        """The real span of R(m, m)."""
-        return MatrixAlgebra(self.n, curvature_image([self.R]))
+        """The real span of R(m, m): the image of R as a one-unit ambient."""
+        return MatrixAlgebra(self.n, curvature_image(UnitMaps.of(self.n, [self.R.rho[None]]),
+                                                     np.ones((1, 1))))
 
 
 class InvalidPairError(ValueError):

@@ -1,4 +1,6 @@
-"""Test-side oracles: a random curvature parameter tuple, a random element
+"""Test-side oracles: a random curvature parameter tuple and the group
+average behind its R0, a random element of U(1,n+1) and seeded elements of
+U(n), of the parabolic subgroup and of U(1,n+1) to conjugate by, a random element
 of U(1,n+1), the two Ricci-flat predicates of the classification
 corollary, the value of a jet at a point, the entrywise jet-matrix
 product, bit-for-bit equality of jets and jet matrices, the distance of
@@ -7,9 +9,19 @@ import numpy as np
 
 from lkholonomy.classify import KLDescriptor, build_family
 from lkholonomy.config import DEFAULT_TOL
-from lkholonomy.curvspace import CurvatureParam, _r0_average
+from lkholonomy.curvspace import CurvatureParam
 from lkholonomy.hermitian import WittMetric
+from lkholonomy.lie import ABZCElement
 from lkholonomy.jetmat import jmat_add, jmat_max_abs, jmat_scale
+
+
+def r0_average(R0: np.ndarray) -> np.ndarray:
+    """The average over the 8-element group generated by the holomorphic-pair,
+    antiholomorphic-pair and reality symmetries of R0, along leading axes:
+    exact in one pass."""
+    R0 = R0 + R0.swapaxes(-3, -2)
+    R0 = R0 + R0.swapaxes(-4, -1)
+    return (R0 + np.conj(R0.swapaxes(-4, -3).swapaxes(-2, -1))) / 8
 
 
 def random_param(n: int, rng: np.random.Generator) -> CurvatureParam:
@@ -24,7 +36,7 @@ def random_param(n: int, rng: np.random.Generator) -> CurvatureParam:
     P = (P + np.transpose(P, (0, 2, 1))) / 2
     A = crandn(n, n)
     A = (A + A.conj().T) / 2
-    R0 = _r0_average(crandn(n, n, n, n))
+    R0 = r0_average(crandn(n, n, n, n))
     return CurvatureParam(
         n,
         alpha=complex(crandn()),
@@ -46,6 +58,29 @@ def random_unitary(n, rng):
     S = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     X = WittMetric(n).gram @ (S - S.conj().T) / 4
     return np.linalg.solve(np.eye(N) - X, np.eye(N) + X)
+
+
+def _cayley(X):
+    N = len(X)
+    return np.linalg.solve(np.eye(N) - X, np.eye(N) + X)
+
+
+def conjugations(n, rng) -> dict:
+    """Seeded elements of U(1,n+1) in the Witt frame to conjugate an algebra
+    by: 'levi', a unitary rotation of e_1..e_n; 'parabolic', an element of
+    the stabilizer of the null line p; and 'unitary', random_unitary.  The
+    first two are Cayley transforms of random elements of their Lie
+    algebras, and keep the parabolic block pattern."""
+    def crandn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    S = crandn(n, n)
+    A = (S - S.conj().T) / 4
+    levi = ABZCElement(0.0, A, np.zeros(n, complex), 0.0).to_matrix()
+    parabolic = ABZCElement(complex(crandn()) / 2, A, crandn(n) / 2,
+                            float(rng.standard_normal()) / 2).to_matrix()
+    return {"levi": _cayley(levi), "parabolic": _cayley(parabolic),
+            "unitary": random_unitary(n, rng)}
 
 
 def ricci_flat_condition(d) -> bool:

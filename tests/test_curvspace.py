@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from oracles import random_param, random_unitary
+from oracles import conjugations, r0_average, random_param, random_unitary
 
 from lkholonomy import classify as C
 from lkholonomy import curvspace
@@ -10,6 +10,7 @@ from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.curvspace import (
     CurvatureMap,
     CurvatureParam,
+    UnitMaps,
     berger_check,
     no_ir_counterexample,
     param_decode,
@@ -28,6 +29,7 @@ from lkholonomy.lie import (
     real_span_basis,
     row_space,
     sigma_involution,
+    unflatten,
     unitary_basis,
 )
 
@@ -160,6 +162,154 @@ def _oracle_cases(suite, rng):
     return cases
 
 
+# -- the dense route: every unit map as one dense (N, N, N, N) array ----------
+
+
+def _dense_unitary_units(n):
+    """K(u(1,n+1)) as dense unit maps: rho[i, j] = Gram R0[:, :, i, j] for
+    the group average of a unit tensor at each pair u <= v of the symmetric
+    pairs (a, k), (b, j) of R0[a, b, j, k], and i times it when u < v."""
+    N = n + 2
+    j, k = np.triu_indices(N)
+    u, v = np.triu_indices(len(j))
+    R0 = np.zeros((len(u),) + (N,) * 4, complex)
+    R0[np.arange(len(u)), j[u], j[v], k[v], k[u]] = 1.0
+    R0 = r0_average(np.concatenate([R0, 1j * R0[u < v]]))
+    return WittMetric(n).gram @ np.moveaxis(R0, (-2, -1), (-4, -3))
+
+
+def _dense_solve(E, alg):
+    """Rows rho (k, N^4) spanning K(g) in the span of the dense unit maps
+    E: the slot-pair null spaces over the dense conditions E @ H, each
+    mixing the whole active block of the coordinates."""
+    N = alg.n + 2
+    E = E.reshape(-1, N * N, N * N)
+    B = np.array([b.ravel() for b in alg.basis])
+    B = row_space(B)
+    nonzero = E != 0
+    pattern = nonzero.any(axis=(0, 1))
+    if len(B) == np.count_nonzero(pattern):
+        return E.reshape(len(E), -1)
+    complement = null_space(B[:, pattern])
+    H = np.zeros((N * N, len(complement)), complex)
+    H[pattern] = complement.conj().T
+    C = (E.reshape(-1, N * N) @ H).reshape(len(E), N, N, -1)
+    floor = DEFAULT_TOL.rank_rel * np.linalg.norm(C)
+    reach = nonzero.any(axis=2).reshape(len(E), N, N)
+    reach = reach | reach.swapaxes(1, 2)
+    X = np.eye(len(E))
+    for i, j in zip(*np.nonzero(np.triu(reach.any(axis=0)))):
+        reached = np.flatnonzero(reach[:, i, j])
+        active = X[reached].any(axis=0)
+        if active.any():
+            rows = C[reached[:, None], [i, j], [j, i]].reshape(len(reached), -1)
+            rows = np.concatenate([rows.real, rows.imag], axis=1)
+            x = null_space(rows.T @ X[np.ix_(reached, active)], floor)
+            X = np.concatenate([X[:, ~active], X[:, active] @ x.T], axis=1)
+    return X.T @ E.reshape(len(E), -1)
+
+
+def _dense_image(rho):
+    """The curvature image of the dense maps rho (k, N, N, N, N): all N^2
+    values of every map stacked as rows, values at or below coeff_zero
+    dropped, and one row space."""
+    if not len(rho):
+        return []
+    N = rho.shape[-1]
+    (a, b), (s, t) = np.triu_indices(N, 1), np.triu_indices(N)
+    W = np.concatenate([rho[:, a, b] - rho[:, b, a], 1j * (rho[:, s, t] + rho[:, t, s])],
+                       axis=1).reshape(-1, N * N)
+    W = W[np.abs(W).max(axis=1) > DEFAULT_TOL.coeff_zero]
+    return [unflatten(row, (N, N)) for row in row_space(np.hstack([W.real, W.imag]))]
+
+
+def _dense_berger(alg):
+    """berger_check by the dense route: the solve on _encode(_unit_params(n))
+    or the dense unitary units, and the image of the stacked maps."""
+    N = alg.n + 2
+    E = (curvspace._encode(curvspace._unit_params(alg.n)) if _fits_pattern(alg)
+         else _dense_unitary_units(alg.n))
+    rho = _dense_solve(E, alg).reshape(-1, N, N, N, N)
+    generated = MatrixAlgebra(alg.n, _dense_image(rho))
+    return {"dim_R_space": len(rho), "is_berger": generated.equals(alg), "generated": generated}
+
+
+def _route_cases(suite, rng):
+    """The oracle cases, every catalog entry with n <= 4, and a U(n)-, a
+    parabolic and a U(1,n+1)-conjugate (oracles.conjugations) of each
+    catalog entry with 1 <= n <= 3; only the last leave the block
+    pattern."""
+    from lkholonomy.cli import _catalog_entries
+    cases = _oracle_cases(suite, rng)
+    for n in range(5):
+        for i, e in enumerate(_catalog_entries(n)):
+            alg = C.build_family(e["descriptor"])
+            cases.append((f"catalog n={n} e{i}", alg))
+            if 1 <= n <= 3:
+                for name, U in conjugations(n, rng).items():
+                    moved = MatrixAlgebra(n, [U @ b @ np.linalg.inv(U) for b in alg.basis])
+                    assert _fits_pattern(moved) == (name != "unitary"), (n, i, name)
+                    cases.append((f"catalog n={n} e{i} {name}", moved))
+    return cases
+
+
+def test_sparse_route_matches_the_dense_route(suite, rng):
+    """berger_check on the sparse unit tables gives the dimension of K(g),
+    the verdict and the generated algebra of the dense route it replaced,
+    on every route case."""
+    for name, alg in _route_cases(suite, rng):
+        want, got = _dense_berger(alg), berger_check(alg)
+        assert got["dim_R_space"] == want["dim_R_space"], name
+        assert got["is_berger"] == want["is_berger"], name
+        assert got["generated"].equals(want["generated"]), name
+
+
+def test_unit_tables_densify_to_the_dense_unit_maps():
+    """Each cached table holds exactly the nonzero entries of its dense unit
+    maps, bit for bit: the parabolic one those of _encode(_unit_params(n))
+    (whose zero entries carry signed zeros, read here as +0), the unitary
+    one those of _dense_unitary_units(n); and neither can be written."""
+    for n in range(6):
+        E = curvspace._encode(curvspace._unit_params(n))
+        parabolic, unitary = curvspace._ambient(n, True), curvspace._ambient(n, False)
+        assert parabolic.dense().tobytes() == np.where(E == 0, 0, E).tobytes(), n
+        assert unitary.dense().tobytes() == _dense_unitary_units(n).tobytes(), n
+        for table in (parabolic, unitary):
+            assert not any(a.flags.writeable for a in (table.unit, table.slot, table.entry,
+                                                       table.value)), n
+
+
+def test_gk_curvature_dimensions_follow_the_closed_form():
+    """For GK with L = C^n, n = 1..5, dim K(g) is (n+1)(n+2) + n^2 +
+    n^2 (n+1) + (n(n+1)/2)^2 for k = iR + u(n), the first catalog entry
+    (10, 37, 101, 226, 442): the part fixed by n, A, P(u(n)) and K(u(n));
+    (n+1)(n+2) for k = iR alone; and param_dim(n) for k = C + u(n), the
+    full algebra."""
+    from lkholonomy.cli import _catalog_entries
+    for n, first in zip(range(1, 6), (10, 37, 101, 226, 442)):
+        zero = np.zeros((n, n), complex)
+        cases = [(_catalog_entries(n)[0]["descriptor"],
+                  (n + 1) * (n + 2) + n * n + n * n * (n + 1) + (n * (n + 1) // 2) ** 2),
+                 (C.KLDescriptor(n, n, [(1.0, zero)]), (n + 1) * (n + 2))]
+        assert cases[0][1] == first
+        for d, dim in cases:
+            assert berger_check(C.build_family(d))["dim_R_space"] == dim, (n, dim)
+        assert berger_check(_full_algebra(n))["dim_R_space"] == param_dim(n), n
+
+
+def test_curvature_image_drops_values_at_coeff_zero(rng):
+    """One encoded map scaled so that its largest entry is 5e-13 has an
+    empty curvature image, since none of its values exceeds 1e-12; scaled
+    to 2e-12 it has a value above 1e-12, and an image.  The scales are
+    written out, so that coeff_zero moved from 1e-12 by a factor of 100
+    either way fails here."""
+    rho = param_encode(random_param(2, rng)).rho
+    for largest, empty in ((5e-13, True), (2e-12, False)):
+        R = rho * (largest / np.abs(rho).max())
+        image = curvspace.curvature_image(UnitMaps.of(2, [R[None]]), np.ones((1, 1)))
+        assert (image == []) == empty, largest
+
+
 def test_solve_matches_reference_assembly(suite, rng):
     """The structured solve and the unit-vector assembly span the same real
     space, and every returned map satisfies all curvature identities, with
@@ -174,10 +324,10 @@ def test_solve_matches_reference_assembly(suite, rng):
             assert _reference_invariant_residual(R, _witt_sigma) < 1e-10, name
 
 
-def _solve_in(E, alg) -> list[CurvatureMap]:
-    N = alg.n + 2
-    return [CurvatureMap(alg.n, r)
-            for r in curvspace._constrained_solve(E, alg).reshape(-1, N, N, N, N)]
+def _solve_in(units, alg) -> list[CurvatureMap]:
+    N, X = alg.n + 2, curvspace._constrained_solve(units, alg)
+    rho = X.T @ units.dense().reshape(units.count, -1)
+    return [CurvatureMap(alg.n, r) for r in rho.reshape(-1, N, N, N, N)]
 
 
 def test_parabolic_ambient_matches_unitary_ambient(suite, rng, monkeypatch):
@@ -194,10 +344,10 @@ def test_parabolic_ambient_matches_unitary_ambient(suite, rng, monkeypatch):
     ambients = []
     solve = curvspace._constrained_solve
     monkeypatch.setattr(curvspace, "_constrained_solve",
-                        lambda E, alg: ambients.append(len(E)) or solve(E, alg))
+                        lambda units, alg: ambients.append(units.count) or solve(units, alg))
     outside = []
     for name, alg in cases:
-        by_unitary = _solve_in(curvspace._unitary_units(alg.n), alg)
+        by_unitary = _solve_in(curvspace._ambient(alg.n, False), alg)
         assert _real_rank(by_unitary) == len(by_unitary), name
         assert len(solve_curvature_space(alg)) == len(by_unitary), name
         N = alg.n + 2
@@ -206,7 +356,7 @@ def test_parabolic_ambient_matches_unitary_ambient(suite, rng, monkeypatch):
             assert ambients[-1] == (N * (N + 1) // 2) ** 2, name
             continue
         assert ambients[-1] == param_dim(alg.n), name
-        by_param = _solve_in(curvspace._encode(curvspace._unit_params(alg.n)), alg)
+        by_param = _solve_in(curvspace._ambient(alg.n, True), alg)
         assert _real_rank(by_param) == len(by_param), name
         assert _real_rank(by_param + by_unitary) == len(by_param) == len(by_unitary), name
     assert outside == ["G0", "u(1,1)", "u(1,2)", "catalog n=0 G0"]
@@ -218,7 +368,7 @@ def test_unitary_units_are_a_basis():
     identity of u(1,n+1) exactly."""
     for n in range(6):
         N = n + 2
-        E = curvspace._unitary_units(n)
+        E = curvspace._unitary_units(n).dense()
         assert E.shape == (((N * (N + 1)) // 2) ** 2,) + (N,) * 4
         assert _real_rank([CurvatureMap(n, r) for r in E]) == len(E), n
         assert _witt_residual(E) == 0.0, n
@@ -318,8 +468,9 @@ def test_curvature_image_spans_every_real_value(suite, rng, monkeypatch):
     monkeypatch.setattr(curvspace, "row_space", recorded)
     for name, alg in _oracle_cases(suite, rng) + [("full n=3", _full_algebra(3))]:
         maps, N = solve_curvature_space(alg), alg.n + 2
+        units, X = curvspace._solve(alg)
         shapes.clear()
-        image = curvspace.curvature_image(maps)
+        image = curvspace.curvature_image(units, X)
         assert all(rows <= len(maps) * N * N for rows, _ in shapes), name
         ref = real_span_basis([w for R in maps for w in R.real_curvature().reshape(-1, N, N)])
         assert len(image) == len(ref), name
@@ -454,7 +605,7 @@ def test_invariant_residual_of_encoded(rng):
 def _reference_invariant_residual(R, sigma=sigma_involution) -> float:
     """The curvature-map invariants one index pair or triple at a time:
     reality, exchange symmetry, and the cyclic sum of R(b_i, b_j) b_k."""
-    N, rho = R.dim_v, R.rho
+    N, rho = R.n + 2, R.rho
     worst = 0.0
     for i in range(N):
         for j in range(N):
@@ -494,7 +645,7 @@ def test_real_curvature_is_exact(rng):
     """Every entry of the (2N, 2N, N, N) array equals the pairwise formula
     on the m-basis (b_k, i b_k), bit for bit."""
     for R in _perturbed_maps(rng):
-        N = R.dim_v
+        N = R.n + 2
         mb = list(np.eye(N)) + list(1j * np.eye(N))
         Rm = R.real_curvature()
         assert Rm.shape == (2 * N, 2 * N, N, N)

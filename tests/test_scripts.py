@@ -64,3 +64,17 @@ def test_report_digests_end_with_the_n0_descriptor_potentials(monkeypatch, capsy
     names = [f"{cmd}-n0-e{i}" for i in range(5) for cmd in ("holonomy", "ppwave", "validate")]
     assert [name for _, _, name in lines] == ["dense-n0-o8-s7"] + names
     assert [code for _, code, _ in lines] == ["-"] + ["1"] * 3 + ["0"] * 12
+
+
+def test_berger_reports_are_the_same_in_every_conjugate_frame(monkeypatch, capsys, tmp_path):
+    """The conjugate lines of the digest script: each catalog entry at n = 1
+    written as a basis file in a Levi-rotated, a parabolic and a
+    U(1,3)-conjugated frame gives the berger report of the entry itself,
+    byte for byte."""
+    out = _run("report_digests.py", monkeypatch, capsys, tmp_path, "--only", "berger-n1-*")
+    lines = {name: (digest, code) for digest, code, name in map(str.split, out.splitlines())}
+    assert len(lines) == 16
+    for i in range(4):
+        assert lines[f"berger-n1-e{i}"][1] == "0"
+        for kind in ("levi", "parabolic", "unitary"):
+            assert lines[f"berger-n1-e{i}-{kind}"] == lines[f"berger-n1-e{i}"], (i, kind)
