@@ -30,7 +30,10 @@ potential drawn from ``numpy.random.default_rng((seed, case))`` by
 ``perfbench/inputs.py``, which is loaded by path and only read.  Their
 digest is of Gamma and R (order, keys and coefficient bytes of every
 entry, in dict order), of the holonomy basis bytes, ``dims_by_order`` and
-the ``bracket_residual`` bytes; their exit code column is ``-``.
+the ``bracket_residual`` bytes; their exit code column is ``-``.  The
+curvature of every n >= 1 case already spans u(1,n+1)_Cp at the base
+point, so its holonomy basis is the real span of the pattern's unit
+matrices, which holds no curvature value; at n = 0 it is the full span's.
 
 Usage: PYTHONPATH=src python3 scripts/report_digests.py [--only PATTERN ...]
 

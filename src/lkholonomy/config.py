@@ -13,7 +13,9 @@ class Tolerances:
         a unit-size descriptor parameter taken as exactly 0 (psi images, the
         real part of a unit gamma), a coefficient left out of the direct
         iterated span; relative to the largest Taylor coefficient: a
-        coefficient left out of the holonomy span; relative to max(largest
+        coefficient left out of the holonomy span; relative to the largest
+        curvature value at the base point: a value left out of the
+        holonomy's degree-0 ambient test; relative to max(largest
         coefficient, 1) in Jet.is_real_valued.
     residual 1e-10, absolute at unit scale or relative to max(largest entry,
         1): a quantity that is zero in exact arithmetic, or a determinant taken
@@ -29,7 +31,9 @@ class Tolerances:
         invariant check (relative to max(largest entry, 1)).
     rank_rel 1e-9, relative to the largest singular value: the rank rule's
         one cut, for every span and null space, among them the kernel of A1
-        in build_potential and a symmetric pair's Ricci degeneracy flag.
+        in build_potential, the holonomy's degree-0 ambient test (the rank
+        of the curvature values at the base point against dim
+        u(1,n+1)_Cp^C) and a symmetric pair's Ricci degeneracy flag.
         Relative to max(largest entry, 1): lie.fits_pattern, the one test of
         the block pattern (read by sigma, also on the holonomy's real
         points, by the (a, A, Z, c) fit and its sigma-fixed check, also in

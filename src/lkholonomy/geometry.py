@@ -36,7 +36,15 @@ from .jetmat import (
     jmat_zero,
 )
 from .hermitian import WittMetric
-from .lie import ABZCElement, MatrixAlgebra, real_span_basis, row_space, sigma_involution
+from .lie import (
+    ABZCElement,
+    MatrixAlgebra,
+    numerical_rank,
+    parabolic_mask,
+    real_span_basis,
+    row_space,
+    sigma_involution,
+)
 
 
 class DegeneracyError(ValueError):
@@ -90,6 +98,27 @@ class MetricJet:
     @cached_property
     def curv(self) -> list[list[np.ndarray]]:
         return curvature(self)
+
+    @cached_property
+    def curv0(self) -> np.ndarray:
+        """R(0)[c, d] = R^a_{b c dbar} at the base point, read from the 2-jet
+        of h alone.  With H = (h_{abar b}) and X = H(0)^-1, R_cd =
+        -d_dbar(H^-1 d_c H) gives R(0)_cd = -(X d_c d_dbar H(0)
+        - X d_dbar H(0) X d_c H(0)); the derivatives at 0 are the z^c,
+        zbar^d and z^c zbar^d coefficients of the entries of h.  The values
+        of jmat_eval0 of `curv` to rounding, without Gamma or the inverse."""
+        dim = self.dim
+        holo = [var_key(dim, c) for c in range(dim)]
+        anti = [var_key(dim, d, False) for d in range(dim)]
+        keys = [0, *holo, *anti, *(kc + kd for kc in holo for kd in anti)]
+        # the coefficient of each key in each entry, one (dim, dim) matrix per key
+        at0 = np.array([[jet.terms.get(k, 0.0) for k in keys] for jet in self.h.flat],
+                       complex).T.reshape(len(keys), dim, dim)
+        X = np.linalg.inv(at0[0])
+        dc = X @ at0[1:dim + 1]
+        dd = X @ at0[dim + 1:2 * dim + 1]
+        dcd = (X @ at0[2 * dim + 1:]).reshape(dim, dim, dim, dim)
+        return dd[None] @ dc[:, None] - dcd
 
     @cached_property
     def frame0(self) -> np.ndarray:
@@ -401,19 +430,68 @@ def _real_points(cbasis: list[np.ndarray]) -> list[np.ndarray]:
     return real_span_basis([c for c in cands if np.abs(c).max() > DEFAULT_TOL.residual])
 
 
+def _holonomy_result(n: int, cbasis: list[np.ndarray], dims: list[int]) -> HolonomyResult:
+    """The result of a complex span basis and its dimensions by order: the
+    span is called stabilized when its last two dimensions agree."""
+    alg = MatrixAlgebra(n, _real_points(cbasis))
+    return HolonomyResult(
+        algebra=alg,
+        dims_by_order=dims,
+        stabilized=len(dims) >= 2 and dims[-1] == dims[-2],
+        complex_dim=len(cbasis),
+        bracket_residual=alg.bracket_residual(),
+    )
+
+
 def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
     """Real span of all iterated covariant derivatives of the curvature
     endomorphisms at the base point, expressed in the Witt frame.
 
     The derivatives are read off as Taylor coefficients of the curvature in
     a radially parallel gauge; coefficients of total degree r correspond to
-    derivative order r."""
+    derivative order r (`_holonomy_span`).
+
+    A metric in Walker form has a parallel null line, spanned by p = d_v up
+    to scale, so its holonomy lies in the stabilizer of that line,
+    u(1,n+1)_Cp, the parabolic block pattern in the Witt frame.  The
+    curvature values at the base point already lie in the holonomy algebra
+    (Ambrose-Singer; Kobayashi-Nomizu I, ch. II 10), so when the values of
+    `MetricJet.curv0` alone span the pattern's D = (n+1)^2 + 2 complex
+    dimensions, no derivative can add to the span at any order: the result
+    is the whole pattern, with D at every order, and neither Gamma, nor R,
+    nor the gauge is built.  The values pass the span's own noise and rank
+    rule (coeff_zero relative to the largest of them, then the rank rule);
+    when they fall short, the full span decides."""
     if r_max < 0:
         raise ValueError(f"r_max must be at least 0, not {r_max}")
     if m.space.order - 2 < r_max:
         raise InsufficientOrderError(
             f"jet order {m.space.order} cannot reach derivative order {r_max}; "
             f"rebuild the potential with order >= {r_max + 4}")
+    mask = parabolic_mask(m.n)
+    D = int(mask.sum())
+    if m.is_walker() and _spans_the_ambient(m, D):
+        units = np.zeros((D, *mask.shape), complex)
+        units[(np.arange(D), *np.nonzero(mask))] = 1.0
+        return _holonomy_result(m.n, list(units), [D] * (r_max + 1))
+    return _holonomy_span(m, r_max)
+
+
+def _spans_the_ambient(m: MetricJet, D: int) -> bool:
+    """Whether the curvature values at the base point in the Witt frame have
+    complex rank D, each value at most coeff_zero times the largest one
+    left out; fewer than D values left need no SVD.  The frame comes first:
+    a Walker metric that passes it has an invertible h(0)."""
+    Q, dim = m.frame0, m.dim
+    rows = (np.linalg.inv(Q) @ m.curv0.reshape(-1, dim, dim) @ Q).reshape(-1, dim * dim)
+    size = np.abs(rows).max(axis=1)
+    rows = rows[size > DEFAULT_TOL.coeff_zero * size.max()]
+    return len(rows) >= D and numerical_rank(np.linalg.svd(rows, compute_uv=False)) == D
+
+
+def _holonomy_span(m: MetricJet, r_max: int) -> HolonomyResult:
+    """The span of the Taylor coefficients of P^-1 R_cd P up to degree
+    r_max, with P the radially parallel gauge, degree by degree."""
     Q = m.frame0
     Qinv = np.linalg.inv(Q)
     # Only degrees <= r_max of P^{-1} R P are read, and each of them is the
@@ -452,17 +530,7 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
         rows = [w.ravel() / scale for w in coeffs_by_deg[r] if np.abs(w).max() > noise]
         cbasis_rows = row_space(np.vstack([cbasis_rows, *rows]))
         dims.append(len(cbasis_rows))
-    cbasis = [row.reshape(m.dim, m.dim) for row in cbasis_rows]
-    real_basis = _real_points(cbasis)
-    alg = MatrixAlgebra(m.n, real_basis)
-    stabilized = len(dims) >= 2 and dims[-1] == dims[-2]
-    return HolonomyResult(
-        algebra=alg,
-        dims_by_order=dims,
-        stabilized=stabilized,
-        complex_dim=len(cbasis),
-        bracket_residual=alg.bracket_residual(),
-    )
+    return _holonomy_result(m.n, [row.reshape(m.dim, m.dim) for row in cbasis_rows], dims)
 
 
 def iterated_covariant_span(m: MetricJet, r_max: int) -> list[np.ndarray]:

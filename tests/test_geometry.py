@@ -334,7 +334,9 @@ def _reference_holonomy(m, r_max):
 def test_holonomy_skipping_zero_blocks_matches_the_full_conjugation(metric, suite, monkeypatch):
     """Skipping the blocks R_cd with no terms changes no bit: on the flat
     metric (all 16 blocks zero), the order-9 GKL(2, 0) potential (11 of 16)
-    and a seeded dense n = 1 potential (3 of 9)."""
+    and a seeded dense n = 1 potential (3 of 9).  The dense curvature spans
+    the ambient at the base point, so the public entry point stops there;
+    that case compares the full span it bypasses."""
     if metric == "flat":
         space = JetSpace(4, 9)
         f = P.fc_potential(space, 0.0, 0.0) + P.fun_potential(space, 2, [])
@@ -347,11 +349,108 @@ def test_holonomy_skipping_zero_blocks_matches_the_full_conjugation(metric, suit
     zero = [not any(j.terms for j in jmat_truncated(R, r_max).flat)
             for row in m.curv for R in row]
     assert sum(zero) == {"flat": 16, "gkl": 11, "dense": 3}[metric]
-    hol = G.infinitesimal_holonomy(m, r_max)
+    hol = (G._holonomy_span if metric == "dense" else G.infinitesimal_holonomy)(m, r_max)
     dims, basis, bracket = _reference_holonomy(m, r_max)
     assert hol.dims_by_order == dims
     assert np.array(hol.algebra.basis).tobytes() == np.array(basis).tobytes()
     assert np.float64(hol.bracket_residual).tobytes() == np.float64(bracket).tobytes()
+
+
+# (case, n, order) of the dense n >= 1 lines of scripts/report_digests.py,
+# drawn with default_rng((seed, case)); r_max is order - 4
+DIGEST_DENSE = [(2, 1, 6), (3, 1, 7), (4, 2, 6)]
+
+
+def _not_walker_potential():
+    space = JetSpace(3, 7)
+    z, zb = space.variable(1), space.conj_variable(1)
+    v, vb = space.variable(0), space.conj_variable(0)
+    return P.fc_potential(space, 1.0, 0.5) + z * zb + v * vb * 0.5 + real_part(v * z * zb * 0.3)
+
+
+@pytest.mark.parametrize("metric", ["suite", "dense", "flat"])
+def test_curvature_at_the_base_point_from_the_two_jet(metric, suite, monkeypatch):
+    """MetricJet.curv0, read from the 2-jet of h, is R(0) within
+    1e-13 max(|R(0)|, 1): on the eleven suite descriptors at order 9, the
+    dense n = 0, 1, 2 potentials of report_digests.py at seeds 0 and 7, and
+    the flat metric."""
+    if metric == "suite":
+        fs = [P.build_potential(d, order=9) for d in suite]
+    elif metric == "dense":
+        fs = [_dense_walker_potential(monkeypatch, (seed, case), n, order)
+              for seed in (0, 7)
+              for case, (n, order) in enumerate([(0, 8), (0, 10), (1, 6), (1, 7), (2, 6)])]
+    else:
+        space = JetSpace(4, 6)
+        fs = [P.fc_potential(space, 0.0, 0.0) + P.fun_potential(space, 2, [])]
+    for f in fs:
+        m = G.metric_from_potential(f)
+        R0 = np.array([[jmat_eval0(R) for R in row] for row in m.curv])
+        assert np.abs(m.curv0 - R0).max() <= 1e-13 * max(np.abs(R0).max(), 1.0)
+
+
+def _refuse_the_full_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full holonomy span was reached")
+    for name in ("christoffel", "radial_parallel_gauge", "jmat_inverse"):
+        monkeypatch.setattr(G, name, refuse)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("case,n,order", DIGEST_DENSE)
+def test_holonomy_stops_at_the_ambient_without_gamma(case, n, order, seed, monkeypatch):
+    """A dense Walker potential whose curvature at the base point spans
+    u(1,n+1)_Cp gets the whole pattern at every order without Gamma, the
+    radial gauge or a jet inverse."""
+    m = G.metric_from_potential(_dense_walker_potential(monkeypatch, (seed, case), n, order))
+    _refuse_the_full_route(monkeypatch)
+    hol = G.infinitesimal_holonomy(m, order - 4)
+    D = (n + 1) ** 2 + 2
+    assert (hol.dims_by_order, hol.complex_dim, hol.stabilized) == ([D] * (order - 3), D, True)
+    assert hol.algebra.dim == D
+
+
+@pytest.mark.parametrize("metric", ["suite", "dense-n0", "not-walker"])
+def test_holonomy_below_the_ambient_takes_the_full_span(metric, suite, monkeypatch):
+    """The first ten suite descriptors at order 9 (r_max 5), the dense n = 0
+    potentials at seeds 0 and 7, and a metric outside the Walker form, each
+    build the radial gauge once: their curvature at the base point falls
+    short of the ambient, or there is no ambient to reach."""
+    if metric == "suite":
+        cases = [(P.build_potential(d, order=9), 5) for d in suite[:10]]
+    elif metric == "dense-n0":
+        cases = [(_dense_walker_potential(monkeypatch, (seed, case), 0, order), 4)
+                 for seed in (0, 7) for case, order in enumerate([8, 10])]
+    else:
+        cases = [(_not_walker_potential(), 3)]
+    calls = []
+    gauge = G.radial_parallel_gauge
+    monkeypatch.setattr(G, "radial_parallel_gauge", lambda gamma: calls.append(1) or gauge(gamma))
+    for f, r_max in cases:
+        m = G.metric_from_potential(f)
+        assert m.is_walker() == (metric != "not-walker")
+        if m.is_walker():
+            G.infinitesimal_holonomy(m, r_max)
+        else:  # its span leaves the block pattern, which sigma refuses
+            with pytest.raises(ValueError, match="sigma"):
+                G.infinitesimal_holonomy(m, r_max)
+    assert len(calls) == len(cases)
+
+
+@pytest.mark.parametrize("case,n,order", DIGEST_DENSE)
+def test_the_ambient_result_is_the_full_span(case, n, order, monkeypatch):
+    """At seeds 0..9 the result at the ambient and the full span it bypasses
+    agree in dims_by_order, stabilized, complex_dim and the matched
+    descriptor, and span the same algebra."""
+    for seed in range(10):
+        m = G.metric_from_potential(_dense_walker_potential(monkeypatch, (seed, case), n, order))
+        fast, full = G.infinitesimal_holonomy(m, order - 4), G._holonomy_span(m, order - 4)
+        assert ((fast.dims_by_order, fast.stabilized, fast.complex_dim)
+                == (full.dims_by_order, full.stabilized, full.complex_dim))
+        got, want = C.match_algebra(fast.algebra), C.match_algebra(full.algebra)
+        assert got.family == want.family == "GK"
+        assert C.same_descriptor(got, want)
+        assert fast.algebra.equals(full.algebra)
 
 
 @pytest.mark.parametrize("metric", ["dense-n0", "dense-n1", "dense-n2", "gk-n1", "gk0psi-n2",
@@ -366,10 +465,7 @@ def test_gamma_from_the_cut_inverse_is_gamma_from_the_full_inverse(metric, suite
         n = int(metric[-1])
         f = _dense_walker_potential(monkeypatch, (0, n), n, (8, 7, 6)[n])
     elif metric == "not-walker":
-        space = JetSpace(3, 7)
-        z, zb = space.variable(1), space.conj_variable(1)
-        v, vb = space.variable(0), space.conj_variable(0)
-        f = P.fc_potential(space, 1.0, 0.5) + z * zb + v * vb * 0.5 + real_part(v * z * zb * 0.3)
+        f = _not_walker_potential()
     else:
         f = P.build_potential(suite[0 if metric == "gk-n1" else 8], order=10)
     m = G.metric_from_potential(f)

@@ -30,6 +30,30 @@ ALL_CASES = ([("a", 0, 0), ("b", 0, 0), ("c", 0, 0), ("d", 1, 0), ("e", 1, 0)]
              + [("f", n, m) for n in (1, 2, 3) for m in range(n + 1)])
 
 
+def test_jacobi_verdict_pins_the_residual_from_both_sides():
+    """The canonical pair f(1, 1) moved off its curvature by a seeded
+    element of K(g) that g does not leave invariant: values in g and the
+    Bianchi identity hold, so only the Jacobi check on g x m x m sees it.
+    At 2e-11 of the unit-size perturbation the relative Jacobi residual is
+    about 1.2e-11, just under Tolerances.residual (1e-10), and the pair is
+    accepted; at 100 times that it is about 1.2e-9 and the pair is
+    rejected.  So residual / 100 rejects the first and residual * 100
+    accepts the second."""
+    pair = canonical_pair("f", 1, 1)
+    maps = solve_curvature_space(pair.g)
+    coeffs = np.random.default_rng(0).standard_normal(len(maps))
+    delta = sum(c * R.rho for c, R in zip(coeffs, maps))
+    delta /= np.abs(delta).max()
+
+    def moved(eps):
+        return SymmetricPair(1, pair.g, CurvatureMap(1, pair.R.rho + eps * delta))
+
+    tr = build_transvection(moved(2e-11))
+    assert 1e-12 < tr.jacobi_residual / max(np.abs(tr.table).max() ** 2, 1.0) < 1e-10
+    with pytest.raises(InvalidPairError, match="Jacobi"):
+        build_transvection(moved(2e-9))
+
+
 @pytest.mark.parametrize("family,n,m", ALL_CASES)
 def test_canonical_pairs(family, n, m):
     pair = canonical_pair(family, n, m)
