@@ -18,7 +18,9 @@ The verdicts run in-process through ``lkholonomy.cli.main``:
     drawn by ``tests/oracles.py::conjugations`` from
     ``numpy.random.default_rng((n, i))`` for entry i; then on the full
     algebra at n = 4 and 5 and on the first entry of ``catalog --n 4`` and
-    ``catalog --n 5``.
+    ``catalog --n 5``; then on the other entries of ``catalog --n 4`` and
+    ``catalog --n 5``, on the full algebra at n = 6 and 7 and on the first
+    entry of ``catalog --n 6`` and ``catalog --n 7``.
 
 Each line is ``<sha256> <exit code> <verdict>``.  The digest is of the
 ``--out`` report, or of the error output when no report is written.
@@ -133,10 +135,19 @@ def n0_verdicts(work: str):
         yield f"validate-n0-e{i}", ["validate", "--potential", pot]
 
 
+def _full(work: str, n: int) -> str:
+    """A descriptor file of the full algebra u(1,n+1)_Cp."""
+    zero = np.zeros((n, n), complex)
+    full = C.KLDescriptor(n, n, [(1.0, zero), (1j, zero)] + [(0.0, A) for A in unitary_basis(n)])
+    return _write(work, f"full-n{n}", S.encode_descriptor(full))
+
+
 def berger_verdicts(work: str):
     """(name, argv) of the berger verdicts on conjugated basis files, the
     full algebra at n = 4 and 5 and the first catalog entry at n = 4 and
-    5, printed last so that the lines before them keep their order."""
+    5, then the other catalog entries at n = 4 and 5, the full algebra at
+    n = 6 and 7 and the first catalog entry at n = 6 and 7, printed last
+    so that the lines before them keep their order."""
     for n in range(1, ALGEBRA_NMAX + 1):
         for i, entry in enumerate(_catalog(work, n)):
             basis = C.build_family(S.decode_descriptor(entry["descriptor"])).basis
@@ -145,12 +156,17 @@ def berger_verdicts(work: str):
                 alg = _write(work, f"n{n}-e{i}-{kind}", {"n": n, "basis": moved})
                 yield f"berger-n{n}-e{i}-{kind}", ["berger", "--algebra", alg]
     for n in (4, 5):
-        zero = np.zeros((n, n), complex)
-        full = C.KLDescriptor(n, n, [(1.0, zero), (1j, zero)]
-                              + [(0.0, A) for A in unitary_basis(n)])
-        alg = _write(work, f"full-n{n}", S.encode_descriptor(full))
-        yield f"berger-full-n{n}", ["berger", "--algebra", alg]
+        yield f"berger-full-n{n}", ["berger", "--algebra", _full(work, n)]
     for n in (4, 5):
+        alg = _write(work, f"n{n}-e0", _catalog(work, n)[0]["descriptor"])
+        yield f"berger-n{n}-e0", ["berger", "--algebra", alg]
+    for n in (4, 5):
+        for i, entry in enumerate(_catalog(work, n)[1:], 1):
+            alg = _write(work, f"n{n}-e{i}", entry["descriptor"])
+            yield f"berger-n{n}-e{i}", ["berger", "--algebra", alg]
+    for n in (6, 7):
+        yield f"berger-full-n{n}", ["berger", "--algebra", _full(work, n)]
+    for n in (6, 7):
         alg = _write(work, f"n{n}-e0", _catalog(work, n)[0]["descriptor"])
         yield f"berger-n{n}-e0", ["berger", "--algebra", alg]
 

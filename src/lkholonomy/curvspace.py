@@ -8,41 +8,38 @@ by R(X, Y) = R(X, conj Y) - R(Y, conj X).
 
 The curvature space K(g) is one constraint solve on the closed-form
 curvature space of an ambient algebra: the real combinations X of its unit
-maps whose every value lies in span_C(g).  A basis of g that fits the
-parabolic block pattern (lie.fits_pattern) takes the full algebra
-u(1,n+1)_{Cp}, whose unit maps are param_encode of the param_dim(n) unit
-parameters; any other basis (G0, a U(1,n+1)-conjugate of a family) takes
-u(1,n+1) itself, whose unit maps are the unitary curvature tensors on
-C^{n+2}.  Each ambient is one cached table of the nonzero entries of its
-unit maps (under 1 % of their entries), and K(g) stays in the coordinates
-X: the Berger test reads the values of the maps sum_u X[u, m] E_u slot by
-slot, and only solve_curvature_space forms the maps themselves.
+maps whose every value lies in span_C(g).  The unit maps of u(1,n+1) are
+the unitary curvature tensors on C^{n+2}, and any basis of g outside the
+parabolic block pattern (lie.fits_pattern: G0, a U(1,n+1)-conjugate of a
+family) takes them.  A basis that fits the pattern takes the full algebra
+u(1,n+1)_{Cp}, whose unit maps are the param_dim(n) unitary units with
+every value in lie.parabolic_mask.  Each ambient is one cached table of
+the nonzero entries of its unit maps (under 1 % of their entries), and
+K(g) stays in the coordinates X: the Berger test reads the values of the
+maps sum_u X[u, m] E_u slot by slot, and only solve_curvature_space forms
+the maps themselves.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .lie import (MatrixAlgebra, fits_pattern, null_space, numerical_rank, row_space,
-                  sigma_involution, unitary_basis)
+from .lie import (MatrixAlgebra, fits_pattern, null_space, numerical_rank, parabolic_mask,
+                  row_space, sigma_involution, unitary_basis)
 
 
 # The largest n of an algebra file for berger, the largest whose worst case
 # stays within 5 s.  One call in a fresh process, on one core of a 2-core
-# Intel Xeon machine: the full algebra takes 0.23 s at a peak RSS of 66 MB
-# at n = 6 and 0.48 s at 102 MB at n = 7.  Worst is a basis outside the
-# pattern, on the (N (N + 1) / 2)^2 unitary unit maps: a U(1,7)-conjugate of
-# the first catalog entry takes 0.74 s at 90 MB (the entry: 0.20 s, 67 MB),
-# at n = 7 a U(1,8)-conjugate 1.8 s at 147 MB, at n = 8 5.1 s at 263 MB.
+# Intel Xeon machine: the full algebra takes 0.17 s at a peak RSS of 58 MB
+# at n = 6 and 0.48 s at 86 MB at n = 7.  Worst is a basis outside the
+# pattern, on all (N (N + 1) / 2)^2 unitary unit maps: a U(1,7)-conjugate of
+# the first catalog entry takes 0.71 s at 83 MB (the entry: 0.17 s, 59 MB),
+# at n = 7 a U(1,8)-conjugate 1.95 s at 131 MB, at n = 8 5.1 s at 229 MB.
 MAX_BERGER_N = 7
-
-# Unit maps encoded at once while the parabolic table is built: at most
-# 4 MB of dense maps at n = 6.
-_CHUNK = 64
 
 
 @dataclass
@@ -217,17 +214,18 @@ class UnitMaps:
 
 @functools.cache
 def _ambient(n: int, parabolic: bool) -> UnitMaps:
-    """The unit maps of the full parabolic algebra (param_encode of the
-    unit parameters, encoded _CHUNK at a time) or of u(1,n+1) (the unitary
-    units), one read-only table per n and ambient."""
+    """The unit maps of u(1,n+1) (the unitary units) or of the full
+    parabolic algebra: the unitary units whose every entry lies in
+    parabolic_mask(n), renumbered in order, param_dim(n) of them.  One
+    read-only table per n and ambient."""
+    table = _unitary_units(n)
     if parabolic:
-        units = _unit_params(n)
-        names = [f.name for f in fields(CurvatureParam) if f.name != "n"]
-        table = UnitMaps.of(n, (
-            _encode(CurvatureParam(n, **{f: getattr(units, f)[lo:lo + _CHUNK] for f in names}))
-            for lo in range(0, param_dim(n), _CHUNK)))
-    else:
-        table = _unitary_units(n)
+        out = np.zeros(table.count, bool)
+        out[table.unit[~parabolic_mask(n).ravel()[table.entry]]] = True
+        keep = ~out[table.unit]
+        table = UnitMaps(n, table.count - np.count_nonzero(out),
+                         (np.cumsum(~out) - 1)[table.unit[keep]], table.slot[keep],
+                         table.entry[keep], table.value[keep])
     _frozen(table.unit, table.slot, table.entry, table.value)
     return table
 
@@ -391,23 +389,22 @@ def param_dim(n: int) -> int:
     """Real dimension of the parameter space: alpha, beta (2 each), c (1),
     N, K (2n each), symmetric complex T (n(n+1)), Hermitian A (n^2),
     complex P (n^2(n+1)), and R0 in the real unitary curvature space
-    (n^2(n+1)^2/4).  The number of unit parameters _unit_params builds, and
-    the dimension of K(u(1,n+1)_{Cp})."""
+    (n^2(n+1)^2/4).  The dimension of K(u(1,n+1)_{Cp}), and the number of
+    unit maps of the parabolic ambient."""
     return (2 + 2 + 1 + 2 * n + 2 * n + n * (n + 1) + n * n
             + n * n * (n + 1) + n * n * (n + 1) * (n + 1) // 4)
 
 
 def _r0_entries(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero entries of a real basis of the unitary curvature tensors
-    R0 on C^size, (size (size + 1) / 2)^2 of them: unit, flat index of
-    R0[a, b, j, k] and value, in that order.  R0 is a Hermitian form on
-    symmetric pairs, R0[a, b, j, k] at the pairs (a, k) and (b, j): a unit
-    w = 1 at u <= v of the pairs, and w = i when u < v, averaged over the
-    8-element group generated by the holomorphic-pair symmetry (b <-> j),
-    the antiholomorphic-pair symmetry (a <-> k) and reality (R0[b, a, k, j]
-    conjugated).  Each entry is a sum of w and conj w over 8: exact."""
-    if size == 0:
-        return np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex)
+    R0 on C^size, at the size N >= 2 of _unitary_units, (size (size + 1) /
+    2)^2 of them: unit, flat index of R0[a, b, j, k] and value, in that
+    order.  R0 is a Hermitian form on symmetric pairs, R0[a, b, j, k] at
+    the pairs (a, k) and (b, j): a unit w = 1 at u <= v of the pairs, and
+    w = i when u < v, averaged over the 8-element group generated by the
+    holomorphic-pair symmetry (b <-> j), the antiholomorphic-pair symmetry
+    (a <-> k) and reality (R0[b, a, k, j] conjugated).  Each entry is a sum
+    of w and conj w over 8: exact."""
     j, k = _pairs(size)
     u, v = _pairs(len(j))
     strict = u < v
@@ -420,15 +417,6 @@ def _r0_entries(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     unit, total = _sums(np.tile(np.arange(len(w)), 8) * size ** 4 + flat,
                         np.concatenate([w] * 4 + [np.conj(w)] * 4))
     return unit // size ** 4, unit % size ** 4, total / 8
-
-
-def _r0_units(size: int) -> np.ndarray:
-    """The R0 units of _r0_entries along one leading axis."""
-    count = (size * (size + 1) // 2) ** 2
-    unit, flat, value = _r0_entries(size)
-    R0 = np.zeros((count, size ** 4), complex)
-    R0[unit, flat] = value
-    return R0.reshape((count,) + (size,) * 4)
 
 
 def _unitary_units(n: int) -> UnitMaps:
@@ -444,38 +432,6 @@ def _unitary_units(n: int) -> UnitMaps:
     order = np.lexsort((entry, slot, unit))
     return UnitMaps(n, (N * (N + 1) // 2) ** 2, unit[order], slot[order], entry[order],
                     value[order])
-
-
-def _unit_params(n: int) -> CurvatureParam:
-    """A real basis of the parameter space along one leading axis of length
-    param_dim(n): 1 and i in each free complex entry, 1 in c, the Hermitian
-    units of A, and the R0 units at size n."""
-    j, k = _pairs(n)
-    sym = np.zeros((len(j), n, n))
-    sym[np.arange(len(j)), j, k] = sym[np.arange(len(j)), k, j] = 1.0
-    eye = np.eye(n)
-
-    def cplx(U):
-        return np.concatenate([U, 1j * U])
-
-    units = {
-        "alpha": cplx(np.ones(1)),
-        "beta": cplx(np.ones(1)),
-        "c": np.ones(1),
-        "N_vec": cplx(eye),
-        "K": cplx(eye),
-        "T": cplx(sym),
-        "R0": _r0_units(n),
-        "P": (eye[:, None, :, None, None] * cplx(sym)[:, None])
-               .reshape((2 * n * len(j),) + (n,) * 3),
-        "A": np.concatenate([sym, 1j * sym[j < k] * (np.tri(n).T - np.tri(n))]),
-    }
-    p, start, fields = param_dim(n), 0, {}
-    for name, U in units.items():
-        fields[name] = np.zeros((p,) + U.shape[1:], U.dtype)
-        fields[name][start:start + len(U)] = U
-        start += len(U)
-    return CurvatureParam(n, **fields)
 
 
 def _full_algebra(n: int) -> MatrixAlgebra:

@@ -461,7 +461,11 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
     is the whole pattern, with D at every order, and neither Gamma, nor R,
     nor the gauge is built.  The values pass the span's own noise and rank
     rule (coeff_zero relative to the largest of them, then the rank rule);
-    when they fall short, the full span decides."""
+    when they fall short, the full span decides.  A metric outside the
+    Walker form has no such pattern for sigma to read, and is refused
+    before anything is built."""
+    if not m.is_walker():
+        raise ValueError("metric is not in the isotropic-line normal form")
     if r_max < 0:
         raise ValueError(f"r_max must be at least 0, not {r_max}")
     if m.space.order - 2 < r_max:
@@ -470,7 +474,7 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
             f"rebuild the potential with order >= {r_max + 4}")
     mask = parabolic_mask(m.n)
     D = int(mask.sum())
-    if m.is_walker() and _spans_the_ambient(m, D):
+    if _spans_the_ambient(m, D):
         units = np.zeros((D, *mask.shape), complex)
         units[(np.arange(D), *np.nonzero(mask))] = 1.0
         return _holonomy_result(m.n, list(units), [D] * (r_max + 1))

@@ -1,5 +1,6 @@
 """Test-side oracles: a random curvature parameter tuple and the group
-average behind its R0, a random element of U(1,n+1) and seeded elements of
+average behind its R0, the codec's unit parameters and their R0 units, a
+random element of U(1,n+1) and seeded elements of
 U(n), of the parabolic subgroup and of U(1,n+1) to conjugate by, a random element
 of U(1,n+1), the two Ricci-flat predicates of the classification
 corollary, the value of a jet at a point, the entrywise jet-matrix
@@ -9,7 +10,7 @@ import numpy as np
 
 from lkholonomy.classify import KLDescriptor, build_family
 from lkholonomy.config import DEFAULT_TOL
-from lkholonomy.curvspace import CurvatureParam
+from lkholonomy.curvspace import CurvatureParam, param_dim
 from lkholonomy.hermitian import WittMetric
 from lkholonomy.lie import ABZCElement
 from lkholonomy.jetmat import jmat_add, jmat_max_abs, jmat_scale
@@ -49,6 +50,50 @@ def random_param(n: int, rng: np.random.Generator) -> CurvatureParam:
         P=P,
         A=A,
     )
+
+
+def r0_units(size: int) -> np.ndarray:
+    """A real basis of the unitary curvature tensors R0 on C^size along one
+    leading axis, (size (size + 1) / 2)^2 of them: the group average of a
+    unit tensor at each pair u <= v of the symmetric pairs (a, k), (b, j)
+    of R0[a, b, j, k], and i times it when u < v."""
+    j, k = np.triu_indices(size)
+    u, v = np.triu_indices(len(j))
+    R0 = np.zeros((len(u),) + (size,) * 4, complex)
+    R0[np.arange(len(u)), j[u], j[v], k[v], k[u]] = 1.0
+    return r0_average(np.concatenate([R0, 1j * R0[u < v]]))
+
+
+def unit_params(n: int) -> CurvatureParam:
+    """A real basis of the codec's parameter space along one leading axis of
+    length param_dim(n): 1 and i in each free complex entry, 1 in c, the
+    Hermitian units of A, and r0_units(n)."""
+    j, k = np.triu_indices(n)
+    sym = np.zeros((len(j), n, n))
+    sym[np.arange(len(j)), j, k] = sym[np.arange(len(j)), k, j] = 1.0
+    eye = np.eye(n)
+
+    def cplx(U):
+        return np.concatenate([U, 1j * U])
+
+    units = {
+        "alpha": cplx(np.ones(1)),
+        "beta": cplx(np.ones(1)),
+        "c": np.ones(1),
+        "N_vec": cplx(eye),
+        "K": cplx(eye),
+        "T": cplx(sym),
+        "R0": r0_units(n),
+        "P": (eye[:, None, :, None, None] * cplx(sym)[:, None])
+               .reshape((2 * n * len(j),) + (n,) * 3),
+        "A": np.concatenate([sym, 1j * sym[j < k] * (np.tri(n).T - np.tri(n))]),
+    }
+    p, start, fields = param_dim(n), 0, {}
+    for name, U in units.items():
+        fields[name] = np.zeros((p,) + U.shape[1:], U.dtype)
+        fields[name][start:start + len(U)] = U
+        start += len(U)
+    return CurvatureParam(n, **fields)
 
 
 def random_unitary(n, rng):

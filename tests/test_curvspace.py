@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from oracles import conjugations, r0_average, random_param, random_unitary
+from oracles import conjugations, r0_units, random_param, random_unitary, unit_params
 
 from lkholonomy import classify as C
 from lkholonomy import curvspace
@@ -118,9 +118,9 @@ def _fits_pattern(alg) -> bool:
 
 def test_parabolic_mask_is_where_the_unit_maps_live():
     """The closed-form mask is the support of the values of the encoded
-    unit parameters, the pattern the solve used to read off them."""
+    unit parameters."""
     for n in range(6):
-        E = curvspace._encode(curvspace._unit_params(n))
+        E = curvspace._encode(unit_params(n))
         assert np.array_equal((E != 0).any(axis=(0, 1, 2)), parabolic_mask(n)), n
 
 
@@ -167,15 +167,8 @@ def _oracle_cases(suite, rng):
 
 def _dense_unitary_units(n):
     """K(u(1,n+1)) as dense unit maps: rho[i, j] = Gram R0[:, :, i, j] for
-    the group average of a unit tensor at each pair u <= v of the symmetric
-    pairs (a, k), (b, j) of R0[a, b, j, k], and i times it when u < v."""
-    N = n + 2
-    j, k = np.triu_indices(N)
-    u, v = np.triu_indices(len(j))
-    R0 = np.zeros((len(u),) + (N,) * 4, complex)
-    R0[np.arange(len(u)), j[u], j[v], k[v], k[u]] = 1.0
-    R0 = r0_average(np.concatenate([R0, 1j * R0[u < v]]))
-    return WittMetric(n).gram @ np.moveaxis(R0, (-2, -1), (-4, -3))
+    the R0 units at size N = n + 2."""
+    return WittMetric(n).gram @ np.moveaxis(r0_units(n + 2), (-2, -1), (-4, -3))
 
 
 def _dense_solve(E, alg):
@@ -224,10 +217,11 @@ def _dense_image(rho):
 
 
 def _dense_berger(alg):
-    """berger_check by the dense route: the solve on _encode(_unit_params(n))
-    or the dense unitary units, and the image of the stacked maps."""
+    """berger_check by the dense route: the solve on the encoded unit
+    parameters or the dense unitary units, and the image of the stacked
+    maps."""
     N = alg.n + 2
-    E = (curvspace._encode(curvspace._unit_params(alg.n)) if _fits_pattern(alg)
+    E = (curvspace._encode(unit_params(alg.n)) if _fits_pattern(alg)
          else _dense_unitary_units(alg.n))
     rho = _dense_solve(E, alg).reshape(-1, N, N, N, N)
     generated = MatrixAlgebra(alg.n, _dense_image(rho))
@@ -266,14 +260,15 @@ def test_sparse_route_matches_the_dense_route(suite, rng):
 
 def test_unit_tables_densify_to_the_dense_unit_maps():
     """Each cached table holds exactly the nonzero entries of its dense unit
-    maps, bit for bit: the parabolic one those of _encode(_unit_params(n))
-    (whose zero entries carry signed zeros, read here as +0), the unitary
-    one those of _dense_unitary_units(n); and neither can be written."""
+    maps, bit for bit: the unitary one those of _dense_unitary_units(n), the
+    parabolic one those of its maps with every value in parabolic_mask(n),
+    in order; and neither can be written."""
     for n in range(6):
-        E = curvspace._encode(curvspace._unit_params(n))
+        E = _dense_unitary_units(n)
+        inside = ~E[..., ~parabolic_mask(n)].any(axis=(1, 2, 3))
         parabolic, unitary = curvspace._ambient(n, True), curvspace._ambient(n, False)
-        assert parabolic.dense().tobytes() == np.where(E == 0, 0, E).tobytes(), n
-        assert unitary.dense().tobytes() == _dense_unitary_units(n).tobytes(), n
+        assert parabolic.dense().tobytes() == E[inside].tobytes(), n
+        assert unitary.dense().tobytes() == E.tobytes(), n
         for table in (parabolic, unitary):
             assert not any(a.flags.writeable for a in (table.unit, table.slot, table.entry,
                                                        table.value)), n
@@ -374,6 +369,22 @@ def test_unitary_units_are_a_basis():
         assert _witt_residual(E) == 0.0, n
 
 
+def test_parabolic_units_are_the_unitary_units_inside_the_pattern():
+    """The parabolic ambient keeps param_dim(n) of the unitary units, n =
+    0..8, and drops only units with an entry off parabolic_mask(n); at n <=
+    4 its units are independent and span what the encoded unit parameters
+    span, the curvature space of the full algebra."""
+    for n in range(9):
+        parabolic, unitary = curvspace._ambient(n, True), curvspace._ambient(n, False)
+        assert parabolic.count == param_dim(n), n
+        off = np.unique(unitary.unit[~parabolic_mask(n).ravel()[unitary.entry]])
+        assert unitary.count - len(off) == parabolic.count, n
+        if n <= 4:
+            maps = [CurvatureMap(n, r) for r in parabolic.dense()]
+            encoded = [CurvatureMap(n, r) for r in curvspace._encode(unit_params(n))]
+            assert _real_rank(maps) == _real_rank(maps + encoded) == param_dim(n), n
+
+
 def test_unitary_algebra_is_berger():
     """u(1,1) and u(1,2) in the Witt frame have the curvature spaces of
     dimension 9 and 36, and generate themselves."""
@@ -384,18 +395,21 @@ def test_unitary_algebra_is_berger():
 
 def test_algebras_outside_the_pattern_build_no_parabolic_units(rng, monkeypatch):
     """G0, u(1,1), u(1,2) and a U(1,3)-conjugate of a catalog entry at
-    n = 2 take the unitary ambient without building the parabolic unit
-    parameters; the conjugate keeps the entry's verdict."""
+    n = 2 take the unitary ambient without asking for the parabolic one;
+    the conjugate keeps the entry's verdict."""
     from lkholonomy.cli import _catalog_entries
     entry = C.build_family(_catalog_entries(2)[2]["descriptor"])
     U = random_unitary(2, rng)
     moved = MatrixAlgebra(2, [U @ b @ np.linalg.inv(U) for b in entry.basis])
     want = berger_check(entry)
 
-    def refuse(n):
-        raise AssertionError("parabolic unit parameters built")
+    ambient = curvspace._ambient
 
-    monkeypatch.setattr(curvspace, "_unit_params", refuse)
+    def refuse(n, parabolic):
+        assert not parabolic, "parabolic ambient asked for"
+        return ambient(n, parabolic)
+
+    monkeypatch.setattr(curvspace, "_ambient", refuse)
     cases = [(C.build_family(C.N0Descriptor("G0")), 5, True), (_unitary_algebra(0), 9, True),
              (_unitary_algebra(1), 36, True), (moved, want["dim_R_space"], want["is_berger"])]
     for alg, dim, is_berger in cases:
@@ -425,7 +439,7 @@ def test_unit_parameters_are_a_basis():
     every curvature identity exactly, and R0 takes n^2 (n + 1)^2 / 4 of
     them."""
     for n in range(6):
-        units = curvspace._unit_params(n)
+        units = unit_params(n)
         E = curvspace._encode(units)
         assert E.shape == (param_dim(n),) + (n + 2,) * 4
         assert _real_rank([CurvatureMap(n, r) for r in E]) == param_dim(n), n
@@ -513,7 +527,7 @@ def test_encode_matches_the_block_loop(rng):
     for n in (0, 1, 2, 3):
         p = random_param(n, rng)
         assert np.array_equal(param_encode(p).rho, _reference_encode(p))
-        units = curvspace._unit_params(n)
+        units = unit_params(n)
         stack = param_encode(units).rho
         for u in range(param_dim(n)):
             unit = CurvatureParam(n, **{f: getattr(units, f)[u] for f in (

@@ -412,10 +412,11 @@ def test_holonomy_stops_at_the_ambient_without_gamma(case, n, order, seed, monke
 
 @pytest.mark.parametrize("metric", ["suite", "dense-n0", "not-walker"])
 def test_holonomy_below_the_ambient_takes_the_full_span(metric, suite, monkeypatch):
-    """The first ten suite descriptors at order 9 (r_max 5), the dense n = 0
-    potentials at seeds 0 and 7, and a metric outside the Walker form, each
-    build the radial gauge once: their curvature at the base point falls
-    short of the ambient, or there is no ambient to reach."""
+    """The first ten suite descriptors at order 9 (r_max 5) and the dense
+    n = 0 potentials at seeds 0 and 7 each build the radial gauge once:
+    their curvature at the base point falls short of the ambient.  A metric
+    outside the Walker form is refused with the normal form's one-line
+    error before h^-1, Gamma, R or the gauge is built."""
     if metric == "suite":
         cases = [(P.build_potential(d, order=9), 5) for d in suite[:10]]
     elif metric == "dense-n0":
@@ -431,10 +432,11 @@ def test_holonomy_below_the_ambient_takes_the_full_span(metric, suite, monkeypat
         assert m.is_walker() == (metric != "not-walker")
         if m.is_walker():
             G.infinitesimal_holonomy(m, r_max)
-        else:  # its span leaves the block pattern, which sigma refuses
-            with pytest.raises(ValueError, match="sigma"):
+        else:
+            with pytest.raises(ValueError, match="^metric is not in the isotropic-line normal"):
                 G.infinitesimal_holonomy(m, r_max)
-    assert len(calls) == len(cases)
+            assert not {"hinv", "gamma", "curv"} & set(vars(m))
+    assert len(calls) == (0 if metric == "not-walker" else len(cases))
 
 
 @pytest.mark.parametrize("case,n,order", DIGEST_DENSE)
