@@ -16,7 +16,6 @@ from .lie import (
     MatrixAlgebra,
     fits_pattern,
     flatten,
-    in_real_span,
     is_anti_hermitian,
     null_space,
     real_span_basis,
@@ -415,8 +414,7 @@ def _match_psi(xs, n, m, V_trans, real_form):
 def _match_n0(alg: MatrixAlgebra):
     basis = alg.basis
     if not fits_pattern(np.array(basis)).all():
-        g0 = build_family(N0Descriptor("G0"))
-        if alg.dim == 3 and all(in_real_span(b, g0.basis) for b in basis):
+        if alg.equals(build_family(N0Descriptor("G0"))):
             return N0Descriptor("G0")
         return UnknownDescriptor("n=0 algebra is neither parabolic nor sl(2,R)")
     has_c = alg.contains(_embed(0, c=1.0))

@@ -220,6 +220,11 @@ class MetricJet:
                 and rep["dependence_residual"] <= tol
                 and abs(rep["h_vbar_u_at_base"]) > tol)
 
+    def require_walker(self) -> None:
+        """The one-line refusal of a metric outside the Walker form."""
+        if not self.is_walker():
+            raise ValueError("metric is not in the isotropic-line normal form")
+
 
 def metric_from_potential(f: Jet) -> MetricJet:
     """h_{abar b} = d_{z^b} d_{zbar^a} f, checked for nondegeneracy at 0."""
@@ -257,8 +262,7 @@ def walker_inverse(m: MetricJet, order: int | None = None) -> np.ndarray:
     from h cut to the order (default the metric's).  Every product filters
     its pairs by degree, so each coefficient up to that order has the bits
     and the key order it has in the full inverse."""
-    if not m.is_walker():
-        raise ValueError("metric is not in the isotropic-line normal form")
+    m.require_walker()
     n, v, u = m.n, m.v, m.u
     h = _truncated_h(m, order)
     space = jmat_space(h)
@@ -358,8 +362,7 @@ def witt_frame(m: MetricJet, C: np.ndarray | None = None) -> np.ndarray:
     check below enforces it).  C defaults to the inverse Hermitian square
     root of the h_{jbar k} block.
     """
-    if not m.is_walker():
-        raise ValueError("metric is not in the isotropic-line normal form")
+    m.require_walker()
     n, v, u = m.n, m.v, m.u
     space = m.space
     huv_inv = m.h[u, v].reciprocal()
@@ -464,8 +467,7 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
     when they fall short, the full span decides.  A metric outside the
     Walker form has no such pattern for sigma to read, and is refused
     before anything is built."""
-    if not m.is_walker():
-        raise ValueError("metric is not in the isotropic-line normal form")
+    m.require_walker()
     if r_max < 0:
         raise ValueError(f"r_max must be at least 0, not {r_max}")
     if m.space.order - 2 < r_max:
@@ -502,28 +504,26 @@ def _holonomy_span(m: MetricJet, r_max: int) -> HolonomyResult:
     # same sum over the same terms when Gamma, P and R stop at r_max.
     P = radial_parallel_gauge([jmat_truncated(g, r_max) for g in m.gamma])
     Pinv = jmat_inverse(P)
+    # a zero block conjugates to zero and adds no coefficient
+    cut = (jmat_truncated(R, r_max) for row in m.curv for R in row)
+    blocks = [R for R in cut if any(j.terms for j in R.flat)]
     coeffs_by_deg: dict[int, list[np.ndarray]] = {r: [] for r in range(r_max + 1)}
-    for c in range(m.dim):
-        for d in range(m.dim):
-            R = jmat_truncated(m.curv[c][d], r_max)
-            if not any(j.terms for j in R.flat):
-                continue  # a zero block conjugates to zero and adds no coefficient
-            M = jmat_mul(Pinv, jmat_mul(R, P))
-            # one slot per key, in order of first appearance (entries in C
-            # order, then dict order), and one stacked conjugation by Q
-            slot: dict = {}
-            slots, cells, vals = [], [], []
-            for i, jet in enumerate(M.flat):
-                for key, val in jet.terms.items():
-                    if key & MASK <= r_max:
-                        slots.append(slot.setdefault(key, len(slot)))
-                        cells.append(i)
-                        vals.append(val)
-            stack = np.zeros((len(slot), M.size), complex)
-            stack[slots, cells] = vals
-            stack = Qinv @ stack.reshape(len(slot), *M.shape) @ Q
-            for key, mat in zip(slot, stack):
-                coeffs_by_deg[key & MASK].append(mat)
+    for M in _conjugated_blocks(blocks, P, Pinv):
+        # one slot per key, in order of first appearance (entries in C
+        # order, then dict order), and one stacked conjugation by Q
+        slot: dict = {}
+        slots, cells, vals = [], [], []
+        for i, jet in enumerate(M.flat):
+            for key, val in jet.terms.items():
+                if key & MASK <= r_max:
+                    slots.append(slot.setdefault(key, len(slot)))
+                    cells.append(i)
+                    vals.append(val)
+        stack = np.zeros((len(slot), M.size), complex)
+        stack[slots, cells] = vals
+        stack = Qinv @ stack.reshape(len(slot), *M.shape) @ Q
+        for key, mat in zip(slot, stack):
+            coeffs_by_deg[key & MASK].append(mat)
 
     dims = []
     cbasis_rows = np.zeros((0, m.dim * m.dim), complex)
@@ -535,6 +535,19 @@ def _holonomy_span(m: MetricJet, r_max: int) -> HolonomyResult:
         cbasis_rows = row_space(np.vstack([cbasis_rows, *rows]))
         dims.append(len(cbasis_rows))
     return _holonomy_result(m.n, [row.reshape(m.dim, m.dim) for row in cbasis_rows], dims)
+
+
+def _conjugated_blocks(blocks: list[np.ndarray], P: np.ndarray,
+                       Pinv: np.ndarray) -> list[np.ndarray]:
+    """P^-1 R P for each block R, in order, from one product per side: the
+    blocks stacked vertically times P, then P^-1 times the results laid side
+    by side.  Each entry of jmat_mul sums over the same l in the same order
+    with the same row and column orders as the product of one block, so
+    every bit is that of jmat_mul(Pinv, jmat_mul(R, P))."""
+    if not blocks:
+        return []
+    RP = np.split(jmat_mul(np.vstack(blocks), P), len(blocks))
+    return np.split(jmat_mul(Pinv, np.hstack(RP)), len(blocks), axis=1)
 
 
 def iterated_covariant_span(m: MetricJet, r_max: int) -> list[np.ndarray]:
@@ -590,7 +603,10 @@ class PPWaveReport:
 
 
 def ppwave_check(m: MetricJet, r_max: int = 3) -> PPWaveReport:
-    """The equivalent pp-wave conditions, each computed independently."""
+    """The equivalent pp-wave conditions, each computed independently.  A
+    metric outside the Walker form is refused before any stage of it is
+    built."""
+    m.require_walker()
     n, v, u, tol = m.n, m.v, m.u, DEFAULT_TOL.residual
     res: dict = {}
 

@@ -4,15 +4,16 @@ random element of U(1,n+1) and seeded elements of
 U(n), of the parabolic subgroup and of U(1,n+1) to conjugate by, a random element
 of U(1,n+1), the two Ricci-flat predicates of the classification
 corollary, the value of a jet at a point, the entrywise jet-matrix
-product, bit-for-bit equality of jets and jet matrices, the distance of
-two jet matrices and the pp-wave verdict of a report."""
+product, the bracket closure of a matrix algebra pair by pair,
+bit-for-bit equality of jets and jet matrices, the distance of two jet
+matrices and the pp-wave verdict of a report."""
 import numpy as np
 
 from lkholonomy.classify import KLDescriptor, build_family
 from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.curvspace import CurvatureParam, param_dim
 from lkholonomy.hermitian import WittMetric
-from lkholonomy.lie import ABZCElement
+from lkholonomy.lie import ABZCElement, span_residual
 from lkholonomy.jetmat import jmat_add, jmat_max_abs, jmat_scale
 
 
@@ -189,6 +190,17 @@ def reference_mul(A, B):
                 acc = acc + A[i, l] * B[l, j]
             out[i, j] = acc
     return out
+
+
+def bracket_residual_by_pairs(alg) -> float:
+    """The largest real residual component of [x, y] off the real span of
+    alg's basis, one least-squares fit per pair x before y: the loop that
+    MatrixAlgebra.bracket_residual stacks into one fit."""
+    worst = 0.0
+    for i, x in enumerate(alg.basis):
+        for y in alg.basis[i + 1:]:
+            worst = max(worst, span_residual(x @ y - y @ x, alg.basis))
+    return worst
 
 
 def same_bits(a, b) -> bool:

@@ -330,25 +330,32 @@ def _reference_holonomy(m, r_max):
     return dims, alg.basis, alg.bracket_residual()
 
 
-@pytest.mark.parametrize("metric", ["flat", "gkl", "dense"])
+@pytest.mark.parametrize("metric", ["flat", "gkl", "dense", "gk0psi", "dense-n0"])
 def test_holonomy_skipping_zero_blocks_matches_the_full_conjugation(metric, suite, monkeypatch):
-    """Skipping the blocks R_cd with no terms changes no bit: on the flat
-    metric (all 16 blocks zero), the order-9 GKL(2, 0) potential (11 of 16)
-    and a seeded dense n = 1 potential (3 of 9).  The dense curvature spans
-    the ambient at the base point, so the public entry point stops there;
-    that case compares the full span it bypasses."""
+    """Skipping the blocks R_cd with no terms and conjugating the others in
+    one stacked product per side changes no bit: on the flat metric (all 16
+    blocks zero), the order-9 GKL(2, 0) potential (11 of 16), a seeded dense
+    n = 1 potential (3 of 9), the order-9 GK0PSI potential of suite index 8
+    (10 of 16) and the seeded dense n = 0, order-10 potential (1 of 4).  The
+    dense n = 1 curvature spans the ambient at the base point, so the public
+    entry point stops there; that case compares the full span it bypasses."""
     if metric == "flat":
         space = JetSpace(4, 9)
         f = P.fc_potential(space, 0.0, 0.0) + P.fun_potential(space, 2, [])
     elif metric == "gkl":
         f = P.build_potential(suite[6], order=9)
-    else:
+    elif metric == "gk0psi":
+        f = P.build_potential(suite[8], order=9)
+    elif metric == "dense":
         f = _dense_walker_potential(monkeypatch, (0, 3), 1, 7)
+    else:
+        f = _dense_walker_potential(monkeypatch, (0, 1), 0, 10)
     m = G.metric_from_potential(f)
     r_max = m.space.order - 4
     zero = [not any(j.terms for j in jmat_truncated(R, r_max).flat)
             for row in m.curv for R in row]
-    assert sum(zero) == {"flat": 16, "gkl": 11, "dense": 3}[metric]
+    assert (sum(zero), len(zero)) == {"flat": (16, 16), "gkl": (11, 16), "dense": (3, 9),
+                                      "gk0psi": (10, 16), "dense-n0": (1, 4)}[metric]
     hol = (G._holonomy_span if metric == "dense" else G.infinitesimal_holonomy)(m, r_max)
     dims, basis, bracket = _reference_holonomy(m, r_max)
     assert hol.dims_by_order == dims
@@ -453,6 +460,20 @@ def test_the_ambient_result_is_the_full_span(case, n, order, monkeypatch):
         assert got.family == want.family == "GK"
         assert C.same_descriptor(got, want)
         assert fast.algebra.equals(full.algebra)
+
+
+def test_ppwave_check_refuses_a_metric_outside_the_walker_form_first(monkeypatch):
+    """ppwave_check on a metric outside the Walker form gives the normal
+    form's one-line error before Gamma is built."""
+    m = G.metric_from_potential(_not_walker_potential())
+
+    def refuse(m):
+        raise AssertionError("christoffel called")
+
+    monkeypatch.setattr(G, "christoffel", refuse)
+    with pytest.raises(ValueError, match="^metric is not in the isotropic-line normal form$"):
+        G.ppwave_check(m)
+    assert "gamma" not in vars(m)
 
 
 @pytest.mark.parametrize("metric", ["dense-n0", "dense-n1", "dense-n2", "gk-n1", "gk0psi-n2",
