@@ -20,7 +20,10 @@ The verdicts run in-process through ``lkholonomy.cli.main``:
     algebra at n = 4 and 5 and on the first entry of ``catalog --n 4`` and
     ``catalog --n 5``; then on the other entries of ``catalog --n 4`` and
     ``catalog --n 5``, on the full algebra at n = 6 and 7 and on the first
-    entry of ``catalog --n 6`` and ``catalog --n 7``.
+    entry of ``catalog --n 6`` and ``catalog --n 7``;
+  - at the very end, ``holonomy --rmax 6`` at order 10 on the ten
+    regression descriptors, the full spans with the highest r_max that the
+    benchmark's ``verdict-mix`` workload runs.
 
 Each line is ``<sha256> <exit code> <verdict>``.  The digest is of the
 ``--out`` report, or of the error output when no report is written.
@@ -135,6 +138,16 @@ def n0_verdicts(work: str):
         yield f"validate-n0-e{i}", ["validate", "--potential", pot]
 
 
+def order10_verdicts(work: str):
+    """(name, argv) of ``holonomy --rmax 6`` at order 10 on the ten
+    regression descriptors, printed last so that the lines before them keep
+    their order."""
+    for i, d in enumerate(descriptor_suite()[:10]):
+        pot = _write(work, f"d{i}-o10", {"kind": "descriptor", "order": 10,
+                                         "descriptor": S.encode_descriptor(d)})
+        yield f"holonomy-d{i}-o10", ["holonomy", "--potential", pot, "--rmax", "6"]
+
+
 def _full(work: str, n: int) -> str:
     """A descriptor file of the full algebra u(1,n+1)_Cp."""
     zero = np.zeros((n, n), complex)
@@ -232,6 +245,7 @@ def main() -> int:
                 print(f"{_dense_digest(inputs, *case)} - {name}")
         run(work, n0_verdicts(work))
         run(work, berger_verdicts(work))
+        run(work, order10_verdicts(work))
     return 0
 
 

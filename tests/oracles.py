@@ -4,7 +4,8 @@ random element of U(1,n+1) and seeded elements of
 U(n), of the parabolic subgroup and of U(1,n+1) to conjugate by, a random element
 of U(1,n+1), the two Ricci-flat predicates of the classification
 corollary, the value of a jet at a point, the entrywise jet-matrix
-product, the bracket closure of a matrix algebra pair by pair,
+product, the jet-matrix radial gauge, the conversions between jet matrices
+and term tables, the bracket closure of a matrix algebra pair by pair,
 bit-for-bit equality of jets and jet matrices, the distance of two jet
 matrices and the pp-wave verdict of a report."""
 import numpy as np
@@ -14,7 +15,9 @@ from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.curvspace import CurvatureParam, param_dim
 from lkholonomy.hermitian import WittMetric
 from lkholonomy.lie import ABZCElement, span_residual
-from lkholonomy.jetmat import jmat_add, jmat_max_abs, jmat_scale
+from lkholonomy.jetmat import (jmat_add, jmat_from_graded, jmat_graded, jmat_identity,
+                               jmat_max_abs, jmat_mul, jmat_scale, jmat_space, jmat_zero)
+from lkholonomy.jets import MASK, Jet, JetSpace, graded_sum
 
 
 def r0_average(R0: np.ndarray) -> np.ndarray:
@@ -190,6 +193,41 @@ def reference_mul(A, B):
                 acc = acc + A[i, l] * B[l, j]
             out[i, j] = acc
     return out
+
+
+def jmat_radial_gauge(gamma):
+    """The radial parallel gauge P of Gamma as a jet matrix, through the
+    jet-matrix kernel: with W = sum_c z^c Gamma_c (jmat_scale by
+    space.variable(c)), the degree-d part solves
+    d P_d = -sum_{0<i<=d} W_i P_{d-i} by graded_sum over jmat_mul.  The
+    term tables of geometry.radial_parallel_gauge must have its bits."""
+    space = jmat_space(gamma[0])
+    W = jmat_scale(gamma[0], space.variable(0))
+    for c in range(1, len(gamma)):
+        W = jmat_add(W, jmat_scale(gamma[c], space.variable(c)))
+    W = jmat_graded(W)
+    P = [jmat_identity(len(gamma), space)]
+    for d in range(1, space.order + 1):
+        s = graded_sum(W, P, d, jmat_mul)
+        P.append(None if s is None else jmat_scale(s, -1.0 / d))
+    return jmat_from_graded(P)
+
+
+def term_table(A) -> dict:
+    """The term table {(i, j): terms} of the non-empty entries of A."""
+    return {idx: dict(a.terms) for idx, a in np.ndenumerate(A) if a.terms}
+
+
+def table_jmat(table: dict, shape, space: JetSpace):
+    """The jet matrix of a term table, every entry of the space's order; it
+    refuses a table that holds an empty entry or a term above the order."""
+    A = jmat_zero(shape, space)
+    for idx, terms in table.items():
+        assert terms and max(k & MASK for k in terms) <= space.order, idx
+        jet = Jet(space.num_coords, space.order)
+        jet.terms = dict(terms)
+        A[idx] = jet
+    return A
 
 
 def bracket_residual_by_pairs(alg) -> float:

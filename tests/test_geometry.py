@@ -6,7 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from oracles import is_ppwave, jmat_residual, reference_mul, same_matrix_bits
+from oracles import (is_ppwave, jmat_radial_gauge, jmat_residual, reference_mul,
+                     same_matrix_bits, table_jmat)
 
 from lkholonomy import classify as C
 from lkholonomy import cli
@@ -16,7 +17,7 @@ from lkholonomy import serialization as S
 from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.jetmat import (jmat_add, jmat_derivative, jmat_eval0, jmat_inverse,
                                jmat_max_abs, jmat_mul, jmat_scale, jmat_truncated)
-from lkholonomy.jets import MASK, JetSpace, real_part
+from lkholonomy.jets import MASK, Jet, JetSpace, real_part
 from lkholonomy.lie import MatrixAlgebra, row_space
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -148,9 +149,12 @@ def test_witt_frame_of_an_indefinite_block_is_a_degeneracy():
 def test_gauge_is_parallel_along_the_radial_field(metric):
     """sum_c z^c (d_c P + Gamma_c P) + zbar^c d_cbar P = 0: nabla_cbar is
     the plain derivative, so the radial field's covariant derivative is the
-    total Euler operator plus sum_c z^c Gamma_c."""
+    total Euler operator plus sum_c z^c Gamma_c.  Checked on the term table
+    of P to the full order of Gamma."""
     m = _fc_metric(1.0, 0.5) if metric == "fc" else _nondiagonal_metric()
-    P = G.radial_parallel_gauge(m.gamma)
+    r_max = m.space.order - 1
+    P = table_jmat(G.radial_parallel_gauge(m.gamma, r_max)[0], (m.dim, m.dim),
+                   JetSpace(m.dim, r_max))
     assert P[0, 0].order == m.space.order - 1
     total = None
     for c in range(m.dim):
@@ -263,20 +267,61 @@ def test_cli_holonomy_builds_each_stage_once(stage_calls, tmp_path, capsys):
 
 
 def test_gauge_is_built_from_gamma_truncated_to_r_max(monkeypatch):
+    """The holonomy's gauge reads no Gamma term of degree >= r_max: with
+    every such term of the cached full-order Gamma set to nan, P and P^-1
+    keep their keys and bits."""
     seen = {}
 
-    def recording(gamma, fn=G.radial_parallel_gauge):
-        jets = [j for g in gamma for j in g.flat]
-        seen["orders"] = {j.order for j in jets}
-        seen["top_degree"] = max((sum(I) + sum(J) for j in jets for I, J in j.coeffs),
-                                 default=0)
-        return fn(gamma)
+    def recording(gamma, r_max, fn=G.radial_parallel_gauge):
+        seen["gamma"], seen["r_max"] = gamma, r_max
+        return fn(gamma, r_max)
 
     monkeypatch.setattr(G, "radial_parallel_gauge", recording)
     m = _fc_metric(1.0, 1.0, order=9)
     G.infinitesimal_holonomy(m, r_max=3)
     assert m.gamma[0][0, 0].order == m.space.order - 1  # the cached stage keeps full order
-    assert seen == {"orders": {3}, "top_degree": 3}
+    assert seen["r_max"] == 3 and seen["gamma"] is m.gamma
+    poisoned, high = [], 0
+    for g in m.gamma:
+        p = np.empty(g.shape, dtype=object)
+        for idx, jet in np.ndenumerate(g):
+            p[idx] = Jet(jet.num_coords, jet.order)
+            p[idx].terms = {k: v if k & MASK < 3 else complex("nan") for k, v in jet.terms.items()}
+            high += sum(k & MASK >= 3 for k in jet.terms)
+        poisoned.append(p)
+    assert high > 0
+    space = JetSpace(m.dim, 3)
+    for want, got in zip(G.radial_parallel_gauge(m.gamma, 3),
+                         G.radial_parallel_gauge(poisoned, 3)):
+        assert same_matrix_bits(table_jmat(got, (m.dim, m.dim), space),
+                                table_jmat(want, (m.dim, m.dim), space))
+
+
+@pytest.mark.parametrize("metric", ["suite-o9", "suite-o10", "dense-n0", "fc", "nondiagonal"])
+def test_gauge_tables_are_the_jet_matrix_gauge_bit_for_bit(metric, suite, monkeypatch):
+    """The term tables of P and P^-1 hold, entry by entry, the keys in the
+    same order and the coefficient bytes of the jet-matrix gauge of Gamma
+    cut to r_max and of its jmat_inverse: on the ten regression descriptors
+    at order 9 (r_max 5) and 10 (r_max 6), the dense n = 0 potentials of
+    orders 8 and 10 at seeds 0 and 7 (r_max order - 4), and the fc and
+    nondiagonal metrics at r_max 3 and at the full order of Gamma."""
+    if metric.startswith("suite"):
+        order = int(metric.split("-o")[1])
+        cases = [(G.metric_from_potential(P.build_potential(d, order=order)), order - 4)
+                 for d in suite[:10]]
+    elif metric == "dense-n0":
+        cases = [(G.metric_from_potential(
+                     _dense_walker_potential(monkeypatch, (seed, case), 0, order)), order - 4)
+                 for seed in (0, 7) for case, order in enumerate([8, 10])]
+    else:
+        m = _fc_metric(1.0, 0.5) if metric == "fc" else _nondiagonal_metric()
+        cases = [(m, 3), (m, m.space.order - 1)]
+    for m, r_max in cases:
+        want = jmat_radial_gauge([jmat_truncated(g, r_max) for g in m.gamma])
+        tables = G.radial_parallel_gauge(m.gamma, r_max)
+        got = [table_jmat(t, want.shape, JetSpace(m.dim, r_max)) for t in tables]
+        assert same_matrix_bits(got[0], want)
+        assert same_matrix_bits(got[1], jmat_inverse(want))
 
 
 def test_truncated_conjugation_keeps_every_coefficient_it_reads(monkeypatch):
@@ -285,9 +330,12 @@ def test_truncated_conjugation_keeps_every_coefficient_it_reads(monkeypatch):
     the holonomy builds from operands cut at r_max."""
     r_max = 3
     m = G.metric_from_potential(_dense_walker_potential(monkeypatch, (0, 3), 1, 7))
-    P_full = G.radial_parallel_gauge(m.gamma)
-    P = G.radial_parallel_gauge([jmat_truncated(g, r_max) for g in m.gamma])
-    Pinv_full, Pinv = jmat_inverse(P_full), jmat_inverse(P)
+    top = m.space.order - 1
+    shape = (m.dim, m.dim)
+    P_full, Pinv_full = (table_jmat(t, shape, JetSpace(m.dim, top))
+                         for t in G.radial_parallel_gauge(m.gamma, top))
+    P, Pinv = (table_jmat(t, shape, JetSpace(m.dim, r_max))
+               for t in G.radial_parallel_gauge(m.gamma, r_max))
     for c in range(m.dim):
         for d in range(m.dim):
             full = jmat_mul(Pinv_full, jmat_mul(m.curv[c][d], P_full))
@@ -302,11 +350,11 @@ def test_truncated_conjugation_keeps_every_coefficient_it_reads(monkeypatch):
 
 def _reference_holonomy(m, r_max):
     """infinitesimal_holonomy with every block P^-1 R_cd P, zero or not,
-    conjugated through the entrywise product: dims_by_order, the basis and
-    the bracket residual."""
+    conjugated through the entrywise product, with the jet-matrix gauge and
+    its jmat_inverse: dims_by_order, the basis and the bracket residual."""
     Q = m.frame0
     Qinv = np.linalg.inv(Q)
-    P = G.radial_parallel_gauge([jmat_truncated(g, r_max) for g in m.gamma])
+    P = jmat_radial_gauge([jmat_truncated(g, r_max) for g in m.gamma])
     Pinv = jmat_inverse(P)
     coeffs_by_deg = {r: [] for r in range(r_max + 1)}
     for row in m.curv:
@@ -433,7 +481,8 @@ def test_holonomy_below_the_ambient_takes_the_full_span(metric, suite, monkeypat
         cases = [(_not_walker_potential(), 3)]
     calls = []
     gauge = G.radial_parallel_gauge
-    monkeypatch.setattr(G, "radial_parallel_gauge", lambda gamma: calls.append(1) or gauge(gamma))
+    monkeypatch.setattr(G, "radial_parallel_gauge",
+                        lambda gamma, r_max: calls.append(1) or gauge(gamma, r_max))
     for f, r_max in cases:
         m = G.metric_from_potential(f)
         assert m.is_walker() == (metric != "not-walker")

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jmat_residual, reference_mul, same_bits, same_matrix_bits
+from oracles import (jmat_residual, reference_mul, same_bits, same_matrix_bits, table_jmat,
+                     term_table)
 
 from lkholonomy.jetmat import (
     jmat_add,
@@ -27,6 +28,7 @@ from lkholonomy.jetmat import (
     jmat_truncated,
     jmat_zero,
 )
+from lkholonomy.geometry import _table_mul
 from lkholonomy.jets import Jet, JetShapeError, JetSpace
 
 SPACE = JetSpace(2, 5)
@@ -229,6 +231,32 @@ def sparse_jet_matrices(draw):
 @settings(max_examples=100, deadline=None)
 def test_sparse_product_matches_the_entrywise_loop_bit_for_bit(AB):
     assert _same_product(*AB)
+
+
+@given(sparse_jet_matrices(), st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_table_product_is_jmat_mul_bit_for_bit(AB, order):
+    """The holonomy span's product of term tables has, entry by entry, the
+    keys in the same order and the bits of jmat_mul, on sparse matrices
+    whose entries are all cut to one order."""
+    A, B = ([[Jet(2, order, a.coeffs) for a in row] for row in M] for M in AB)
+    A, B = np.array(A, dtype=object), np.array(B, dtype=object)
+    got = _table_mul(term_table(A), term_table(B), order)
+    want = jmat_mul(A, B)
+    assert same_matrix_bits(table_jmat(got, want.shape, JetSpace(2, order)), want)
+
+
+def test_table_product_is_jmat_mul_on_dense_matrices(rng):
+    """The same on dense matrices, where several pairs of one product land
+    on one key: merging a product straight into the sum would round
+    otherwise."""
+    A = _dense_jmat(rng, k=3)
+    B = jmat_mul(A, A)
+    B[1, 2] = Jet(2, 4, {})
+    for X, Y in [(A, B), (B, A), (A[:2], B)]:
+        got = _table_mul(term_table(X), term_table(Y), 4)
+        want = jmat_mul(X, Y)
+        assert same_matrix_bits(table_jmat(got, want.shape, JetSpace(2, 4)), want)
 
 
 def test_fused_product_matches_on_dense_matrices(rng):
