@@ -15,9 +15,10 @@ from itertools import chain
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .jets import (MASK, InsufficientOrderError, Jet, JetSpace, field_mask, product_into,
-                   var_key)
+from .jets import MASK, InsufficientOrderError, Jet, JetSpace, field_mask, var_key
 from .jetmat import (
+    graded_inverse,
+    graded_solve,
     jmat_add,
     jmat_commutator,
     jmat_conj_transpose,
@@ -33,6 +34,10 @@ from .jetmat import (
     jmat_sqrt,
     jmat_truncated,
     jmat_zero,
+    table_from_parts,
+    table_mul,
+    table_parts,
+    uniform,
 )
 from .hermitian import WittMetric
 from .lie import (
@@ -395,115 +400,26 @@ def frame_gram_residual(m: MetricJet, F: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-# A term table is {(i, j): terms}: the non-empty entries of a jet matrix,
-# each a dict of packed keys to coefficients, every entry of one order.  The
-# holonomy span builds P, P^-1 and the conjugation on tables, which skip
-# the empty entries and parts that a jet matrix carries, with the floats,
-# in the same order, of jmat_mul, graded_sum and jmat_inverse.
-
-
-def _merge(acc: dict, terms: dict) -> None:
-    """Add terms into acc as Jet.__add__ merges: get(key, 0.0) + value."""
-    get = acc.get
-    for key, v in terms.items():
-        acc[key] = get(key, 0.0) + v
-
-
-def _table_sum(tables: list[dict]) -> dict:
-    """tables[0] + tables[1] + ..., left to right and entry by entry by
-    Jet.__add__'s rule, as graded_sum sums jet matrices; an entry missing
-    from the first table starts from an empty jet.  Reuses tables[0]."""
-    out = tables[0]
-    for table in tables[1:]:
-        for e, terms in table.items():
-            _merge(out.setdefault(e, {}), terms)
-    return out
-
-
-def _table_mul(A: dict, B: dict, order: int) -> dict:
-    """The table of the product A B of jet matrices of this order, by
-    jmat_mul's entry rule: entry (i, j) runs over the l, ascending, at which
-    both A[i, l] and B[l, j] have terms; the first product goes straight
-    into the sum, each later one is built in its own dict and merged, and
-    the degree-filtered term lists of B[l, j] are shared across the rows."""
-    rows: dict = {}
-    for i, l in sorted(A):
-        rows.setdefault(i, []).append((l, A[i, l]))
-    cols: dict = {}
-    for l, j in B:
-        cols.setdefault(j, {})[l] = B[l, j]
-    out = {}
-    for j, col in cols.items():
-        fits: dict = {}
-        for i, row in rows.items():
-            acc: dict = {}
-            for l, a in row:
-                b = col.get(l)
-                if b is None:
-                    continue
-                if not acc:
-                    product_into(acc, a, b, order, fits.setdefault(l, {}))
-                    continue
-                prod: dict = {}
-                product_into(prod, a, b, order, fits.setdefault(l, {}))
-                _merge(acc, prod)
-            if acc:
-                out[i, j] = acc
-    return out
-
-
-def _graded_solve(A: list, dim: int, r_max: int, step) -> list[dict | None]:
-    """The parts X_0 = id and X_d = step(d, sum_{0<i<=d} A_i X_{d-i}) to
-    degree r_max: the sum as graded_sum forms it over jmat_mul, None where
-    graded_sum gives None, and step applied to the terms of each entry."""
-    X: list[dict | None] = [{(i, i): {0: 1.0 + 0.0j} for i in range(dim)}]
-    for d in range(1, r_max + 1):
-        terms = [_table_mul(A[i], X[d - i], r_max) for i in range(1, d + 1)
-                 if A[i] and X[d - i] is not None]
-        X.append({e: step(d, t) for e, t in _table_sum(terms).items()} if terms else None)
-    return X
-
-
-def _from_graded(parts: list[dict | None]) -> dict:
-    """The table of these homogeneous parts, merged as Jet.from_graded."""
-    out: dict = {}
-    for part in parts:
-        for e, terms in (part or {}).items():
-            out.setdefault(e, {}).update(terms)
-    return out
-
-
 def radial_parallel_gauge(gamma: list[np.ndarray], r_max: int) -> tuple[dict, dict]:
     """The term tables of P and P^-1 to degree r_max, with P(0) = id and P
     parallel along radial directions: with W = sum_c z^c Gamma_c, the
     degree-d part solves d P_d = -sum_{0<i<=d} W_i P_{d-i} (antiholomorphic
     covariant derivatives are plain derivatives, so only holomorphic Gammas
-    enter), and X = P^-1 solves jmat_inverse's X_d = -sum_{0<i<=d} P_i X_{d-i}.
+    enter), and P^-1 is the graded inverse of P, whose P_0 is id.
 
-    W reads the Gamma terms of degree < r_max shifted by the key of z^c,
-    each coefficient 0.0 + g * (1+0j) as jmat_scale by space.variable(c)
-    gives it, summed over c by Jet.__add__'s rule.  So P has every bit of
-    the jet-matrix gauge of Gamma cut to r_max, and P^-1, whose -I step is
-    0.0 + (-1-0j) * c, every bit of its jmat_inverse."""
+    W is one table product to degree r_max: the entries (i, j) of the Gamma_c
+    as rows, c as columns, times the column of the z^c.  So it reads no
+    Gamma term of degree >= r_max."""
     dim = len(gamma)
-    W: list[dict] = [{} for _ in range(r_max + 1)]
-    for i in range(dim):
-        for j in range(dim):
-            acc: dict = {}
-            for c in range(dim):
-                unit = var_key(dim, c)
-                shifted = {k + unit: 0.0 + g * (1.0 + 0.0j)
-                           for k, g in gamma[c][i, j].terms.items() if k & MASK < r_max}
-                if c == 0:
-                    acc = shifted
-                else:
-                    _merge(acc, shifted)
-            for key, v in acc.items():
-                W[key & MASK].setdefault((i, j), {})[key] = v
-    P = _graded_solve(W, dim, r_max, lambda d, t: {k: v * complex(-1.0 / d) for k, v in t.items()})
-    minus_one = -(1.0 + 0.0j)   # the -inv(P(0)) = -I of jmat_inverse
-    X = _graded_solve(P, dim, r_max, lambda d, t: {k: 0.0 + minus_one * v for k, v in t.items()})
-    return _from_graded(P), _from_graded(X)
+    stack = {(i * dim + j, c): jet.terms for c, g in enumerate(gamma)
+             for (i, j), jet in np.ndenumerate(g) if jet.terms}
+    zs = {(c, 0): {var_key(dim, c): 1.0 + 0.0j} for c in range(dim)}
+    W = {divmod(e, dim): t for (e, _), t in table_mul(stack, zs, uniform(r_max)).items()}
+    P = graded_solve(table_parts(W, r_max), [{(i, i): {0: 1.0 + 0.0j} for i in range(dim)}],
+                     r_max, lambda d, s: {e: {k: v * complex(-1.0 / d) for k, v in t.items()}
+                                          for e, t in s.items()})
+    Pinv = graded_inverse(P, np.eye(dim, dtype=complex), r_max)
+    return table_from_parts(P), table_from_parts(Pinv)
 
 
 @dataclass
@@ -608,9 +524,9 @@ def _holonomy_span(m: MetricJet, r_max: int) -> HolonomyResult:
     stack = {(b * dim + i, j): t for b, block in enumerate(blocks) for (i, j), t in block.items()}
     # P^-1 R P for every block from one product per side: the stack times
     # P, then P^-1 times the products laid side by side
-    RP = _table_mul(stack, P, r_max)
+    RP = table_mul(stack, P, uniform(r_max))
     side = {(r % dim, r - r % dim + j): terms for (r, j), terms in RP.items()}
-    conj = _table_mul(Pinv, side, r_max)
+    conj = table_mul(Pinv, side, uniform(r_max))
     coeffs_by_deg: dict[int, list[np.ndarray]] = {r: [] for r in range(r_max + 1)}
     for b in range(len(blocks)):
         # one slot per key, in order of first appearance (entries in C

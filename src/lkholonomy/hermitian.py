@@ -1,7 +1,7 @@
 """Linear algebra over the Witt model of C^{1,n+1}.
 
-Hermitian forms, the exp-derivative series, and the real-form data
-(omega, lambda_k, theta, tau) attached to a real subspace L_0 of C^{n-m}.
+Hermitian forms and the real-form data (omega, lambda_k, theta, tau)
+attached to a real subspace L_0 of C^{n-m}.
 
 Convention: the Hermitian form is linear in the first argument and
 conjugate-linear in the second, h(X, Y) = conj(Y)^T . Gram . X.  This is the
@@ -16,14 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .jetmat import (
-    jmat_add,
-    jmat_commutator,
-    jmat_derivative,
-    jmat_eval0,
-    jmat_scale,
-    jmat_space,
-)
 from .lie import numerical_rank, row_space
 
 
@@ -55,21 +47,6 @@ class WittMetric:
         res = np.abs(xi.conj().swapaxes(-2, -1) @ g + g @ xi).max(axis=(-2, -1))
         scale = np.maximum(np.abs(xi).max(axis=(-2, -1)), 1.0)
         return bool(np.all(res <= DEFAULT_TOL.residual * scale))
-
-
-def exp_derivative_series(G: np.ndarray, var: int) -> np.ndarray:
-    """e^{-G} d_var e^G as the truncated ad-series
-    sum_k (-1)^k/(k+1)! (ad_G)^k d_var G, for a jet matrix G with G(0) = 0."""
-    if np.abs(jmat_eval0(G)).max() > DEFAULT_TOL.coeff_zero:
-        raise ValueError("exp_derivative_series requires G(0) = 0")
-    dG = jmat_derivative(G, var, holomorphic=True)
-    acc = dG
-    term = dG
-    for k in range(1, jmat_space(G).order + 1):
-        term = jmat_commutator(G, term)
-        coeff = (-1.0) ** k / math.factorial(k + 1)
-        acc = jmat_add(acc, jmat_scale(term, coeff))
-    return acc
 
 
 def _canonical_f_pair(lam: float) -> np.ndarray:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -382,10 +381,10 @@ class JetSpace:
         return Jet.variable(i, self.num_coords, self.order, holomorphic=False)
 
 
-def graded_sum(a: list, x: list, d: int, mul=mul):
-    """sum_i mul(a[i], x[d - i]) over the i at which both parts exist, or
-    None when no pair does; the parts are jets or jet matrices."""
-    terms = [mul(a[i], x[d - i]) for i in range(len(a))
+def graded_sum(a: list, x: list, d: int):
+    """sum_i a[i] * x[d - i] over the i at which both jet parts exist, or
+    None when no pair does."""
+    terms = [a[i] * x[d - i] for i in range(len(a))
              if 0 <= d - i < len(x) and a[i] is not None and x[d - i] is not None]
     return sum(terms[1:], terms[0]) if terms else None
 

@@ -4,10 +4,14 @@ random element of U(1,n+1) and seeded elements of
 U(n), of the parabolic subgroup and of U(1,n+1) to conjugate by, a random element
 of U(1,n+1), the two Ricci-flat predicates of the classification
 corollary, the value of a jet at a point, the entrywise jet-matrix
-product, the jet-matrix radial gauge, the conversions between jet matrices
-and term tables, the bracket closure of a matrix algebra pair by pair,
+product and, over it, the graded inverse, square root and radial gauge of
+jet matrices and the exp-derivative series, the conversions between jet
+matrices and term tables, the bracket closure of a matrix algebra pair by pair,
 bit-for-bit equality of jets and jet matrices, the distance of two jet
 matrices and the pp-wave verdict of a report."""
+import math
+from itertools import repeat
+
 import numpy as np
 
 from lkholonomy.classify import KLDescriptor, build_family
@@ -15,9 +19,9 @@ from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.curvspace import CurvatureParam, param_dim
 from lkholonomy.hermitian import WittMetric
 from lkholonomy.lie import ABZCElement, span_residual
-from lkholonomy.jetmat import (jmat_add, jmat_from_graded, jmat_graded, jmat_identity,
-                               jmat_max_abs, jmat_mul, jmat_scale, jmat_space, jmat_zero)
-from lkholonomy.jets import MASK, Jet, JetSpace, graded_sum
+from lkholonomy.jetmat import (_filled, jmat_add, jmat_derivative, jmat_eval0, jmat_from_const,
+                               jmat_identity, jmat_max_abs, jmat_scale, jmat_space, jmat_zero)
+from lkholonomy.jets import MASK, Jet, JetSpace
 
 
 def r0_average(R0: np.ndarray) -> np.ndarray:
@@ -184,7 +188,7 @@ def evaluate(jet, point, conj_point=None) -> complex:
 
 def reference_mul(A, B):
     """The entrywise loop acc = acc + A[i, l] * B[l, j] through Jet.__mul__
-    and Jet.__add__: the product the fused jmat_mul must reproduce exactly."""
+    and Jet.__add__: the product the table kernel must reproduce exactly."""
     out = np.empty((A.shape[0], B.shape[1]), dtype=object)
     for i in range(A.shape[0]):
         for j in range(B.shape[1]):
@@ -195,12 +199,74 @@ def reference_mul(A, B):
     return out
 
 
+def jmat_graded(A):
+    """The homogeneous parts of degree 0..order of a jet matrix, None where
+    every entry's part is empty."""
+    space = jmat_space(A)
+    zero = space.zero()
+    parts = [[zero] * A.size for _ in range(space.order + 1)]
+    for i, a in enumerate(A.flat):
+        for d, part in enumerate(a.graded()):
+            if part is not None:
+                parts[d][i] = part
+    return [_filled(A.shape, p) if any(j.terms for j in p) else None for p in parts]
+
+
+def jmat_from_graded(parts):
+    """The jet matrix whose homogeneous parts these are; parts[0] must exist."""
+    entries = zip(*(repeat(None) if p is None else p.flat for p in parts))
+    return _filled(parts[0].shape, map(Jet.from_graded, entries))
+
+
+def graded_sum(a, x, d):
+    """sum_i reference_mul(a[i], x[d - i]) over the i at which both parts
+    exist, summed left to right by object-array addition, or None when no
+    pair does."""
+    terms = [reference_mul(a[i], x[d - i]) for i in range(len(a))
+             if 0 <= d - i < len(x) and a[i] is not None and x[d - i] is not None]
+    return sum(terms[1:], terms[0]) if terms else None
+
+
+def reference_inverse(A):
+    """The inverse of a jet matrix, degree by degree on jet matrices:
+    X_0 = A_0^{-1} and X_d = -A_0^{-1} sum_{0<i<=d} A_i X_{d-i} by
+    graded_sum and reference_mul.  jmat_inverse must have its bits."""
+    space = jmat_space(A)
+    A0inv = np.linalg.inv(jmat_eval0(A))
+    minus_A0inv = jmat_from_const(-A0inv, space)
+    parts = jmat_graded(A)
+    X = [jmat_from_const(A0inv, space)]
+    for d in range(1, space.order + 1):
+        s = graded_sum(parts, X, d)
+        X.append(None if s is None else reference_mul(minus_A0inv, s))
+    return jmat_from_graded(X)
+
+
+def reference_sqrt(A):
+    """The square root of a jet matrix with a Hermitian positive definite
+    constant part, degree by degree on jet matrices in the eigenbasis U of
+    A_0: T_0 = diag(sqrt(w)) and T_d = (B_d - sum_{0<i<d} T_i T_{d-i}) over
+    sqrt(w_i) + sqrt(w_j), B = U^H A U, all by reference_mul and object-array
+    arithmetic; the root is U T U^H.  jmat_sqrt must have its bits."""
+    space = jmat_space(A)
+    w, U = np.linalg.eigh(jmat_eval0(A))
+    root = np.sqrt(w)
+    Uh, Uc = jmat_from_const(U.conj().T, space), jmat_from_const(U, space)
+    B = jmat_graded(reference_mul(Uh, reference_mul(A, Uc)))
+    T = [jmat_from_const(np.diag(root), space)]
+    for d in range(1, space.order + 1):
+        s = graded_sum(T, T, d)
+        R = B[d] if s is None else -s if B[d] is None else B[d] - s
+        T.append(None if R is None else R * (1.0 / np.add.outer(root, root)))
+    return reference_mul(Uc, reference_mul(jmat_from_graded(T), Uh))
+
+
 def jmat_radial_gauge(gamma):
-    """The radial parallel gauge P of Gamma as a jet matrix, through the
-    jet-matrix kernel: with W = sum_c z^c Gamma_c (jmat_scale by
-    space.variable(c)), the degree-d part solves
-    d P_d = -sum_{0<i<=d} W_i P_{d-i} by graded_sum over jmat_mul.  The
-    term tables of geometry.radial_parallel_gauge must have its bits."""
+    """The radial parallel gauge P of Gamma as a jet matrix, on jet
+    matrices: with W = sum_c z^c Gamma_c (jmat_scale by space.variable(c)),
+    the degree-d part solves d P_d = -sum_{0<i<=d} W_i P_{d-i} by graded_sum
+    and reference_mul.  The term tables of geometry.radial_parallel_gauge
+    must have its bits."""
     space = jmat_space(gamma[0])
     W = jmat_scale(gamma[0], space.variable(0))
     for c in range(1, len(gamma)):
@@ -208,9 +274,25 @@ def jmat_radial_gauge(gamma):
     W = jmat_graded(W)
     P = [jmat_identity(len(gamma), space)]
     for d in range(1, space.order + 1):
-        s = graded_sum(W, P, d, jmat_mul)
+        s = graded_sum(W, P, d)
         P.append(None if s is None else jmat_scale(s, -1.0 / d))
     return jmat_from_graded(P)
+
+
+def exp_derivative_series(G, var):
+    """e^{-G} d_var e^G as the truncated ad-series
+    sum_k (-1)^k/(k+1)! (ad_G)^k d_var G, for a jet matrix G with G(0) = 0,
+    by reference_mul."""
+    if np.abs(jmat_eval0(G)).max() > DEFAULT_TOL.coeff_zero:
+        raise ValueError("exp_derivative_series requires G(0) = 0")
+    dG = jmat_derivative(G, var, holomorphic=True)
+    acc = dG
+    term = dG
+    for k in range(1, jmat_space(G).order + 1):
+        term = jmat_add(reference_mul(G, term), jmat_scale(reference_mul(term, G), -1.0))
+        coeff = (-1.0) ** k / math.factorial(k + 1)
+        acc = jmat_add(acc, jmat_scale(term, coeff))
+    return acc
 
 
 def term_table(A) -> dict:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import descriptor_suite
-from oracles import evaluate, is_ppwave, jmat_residual, random_param
+from oracles import evaluate, exp_derivative_series, is_ppwave, jmat_residual, random_param
 
 from lkholonomy import classify as C
 from lkholonomy import geometry as G
@@ -16,7 +16,7 @@ from lkholonomy.curvspace import (
     param_decode,
     param_encode,
 )
-from lkholonomy.hermitian import RealFormData, exp_derivative_series
+from lkholonomy.hermitian import RealFormData
 from lkholonomy.jetmat import (
     jmat_derivative,
     jmat_eval0,

@@ -6,8 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from oracles import (is_ppwave, jmat_radial_gauge, jmat_residual, reference_mul,
-                     same_matrix_bits, table_jmat)
+from oracles import (is_ppwave, jmat_radial_gauge, jmat_residual, reference_inverse,
+                     reference_mul, reference_sqrt, same_matrix_bits, table_jmat)
 
 from lkholonomy import classify as C
 from lkholonomy import cli
@@ -16,7 +16,7 @@ from lkholonomy import potentials as P
 from lkholonomy import serialization as S
 from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.jetmat import (jmat_add, jmat_derivative, jmat_eval0, jmat_inverse,
-                               jmat_max_abs, jmat_mul, jmat_scale, jmat_truncated)
+                               jmat_max_abs, jmat_mul, jmat_scale, jmat_sqrt, jmat_truncated)
 from lkholonomy.jets import MASK, Jet, JetSpace, real_part
 from lkholonomy.lie import MatrixAlgebra, row_space
 
@@ -301,7 +301,8 @@ def test_gauge_is_built_from_gamma_truncated_to_r_max(monkeypatch):
 def test_gauge_tables_are_the_jet_matrix_gauge_bit_for_bit(metric, suite, monkeypatch):
     """The term tables of P and P^-1 hold, entry by entry, the keys in the
     same order and the coefficient bytes of the jet-matrix gauge of Gamma
-    cut to r_max and of its jmat_inverse: on the ten regression descriptors
+    cut to r_max and of its reference_inverse, both built on jet matrices
+    over the entrywise product: on the ten regression descriptors
     at order 9 (r_max 5) and 10 (r_max 6), the dense n = 0 potentials of
     orders 8 and 10 at seeds 0 and 7 (r_max order - 4), and the fc and
     nondiagonal metrics at r_max 3 and at the full order of Gamma."""
@@ -321,7 +322,30 @@ def test_gauge_tables_are_the_jet_matrix_gauge_bit_for_bit(metric, suite, monkey
         tables = G.radial_parallel_gauge(m.gamma, r_max)
         got = [table_jmat(t, want.shape, JetSpace(m.dim, r_max)) for t in tables]
         assert same_matrix_bits(got[0], want)
-        assert same_matrix_bits(got[1], jmat_inverse(want))
+        assert same_matrix_bits(got[1], reference_inverse(want))
+
+
+@pytest.mark.parametrize("metric", ["suite", "dense", "gauge"])
+def test_jet_inverse_is_the_jet_matrix_loop_bit_for_bit(metric, suite, monkeypatch):
+    """jmat_inverse, the graded inverse of the kernel, has the keys in the
+    same order and the bits of the graded loop on jet matrices over the
+    entrywise product: on the Walker h_{jbar k} blocks of the ten regression
+    descriptors at order 9 and of the dense n = 1, 2 potentials of
+    report_digests.py at seeds 0 and 7, where jmat_sqrt has the bits of its
+    loop too, and on the gauge P of the fc and nondiagonal metrics at
+    r_max 3 and 5."""
+    if metric == "gauge":
+        blocks = [jmat_radial_gauge([jmat_truncated(g, r_max) for g in m.gamma])
+                  for m in (_fc_metric(1.0, 0.5), _nondiagonal_metric()) for r_max in (3, 5)]
+    else:
+        fs = ([P.build_potential(d, order=9) for d in suite[:10]] if metric == "suite" else
+              [_dense_walker_potential(monkeypatch, (seed, case), n, order)
+               for seed in (0, 7) for case, n, order in DIGEST_DENSE])
+        blocks = [m.h[1:m.n + 1, 1:m.n + 1] for m in map(G.metric_from_potential, fs)]
+    for M in blocks:
+        assert M.size and same_matrix_bits(jmat_inverse(M), reference_inverse(M))
+        if metric != "gauge":
+            assert same_matrix_bits(jmat_sqrt(M), reference_sqrt(M))
 
 
 def test_truncated_conjugation_keeps_every_coefficient_it_reads(monkeypatch):
@@ -351,11 +375,12 @@ def test_truncated_conjugation_keeps_every_coefficient_it_reads(monkeypatch):
 def _reference_holonomy(m, r_max):
     """infinitesimal_holonomy with every block P^-1 R_cd P, zero or not,
     conjugated through the entrywise product, with the jet-matrix gauge and
-    its jmat_inverse: dims_by_order, the basis and the bracket residual."""
+    its reference_inverse: dims_by_order, the basis and the bracket
+    residual."""
     Q = m.frame0
     Qinv = np.linalg.inv(Q)
     P = jmat_radial_gauge([jmat_truncated(g, r_max) for g in m.gamma])
-    Pinv = jmat_inverse(P)
+    Pinv = reference_inverse(P)
     coeffs_by_deg = {r: [] for r in range(r_max + 1)}
     for row in m.curv:
         for R in row:

@@ -1,15 +1,10 @@
-"""Hermitian-form helpers, the exp-derivative series, and real-form data."""
+"""Hermitian-form helpers, the exp-derivative series oracle, and real-form data."""
 import numpy as np
 import pytest
 
-from oracles import jmat_residual
+from oracles import exp_derivative_series, jmat_residual
 
-from lkholonomy.hermitian import (
-    RealFormData,
-    WittMetric,
-    _canonical_f_pair,
-    exp_derivative_series,
-)
+from lkholonomy.hermitian import RealFormData, WittMetric, _canonical_f_pair
 from lkholonomy.jetmat import (
     jmat_derivative,
     jmat_exp,

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (jmat_residual, reference_mul, same_bits, same_matrix_bits, table_jmat,
-                     term_table)
+from oracles import (jmat_residual, reference_inverse, reference_mul, reference_sqrt, same_bits,
+                     same_matrix_bits, table_jmat, term_table)
 
 from lkholonomy.jetmat import (
     jmat_add,
@@ -27,8 +27,9 @@ from lkholonomy.jetmat import (
     jmat_sqrt,
     jmat_truncated,
     jmat_zero,
+    table_mul,
+    uniform,
 )
-from lkholonomy.geometry import _table_mul
 from lkholonomy.jets import Jet, JetShapeError, JetSpace
 
 SPACE = JetSpace(2, 5)
@@ -166,13 +167,27 @@ def test_sqrt_of_a_hermitian_jet_matrix_is_hermitian(rng):
     assert _rel_residual(jmat_mul(S, S), H) < 1e-12
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_inverse_and_sqrt_are_the_jet_matrix_loops_bit_for_bit(seed):
+    """jmat_inverse and jmat_sqrt, solved on term tables, have the keys in
+    the same order and the bits of the graded loops on jet matrices over the
+    entrywise product, on a dense matrix and a dense Hermitian one, whose
+    constant parts are not the identity."""
+    A = _dense_jmat(np.random.default_rng(seed))
+    H = jmat_add(A, jmat_conj_transpose(A))
+    for M in (A, H):
+        assert np.abs(jmat_eval0(M) - np.eye(3)).max() > 0.5
+        assert same_matrix_bits(jmat_inverse(M), reference_inverse(M))
+    assert same_matrix_bits(jmat_sqrt(H), reference_sqrt(H))
+
+
 def test_sqrt_rejects_an_indefinite_constant_part():
     A = jmat_from_const(np.diag([1.0, -1.0]), SPACE)
     with pytest.raises(ValueError, match="positive definite"):
         jmat_sqrt(A)
 
 
-# -- the fused product against the entrywise loop --------------------------------
+# -- jmat_mul and the table product against the entrywise loop ---------------------
 
 def _same_product(A, B) -> bool:
     """jmat_mul(A, B) has the shape and, entry by entry, the bits of the
@@ -236,13 +251,14 @@ def test_sparse_product_matches_the_entrywise_loop_bit_for_bit(AB):
 @given(sparse_jet_matrices(), st.integers(0, 4))
 @settings(max_examples=100, deadline=None)
 def test_table_product_is_jmat_mul_bit_for_bit(AB, order):
-    """The holonomy span's product of term tables has, entry by entry, the
-    keys in the same order and the bits of jmat_mul, on sparse matrices
-    whose entries are all cut to one order."""
+    """The kernel's product of term tables, which jmat_mul and the holonomy
+    span both call, has, entry by entry, the keys in the same order and the
+    bits of the entrywise loop, on sparse matrices whose entries are all cut
+    to one order."""
     A, B = ([[Jet(2, order, a.coeffs) for a in row] for row in M] for M in AB)
     A, B = np.array(A, dtype=object), np.array(B, dtype=object)
-    got = _table_mul(term_table(A), term_table(B), order)
-    want = jmat_mul(A, B)
+    got = table_mul(term_table(A), term_table(B), uniform(order))
+    want = reference_mul(A, B)
     assert same_matrix_bits(table_jmat(got, want.shape, JetSpace(2, order)), want)
 
 
@@ -251,11 +267,11 @@ def test_table_product_is_jmat_mul_on_dense_matrices(rng):
     on one key: merging a product straight into the sum would round
     otherwise."""
     A = _dense_jmat(rng, k=3)
-    B = jmat_mul(A, A)
+    B = reference_mul(A, A)
     B[1, 2] = Jet(2, 4, {})
     for X, Y in [(A, B), (B, A), (A[:2], B)]:
-        got = _table_mul(term_table(X), term_table(Y), 4)
-        want = jmat_mul(X, Y)
+        got = table_mul(term_table(X), term_table(Y), uniform(4))
+        want = reference_mul(X, Y)
         assert same_matrix_bits(table_jmat(got, want.shape, JetSpace(2, 4)), want)
 
 
