@@ -21,9 +21,12 @@ The verdicts run in-process through ``lkholonomy.cli.main``:
     ``catalog --n 5``; then on the other entries of ``catalog --n 4`` and
     ``catalog --n 5``, on the full algebra at n = 6 and 7 and on the first
     entry of ``catalog --n 6`` and ``catalog --n 7``;
-  - at the very end, ``holonomy --rmax 6`` at order 10 on the ten
-    regression descriptors, the full spans with the highest r_max that the
-    benchmark's ``verdict-mix`` workload runs.
+  - then ``holonomy --rmax 6`` at order 10 on the ten regression
+    descriptors, the full spans with the highest r_max that the benchmark's
+    ``verdict-mix`` workload runs;
+  - at the very end, ``classify`` on the ``-levi``, ``-parabolic`` and
+    ``-unitary`` conjugates of every catalog entry with n <= 3, drawn as
+    for the ``berger`` conjugate lines.
 
 Each line is ``<sha256> <exit code> <verdict>``.  The digest is of the
 ``--out`` report, or of the error output when no report is written.
@@ -148,11 +151,32 @@ def order10_verdicts(work: str):
         yield f"holonomy-d{i}-o10", ["holonomy", "--potential", pot, "--rmax", "6"]
 
 
+def classify_conjugate_verdicts(work: str):
+    """(name, argv) of ``classify`` on the conjugates of every catalog entry
+    with n <= 3, printed last so that the lines before them keep their
+    order."""
+    for name, alg in _conjugates(work, range(ALGEBRA_NMAX + 1)):
+        yield f"classify-{name}", ["classify", "--algebra", alg]
+
+
 def _full(work: str, n: int) -> str:
     """A descriptor file of the full algebra u(1,n+1)_Cp."""
     zero = np.zeros((n, n), complex)
     full = C.KLDescriptor(n, n, [(1.0, zero), (1j, zero)] + [(0.0, A) for A in unitary_basis(n)])
     return _write(work, f"full-n{n}", S.encode_descriptor(full))
+
+
+def _conjugates(work: str, ns):
+    """(name, path) of the basis files of the conjugates of every catalog
+    entry with n in ns, drawn by conjugations from default_rng((n, i)) for
+    entry i."""
+    for n in ns:
+        for i, entry in enumerate(_catalog(work, n)):
+            basis = C.build_family(S.decode_descriptor(entry["descriptor"])).basis
+            for kind, U in conjugations(n, np.random.default_rng((n, i))).items():
+                moved = [S.encode_matrix(U @ b @ np.linalg.inv(U)) for b in basis]
+                name = f"n{n}-e{i}-{kind}"
+                yield name, _write(work, name, {"n": n, "basis": moved})
 
 
 def berger_verdicts(work: str):
@@ -161,13 +185,8 @@ def berger_verdicts(work: str):
     5, then the other catalog entries at n = 4 and 5, the full algebra at
     n = 6 and 7 and the first catalog entry at n = 6 and 7, printed last
     so that the lines before them keep their order."""
-    for n in range(1, ALGEBRA_NMAX + 1):
-        for i, entry in enumerate(_catalog(work, n)):
-            basis = C.build_family(S.decode_descriptor(entry["descriptor"])).basis
-            for kind, U in conjugations(n, np.random.default_rng((n, i))).items():
-                moved = [S.encode_matrix(U @ b @ np.linalg.inv(U)) for b in basis]
-                alg = _write(work, f"n{n}-e{i}-{kind}", {"n": n, "basis": moved})
-                yield f"berger-n{n}-e{i}-{kind}", ["berger", "--algebra", alg]
+    for name, alg in _conjugates(work, range(1, ALGEBRA_NMAX + 1)):
+        yield f"berger-{name}", ["berger", "--algebra", alg]
     for n in (4, 5):
         yield f"berger-full-n{n}", ["berger", "--algebra", _full(work, n)]
     for n in (4, 5):
@@ -246,6 +265,7 @@ def main() -> int:
         run(work, n0_verdicts(work))
         run(work, berger_verdicts(work))
         run(work, order10_verdicts(work))
+        run(work, classify_conjugate_verdicts(work))
     return 0
 
 

@@ -1,6 +1,7 @@
 """Canonical families of weakly irreducible subalgebras of u(1,n+1)_{Cp}:
-constructors, a matcher working in the canonical Witt frame, and the
-realizability predicate.
+constructors, a matcher that reads a descriptor off an algebra as if it were
+given in the canonical Witt frame and then proves it, accepting it only when
+it builds the algebra, and the realizability predicate.
 """
 from __future__ import annotations
 
@@ -245,8 +246,24 @@ def family_dim(d) -> int:
 
 
 # ---------------------------------------------------------------------------
-# matcher
+# matcher: read a descriptor off the algebra, then prove it
 # ---------------------------------------------------------------------------
+
+def match_algebra(alg: MatrixAlgebra):
+    """Identify the canonical family of a bracket-closed algebra: read a
+    descriptor off it as if it were given in the canonical Witt frame, then
+    prove the reading, returning the descriptor only when build_family of it
+    equals the algebra.  A reading or building that fails (ValueError) or a
+    build that is not the algebra gives UnknownDescriptor with the reason."""
+    try:
+        d = _read_descriptor(alg)
+        if build_family(d).equals(alg):
+            return d
+        reason = f"the algebra is not build_family of the {d.family} descriptor read off it"
+    except ValueError as exc:
+        reason = str(exc)
+    return UnknownDescriptor(reason)
+
 
 def _mult_i(rows: np.ndarray) -> np.ndarray:
     """Multiplication by i on rows (Re v, Im v)."""
@@ -262,32 +279,22 @@ def _intersect_row_spaces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return null_space(perp, tol)
 
 
-def _support_coords(rows: np.ndarray, n: int) -> set[int]:
-    sup = set()
-    for row in rows:
-        v = unflatten(row)
-        for j in range(n):
-            if abs(v[j]) > DEFAULT_TOL.rank_rel:
-                sup.add(j)
-    return sup
-
-
-def match_algebra(alg: MatrixAlgebra):
-    """Identify the canonical family of a bracket-closed algebra given in the
-    canonical Witt frame.  Returns a descriptor, or UnknownDescriptor."""
+def _read_descriptor(alg: MatrixAlgebra):
+    """The descriptor alg would have in the canonical frame: L from the Z
+    parts, C^m its complex part and L_0 the rest, k from the (a, A) parts,
+    and psi when the pure translations do not exhaust L.  Raises ValueError
+    where it cannot read (off the block pattern, an L_0 that is no real
+    form); what it returns, match_algebra proves."""
     n, tol = alg.n, DEFAULT_TOL.rank_rel
     if alg.dim == 0:
-        return UnknownDescriptor("zero algebra")
+        raise ValueError("zero algebra")
     if n == 0:
-        return _match_n0(alg)
+        return _read_n0(alg)
 
     try:
         xs = [ABZCElement.from_matrix(b) for b in alg.basis]
     except ValueError as exc:
-        return UnknownDescriptor(f"not in the parabolic block pattern: {exc}")
-
-    if not alg.contains(_embed(n, c=1.0)):
-        return UnknownDescriptor("iR line missing")
+        raise ValueError(f"not in the parabolic block pattern: {exc}") from None
 
     # translation structure
     zrows = flatten([x.Z for x in xs])
@@ -304,26 +311,11 @@ def match_algebra(alg: MatrixAlgebra):
     V_trans = (row_space(flatten(trans_z), tol) if trans_z
                else np.zeros((0, 2 * n)))
 
-    # complex part of L
-    iL = row_space(_mult_i(L_full), tol)
-    Cm = _intersect_row_spaces(L_full, iL)
-    if Cm.shape[0] % 2 != 0:
-        return UnknownDescriptor("L cap iL has odd real dimension")
+    # complex part of L, and L_0: its orthogonal complement inside L (with
+    # respect to Re h = standard)
+    Cm = _intersect_row_spaces(L_full, row_space(_mult_i(L_full), tol))
     m = Cm.shape[0] // 2
-
-    # coordinate alignment with the canonical frame
-    if _support_coords(Cm, n) - set(range(m)):
-        return UnknownDescriptor("complex part of L is not aligned with e_1..e_m")
-    # L_0: orthogonal complement of C^m inside L (w.r.t. Re h = standard)
-    if Cm.shape[0]:
-        L0_rows = row_space(L_full - L_full @ Cm.T @ Cm, tol)
-    else:
-        L0_rows = L_full
-    if _support_coords(L0_rows, n) - set(range(m, n)):
-        return UnknownDescriptor("L_0 is not aligned with e_{m+1}..e_n")
-    if L0_rows.shape[0] != (0 if m == n else n - m) and L_full.shape[0] != 2 * n:
-        return UnknownDescriptor(
-            f"L has unexpected real dimension {L_full.shape[0]} for m={m}")
+    L0_rows = row_space(L_full - L_full @ Cm.T @ Cm, tol) if Cm.shape[0] else L_full
 
     real_form = None
     if m < n and L0_rows.shape[0]:
@@ -347,62 +339,39 @@ def match_algebra(alg: MatrixAlgebra):
 
     # psi-coupling: translations do not exhaust L
     if V_trans.shape[0] < L_full.shape[0]:
-        return _match_psi(xs, n, m, V_trans, real_form)
+        return _read_psi(xs, n, m, V_trans, real_form)
 
     if m == n:
         return KLDescriptor(n, n, k_elems)
-
-    # m < n: k must act on C^{n-m} by Im a (iE + theta)
-    theta = real_form.theta
-    for a, A in k_elems:
-        if np.abs(A[:m, m:]).max(initial=0) > tol or np.abs(A[m:, :m]).max(initial=0) > tol:
-            return UnknownDescriptor("k mixes C^m and C^{n-m}")
-        if np.abs(A[m:, m:] - a.imag * (1j * np.eye(n - m) + theta)).max(initial=0) > tol:
-            return UnknownDescriptor("C^{n-m} block of k is not a2 (iE + theta)")
     # the elements with an a-part first, then those of u(m) with a set to 0
     twist = [(a, A[:m, :m]) for a, A in k_elems if not _a_is_zero(a)]
     pure = [(0j, A[:m, :m]) for a, A in k_elems if _a_is_zero(a)]
     return KLDescriptor(n, m, twist + pure, real_form)
 
 
-def _match_psi(xs, n, m, V_trans, real_form):
+def _read_psi(xs, n, m, V_trans, real_form):
     tol = DEFAULT_TOL.rank_rel
     # r = complex dimension of the translation space: the translation space
     # is C^r plus the real directions where psi vanishes; C^r is its maximal
     # complex subspace
-    iV = row_space(_mult_i(V_trans), tol)
-    Vc = _intersect_row_spaces(V_trans, iV)
-    if Vc.shape[0] % 2:
-        return UnknownDescriptor("complex translation part has odd dimension")
-    r = Vc.shape[0] // 2
-    if _support_coords(Vc, n) - set(range(r)):
-        return UnknownDescriptor("C^r is not aligned with e_1..e_r")
-    if not 1 <= r <= m:
-        return UnknownDescriptor(f"invalid r={r} for m={m}")
+    r = _intersect_row_spaces(V_trans, row_space(_mult_i(V_trans), tol)).shape[0] // 2
 
-    # k0: elements with zero vector part
+    # k0: the u(r) blocks of the elements with zero vector part
     full_rows = np.array([
         np.concatenate([[x.a.real, x.a.imag], x.Z.real, x.Z.imag]) for x in xs])
     k0 = []
     for comb in null_space(full_rows.T, tol):
-        A = sum(c * x.A for c, x in zip(comb, xs))
-        if np.abs(A).max() > tol:
-            if np.abs(A[r:, :]).max(initial=0) > tol or np.abs(A[:, r:]).max(initial=0) > tol:
-                return UnknownDescriptor("k0 is not contained in u(r)")
-            k0.append(A[:r, :r])
+        K = sum(c * x.A for c, x in zip(comb, xs))[:r, :r]
+        if np.abs(K).max(initial=0) > tol:
+            k0.append(K)
     k0 = real_span_basis(k0)
 
     # psi: for each U-basis vector, the (unique mod k0) u(r) part of the
     # element carrying it; the k0-orthogonal representative is returned.
     d = GK0PsiDescriptor(n, m, r, k0_basis=k0, psi_images=[], real_form=real_form)
     for X in _psi_domain_basis(d):
-        comb, res = span_coords(X, [x.Z for x in xs])
-        if res > tol:
-            return UnknownDescriptor("U direction missing from the algebra")
-        A = sum(c * x.A for c, x in zip(comb, xs))
-        if np.abs(A[r:, :]).max(initial=0) > tol or np.abs(A[:, r:]).max(initial=0) > tol:
-            return UnknownDescriptor("psi image is not contained in u(r)")
-        P = A[:r, :r]
+        comb, _ = span_coords(X, [x.Z for x in xs])
+        P = sum(c * x.A for c, x in zip(comb, xs))[:r, :r]
         for K in k0:
             inner = np.sum((np.conj(K) * P)).real
             P = P - inner * K
@@ -411,27 +380,24 @@ def _match_psi(xs, n, m, V_trans, real_form):
     return d
 
 
-def _match_n0(alg: MatrixAlgebra):
+def _read_n0(alg: MatrixAlgebra):
+    """G0 off the parabolic block pattern; on it G1, G2 or G3 by the
+    dimension of alg and of its projection onto the diagonal."""
     basis = alg.basis
     if not fits_pattern(np.array(basis)).all():
-        if alg.equals(build_family(N0Descriptor("G0"))):
-            return N0Descriptor("G0")
-        return UnknownDescriptor("n=0 algebra is neither parabolic nor sl(2,R)")
-    has_c = alg.contains(_embed(0, c=1.0))
-    diag = [b[0, 0] for b in basis]  # the image of the projection onto the diagonal
-    diag_rows = row_space(np.array([[z.real, z.imag] for z in diag])
-                          if diag else np.zeros((0, 2)), DEFAULT_TOL.rank_rel)
+        return N0Descriptor("G0")
+    diag_rows = row_space(np.array([[b[0, 0].real, b[0, 0].imag] for b in basis]),
+                          DEFAULT_TOL.rank_rel)
     ddim = diag_rows.shape[0]
-    if alg.dim == 3 and has_c and ddim == 2:
+    if alg.dim == 3 and ddim == 2:
         return N0Descriptor("G1")
-    if alg.dim == 2 and not has_c and ddim == 2:
+    if alg.dim == 2 and ddim == 2:
         return N0Descriptor("G2")
-    if alg.dim == 2 and has_c and ddim >= 1:
-        gamma = unflatten(diag_rows[0])[0]
-        return N0Descriptor("G3", _normalize_gamma(gamma))
-    if alg.dim == 1 and has_c:
+    if alg.dim == 2 and ddim == 1:
+        return N0Descriptor("G3", _normalize_gamma(unflatten(diag_rows[0])[0]))
+    if alg.dim == 1:
         return N0Descriptor("G3")
-    return UnknownDescriptor("unrecognized n=0 algebra")
+    raise ValueError("unrecognized n=0 algebra")
 
 
 def _normalize_gamma(gamma: complex) -> complex:

@@ -41,12 +41,12 @@ class Tolerances:
         matcher), span membership, the lambda count of a real form,
         jmat_sqrt's Hermitian part, a symmetric pair's closure R(m, m) in g
         (on the entries of R on the m-basis).  Absolute at unit scale, on
-        data from unit-norm bases: the singular-value floor of the matcher
-        and of same_descriptor (a relative rule would promote noise-only
-        rows to full rank), the matcher's zero tests, block checks and fit
-        residuals, param_decode's re-encoding, [g, g] in g for a symmetric
-        pair, a real-form basis's rank floor and orthonormality, gamma
-        equality.  Absolute, in the CLI: the --expect comparison, the
+        data from unit-norm bases: the singular-value floor of the matcher's
+        reader and of same_descriptor (a relative rule would promote
+        noise-only rows to full rank), the reader's zero tests, the
+        matcher's proof (MatrixAlgebra.equals), param_decode's re-encoding,
+        [g, g] in g for a symmetric pair, a real-form basis's rank floor and
+        orthonormality, gamma equality.  Absolute, in the CLI: the --expect comparison, the
         ricci_flat flag of holonomy and validate's Hermitian, Kahler,
         inverse and frame-Gram checks.
     """

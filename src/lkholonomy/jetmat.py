@@ -47,8 +47,9 @@ def jmat_identity(n: int, space: JetSpace) -> np.ndarray:
 
 
 def jmat_space(A: np.ndarray) -> JetSpace:
-    j: Jet = A.flat[0]
-    return JetSpace(j.num_coords, j.order)
+    """The coordinates of A's entries and their least order: the order to
+    which a product, inverse or root of A is known."""
+    return JetSpace(A.flat[0].num_coords, min(a.order for a in A.flat))
 
 
 def jmat_add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -113,7 +114,7 @@ def jmat_max_abs(A: np.ndarray) -> float:
 
 
 def jmat_inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of a square jet matrix whose entries share one order, by
+    """Inverse of a square jet matrix to the least order of its entries, by
     `graded_inverse`."""
     space = jmat_space(A)
     A0inv = np.linalg.inv(jmat_eval0(A))
@@ -136,11 +137,12 @@ def jmat_exp(G: np.ndarray) -> np.ndarray:
 
 
 def jmat_sqrt(A: np.ndarray) -> np.ndarray:
-    """Square root of a jet matrix whose constant part is Hermitian positive
-    definite, solved degree by degree in the eigenbasis U of A_0, where
-    B = U^H A U has the constant part diag(w): T_0 = diag(sqrt(w)), and T_d
-    solves T_0 T_d + T_d T_0 = B_d - sum_{0<i<d} T_i T_{d-i}, entry (i, j)
-    divided by sqrt(w_i) + sqrt(w_j).  The root is U T U^H."""
+    """Square root, to the least order of its entries, of a jet matrix whose
+    constant part is Hermitian positive definite, solved degree by degree
+    in the eigenbasis U of A_0, where B = U^H A U has the constant part
+    diag(w): T_0 = diag(sqrt(w)), and T_d solves
+    T_0 T_d + T_d T_0 = B_d - sum_{0<i<d} T_i T_{d-i}, entry (i, j) divided
+    by sqrt(w_i) + sqrt(w_j).  The root is U T U^H."""
     space = jmat_space(A)
     A0 = jmat_eval0(A)
     if np.abs(A0 - A0.conj().T).max() > DEFAULT_TOL.rank_rel * max(np.abs(A0).max(), 1.0):
@@ -242,11 +244,14 @@ def table_mul(A: dict, B: dict, order) -> dict:
 
 
 def table_parts(A: dict, order: int) -> list[dict | None]:
-    """The homogeneous parts of degree 0..order of a table, None if empty."""
+    """The homogeneous parts of degree 0..order of a table, None if empty;
+    terms of higher degree are left out."""
     parts: list[dict] = [{} for _ in range(order + 1)]
     for e, terms in A.items():
         for key, c in terms.items():
-            parts[key & MASK].setdefault(e, {})[key] = c
+            deg = key & MASK
+            if deg <= order:
+                parts[deg].setdefault(e, {})[key] = c
     return [p or None for p in parts]
 
 

@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
-from oracles import ricci_flat_condition, ricci_flat_symbolic
+from oracles import conjugations, ricci_flat_condition, ricci_flat_symbolic
 
 from lkholonomy import classify as C
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
+from lkholonomy.cli import _catalog_entries
 from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.hermitian import RealFormData
 from lkholonomy.jetmat import jmat_max_abs
@@ -110,6 +111,51 @@ def test_match_rejects_garbage():
     alg = MatrixAlgebra(1, [np.diag([1j, 0, -1j])])
     got = C.match_algebra(alg)
     assert got.family == "UNKNOWN"
+
+
+# The entries of `catalog --n n` whose Levi and parabolic conjugates, drawn
+# by conjugations from default_rng((n, i)) for entry i, the matcher reads
+# back as the entry; a U(1,n+1) conjugate leaves the block pattern.
+MATCHED_CONJUGATES = {1: {0, 1, 2, 3}, 2: {0, 1, 3, 5}, 3: {0, 1, 4, 7}}
+
+
+def test_every_match_is_proved_on_the_catalog_and_its_conjugates():
+    """On every `catalog --n 1..3` entry and its Levi, parabolic and
+    U(1,n+1) conjugates, match_algebra never raises, and returns UNKNOWN or a
+    descriptor that builds the algebra, of the pinned family."""
+    for n, matched in MATCHED_CONJUGATES.items():
+        for i, e in enumerate(_catalog_entries(n)):
+            d0 = e["descriptor"]
+            alg = C.build_family(d0)
+            algs = {"entry": alg}
+            for kind, U in conjugations(n, np.random.default_rng((n, i))).items():
+                algs[kind] = MatrixAlgebra(n, [U @ b @ np.linalg.inv(U) for b in alg.basis])
+            for kind, a in algs.items():
+                got = C.match_algebra(a)
+                proved = kind == "entry" or (kind != "unitary" and i in matched)
+                assert got.family == (d0.family if proved else "UNKNOWN"), (n, i, kind)
+                if proved:
+                    assert C.build_family(got).equals(a) and C.same_descriptor(got, d0)
+
+
+def test_a_reading_that_drops_a_k_element_is_refused(monkeypatch):
+    """The proof decides, not the reader: with a reader that drops one
+    element of k, every (k, L) catalog entry with k at n = 1, 2 is UNKNOWN."""
+    read = C._read_descriptor
+
+    def drop_one(alg):
+        d = read(alg)
+        d.k_basis = d.k_basis[1:]
+        return d
+
+    monkeypatch.setattr(C, "_read_descriptor", drop_one)
+    entries = [e["descriptor"] for n in (1, 2) for e in _catalog_entries(n)
+               if isinstance(e["descriptor"], C.KLDescriptor) and e["descriptor"].k_basis]
+    assert len(entries) == 8
+    for d in entries:
+        got = C.match_algebra(C.build_family(d))
+        assert got.family == "UNKNOWN", d.family
+        assert got.reason.startswith("the algebra is not build_family of the"), d.family
 
 
 def test_gamma_normalization():

@@ -42,6 +42,25 @@ ALGEBRAS = [
     # G0, outside the parabolic pattern: berger solves it on the unitary ambient
     {"n": 0, "basis": [[[[1.0, 0.0], Z], [Z, [-1.0, 0.0]]], [[Z, I], [Z, Z]],
                        [[Z, Z], [[0.0, -1.0], Z]]]},
+    # GKJL(n = 2, m = 1) with k = iR, Levi-conjugated by the rotation of
+    # e_1, e_2 with cosine 0.6: in the block pattern, off the canonical frame
+    {"n": 2, "basis": [
+        [[Z, Z, Z, I], [Z, Z, Z, Z], [Z, Z, Z, Z], [Z, Z, Z, Z]],
+        [[I, Z, Z, Z], [Z, I, Z, Z], [Z, Z, I, Z], [Z, Z, Z, I]],
+        [[Z, [-0.6, 0.0], [-0.8, 0.0], Z], [Z, Z, Z, [0.6, 0.0]], [Z, Z, Z, [0.8, 0.0]],
+         [Z, Z, Z, Z]],
+        [[Z, [0.0, 0.6], [0.0, 0.8], Z], [Z, Z, Z, [0.0, 0.6]], [Z, Z, Z, [0.0, 0.8]],
+         [Z, Z, Z, Z]],
+        [[Z, [0.8, 0.0], [-0.6, 0.0], Z], [Z, Z, Z, [-0.8, 0.0]], [Z, Z, Z, [0.6, 0.0]],
+         [Z, Z, Z, Z]]]},
+    # GK(n = 1) with k = C + u(1), conjugated by the element of U(1,3) that
+    # swaps p and q: off the block pattern
+    {"n": 1, "basis": [
+        [[Z, Z, Z], [Z, Z, Z], [I, Z, Z]],
+        [[[-1.0, 0.0], Z, Z], [Z, Z, Z], [Z, Z, [1.0, 0.0]]],
+        [[Z, Z, Z], [Z, I, Z], [Z, Z, Z]],
+        [[Z, Z, Z], [[1.0, 0.0], Z, Z], [Z, [-1.0, 0.0], Z]],
+        [[Z, Z, Z], [I, Z, Z], [Z, I, Z]]]},
 ]
 
 COMMANDS = {"holonomy": ("--potential", POTENTIALS), "validate": ("--potential", POTENTIALS),

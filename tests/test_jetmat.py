@@ -187,6 +187,27 @@ def test_sqrt_rejects_an_indefinite_constant_part():
         jmat_sqrt(A)
 
 
+@pytest.mark.parametrize("low", [(0, 0), (1, 1)])
+def test_inverse_and_sqrt_solve_to_the_least_entry_order(low, rng):
+    """A 2 x 2 jet matrix in one coordinate whose entry `low` has order 2
+    and whose other entries have order 4: its inverse X and square root S
+    have order 2 in every entry, and A X = I and S S = A hold to order 2."""
+    keys = [((i,), (j,)) for i in range(5) for j in range(5 - i)]
+    A = jmat_zero((2, 2), JetSpace(1, 4))
+    for a in range(2):
+        for b in range(2):
+            coeffs = {key: 0.2 * complex(*rng.standard_normal(2)) for key in keys}
+            coeffs[keys[0]] += 2.0 * (a == b)
+            A[a, b] = Jet(1, 4, coeffs)
+    H = jmat_add(A, jmat_conj_transpose(A))  # Hermitian, constant part near 4
+    for M in (A, H):
+        M[low] = M[low].truncated(2)
+    X, S = jmat_inverse(A), jmat_sqrt(H)
+    assert {x.order for x in X.flat} == {s.order for s in S.flat} == {2}
+    assert jmat_residual(jmat_mul(A, X), jmat_identity(2, JetSpace(1, 2))) < 1e-10
+    assert jmat_residual(jmat_mul(S, S), jmat_truncated(H, 2)) < 1e-10
+
+
 # -- jmat_mul and the table product against the entrywise loop ---------------------
 
 def _same_product(A, B) -> bool:

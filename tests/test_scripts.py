@@ -78,3 +78,16 @@ def test_berger_reports_are_the_same_in_every_conjugate_frame(monkeypatch, capsy
         assert lines[f"berger-n1-e{i}"][1] == "0"
         for kind in ("levi", "parabolic", "unitary"):
             assert lines[f"berger-n1-e{i}-{kind}"] == lines[f"berger-n1-e{i}"], (i, kind)
+
+
+def test_report_digests_end_with_the_classify_conjugate_lines(monkeypatch, capsys, tmp_path):
+    """The last lines classify the conjugates of the catalog entries: at
+    n = 1 the matcher proves its reading of every Levi and parabolic
+    conjugate (exit 0) and reports every U(1,3) conjugate UNKNOWN (exit 2)."""
+    out = _run("report_digests.py", monkeypatch, capsys, tmp_path,
+               "--only", "holonomy-d9-o10", "classify-n1-e*-*")
+    lines = [line.split() for line in out.splitlines()]
+    kinds = ("levi", "parabolic", "unitary")
+    assert [name for _, _, name in lines] == ["holonomy-d9-o10"] + [
+        f"classify-n1-e{i}-{kind}" for i in range(4) for kind in kinds]
+    assert [code for _, code, _ in lines[1:]] == ["0", "0", "2"] * 4
