@@ -15,10 +15,9 @@ from itertools import chain
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .jets import MASK, InsufficientOrderError, Jet, JetSpace, field_mask, var_key
+from .jets import (MASK, InsufficientOrderError, Jet, JetSpace, field_mask, graded_solve,
+                   table_from_parts, table_mul, table_parts, table_scaled, uniform, var_key)
 from .jetmat import (
-    graded_inverse,
-    graded_solve,
     jmat_add,
     jmat_commutator,
     jmat_conj_transpose,
@@ -34,10 +33,6 @@ from .jetmat import (
     jmat_sqrt,
     jmat_truncated,
     jmat_zero,
-    table_from_parts,
-    table_mul,
-    table_parts,
-    uniform,
 )
 from .hermitian import WittMetric
 from .lie import (
@@ -281,11 +276,10 @@ def walker_inverse(m: MetricJet, order: int | None = None) -> np.ndarray:
     for j in range(n):
         for k in range(n):
             hinv[1 + j, 1 + k] = tinv[j, k]
+    # the row (h_{jbar u})_j times tinv, cut to h's least order, which h^{vbar k} has
+    row = jmat_mul(jmat_truncated(h[None, 1:n + 1, u], space.order), tinv)
     for k in range(n):
-        acc = space.zero()
-        for j in range(n):
-            acc = acc + h[1 + j, u] * tinv[j, k]
-        hinv[v, 1 + k] = acc * hvu_inv * (-1.0)
+        hinv[v, 1 + k] = row[0, k] * hvu_inv * (-1.0)
         hinv[1 + k, v] = hinv[v, 1 + k].conjugate()
     acc = space.zero()
     for l in range(n):
@@ -378,12 +372,12 @@ def witt_frame(m: MetricJet, C: np.ndarray | None = None) -> np.ndarray:
             raise DegeneracyError(f"cannot build the frame factor C: {exc}") from exc
     F = jmat_zero((m.dim, m.dim), space)
     F[v, 0] = huv_inv
-    for j in range(n):
-        col_v = space.zero()
-        for k in range(n):
-            F[1 + k, 1 + j] = C[k, j]
-            col_v = col_v + C[k, j] * m.h[u, 1 + k]
-        F[v, 1 + j] = col_v * huv_inv * (-1.0)
+    if n:
+        F[1:n + 1, 1:n + 1] = C
+        # C^T times the column (h_{ubar k})_k, cut to h's least order, as F[v, j]
+        col_v = jmat_mul(C.T, jmat_truncated(m.h[u, 1:n + 1, None], space.order))
+        for j in range(n):
+            F[v, 1 + j] = col_v[j, 0] * huv_inv * (-1.0)
     F[u, m.dim - 1] = space.constant(1.0)
     F[v, m.dim - 1] = m.h[u, u] * huv_inv * (-0.5)
     return F
@@ -416,9 +410,11 @@ def radial_parallel_gauge(gamma: list[np.ndarray], r_max: int) -> tuple[dict, di
     zs = {(c, 0): {var_key(dim, c): 1.0 + 0.0j} for c in range(dim)}
     W = {divmod(e, dim): t for (e, _), t in table_mul(stack, zs, uniform(r_max)).items()}
     P = graded_solve(table_parts(W, r_max), [{(i, i): {0: 1.0 + 0.0j} for i in range(dim)}],
-                     r_max, lambda d, s: {e: {k: v * complex(-1.0 / d) for k, v in t.items()}
-                                          for e, t in s.items()})
-    Pinv = graded_inverse(P, np.eye(dim, dtype=complex), r_max)
+                     r_max, lambda d, s: table_scaled(s, complex(-1.0 / d)))
+    # P_0 = I, so P^-1's step, the left product by -I, is 0.0 + (-1-0j) * c
+    minus_one = complex(-1.0, -0.0)
+    Pinv = graded_solve(P, [P[0]], r_max, lambda d, s: {
+        e: {k: 0.0 + minus_one * c for k, c in t.items()} for e, t in s.items()})
     return table_from_parts(P), table_from_parts(Pinv)
 
 
@@ -671,21 +667,16 @@ def ppwave_check(m: MetricJet, r_max: int = 3) -> PPWaveReport:
 
 
 def _skew_and_sum_max_abs(X: np.ndarray, Y: np.ndarray) -> float:
-    """The largest coefficient of X + (-1) Y and of X + Y, for jet matrices
-    of one order, read from the term dicts: on a key of both, |x + y * -1|
-    and |x + y|; on a key of one, the same with 0.0 for the other side.
-    abs cannot see the sign of a zero, so this is the max_abs of the two
-    sums that jmat_add would build."""
-    minus = complex(-1.0)
+    """The largest coefficient of X - Y and of X + Y, for jet matrices of one
+    order, read from the term dicts: |x - y| and |x + y| over the keys of
+    either side, 0.0 where a side has none.  abs cannot see the sign of a
+    zero, so this is the max_abs of the two sums that jmat_add would build."""
     worst = 0.0
     for x, y in zip(X.flat, Y.flat):
         a, b = x.terms, y.terms
-        for k, c in a.items():
-            e = b.get(k, 0.0)
-            worst = max(worst, abs(c + e * minus), abs(c + e))
-        for k, e in b.items():
-            if k not in a:
-                worst = max(worst, abs(0.0 + e * minus), abs(0.0 + e))
+        for k in a.keys() | b.keys():
+            c, e = a.get(k, 0.0), b.get(k, 0.0)
+            worst = max(worst, abs(c - e), abs(c + e))
     return worst
 
 

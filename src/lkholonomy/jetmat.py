@@ -3,19 +3,18 @@ roots solved degree by degree.
 
 Matrices are numpy object arrays of Jet instances sharing one JetSpace.
 These are small (at most (n+2)x(n+2)), so dense object arrays are fine.
-The jmat_* functions are a boundary: their arithmetic runs in one kernel on
-term tables {(i, j): terms}, the entries that have terms, each a dict of
-packed keys to coefficients (`jets`), with entry orders order(i, j) given
-from outside.  `table_mul` is the one product and `graded_solve` the one
-degree-by-degree solve, behind `graded_inverse`, the square root and the
-holonomy's radial gauge.
+The jmat_* functions are a boundary: they convert to term tables
+{(i, j): terms}, run the term-table kernel of `jets` (`table_mul`, the one
+product, and `graded_solve`, the one degree-by-degree solve) and convert
+back.  `graded_inverse` is the solve behind `jmat_inverse`.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .jets import MASK, Jet, JetShapeError, JetSpace, _jet, product_into
+from .jets import (Jet, JetShapeError, JetSpace, _jet, _merge, _scaled, graded_solve,
+                   table_from_parts, table_mul, table_parts, table_scaled, uniform)
 
 
 def _filled(shape: tuple[int, ...], values, dtype=object) -> np.ndarray:
@@ -124,16 +123,19 @@ def jmat_inverse(A: np.ndarray) -> np.ndarray:
 
 def jmat_exp(G: np.ndarray) -> np.ndarray:
     """exp of a jet matrix with zero constant term: the Taylor sum, whose
-    k-th term has degree >= k, so it ends at the truncation order."""
+    k-th term has degree >= k, so it ends at the truncation order.  It runs
+    on tables, with the floats of term = jmat_scale(jmat_mul(term, G), 1/k)
+    and acc = jmat_add(acc, term)."""
     space = jmat_space(G)
     if np.abs(jmat_eval0(G)).max() > DEFAULT_TOL.coeff_zero:
         raise ValueError("jmat_exp requires a zero constant term")
-    acc = jmat_identity(G.shape[0], space)
-    term = jmat_identity(G.shape[0], space)
+    every, eye, Gt = uniform(space.order), np.eye(G.shape[0]), _table(G)
+    acc, term = _const_table(eye), _const_table(eye)
     for k in range(1, space.order + 1):
-        term = jmat_scale(jmat_mul(term, G), 1.0 / k)
-        acc = jmat_add(acc, term)
-    return acc
+        term = table_scaled(table_mul(term, Gt, every), complex(1.0 / k))
+        for e, terms in term.items():
+            _merge(acc.setdefault(e, {}), terms)
+    return _jmat(acc, G.shape, space.num_coords, every)
 
 
 def jmat_sqrt(A: np.ndarray) -> np.ndarray:
@@ -164,8 +166,7 @@ def jmat_sqrt(A: np.ndarray) -> np.ndarray:
             R = B[d]
             for e, t in s.items():
                 _merge(R.setdefault(e, {}), {k: -c for k, c in t.items()})
-        return {e: {k: c * z for k, c in t.items()}
-                for e, t in R.items() for z in [complex(scale[e])]}
+        return {e: _scaled(t, complex(scale[e])) for e, t in R.items()}
 
     T = [_const_table(np.diag(root))]
     graded_solve(T, T, space.order, step)
@@ -173,12 +174,7 @@ def jmat_sqrt(A: np.ndarray) -> np.ndarray:
     return jmat_mul(Uc, jmat_mul(root_T, Uh))
 
 
-# -- the term-table kernel ---------------------------------------------------
-
-
-def uniform(order: int):
-    """The order function of a table whose entries all have this order."""
-    return lambda i, j: order
+# -- tables of jet matrices ---------------------------------------------------
 
 
 def _table(A: np.ndarray) -> dict:
@@ -199,86 +195,6 @@ def _const_table(M: np.ndarray) -> dict:
     """The table of the constant jet matrix M, as jmat_from_const builds it."""
     c = M.shape[1]
     return {divmod(e, c): {0: complex(v)} for e, v in enumerate(M.flat) if v != 0}
-
-
-def _merge(acc: dict, terms: dict) -> None:
-    """Add terms into acc as Jet.__add__ merges: get(key, 0.0) + value."""
-    get = acc.get
-    for key, v in terms.items():
-        acc[key] = get(key, 0.0) + v
-
-
-def table_mul(A: dict, B: dict, order) -> dict:
-    """The table of A B, entry (i, j) to degree order(i, j), with the floats
-    and key order of the entrywise loop acc = acc + A[i, l] * B[l, j]: over
-    the l, ascending, at which both factors have terms (an empty one adds
-    nothing), the first product goes straight into the sum (merging it would
-    add 0.0 to values that are never -0.0) and each later one is built on
-    its own and merged.  B[l, j]'s degree-filtered term lists are shared
-    across the rows; an entry without terms is left out."""
-    rows: dict = {}
-    for i, l in sorted(A):
-        rows.setdefault(i, []).append((l, A[i, l]))
-    cols: dict = {}
-    for l, j in B:
-        cols.setdefault(j, {})[l] = B[l, j]
-    out = {}
-    for j, col in cols.items():
-        fits: dict = {}
-        for i, row in rows.items():
-            cap = order(i, j)
-            acc: dict = {}
-            for l, a in row:
-                b = col.get(l)
-                if b is None:
-                    continue
-                if not acc:
-                    product_into(acc, a, b, cap, fits.setdefault(l, {}))
-                    continue
-                prod: dict = {}
-                product_into(prod, a, b, cap, fits.setdefault(l, {}))
-                _merge(acc, prod)
-            if acc:
-                out[i, j] = acc
-    return out
-
-
-def table_parts(A: dict, order: int) -> list[dict | None]:
-    """The homogeneous parts of degree 0..order of a table, None if empty;
-    terms of higher degree are left out."""
-    parts: list[dict] = [{} for _ in range(order + 1)]
-    for e, terms in A.items():
-        for key, c in terms.items():
-            deg = key & MASK
-            if deg <= order:
-                parts[deg].setdefault(e, {})[key] = c
-    return [p or None for p in parts]
-
-
-def table_from_parts(parts: list[dict | None]) -> dict:
-    """The table of these parts, merged degree-major as Jet.from_graded."""
-    out: dict = {}
-    for part in parts:
-        for e, terms in (part or {}).items():
-            out.setdefault(e, {}).update(terms)
-    return out
-
-
-def graded_solve(A: list, X: list, order: int, step) -> list:
-    """Extend X = [X_0] to X_0..X_order by X_d = step(d, S_d), where S_d =
-    sum_{0<i<=d} A_i X_{d-i} over the parts that both have terms, summed
-    left to right into the first product as Jet.__add__ sums ({} if none).
-    A may be X itself, read as far as it is solved.  Returns X."""
-    every = uniform(order)
-    for d in range(1, order + 1):
-        prods = [table_mul(A[i], X[d - i], every) for i in range(1, min(d + 1, len(A)))
-                 if A[i] and X[d - i]]
-        s = prods[0] if prods else {}
-        for prod in prods[1:]:
-            for e, terms in prod.items():
-                _merge(s.setdefault(e, {}), terms)
-        X.append(step(d, s))
-    return X
 
 
 def graded_inverse(A: list, A0inv: np.ndarray, order: int) -> list:

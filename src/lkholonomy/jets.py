@@ -15,6 +15,11 @@ is the sum of the keys, and its degree is ``key & MASK``.  Every stored term
 has degree at most the jet's order, and the order is at most ``MAX_ORDER``,
 so no field ever carries into its neighbour.  ``Jet.coeffs`` is a read-only
 ``(I, J)``-keyed view of the same terms.
+
+The float rules of all jet arithmetic live here: `product_into`, `_merge`
+and the term-table kernel on them, `table_mul` and `graded_solve`, which
+`Jet.exp`, `Jet.reciprocal` (on the one-entry table {(0, 0): terms}) and
+`jetmat` run.
 """
 from __future__ import annotations
 
@@ -208,9 +213,7 @@ class Jet:
             return self + Jet.constant(other, self.num_coords, self.order)
         order = self._check(other)
         out = dict(self._terms_upto(order))
-        get = out.get
-        for k, c in other._terms_upto(order).items():
-            out[k] = get(k, 0.0) + c
+        _merge(out, other._terms_upto(order))
         return _jet(self.num_coords, order, out)
 
     __radd__ = __add__
@@ -228,10 +231,7 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            z = complex(other)
-            if z == 0:
-                return _jet(self.num_coords, self.order, {})
-            return _jet(self.num_coords, self.order, {k: c * z for k, c in self.terms.items()})
+            return _jet(self.num_coords, self.order, _scaled(self.terms, complex(other)))
         order = self._check(other)
         out: dict[int, complex] = {}
         if self.terms and other.terms:
@@ -284,42 +284,29 @@ class Jet:
                     out[k - unit] = (0.0 + d * c) * z
         return _jet(self.num_coords, self.order - 1, out)
 
-    # -- graded parts and analytic functions ----------------------------------
-
-    def graded(self) -> list["Jet | None"]:
-        """The homogeneous parts of degree 0..order, None where a part is empty."""
-        parts: list[dict[int, complex]] = [{} for _ in range(self.order + 1)]
-        for k, c in self.terms.items():
-            parts[k & MASK][k] = c
-        return [_jet(self.num_coords, self.order, p) if p else None for p in parts]
-
-    @staticmethod
-    def from_graded(parts: list["Jet | None"]) -> "Jet":
-        """The jet whose homogeneous parts these are; parts[0] must exist."""
-        terms = {k: c for p in parts if p is not None for k, c in p.terms.items()}
-        return _jet(parts[0].num_coords, parts[0].order, terms)
+    # -- analytic functions ---------------------------------------------------
 
     def exp(self) -> "Jet":
         """Degree by degree from d E_d = sum_{0<i<=d} i a_i E_{d-i}."""
-        a = self.graded()
-        ia = [None] + [None if p is None else p * i for i, p in enumerate(a[1:], 1)]
-        E = [Jet.constant(np.exp(self.constant_term()), self.num_coords, self.order)]
-        for d in range(1, self.order + 1):
-            s = graded_sum(ia, E, d)
-            E.append(None if s is None else s * (1.0 / d))
-        return Jet.from_graded(E)
+        ia = [p and table_scaled(p, complex(i))
+              for i, p in enumerate(table_parts({(0, 0): self.terms}, self.order))]
+        return self._series(ia, np.exp(self.constant_term()), lambda d: complex(1.0 / d))
 
     def reciprocal(self) -> "Jet":
         """Degree by degree from X_d = -(1/a_0) sum_{0<i<=d} a_i X_{d-i}."""
         a0 = self.constant_term()
         if abs(a0) < DEFAULT_TOL.coeff_zero:
             raise ZeroDivisionError("jet has (numerically) zero constant term")
-        a = self.graded()
-        X = [Jet.constant(1.0 / a0, self.num_coords, self.order)]
-        for d in range(1, self.order + 1):
-            s = graded_sum(a, X, d)
-            X.append(None if s is None else s * (-1.0 / a0))
-        return Jet.from_graded(X)
+        z = complex(-1.0 / a0)
+        return self._series(table_parts({(0, 0): self.terms}, self.order), 1.0 / a0,
+                            lambda d: z)
+
+    def _series(self, A: list, x0: complex, scale) -> "Jet":
+        """X with X_0 = x0, X_d = scale(d) sum_{0<i<=d} A_i X_{d-i}: `graded_solve`
+        on one-entry tables, each step scaled as by Jet.__mul__."""
+        X0 = {(0, 0): Jet.constant(x0, self.num_coords, self.order).terms}
+        X = graded_solve(A, [X0], self.order, lambda d, s: table_scaled(s, scale(d)))
+        return _jet(self.num_coords, self.order, table_from_parts(X)[0, 0])
 
     def __repr__(self) -> str:  # compact, for debugging
         terms = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0]))
@@ -358,6 +345,106 @@ def product_into(out: dict, a: dict, b: dict, order: int, fits: dict) -> None:
             out[key] = get(key, 0.0) + c1 * c2
 
 
+def _scaled(terms: dict, z: complex) -> dict:
+    """The terms times a scalar as Jet.__mul__ forms them: c * z, none if z is 0."""
+    return {k: c * z for k, c in terms.items()} if z != 0 else {}
+
+
+def _merge(acc: dict, terms: dict) -> None:
+    """Add terms into acc as Jet.__add__ merges: get(key, 0.0) + value."""
+    get = acc.get
+    for key, v in terms.items():
+        acc[key] = get(key, 0.0) + v
+
+
+# -- the term-table kernel: {(i, j): terms} over the entries of a jet matrix
+# that have terms, the order of entry (i, j) given from outside as order(i, j)
+
+
+def uniform(order: int):
+    """The order function of a table whose entries all have this order."""
+    return lambda i, j: order
+
+
+def table_scaled(A: dict, z: complex) -> dict:
+    """The table with every entry times the scalar z, as by Jet.__mul__."""
+    return {e: _scaled(terms, z) for e, terms in A.items()}
+
+
+def table_mul(A: dict, B: dict, order) -> dict:
+    """The table of A B, entry (i, j) to degree order(i, j), with the floats
+    and key order of the entrywise loop acc = acc + A[i, l] * B[l, j]: over
+    the l, ascending, at which both factors have terms (an empty one adds
+    nothing), the first product goes straight into the sum (merging it would
+    add 0.0 to values that are never -0.0) and each later one is built on
+    its own and merged.  B[l, j]'s degree-filtered term lists are shared
+    across the rows; an entry without terms is left out."""
+    rows: dict = {}
+    for i, l in sorted(A):
+        rows.setdefault(i, []).append((l, A[i, l]))
+    cols: dict = {}
+    for l, j in B:
+        cols.setdefault(j, {})[l] = B[l, j]
+    out = {}
+    for j, col in cols.items():
+        fits: dict = {}
+        for i, row in rows.items():
+            cap = order(i, j)
+            acc: dict = {}
+            for l, a in row:
+                b = col.get(l)
+                if b is None:
+                    continue
+                if not acc:
+                    product_into(acc, a, b, cap, fits.setdefault(l, {}))
+                    continue
+                prod: dict = {}
+                product_into(prod, a, b, cap, fits.setdefault(l, {}))
+                _merge(acc, prod)
+            if acc:
+                out[i, j] = acc
+    return out
+
+
+def table_parts(A: dict, order: int) -> list[dict | None]:
+    """The homogeneous parts of degree 0..order of a table, None if empty;
+    terms of higher degree are left out."""
+    parts: list[dict] = [{} for _ in range(order + 1)]
+    for e, terms in A.items():
+        for key, c in terms.items():
+            deg = key & MASK
+            if deg <= order:
+                parts[deg].setdefault(e, {})[key] = c
+    return [p or None for p in parts]
+
+
+def table_from_parts(parts: list[dict | None]) -> dict:
+    """The table of these parts, merged degree-major, each entry's keys by
+    degree and within a degree in the part's order."""
+    out: dict = {}
+    for part in parts:
+        for e, terms in (part or {}).items():
+            out.setdefault(e, {}).update(terms)
+    return out
+
+
+def graded_solve(A: list, X: list, order: int, step) -> list:
+    """Extend X = [X_0] to X_0..X_order by X_d = step(d, S_d), where S_d =
+    sum_{0<i<=d} A_i X_{d-i} over the parts that both have terms, summed
+    left to right into the first product as Jet.__add__ sums ({} if none).
+    A may be X itself, read as far as it is solved.  Returns X."""
+    every = uniform(order)
+    for d in range(1, order + 1):
+        prods = [table_mul(A[i], X[d - i], every) for i in range(1, min(d + 1, len(A)))
+                 if A[i] and X[d - i]]
+        s = prods[0] if prods else {}
+        for prod in prods[1:]:
+            for e, terms in prod.items():
+                _merge(s.setdefault(e, {}), terms)
+        X.append(step(d, s))
+    return X
+
+
 @dataclass(frozen=True)
 class JetSpace:
     """Factory for jets sharing one coordinate count and truncation order."""
@@ -379,14 +466,6 @@ class JetSpace:
 
     def conj_variable(self, i: int) -> Jet:
         return Jet.variable(i, self.num_coords, self.order, holomorphic=False)
-
-
-def graded_sum(a: list, x: list, d: int):
-    """sum_i a[i] * x[d - i] over the i at which both jet parts exist, or
-    None when no pair does."""
-    terms = [a[i] * x[d - i] for i in range(len(a))
-             if 0 <= d - i < len(x) and a[i] is not None and x[d - i] is not None]
-    return sum(terms[1:], terms[0]) if terms else None
 
 
 def real_part(a: Jet) -> Jet:

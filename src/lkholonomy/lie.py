@@ -119,9 +119,6 @@ class MatrixAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, m: np.ndarray) -> bool:
-        return in_real_span(m, self.basis)
-
     def bracket_residual(self) -> float:
         """The largest real residual component of a bracket [x, y] of two
         basis elements (x before y) off the real span, from one

@@ -11,14 +11,7 @@ import numpy as np
 
 from .classify import KLDescriptor, N0Descriptor, build_family
 from .config import DEFAULT_TOL
-from .curvspace import (
-    CurvatureMap,
-    CurvatureParam,
-    UnitMaps,
-    curvature_image,
-    param_encode,
-    ricci_of_map,
-)
+from .curvspace import CurvatureMap, CurvatureParam, param_encode, ricci_of_map
 from .lie import MatrixAlgebra, row_space, span_coords
 
 
@@ -54,9 +47,8 @@ class SymmetricPair:
 
     @property
     def curvature_image(self) -> MatrixAlgebra:
-        """The real span of R(m, m): the image of R as a one-unit ambient."""
-        return MatrixAlgebra(self.n, curvature_image(UnitMaps.of(self.n, [self.R.rho[None]]),
-                                                     np.ones((1, 1))))
+        """The real span of the values R(m_a, m_b) of the real curvature."""
+        return MatrixAlgebra(self.n, list(self.Rm.reshape(-1, self.dim, self.dim)))
 
 
 class InvalidPairError(ValueError):

@@ -3,13 +3,16 @@ average behind its R0, the codec's unit parameters and their R0 units, a
 random element of U(1,n+1) and seeded elements of
 U(n), of the parabolic subgroup and of U(1,n+1) to conjugate by, a random element
 of U(1,n+1), the two Ricci-flat predicates of the classification
-corollary, the value of a jet at a point, the entrywise jet-matrix
-product and, over it, the graded inverse, square root and radial gauge of
-jet matrices and the exp-derivative series, the conversions between jet
+corollary, the value of a jet at a point, the graded split and merge of
+jets and jet matrices, the graded exp and reciprocal of jets, the
+entrywise jet-matrix product and, over it, the graded inverse, square
+root, radial gauge and Taylor exp of jet matrices and the exp-derivative
+series, the conversions between jet
 matrices and term tables, the bracket closure of a matrix algebra pair by pair,
 bit-for-bit equality of jets and jet matrices, the distance of two jet
 matrices and the pp-wave verdict of a report."""
 import math
+import operator
 from itertools import repeat
 
 import numpy as np
@@ -199,6 +202,29 @@ def reference_mul(A, B):
     return out
 
 
+def _jet_of(num_coords, order, terms):
+    """The jet of these packed terms, all of degree <= order."""
+    jet = Jet(num_coords, order)
+    jet.terms = terms
+    return jet
+
+
+def jet_graded(a):
+    """The homogeneous parts of degree 0..order of a jet, None where a part
+    is empty."""
+    parts = [{} for _ in range(a.order + 1)]
+    for k, c in a.terms.items():
+        parts[k & MASK][k] = c
+    return [_jet_of(a.num_coords, a.order, p) if p else None for p in parts]
+
+
+def jet_from_graded(parts):
+    """The jet whose homogeneous parts these are, merged degree-major;
+    parts[0] must exist."""
+    terms = {k: c for p in parts if p is not None for k, c in p.terms.items()}
+    return _jet_of(parts[0].num_coords, parts[0].order, terms)
+
+
 def jmat_graded(A):
     """The homogeneous parts of degree 0..order of a jet matrix, None where
     every entry's part is empty."""
@@ -206,7 +232,7 @@ def jmat_graded(A):
     zero = space.zero()
     parts = [[zero] * A.size for _ in range(space.order + 1)]
     for i, a in enumerate(A.flat):
-        for d, part in enumerate(a.graded()):
+        for d, part in enumerate(jet_graded(a)):
             if part is not None:
                 parts[d][i] = part
     return [_filled(A.shape, p) if any(j.terms for j in p) else None for p in parts]
@@ -215,16 +241,55 @@ def jmat_graded(A):
 def jmat_from_graded(parts):
     """The jet matrix whose homogeneous parts these are; parts[0] must exist."""
     entries = zip(*(repeat(None) if p is None else p.flat for p in parts))
-    return _filled(parts[0].shape, map(Jet.from_graded, entries))
+    return _filled(parts[0].shape, map(jet_from_graded, entries))
 
 
-def graded_sum(a, x, d):
-    """sum_i reference_mul(a[i], x[d - i]) over the i at which both parts
-    exist, summed left to right by object-array addition, or None when no
-    pair does."""
-    terms = [reference_mul(a[i], x[d - i]) for i in range(len(a))
+def graded_sum(a, x, d, mul=reference_mul):
+    """sum_i mul(a[i], x[d - i]) over the i at which both parts exist, summed
+    left to right by + (Jet.__add__, entrywise on jet matrices), or None
+    when no pair does; mul is reference_mul on jet matrices and Jet.__mul__
+    (operator.mul) on jets."""
+    terms = [mul(a[i], x[d - i]) for i in range(len(a))
              if 0 <= d - i < len(x) and a[i] is not None and x[d - i] is not None]
     return sum(terms[1:], terms[0]) if terms else None
+
+
+def reference_exp(a):
+    """exp of a jet degree by degree from d E_d = sum_{0<i<=d} i a_i E_{d-i},
+    on jet parts by jet_graded and graded_sum over Jet.__mul__.  Jet.exp
+    must have its bits."""
+    parts = jet_graded(a)
+    ia = [None] + [None if p is None else p * i for i, p in enumerate(parts[1:], 1)]
+    E = [Jet.constant(np.exp(a.constant_term()), a.num_coords, a.order)]
+    for d in range(1, a.order + 1):
+        s = graded_sum(ia, E, d, operator.mul)
+        E.append(None if s is None else s * (1.0 / d))
+    return jet_from_graded(E)
+
+
+def reference_reciprocal(a):
+    """1 / a degree by degree from X_d = -(1/a_0) sum_{0<i<=d} a_i X_{d-i},
+    on jet parts by jet_graded and graded_sum over Jet.__mul__.
+    Jet.reciprocal must have its bits."""
+    a0 = a.constant_term()
+    parts = jet_graded(a)
+    X = [Jet.constant(1.0 / a0, a.num_coords, a.order)]
+    for d in range(1, a.order + 1):
+        s = graded_sum(parts, X, d, operator.mul)
+        X.append(None if s is None else s * (-1.0 / a0))
+    return jet_from_graded(X)
+
+
+def reference_jmat_exp(G):
+    """exp of a jet matrix with G(0) = 0 as the Taylor sum on jet matrices:
+    term = jmat_scale(reference_mul(term, G), 1/k), acc = jmat_add(acc,
+    term).  jmat_exp must have its bits."""
+    space = jmat_space(G)
+    acc = term = jmat_identity(G.shape[0], space)
+    for k in range(1, space.order + 1):
+        term = jmat_scale(reference_mul(term, G), 1.0 / k)
+        acc = jmat_add(acc, term)
+    return acc
 
 
 def reference_inverse(A):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from oracles import (is_ppwave, jmat_radial_gauge, jmat_residual, reference_inverse,
-                     reference_mul, reference_sqrt, same_matrix_bits, table_jmat)
+                     reference_mul, reference_sqrt, same_bits, same_matrix_bits, table_jmat)
 
 from lkholonomy import classify as C
 from lkholonomy import cli
 from lkholonomy import geometry as G
+from lkholonomy import jetmat
 from lkholonomy import potentials as P
 from lkholonomy import serialization as S
 from lkholonomy.config import DEFAULT_TOL
@@ -110,6 +111,51 @@ def test_witt_frame_gram():
     m = _fc_metric(1.0, 1.0)
     F = G.witt_frame(m)
     assert G.frame_gram_residual(m, F) < 1e-10
+
+
+def _cut_h_uu(m, order):
+    """The Walker metric m with h_{ubar u} cut to a lower order than the
+    rest of h."""
+    h = m.h.copy()
+    h[m.u, m.u] = h[m.u, m.u].truncated(order)
+    return G.MetricJet(m.n, h)
+
+
+def test_walker_row_and_frame_column_are_the_entrywise_loops_bit_for_bit(suite):
+    """h^{vbar k} of walker_inverse and the v-row of witt_frame's e_j, now
+    jmat_mul products, have the order, the keys in the same order and the
+    bits of the loops acc = acc + x * y from space.zero(): on the ten
+    regression descriptors at order 9, the nondiagonal metric, and both
+    with h_{ubar u} two orders below the rest of h."""
+    metrics = [G.metric_from_potential(P.build_potential(d, order=9)) for d in suite[:10]]
+    metrics.append(_nondiagonal_metric())
+    metrics += [_cut_h_uu(m, m.space.order - 2) for m in (metrics[0], metrics[-1])]
+    for m in metrics:
+        n, v, u, space = m.n, m.v, m.u, m.space
+        tilde = m.h[1:n + 1, 1:n + 1]
+        tinv, C = jmat_inverse(tilde).T, jmat_inverse(jmat_sqrt(tilde))
+        hinv, F = G.walker_inverse(m), G.witt_frame(m)
+        for k in range(n):
+            row = col = space.zero()
+            for j in range(n):
+                row = row + m.h[1 + j, u] * tinv[j, k]
+                col = col + C[j, k] * m.h[u, 1 + j]
+            assert same_bits(hinv[v, 1 + k], row * m.h[v, u].reciprocal() * (-1.0))
+            assert same_bits(F[v, 1 + k], col * m.h[u, v].reciprocal() * (-1.0))
+            assert hinv[v, 1 + k].order == F[v, 1 + k].order == space.order
+
+
+def test_the_gauge_inverse_does_not_call_graded_inverse(monkeypatch):
+    """P^-1's step is its own pass, 0.0 + (-1-0j) c per term, not the
+    graded inverse's table product by the constant -I."""
+    def refuse(*args):
+        raise AssertionError("radial_parallel_gauge called graded_inverse")
+
+    monkeypatch.setattr(jetmat, "graded_inverse", refuse)
+    monkeypatch.setattr(G, "graded_inverse", refuse, raising=False)
+    m = _fc_metric(1.0, 0.5)
+    P_table, Pinv_table = G.radial_parallel_gauge(m.gamma, 3)
+    assert P_table and Pinv_table
 
 
 def _inputs(monkeypatch):

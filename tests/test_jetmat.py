@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (jmat_residual, reference_inverse, reference_mul, reference_sqrt, same_bits,
+from oracles import (jmat_residual, reference_inverse, reference_jmat_exp, reference_mul,
+                     reference_sqrt, same_bits,
                      same_matrix_bits, table_jmat, term_table)
 
 from lkholonomy.jetmat import (
@@ -27,10 +28,9 @@ from lkholonomy.jetmat import (
     jmat_sqrt,
     jmat_truncated,
     jmat_zero,
-    table_mul,
-    uniform,
 )
-from lkholonomy.jets import Jet, JetShapeError, JetSpace
+from lkholonomy import potentials as P
+from lkholonomy.jets import Jet, JetShapeError, JetSpace, table_mul, uniform
 
 SPACE = JetSpace(2, 5)
 
@@ -179,6 +179,34 @@ def test_inverse_and_sqrt_are_the_jet_matrix_loops_bit_for_bit(seed):
         assert np.abs(jmat_eval0(M) - np.eye(3)).max() > 0.5
         assert same_matrix_bits(jmat_inverse(M), reference_inverse(M))
     assert same_matrix_bits(jmat_sqrt(H), reference_sqrt(H))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exp_is_the_taylor_loop_bit_for_bit(seed):
+    """jmat_exp, a Taylor sum on term tables, has the keys in the same order
+    and the bits of the sum on jet matrices over the entrywise product, on a
+    dense matrix with zero constant part, the same with an empty entry, and
+    the same with one entry cut to order 2."""
+    G = jmat_zero((3, 3), JetSpace(2, 4))
+    for idx, a in np.ndenumerate(_dense_jmat(np.random.default_rng(seed))):
+        G[idx] = Jet(2, 4, {k: c for k, c in a.coeffs.items() if k != ((0, 0), (0, 0))})
+    empty, cut = G.copy(), G.copy()
+    empty[1, 2] = Jet(2, 4, {})
+    cut[0, 1] = cut[0, 1].truncated(2)
+    for M in (G, empty, cut):
+        assert same_matrix_bits(jmat_exp(M), reference_jmat_exp(M))
+
+
+def test_exp_of_the_suite_is_the_taylor_loop_bit_for_bit(suite, monkeypatch):
+    """The same on every exponent G that fun_potential builds for the
+    suite's descriptors at order 10."""
+    seen = []
+    monkeypatch.setattr(P, "jmat_exp", lambda G: seen.append(G) or jmat_exp(G))
+    for d in suite:
+        P.build_potential(d, order=10)
+    assert seen
+    for G in seen:
+        assert same_matrix_bits(jmat_exp(G), reference_jmat_exp(G))
 
 
 def test_sqrt_rejects_an_indefinite_constant_part():

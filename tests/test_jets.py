@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import evaluate, same_bits
+from oracles import (evaluate, reference_exp, reference_reciprocal, same_bits, table_jmat)
 
-from lkholonomy.jets import MAX_ORDER, Jet, JetSpace, real_part
+from lkholonomy import geometry as G
+from lkholonomy import potentials as P
+from lkholonomy.jets import (MAX_ORDER, Jet, JetSpace, real_part, table_from_parts,
+                             table_parts)
 from lkholonomy.potentials import antiderivative
 
 NC, ORDER = 2, 5
@@ -252,14 +255,66 @@ def test_exp_has_the_factorial_coefficients():
                                                              rel=1e-15)
 
 
+def _entry(table: dict, order: int) -> Jet:
+    """The jet of a one-entry table."""
+    return table_jmat(table, (1, 1), JetSpace(NC, order))[0, 0]
+
+
 def test_graded_parts_rebuild_the_jet():
     a = Jet(NC, 3, {((1, 0), (0, 0)): 2.0, ((0, 0), (0, 0)): 1.0,
                     ((1, 1), (0, 1)): 3.0, ((4, 0), (0, 0)): 5.0})
-    parts = a.graded()
+    parts = table_parts({(0, 0): a.terms}, a.order)
     assert [p is None for p in parts] == [False, False, True, False]
-    assert list(parts[3].coeffs) == [((1, 1), (0, 1))]
-    assert Jet.from_graded(parts).coeffs == {k: c for k, c in a.coeffs.items()
-                                             if sum(k[0]) + sum(k[1]) <= 3}
+    assert list(_entry(parts[3], 3).coeffs) == [((1, 1), (0, 1))]
+    assert _entry(table_from_parts(parts), 3).coeffs == {k: c for k, c in a.coeffs.items()
+                                                         if sum(k[0]) + sum(k[1]) <= 3}
+
+
+def _seeded_jet(rng, nc: int, order: int) -> Jet:
+    """Up to six seeded terms of degree 1..order in nc coordinates, some
+    with zero parts of either sign, and a nonzero constant term."""
+    parts = [0.0, -0.0, 0.5, -1.25]
+    coeffs = {}
+    for _ in range(int(rng.integers(0, 7)) if order else 0):
+        e = rng.multinomial(int(rng.integers(1, order + 1)), [1 / (2 * nc)] * (2 * nc))
+        re, im = rng.standard_normal(2) * 0.4
+        coeffs[(tuple(int(x) for x in e[:nc]), tuple(int(x) for x in e[nc:]))] = (
+            complex(parts[int(rng.integers(4))], im) if rng.random() < 0.25 else complex(re, im))
+    coeffs[((0,) * nc, (0,) * nc)] = complex(1.0 + rng.random(), rng.standard_normal())
+    return Jet(nc, order, coeffs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exp_and_reciprocal_are_the_jet_recursions_bit_for_bit(seed):
+    """Jet.exp and Jet.reciprocal, graded solves on one-entry tables, have
+    the keys in the same order and the coefficient bytes of the recursions
+    on jet parts over Jet.__mul__ (tests/oracles.py), at orders 0-10 in 1-4
+    coordinates."""
+    rng = np.random.default_rng(seed)
+    for nc in range(1, 5):
+        for order in range(11):
+            a = _seeded_jet(rng, nc, order)
+            assert same_bits(a.exp(), reference_exp(a)), (nc, order)
+            assert same_bits(a.reciprocal(), reference_reciprocal(a)), (nc, order)
+
+
+def test_exp_and_reciprocal_of_the_suite_are_the_jet_recursions_bit_for_bit(suite, monkeypatch):
+    """The same on every jet that the suite's potentials at order 10 take exp
+    of, every jet that their metrics' Walker inverses take the reciprocal
+    of, and the reciprocal of each of those exponentials."""
+    seen: dict = {"exp": [], "reciprocal": []}
+    for name, found in seen.items():
+        monkeypatch.setattr(Jet, name, lambda a, fn=getattr(Jet, name), found=found:
+                            found.append(a) or fn(a))
+    for d in suite:
+        G.metric_from_potential(P.build_potential(d, order=10)).hinv
+    monkeypatch.undo()
+    assert seen["exp"] and seen["reciprocal"]
+    for a in seen["exp"]:
+        assert same_bits(a.exp(), reference_exp(a))
+        assert same_bits(a.exp().reciprocal(), reference_reciprocal(reference_exp(a)))
+    for a in seen["reciprocal"]:
+        assert same_bits(a.reciprocal(), reference_reciprocal(a))
 
 
 # -- packed keys against tuple-key reference loops ------------------------------
@@ -362,11 +417,11 @@ def test_graded_parts_match_the_tuple_loop(jc):
     ref = [{} for _ in range(a.order + 1)]
     for key, c in _tuple_jet(a).items():
         ref[_deg(key)][key] = c
-    parts = a.graded()
+    parts = table_parts({(0, 0): a.terms}, a.order)
     assert [p is None for p in parts] == [not r for r in ref]
     for p, r in zip(parts, ref):
         if r:
-            assert same_bits(p, Jet(NC, a.order, r))
+            assert same_bits(_entry(p, a.order), Jet(NC, a.order, r))
 
 
 def test_the_top_degree_stays_in_its_fields():
