@@ -24,6 +24,11 @@ The verdicts run in-process through ``lkholonomy.cli.main``:
   - then ``holonomy --rmax 6`` at order 10 on the ten regression
     descriptors, the full spans with the highest r_max that the benchmark's
     ``verdict-mix`` workload runs;
+  - then ``holonomy --order 12 --rmax 4`` on the same ten: the CLI builds
+    Ricci, and with it the full Gamma and R, before the span, which then
+    reuses them, and these lines show that this order leaves the report
+    unchanged;
+  - then ten library lines ``cut-d<i>-o12-r4`` (see below);
   - at the very end, ``classify`` on the ``-levi``, ``-parabolic`` and
     ``-unitary`` conjugates of every catalog entry with n <= 3, drawn as
     for the ``berger`` conjugate lines.
@@ -42,6 +47,13 @@ the ``bracket_residual`` bytes; their exit code column is ``-``.  The
 curvature of every n >= 1 case already spans u(1,n+1)_Cp at the base
 point, so its holonomy basis is the real span of the pattern's unit
 matrices, which holds no curvature value; at n = 0 it is the full span's.
+
+The ``cut-d<i>-o12-r4`` lines run ``geometry.infinitesimal_holonomy`` with
+r_max 4 on a fresh metric of each regression descriptor's potential at
+order 12, so that the span builds Gamma to degree r_max + 1 and R to r_max
+without caching them.  Their digest is of the holonomy basis bytes,
+``dims_by_order`` and the ``bracket_residual`` bytes; their exit code
+column is ``-``.
 
 Usage: PYTHONPATH=src python3 scripts/report_digests.py [--only PATTERN ...]
 
@@ -143,12 +155,29 @@ def n0_verdicts(work: str):
 
 def order10_verdicts(work: str):
     """(name, argv) of ``holonomy --rmax 6`` at order 10 on the ten
-    regression descriptors, printed last so that the lines before them keep
-    their order."""
-    for i, d in enumerate(descriptor_suite()[:10]):
-        pot = _write(work, f"d{i}-o10", {"kind": "descriptor", "order": 10,
-                                         "descriptor": S.encode_descriptor(d)})
+    regression descriptors, then of ``holonomy --order 12 --rmax 4`` on
+    each, printed last so that the lines before them keep their order."""
+    pots = [_write(work, f"d{i}-o10", {"kind": "descriptor", "order": 10,
+                                       "descriptor": S.encode_descriptor(d)})
+            for i, d in enumerate(descriptor_suite()[:10])]
+    for i, pot in enumerate(pots):
         yield f"holonomy-d{i}-o10", ["holonomy", "--potential", pot, "--rmax", "6"]
+    for i, pot in enumerate(pots):
+        yield (f"holonomy-d{i}-o12-r4",
+               ["holonomy", "--potential", pot, "--order", "12", "--rmax", "4"])
+
+
+def cut_digests(selected):
+    """(name, digest) of the holonomy with r_max 4 of a fresh metric of
+    each regression descriptor's potential at order 12."""
+    for i, d in enumerate(descriptor_suite()[:10]):
+        name = f"cut-d{i}-o12-r4"
+        if selected(name):
+            m = S.build_metric_from_config({"kind": "descriptor", "order": 12,
+                                            "descriptor": S.encode_descriptor(d)})
+            digest = hashlib.sha256()
+            _holonomy_digest(digest, G.infinitesimal_holonomy(m, r_max=4))
+            yield name, digest.hexdigest()
 
 
 def classify_conjugate_verdicts(work: str):
@@ -235,10 +264,14 @@ def _dense_digest(inputs, n: int, order: int, r_max: int, seed: int, case: int) 
         for jet in M.flat:
             digest.update(repr((jet.order, list(jet.coeffs))).encode())
             digest.update(np.array(list(jet.coeffs.values()), complex).tobytes())
+    _holonomy_digest(digest, hol)
+    return digest.hexdigest()
+
+
+def _holonomy_digest(digest, hol) -> None:
     digest.update(np.array(hol.algebra.basis, complex).tobytes())
     digest.update(repr(hol.dims_by_order).encode())
     digest.update(np.float64(hol.bracket_residual).tobytes())
-    return digest.hexdigest()
 
 
 def main() -> int:
@@ -265,6 +298,8 @@ def main() -> int:
         run(work, n0_verdicts(work))
         run(work, berger_verdicts(work))
         run(work, order10_verdicts(work))
+        for name, digest in cut_digests(selected):
+            print(f"{digest} - {name}")
         run(work, classify_conjugate_verdicts(work))
     return 0
 

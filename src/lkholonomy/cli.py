@@ -99,9 +99,11 @@ def _finish(args, command: str, payload: dict, ok: bool,
 
 def _cmd_holonomy(args) -> int:
     m = S.build_metric_from_config(S.load_json(args.potential), args.order)
+    # the refusals, then Ricci, which caches the full Gamma and R for the span
+    G.check_holonomy_input(m, args.rmax)
+    ric = G.ricci(m)
     hol = G.infinitesimal_holonomy(m, r_max=args.rmax)
     d = C.match_algebra(hol.algebra)
-    ric = G.ricci(m)
     ric_max = max(jet.max_abs() for jet in ric.ravel())
     payload = {
         "dims_by_order": hol.dims_by_order,

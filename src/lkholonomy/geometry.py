@@ -98,6 +98,16 @@ class MetricJet:
     def curv(self) -> list[list[np.ndarray]]:
         return curvature(self)
 
+    def connection(self, r_max: int) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+        """Gamma to degree r_max + 1 and R to r_max, all that a holonomy
+        span to r_max reads: the cached full `gamma` and `curv` when Gamma is
+        cached already or the metric reaches no higher, else both built cut
+        and not cached."""
+        if "gamma" in vars(self) or self.space.order <= r_max + 2:
+            return self.gamma, self.curv
+        gamma = christoffel(self, r_max + 1)
+        return gamma, curvature(self, gamma)
+
     @cached_property
     def curv0(self) -> np.ndarray:
         """R(0)[c, d] = R^a_{b c dbar} at the base point, read from the 2-jet
@@ -302,22 +312,25 @@ def inverse_residual(m: MetricJet) -> float:
     return jmat_max_abs(res)
 
 
-def christoffel(m: MetricJet) -> list[np.ndarray]:
-    """Gamma[c][a][b] = Gamma^a_{bc} = sum_d h^{dbar a} d_c h_{dbar b}.
+def christoffel(m: MetricJet, order: int | None = None) -> list[np.ndarray]:
+    """Gamma[c][a][b] = Gamma^a_{bc} = sum_d h^{dbar a} d_c h_{dbar b}, to
+    the order (default one less than the metric's, the most d_c h has).
 
-    d_c h has one order less than h, so the product reads no term of the
-    inverse above that order, and the inverse is built only up to it: the
-    same coefficients, bit for bit, as from the full `hinv`.  The
+    d_c h of h cut to order + 1 has that order, so the product reads no
+    term of the inverse above it, and the inverse is built only up to it:
+    the same coefficients, bit for bit, as from the full `hinv`.  The
     derivatives come first, so a metric of order 0 stops at them."""
-    dh = [jmat_derivative(m.h, c, holomorphic=True) for c in range(m.dim)]
-    hinv_t = m.inverse(m.space.order - 1).T.copy()
+    order = m.space.order - 1 if order is None else order
+    dh = [jmat_derivative(_truncated_h(m, order + 1), c, holomorphic=True) for c in range(m.dim)]
+    hinv_t = m.inverse(order).T.copy()
     return [jmat_mul(hinv_t, d) for d in dh]
 
 
-def curvature(m: MetricJet) -> list[list[np.ndarray]]:
-    """R[c][d][a][b] = R^a_{b c dbar} = -d_{zbar^d} Gamma^a_{bc}."""
+def curvature(m: MetricJet, gamma: list[np.ndarray] | None = None) -> list[list[np.ndarray]]:
+    """R[c][d][a][b] = R^a_{b c dbar} = -d_{zbar^d} Gamma^a_{bc}, of the
+    given Gamma (default the metric's)."""
     return [[jmat_derivative(g, d, holomorphic=False, factor=-1.0) for d in range(m.dim)]
-            for g in m.gamma]
+            for g in (m.gamma if gamma is None else gamma)]
 
 
 def covariant_derivative(xi: np.ndarray, gamma: list[np.ndarray], var: int,
@@ -451,6 +464,19 @@ def _holonomy_result(n: int, cbasis: list[np.ndarray], dims: list[int]) -> Holon
     )
 
 
+def check_holonomy_input(m: MetricJet, r_max: int) -> None:
+    """The one-line refusals of `infinitesimal_holonomy`, before any stage
+    is built: a metric outside the Walker form, a negative r_max, and a jet
+    order that cannot reach r_max."""
+    m.require_walker()
+    if r_max < 0:
+        raise ValueError(f"r_max must be at least 0, not {r_max}")
+    if m.space.order - 2 < r_max:
+        raise InsufficientOrderError(
+            f"jet order {m.space.order} cannot reach derivative order {r_max}; "
+            f"rebuild the potential with order >= {r_max + 4}")
+
+
 def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
     """Real span of all iterated covariant derivatives of the curvature
     endomorphisms at the base point, expressed in the Witt frame.
@@ -472,13 +498,7 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
     when they fall short, the full span decides.  A metric outside the
     Walker form has no such pattern for sigma to read, and is refused
     before anything is built."""
-    m.require_walker()
-    if r_max < 0:
-        raise ValueError(f"r_max must be at least 0, not {r_max}")
-    if m.space.order - 2 < r_max:
-        raise InsufficientOrderError(
-            f"jet order {m.space.order} cannot reach derivative order {r_max}; "
-            f"rebuild the potential with order >= {r_max + 4}")
+    check_holonomy_input(m, r_max)
     mask = parabolic_mask(m.n)
     D = int(mask.sum())
     if _spans_the_ambient(m, D):
@@ -510,12 +530,13 @@ def _holonomy_span(m: MetricJet, r_max: int) -> HolonomyResult:
     dim = m.dim
     # Only degrees <= r_max of P^{-1} R P are read, and each of them is the
     # same sum over the same terms when Gamma, P and R stop at r_max.
-    P, Pinv = radial_parallel_gauge(m.gamma, r_max)
+    gamma, curv = m.connection(r_max)
+    P, Pinv = radial_parallel_gauge(gamma, r_max)
     # the non-zero blocks R_cd cut to r_max, stacked vertically: a zero
     # block conjugates to zero and adds no coefficient
     blocks = [{divmod(e, dim): t for e, jet in enumerate(R.flat)
                if (t := {k: v for k, v in jet.terms.items() if k & MASK <= r_max})}
-              for row in m.curv for R in row]
+              for row in curv for R in row]
     blocks = [block for block in blocks if block]
     stack = {(b * dim + i, j): t for b, block in enumerate(blocks) for (i, j), t in block.items()}
     # P^-1 R P for every block from one product per side: the stack times

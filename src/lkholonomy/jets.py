@@ -195,7 +195,7 @@ class Jet:
         scale = max(self.max_abs(), 1.0)
         terms, n = self.terms, self.num_coords
         for k, c in terms.items():
-            if abs(c - np.conj(terms.get(_swap_key(k, n), 0.0))) > tol * scale:
+            if abs(c - terms.get(_swap_key(k, n), 0.0).conjugate()) > tol * scale:
                 return False
         return True
 
@@ -258,7 +258,7 @@ class Jet:
     def conjugate(self) -> "Jet":
         """Formal conjugate: swaps z and zbar exponents, conjugates coefficients."""
         n = self.num_coords
-        return _jet(n, self.order, {_swap_key(k, n): np.conj(c) for k, c in self.terms.items()})
+        return _jet(n, self.order, {_swap_key(k, n): c.conjugate() for k, c in self.terms.items()})
 
     # -- calculus -------------------------------------------------------------
 

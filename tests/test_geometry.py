@@ -301,21 +301,31 @@ def stage_calls(monkeypatch):
 
 
 def test_ppwave_check_builds_each_stage_once(stage_calls):
-    G.ppwave_check(_fc_metric(1.0, 1.0))
-    assert stage_calls == {"christoffel": 1, "curvature": 1}
+    """Also at order 10 with r_max 3, where the span alone would cut Gamma
+    to r_max + 1: ppwave_check reads the full Gamma first, and the span
+    reuses it and the full R."""
+    for order, r_max in [(8, 3), (10, 3)]:
+        stage_calls.update(christoffel=0, curvature=0)
+        G.ppwave_check(_fc_metric(1.0, 1.0, order), r_max)
+        assert stage_calls == {"christoffel": 1, "curvature": 1}
 
 
 def test_cli_holonomy_builds_each_stage_once(stage_calls, tmp_path, capsys):
+    """Also at order 10 with r_max 3: Ricci caches the full Gamma and R
+    before the span, which reuses them."""
     p = tmp_path / "fc.json"
-    p.write_text(json.dumps({"kind": "fc", "a": 1.0, "b": 1.0, "order": 8}))
-    assert cli.main(["holonomy", "--potential", str(p)]) == cli.EXIT_OK
-    assert stage_calls == {"christoffel": 1, "curvature": 1}
+    for order, rmax in [(8, []), (10, ["--rmax", "3"])]:
+        stage_calls.update(christoffel=0, curvature=0)
+        p.write_text(json.dumps({"kind": "fc", "a": 1.0, "b": 1.0, "order": order}))
+        assert cli.main(["holonomy", "--potential", str(p), *rmax]) == cli.EXIT_OK
+        assert stage_calls == {"christoffel": 1, "curvature": 1}
 
 
 def test_gauge_is_built_from_gamma_truncated_to_r_max(monkeypatch):
-    """The holonomy's gauge reads no Gamma term of degree >= r_max: with
-    every such term of the cached full-order Gamma set to nan, P and P^-1
-    keep their keys and bits."""
+    """The holonomy's gauge gets Gamma cut to r_max + 1 when no Gamma is
+    cached, and reads no Gamma term of degree >= r_max: with every such
+    term of the full Gamma set to nan, P and P^-1 keep their keys and bits.
+    The cut Gamma is not cached, and the cached stage keeps full order."""
     seen = {}
 
     def recording(gamma, r_max, fn=G.radial_parallel_gauge):
@@ -325,8 +335,9 @@ def test_gauge_is_built_from_gamma_truncated_to_r_max(monkeypatch):
     monkeypatch.setattr(G, "radial_parallel_gauge", recording)
     m = _fc_metric(1.0, 1.0, order=9)
     G.infinitesimal_holonomy(m, r_max=3)
-    assert m.gamma[0][0, 0].order == m.space.order - 1  # the cached stage keeps full order
-    assert seen["r_max"] == 3 and seen["gamma"] is m.gamma
+    assert seen["r_max"] == 3 and seen["gamma"][0][0, 0].order == 4
+    assert "gamma" not in vars(m)
+    assert m.gamma[0][0, 0].order == m.space.order - 1
     poisoned, high = [], 0
     for g in m.gamma:
         p = np.empty(g.shape, dtype=object)
@@ -337,10 +348,67 @@ def test_gauge_is_built_from_gamma_truncated_to_r_max(monkeypatch):
         poisoned.append(p)
     assert high > 0
     space = JetSpace(m.dim, 3)
-    for want, got in zip(G.radial_parallel_gauge(m.gamma, 3),
-                         G.radial_parallel_gauge(poisoned, 3)):
-        assert same_matrix_bits(table_jmat(got, (m.dim, m.dim), space),
-                                table_jmat(want, (m.dim, m.dim), space))
+    for want, cut, got in zip(G.radial_parallel_gauge(m.gamma, 3),
+                              G.radial_parallel_gauge(seen["gamma"], 3),
+                              G.radial_parallel_gauge(poisoned, 3)):
+        for table in (cut, got):
+            assert same_matrix_bits(table_jmat(table, (m.dim, m.dim), space),
+                                    table_jmat(want, (m.dim, m.dim), space))
+
+
+@pytest.mark.parametrize("metric", ["dense", "suite-o10"])
+def test_holonomy_from_the_cut_gamma_is_the_holonomy_from_the_cached_gamma(metric, suite,
+                                                                          monkeypatch):
+    """Two metrics of one potential, the full Gamma cached on one of them
+    only, give the same basis bytes, dims_by_order and bracket_residual
+    bytes at every r_max from 0 to order - 4: on the dense potentials of
+    report_digests.py at seeds 0 and 7, and the regression descriptors at
+    order 10.  The other metric's span gets Gamma cut to r_max + 1, and
+    caches none, whenever the metric reaches higher."""
+    orders = []
+    gauge = G.radial_parallel_gauge
+    monkeypatch.setattr(G, "radial_parallel_gauge",
+                        lambda gamma, r_max: orders.append(gamma[0][0, 0].order)
+                        or gauge(gamma, r_max))
+    if metric == "dense":
+        fs = [_dense_walker_potential(monkeypatch, (seed, case), n, order)
+              for seed in (0, 7)
+              for case, (n, order) in enumerate([(0, 8), (0, 10), (1, 6), (1, 7), (2, 6)])]
+    else:
+        fs = [P.build_potential(d, order=10) for d in suite[:10]]
+    cut = 0
+    for f in fs:
+        for r_max in range(f.order - 3):
+            full, fresh = G.metric_from_potential(f), G.metric_from_potential(f)
+            assert full.gamma
+            want = G.infinitesimal_holonomy(full, r_max)
+            orders.clear()
+            got = G.infinitesimal_holonomy(fresh, r_max)
+            if orders and fresh.space.order > r_max + 2:
+                assert orders == [r_max + 1] and "gamma" not in vars(fresh)
+                cut += 1
+            assert got.dims_by_order == want.dims_by_order
+            assert np.array(got.algebra.basis).tobytes() == np.array(want.algebra.basis).tobytes()
+            assert (np.float64(got.bracket_residual).tobytes()
+                    == np.float64(want.bracket_residual).tobytes())
+    assert cut > 0
+
+
+@pytest.mark.parametrize("metric", ["dense", "suite"])
+def test_jet_coefficients_stay_builtin_complex(metric, suite, monkeypatch):
+    """Every coefficient of the potential, h, h^-1, Gamma and R is a builtin
+    complex, not a numpy scalar: np.complex128 subclasses complex, so only
+    the exact type can tell them apart."""
+    if metric == "dense":
+        f = _dense_walker_potential(monkeypatch, (0, 4), 2, 6)
+    else:
+        f = P.build_potential(suite[8], order=10)
+    m = G.metric_from_potential(f)
+    stages = [[f], m.h.flat, m.hinv.flat, [j for g in m.gamma for j in g.flat],
+              [j for row in m.curv for R in row for j in R.flat]]
+    for jets in stages:
+        coeffs = [c for jet in jets for c in jet.terms.values()]
+        assert coeffs and all(type(c) is complex for c in coeffs)
 
 
 @pytest.mark.parametrize("metric", ["suite-o9", "suite-o10", "dense-n0", "fc", "nondiagonal"])
