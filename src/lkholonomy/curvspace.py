@@ -72,13 +72,6 @@ class CurvatureMap:
                          np.abs(P + np.moveaxis(P, -2, -4) + np.moveaxis(P, -4, -2)).max()))
 
 
-def _pairs(n: int, strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs j <= k of range(n), or j < k when strict, in row
-    order: np.triu_indices at a fraction of its cost."""
-    r = np.arange(n)
-    return np.nonzero(r[:, None] < r if strict else r[:, None] <= r)
-
-
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
@@ -178,38 +171,29 @@ class UnitMaps:
         s <= t, that some unit map has nonzero: the units whose value is
         nonzero, the real columns where the values live (2 e for the real
         and 2 e + 1 for the imaginary part at entry e), and the values
-        there, one row per unit: views into three read-only arrays.  The
-        N^2 of them are every value R(X, Y): R is skew, R(iX, iY) = R(X, Y)
-        and R(i b_a, b_b) = R(i b_b, b_a)."""
+        there, one row per unit, all read-only.  The N^2 of them are every
+        value R(X, Y): R is skew, R(iX, iY) = R(X, Y) and R(i b_a, b_b) =
+        R(i b_b, b_a).  Each value sums, by `_sums`, the table entries at
+        slot (a, b) before those at (b, a), times the factors above."""
         N = self.n + 2
-        (a, b), (s, t) = _pairs(N, strict=True), _pairs(N)
-        index = np.zeros((2, N, N), int)
-        index[0, a, b] = index[0, b, a] = np.arange(len(a))
-        index[1, s, t] = index[1, t, s] = len(a) + np.arange(len(s))
-        i, j = np.divmod(self.slot, N)
-        off = i != j
-        q = np.concatenate([index[0, i, j][off], index[1, i, j]])
-        value = np.concatenate([np.where(i < j, 1, -1)[off] * self.value[off],
-                                np.where(off, 1j, 2j) * self.value])
-        key = (q * self.count + np.concatenate([self.unit[off], self.unit])) * N * N
-        key, total = _sums(key + np.concatenate([self.entry[off], self.entry]), value)
-        q, unit = np.divmod(key // (N * N), self.count)
-        entry = key % (N * N)
-        seen = np.zeros((N * N, N * N), bool)
-        seen[q, entry] = True
-        width, col = seen.sum(axis=1), np.cumsum(seen, axis=1)[q, entry] - 1
-        first = _first(q, unit)
-        row = np.cumsum(first) - 1
-        U = np.zeros((np.count_nonzero(first), 2 * width.max()))
-        U[row, 2 * col], U[row, 2 * col + 1] = total.real, total.imag
-        values = np.flatnonzero(width)
-        rows = np.searchsorted(q[first], np.append(values, N * N))
-        columns = (2 * np.nonzero(seen)[1][:, None] + [0, 1]).ravel()
-        cuts = np.append(0, np.cumsum(2 * width[values]))
-        reach = unit[first]
-        _frozen(reach, columns, U)
-        return [(reach[lo:hi], columns[a:b], U[lo:hi, :b - a])
-                for lo, hi, a, b in zip(rows[:-1], rows[1:], cuts[:-1], cuts[1:])]
+        terms = [[(a * N + b, 1), (b * N + a, -1)] for a, b in zip(*np.triu_indices(N, 1))]
+        terms += [[(s * N + t, 1j), (t * N + s, 1j)] if s < t else [(s * N + s, 2j)]
+                  for s, t in zip(*np.triu_indices(N))]
+        # the positions of the entries at each slot, in table order
+        at = np.split(np.argsort(self.slot, kind="stable"),
+                      np.cumsum(np.bincount(self.slot, minlength=N * N))[:-1])
+        out = []
+        for parts in terms:
+            pick = np.concatenate([at[slot] for slot, _ in parts])
+            key, total = _sums(self.unit[pick] * N * N + self.entry[pick],
+                               np.concatenate([f * self.value[at[slot]] for slot, f in parts]))
+            if len(key):
+                reach, row = np.unique(key // (N * N), return_inverse=True)
+                entries, col = np.unique(key % (N * N), return_inverse=True)
+                U = np.zeros((len(reach), len(entries)), complex)
+                U[row, col] = total
+                out.append(_frozen(reach, (2 * entries[:, None] + [0, 1]).ravel(), U.view(float)))
+        return out
 
 
 @functools.cache
@@ -405,8 +389,8 @@ def _r0_entries(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     holomorphic-pair symmetry (b <-> j), the antiholomorphic-pair symmetry
     (a <-> k) and reality (R0[b, a, k, j] conjugated).  Each entry is a sum
     of w and conj w over 8: exact."""
-    j, k = _pairs(size)
-    u, v = _pairs(len(j))
+    j, k = np.triu_indices(size)
+    u, v = np.triu_indices(len(j))
     strict = u < v
     u, v = np.concatenate([u, u[strict]]), np.concatenate([v, v[strict]])
     w = np.concatenate([np.ones(len(strict)), np.full(np.count_nonzero(strict), 1j)])

@@ -59,9 +59,9 @@ class DegeneracyError(ValueError):
 class MetricJet:
     """Pseudo-Hermitian metric coefficients as a jet matrix.
 
-    The geometry pipeline of the metric (hinv -> gamma -> curv, and the
-    Witt frame at the base point) is computed on first use and kept, so the
-    holonomy, the Ricci check and the pp-wave checks of one metric share it.
+    The geometry pipeline of the metric (gamma -> curv, and the Witt frame
+    at the base point) is computed on first use and kept, so the holonomy,
+    the Ricci check and the pp-wave checks of one metric share it.
     """
 
     n: int
@@ -77,12 +77,6 @@ class MetricJet:
         coeffs = np.fromiter(chain.from_iterable(j.terms.values() for j in jets), complex)
         if not np.isfinite(coeffs).all():
             raise ValueError("the metric or its potential has a non-finite jet coefficient")
-
-    @cached_property
-    def hinv(self) -> np.ndarray:
-        """h^{abar b} at the metric's full order; only the inverse residual
-        reads it, since Gamma needs one degree less (`christoffel`)."""
-        return self.inverse()
 
     def inverse(self, order: int | None = None) -> np.ndarray:
         """h^{abar b} to the given order (default the metric's): the
@@ -307,7 +301,7 @@ def generic_inverse(m: MetricJet, order: int | None = None) -> np.ndarray:
 
 def inverse_residual(m: MetricJet) -> float:
     space = m.space
-    res = jmat_add(jmat_mul(m.hinv.T.copy(), m.h),
+    res = jmat_add(jmat_mul(m.inverse().T.copy(), m.h),
                    jmat_scale(jmat_identity(m.dim, space), -1.0))
     return jmat_max_abs(res)
 
@@ -318,7 +312,7 @@ def christoffel(m: MetricJet, order: int | None = None) -> list[np.ndarray]:
 
     d_c h of h cut to order + 1 has that order, so the product reads no
     term of the inverse above it, and the inverse is built only up to it:
-    the same coefficients, bit for bit, as from the full `hinv`.  The
+    the same coefficients, bit for bit, as from the full `inverse()`.  The
     derivatives come first, so a metric of order 0 stops at them."""
     order = m.space.order - 1 if order is None else order
     dh = [jmat_derivative(_truncated_h(m, order + 1), c, holomorphic=True) for c in range(m.dim)]

@@ -100,12 +100,8 @@ def jmat_derivative(A: np.ndarray, var: int, holomorphic: bool = True,
     return _entrywise(lambda a: a.derivative(var, holomorphic, factor), A)
 
 
-def jmat_conj(A: np.ndarray) -> np.ndarray:
-    return _entrywise(Jet.conjugate, A)
-
-
 def jmat_conj_transpose(A: np.ndarray) -> np.ndarray:
-    return jmat_conj(A).T.copy()
+    return _entrywise(Jet.conjugate, A).T.copy()
 
 
 def jmat_max_abs(A: np.ndarray) -> float:

@@ -13,8 +13,8 @@ I_0..I_{n-1}, J_0..J_{n-1} in the ``W``-bit fields above it (packed
 exponent vectors, Monagan & Pearce, CASC 2007).  The key of a product term
 is the sum of the keys, and its degree is ``key & MASK``.  Every stored term
 has degree at most the jet's order, and the order is at most ``MAX_ORDER``,
-so no field ever carries into its neighbour.  ``Jet.coeffs`` is a read-only
-``(I, J)``-keyed view of the same terms.
+so no field ever carries into its neighbour.  ``Jet.coeffs`` copies the
+terms into an ``(I, J)``-keyed dict, for tests, scripts and debugging.
 
 The float rules of all jet arithmetic live here: `product_into`, `_merge`
 and the term-table kernel on them, `table_mul` and `graded_solve`, which
@@ -23,7 +23,7 @@ and the term-table kernel on them, `table_mul` and `graded_solve`, which
 """
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,41 +112,6 @@ def _packed(num_coords: int, order: int, coeffs) -> dict[int, complex]:
     return terms
 
 
-class CoeffView(Mapping):
-    """Read-only (I, J)-keyed view of a jet's terms, in storage order."""
-
-    __slots__ = ("_terms", "_n")
-
-    def __init__(self, terms: dict[int, complex], num_coords: int):
-        self._terms, self._n = terms, num_coords
-
-    def __getitem__(self, key: Key) -> complex:
-        I, J = key
-        if sum(I) + sum(J) > MAX_ORDER or min((*I, *J), default=0) < 0 \
-                or len(I) != self._n or len(J) != self._n:
-            raise KeyError(key)
-        return self._terms[pack(I, J)]
-
-    def __iter__(self):
-        n = self._n
-        return (unpack(k, n) for k in self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def items(self):
-        return _CoeffItems(self)
-
-    def values(self):
-        return self._terms.values()
-
-
-class _CoeffItems(ItemsView):
-    def __iter__(self):
-        n = self._mapping._n
-        return ((unpack(k, n), c) for k, c in self._mapping._terms.items())
-
-
 class Jet:
     """Truncated multivariate power series over complex scalars.
 
@@ -162,8 +127,10 @@ class Jet:
         self.terms = _packed(num_coords, order, coeffs) if coeffs else {}
 
     @property
-    def coeffs(self) -> CoeffView:
-        return CoeffView(self.terms, self.num_coords)
+    def coeffs(self) -> dict[Key, complex]:
+        """The terms as a new (I, J)-keyed dict, in storage order."""
+        n = self.num_coords
+        return {unpack(k, n): c for k, c in self.terms.items()}
 
     # -- construction helpers -------------------------------------------------
 
@@ -226,9 +193,6 @@ class Jet:
             other = Jet.constant(other, self.num_coords, self.order)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return _jet(self.num_coords, self.order, _scaled(self.terms, complex(other)))
@@ -239,9 +203,6 @@ class Jet:
         return _jet(self.num_coords, order, out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * (1.0 / complex(other))
 
     def _terms_upto(self, order: int) -> dict[int, complex]:
         """The terms of degree <= order: all of them when order >= the jet's

@@ -274,6 +274,32 @@ def test_unit_tables_densify_to_the_dense_unit_maps():
                                                        table.value)), n
 
 
+def test_real_values_are_the_nonzero_dense_values():
+    """real_values lists, in order, the values E[:, a, b] - E[:, b, a] for
+    a < b and then i (E[:, s, t] + E[:, t, s]) for s <= t of the dense unit
+    maps that some unit has nonzero: the units and the real columns of the
+    entries that are nonzero, and the values there, exactly, n = 0..4 in
+    both ambients."""
+    for n in range(5):
+        N = n + 2
+        for parabolic in (True, False):
+            units = curvspace._ambient(n, parabolic)
+            E = units.dense().reshape(units.count, N, N, N * N)
+            values = [E[:, a, b] - E[:, b, a] for a, b in zip(*np.triu_indices(N, 1))]
+            values += [1j * (E[:, s, t] + E[:, t, s]) for s, t in zip(*np.triu_indices(N))]
+            want = []
+            for V in values:
+                reach, entries = np.flatnonzero(V.any(axis=1)), np.flatnonzero(V.any(axis=0))
+                if len(reach):
+                    W = V[np.ix_(reach, entries)]
+                    want.append((reach, np.ravel([[2 * e, 2 * e + 1] for e in entries]),
+                                 np.stack([W.real, W.imag], axis=2).reshape(len(reach), -1)))
+            got = units.real_values
+            assert len(got) == len(want), (n, parabolic)
+            for g, w in zip(got, want):
+                assert all(np.array_equal(x, y) for x, y in zip(g, w)), (n, parabolic)
+
+
 def test_gk_curvature_dimensions_follow_the_closed_form():
     """For GK with L = C^n, n = 1..5, dim K(g) is (n+1)(n+2) + n^2 +
     n^2 (n+1) + (n(n+1)/2)^2 for k = iR + u(n), the first catalog entry

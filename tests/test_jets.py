@@ -12,7 +12,7 @@ from oracles import (evaluate, reference_exp, reference_reciprocal, same_bits, t
 
 from lkholonomy import geometry as G
 from lkholonomy import potentials as P
-from lkholonomy.jets import (MAX_ORDER, Jet, JetSpace, real_part, table_from_parts,
+from lkholonomy.jets import (MAX_ORDER, Jet, JetSpace, pack, real_part, table_from_parts,
                              table_parts)
 from lkholonomy.potentials import antiderivative
 
@@ -307,7 +307,7 @@ def test_exp_and_reciprocal_of_the_suite_are_the_jet_recursions_bit_for_bit(suit
         monkeypatch.setattr(Jet, name, lambda a, fn=getattr(Jet, name), found=found:
                             found.append(a) or fn(a))
     for d in suite:
-        G.metric_from_potential(P.build_potential(d, order=10)).hinv
+        G.metric_from_potential(P.build_potential(d, order=10)).inverse()
     monkeypatch.undo()
     assert seen["exp"] and seen["reciprocal"]
     for a in seen["exp"]:
@@ -354,6 +354,25 @@ def test_constructor_keeps_the_terms_up_to_the_order_in_their_order(jc):
     for (I, J), c in kept.items():
         assert a.coefficient(I, J) == c and a.coeffs[(I, J)] == c
     assert a.coefficient((MAX_ORDER + 1, 0), (0, 0)) == 0
+
+
+@given(limit_jets())
+@settings(max_examples=100, deadline=None)
+def test_coeffs_is_a_detached_dict_that_rebuilds_the_jet(jc):
+    """Jet.coeffs is a new dict keyed (I, J) in the order of `terms`:
+    writing into it leaves the jet unchanged, and the constructor rebuilds
+    the jet from it bit for bit."""
+    a, _ = jc
+    before = list(a.terms.items())
+    keyed = a.coeffs
+    assert type(keyed) is dict and [pack(I, J) for I, J in keyed] == list(a.terms)
+    b = Jet(NC, a.order, keyed)
+    assert list(b.terms) == list(a.terms)
+    assert (np.array(list(b.terms.values()), complex).tobytes()
+            == np.array(list(a.terms.values()), complex).tobytes())
+    keyed.clear()
+    keyed[((0, 0), (0, 0))] = 9.0
+    assert list(a.terms.items()) == before
 
 
 @given(limit_jets())

@@ -7,7 +7,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from lkholonomy.jets import Jet
+from lkholonomy import potentials
+from lkholonomy.jets import Jet, JetSpace
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,3 +48,19 @@ def test_tracer_wraps_every_span_and_restores_it(tracing):
     after = _bindings(tracing)
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_traced_calls_count_products_and_potential_terms(tracing):
+    """A traced jet product adds |a| |b| to jets.mul_pairs, and a traced
+    potential adds its term count to potentials.terms."""
+    a = Jet(2, 3, {((1, 0), (0, 0)): 1.0, ((0, 0), (0, 1)): 2.0, ((0, 0), (0, 0)): 0.5})
+    b = Jet(2, 3, {((0, 1), (0, 0)): 1.5j, ((0, 0), (0, 0)): 1.0})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        a * b
+        assert tracer.counts["jets.mul_pairs"] == len(a.terms) * len(b.terms)
+        f = potentials.fc_potential(JetSpace(2, 4), 1.0, 0.5)
+        assert tracer.counts["potentials.terms"] == len(f.terms)
+    finally:
+        tracer.uninstall()
