@@ -15,6 +15,7 @@ from .hermitian import RealFormData
 from .lie import (
     ABZCElement,
     MatrixAlgebra,
+    abzc_parts,
     fits_pattern,
     flatten,
     is_anti_hermitian,
@@ -292,22 +293,20 @@ def _read_descriptor(alg: MatrixAlgebra):
         return _read_n0(alg)
 
     try:
-        xs = [ABZCElement.from_matrix(b) for b in alg.basis]
+        a, A, Z, _ = abzc_parts(np.array(alg.basis))
     except ValueError as exc:
         raise ValueError(f"not in the parabolic block pattern: {exc}") from None
 
     # translation structure
-    zrows = flatten([x.Z for x in xs])
+    zrows = flatten(Z)
     L_full = row_space(zrows, tol)
-    k_param_rows = np.array([
-        np.concatenate([[x.a.real, x.a.imag], x.A.real.ravel(), x.A.imag.ravel()])
-        for x in xs])
+    k_param_rows = np.hstack([flatten(a), flatten(A)])
     kernel = null_space(k_param_rows.T, tol)
     trans_z = []
     for comb in kernel:
-        Z = sum(c * x.Z for c, x in zip(comb, xs))
-        if np.abs(Z).max() > tol:
-            trans_z.append(Z)
+        z = sum(c * x for c, x in zip(comb, Z))
+        if np.abs(z).max() > tol:
+            trans_z.append(z)
     V_trans = (row_space(flatten(trans_z), tol) if trans_z
                else np.zeros((0, 2 * n)))
 
@@ -319,7 +318,7 @@ def _read_descriptor(alg: MatrixAlgebra):
 
     real_form = None
     if m < n and L0_rows.shape[0]:
-        fs = [unflatten(r)[m:] for r in L0_rows]
+        fs = unflatten(L0_rows)[:, m:]
         # orthonormalize over R with respect to Re<.,.>
         ons: list[np.ndarray] = []
         for f in fs:
@@ -331,37 +330,34 @@ def _read_descriptor(alg: MatrixAlgebra):
         real_form = RealFormData(n - m, np.column_stack(ons))
 
     # the C + u(n) projection
-    k_elems = []
-    for row in row_space(k_param_rows, tol):
-        a = row[0] + 1j * row[1]
-        A = unflatten(row[2:], (n, n))
-        k_elems.append((a, A))
+    k_rows = row_space(k_param_rows, tol)
+    k_elems = list(zip(unflatten(k_rows[:, :2], ()), unflatten(k_rows[:, 2:], (n, n))))
 
     # psi-coupling: translations do not exhaust L
     if V_trans.shape[0] < L_full.shape[0]:
-        return _read_psi(xs, n, m, V_trans, real_form)
+        return _read_psi(a, A, Z, m, V_trans, real_form)
 
     if m == n:
         return KLDescriptor(n, n, k_elems)
     # the elements with an a-part first, then those of u(m) with a set to 0
-    twist = [(a, A[:m, :m]) for a, A in k_elems if not _a_is_zero(a)]
-    pure = [(0j, A[:m, :m]) for a, A in k_elems if _a_is_zero(a)]
+    twist = [(ka, kA[:m, :m]) for ka, kA in k_elems if not _a_is_zero(ka)]
+    pure = [(0j, kA[:m, :m]) for ka, kA in k_elems if _a_is_zero(ka)]
     return KLDescriptor(n, m, twist + pure, real_form)
 
 
-def _read_psi(xs, n, m, V_trans, real_form):
-    tol = DEFAULT_TOL.rank_rel
+def _read_psi(a, A, Z, m, V_trans, real_form):
+    """The GK0PSI descriptor of the stacks a, A and Z of the basis."""
+    n, tol = Z.shape[1], DEFAULT_TOL.rank_rel
     # r = complex dimension of the translation space: the translation space
     # is C^r plus the real directions where psi vanishes; C^r is its maximal
     # complex subspace
     r = _intersect_row_spaces(V_trans, row_space(_mult_i(V_trans), tol)).shape[0] // 2
 
     # k0: the u(r) blocks of the elements with zero vector part
-    full_rows = np.array([
-        np.concatenate([[x.a.real, x.a.imag], x.Z.real, x.Z.imag]) for x in xs])
+    full_rows = np.hstack([flatten(a), flatten(Z)])
     k0 = []
     for comb in null_space(full_rows.T, tol):
-        K = sum(c * x.A for c, x in zip(comb, xs))[:r, :r]
+        K = sum(c * x for c, x in zip(comb, A))[:r, :r]
         if np.abs(K).max(initial=0) > tol:
             k0.append(K)
     k0 = real_span_basis(k0)
@@ -370,8 +366,8 @@ def _read_psi(xs, n, m, V_trans, real_form):
     # element carrying it; the k0-orthogonal representative is returned.
     d = GK0PsiDescriptor(n, m, r, k0_basis=k0, psi_images=[], real_form=real_form)
     for X in _psi_domain_basis(d):
-        comb, _ = span_coords(X, [x.Z for x in xs])
-        P = sum(c * x.A for c, x in zip(comb, xs))[:r, :r]
+        comb, _ = span_coords(X, Z)
+        P = sum(c * x for c, x in zip(comb, A))[:r, :r]
         for K in k0:
             inner = np.sum((np.conj(K) * P)).real
             P = P - inner * K
@@ -383,11 +379,10 @@ def _read_psi(xs, n, m, V_trans, real_form):
 def _read_n0(alg: MatrixAlgebra):
     """G0 off the parabolic block pattern; on it G1, G2 or G3 by the
     dimension of alg and of its projection onto the diagonal."""
-    basis = alg.basis
-    if not fits_pattern(np.array(basis)).all():
+    B = np.array(alg.basis)
+    if not fits_pattern(B).all():
         return N0Descriptor("G0")
-    diag_rows = row_space(np.array([[b[0, 0].real, b[0, 0].imag] for b in basis]),
-                          DEFAULT_TOL.rank_rel)
+    diag_rows = row_space(flatten(B[:, 0, 0]), DEFAULT_TOL.rank_rel)
     ddim = diag_rows.shape[0]
     if alg.dim == 3 and ddim == 2:
         return N0Descriptor("G1")

@@ -434,20 +434,19 @@ class HolonomyResult:
     bracket_residual: float = 0.0
 
 
-def _real_points(cbasis: list[np.ndarray]) -> list[np.ndarray]:
-    """The real span of w + sigma(w) and i(w - sigma(w)) over the complex
-    basis, sigma applied to the whole stack at once."""
-    if not cbasis:
-        return []
-    W = np.array(cbasis)
+def _real_points(W: np.ndarray) -> list[np.ndarray]:
+    """The real span of w + sigma(w) and i(w - sigma(w)) over a stack W of
+    complex basis matrices, both candidates of each w in turn, those at most
+    residual left out."""
     S = sigma_involution(W)
-    cands = [x for w, s in zip(W, S) for x in (w + s, 1j * (w - s))]
-    return real_span_basis([c for c in cands if np.abs(c).max() > DEFAULT_TOL.residual])
+    cands = np.stack([W + S, 1j * (W - S)], axis=1).reshape(-1, *W.shape[1:])
+    return real_span_basis(cands[np.abs(cands).max(axis=(1, 2)) > DEFAULT_TOL.residual])
 
 
-def _holonomy_result(n: int, cbasis: list[np.ndarray], dims: list[int]) -> HolonomyResult:
-    """The result of a complex span basis and its dimensions by order: the
-    span is called stabilized when its last two dimensions agree."""
+def _holonomy_result(n: int, cbasis: np.ndarray, dims: list[int]) -> HolonomyResult:
+    """The result of a stack of complex span basis matrices and its
+    dimensions by order: the span is called stabilized when its last two
+    dimensions agree."""
     alg = MatrixAlgebra(n, _real_points(cbasis))
     return HolonomyResult(
         algebra=alg,
@@ -498,7 +497,7 @@ def infinitesimal_holonomy(m: MetricJet, r_max: int = 4) -> HolonomyResult:
     if _spans_the_ambient(m, D):
         units = np.zeros((D, *mask.shape), complex)
         units[(np.arange(D), *np.nonzero(mask))] = 1.0
-        return _holonomy_result(m.n, list(units), [D] * (r_max + 1))
+        return _holonomy_result(m.n, units, [D] * (r_max + 1))
     return _holonomy_span(m, r_max)
 
 
@@ -538,34 +537,41 @@ def _holonomy_span(m: MetricJet, r_max: int) -> HolonomyResult:
     RP = table_mul(stack, P, uniform(r_max))
     side = {(r % dim, r - r % dim + j): terms for (r, j), terms in RP.items()}
     conj = table_mul(Pinv, side, uniform(r_max))
-    coeffs_by_deg: dict[int, list[np.ndarray]] = {r: [] for r in range(r_max + 1)}
+    # every coefficient matrix as a row, block by block and in each block
+    # one slot per key in order of first appearance (entries in C order,
+    # then dict order), with its degree; one stacked conjugation by Q
+    slots, cells, vals, degs = [], [], [], []
     for b in range(len(blocks)):
-        # one slot per key, in order of first appearance (entries in C
-        # order, then dict order), and one stacked conjugation by Q
         slot: dict = {}
-        slots, cells, vals = [], [], []
         for cell in range(dim * dim):
             i, j = divmod(cell, dim)
             for key, val in conj.get((i, b * dim + j), {}).items():
-                slots.append(slot.setdefault(key, len(slot)))
+                slots.append(len(degs) + slot.setdefault(key, len(slot)))
                 cells.append(cell)
                 vals.append(val)
-        mats = np.zeros((len(slot), dim * dim), complex)
-        mats[slots, cells] = vals
-        mats = Qinv @ mats.reshape(len(slot), dim, dim) @ Q
-        for key, mat in zip(slot, mats):
-            coeffs_by_deg[key & MASK].append(mat)
+        degs += [key & MASK for key in slot]
+    mats = np.zeros((len(degs), dim * dim), complex)
+    mats[slots, cells] = vals
+    rows = (Qinv @ mats.reshape(-1, dim, dim) @ Q).reshape(len(degs), dim * dim)
+    span, dims = _span_by_degree(rows, np.array(degs, int), r_max)
+    return _holonomy_result(m.n, span.reshape(-1, dim, dim), dims)
 
-    dims = []
-    cbasis_rows = np.zeros((0, m.dim * m.dim), complex)
-    scale = max((np.abs(w).max() for ws in coeffs_by_deg.values() for w in ws),
-                default=1.0)
-    noise = DEFAULT_TOL.coeff_zero * scale
+
+def _span_by_degree(rows: np.ndarray, degs: np.ndarray,
+                    r_max: int) -> tuple[np.ndarray, list[int]]:
+    """The orthonormal span of the complex coefficient rows of degree <= r_max
+    and its dimension after each degree.  A row at most coeff_zero times the
+    largest one is noise; the others enter scaled by the largest, each
+    degree's rows in their order after the span so far."""
+    size = np.abs(rows).max(axis=1)
+    scale = size.max() if size.size else 1.0
+    keep = size > DEFAULT_TOL.coeff_zero * scale
+    rows, degs = rows[keep] / scale, degs[keep]
+    dims, span = [], rows[:0]
     for r in range(r_max + 1):
-        rows = [w.ravel() / scale for w in coeffs_by_deg[r] if np.abs(w).max() > noise]
-        cbasis_rows = row_space(np.vstack([cbasis_rows, *rows]))
-        dims.append(len(cbasis_rows))
-    return _holonomy_result(m.n, [row.reshape(m.dim, m.dim) for row in cbasis_rows], dims)
+        span = row_space(np.vstack([span, rows[degs == r]]))
+        dims.append(len(span))
+    return span, dims
 
 
 def iterated_covariant_span(m: MetricJet, r_max: int) -> list[np.ndarray]:

@@ -45,25 +45,28 @@ def null_space(rows: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 # -- real-span machinery ------------------------------------------------------
 
-def flatten(mats: list[np.ndarray]) -> np.ndarray:
-    """One real row (Re, Im) per complex matrix or vector."""
-    rows = [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats]
-    return np.array(rows)
+def flatten(mats) -> np.ndarray:
+    """One real row (Re, Im) per complex matrix or vector of a stack, or of
+    a list of them; an empty stack gives no rows."""
+    X = np.asarray(mats)
+    X = X.reshape(len(X), np.prod(X.shape[1:], dtype=int))
+    return np.concatenate([X.real, X.imag], axis=1)
 
 
-def unflatten(row: np.ndarray, shape=-1) -> np.ndarray:
-    """The complex matrix or vector of the given shape behind a real row."""
-    half = row.size // 2
-    return (row[:half] + 1j * row[half:]).reshape(shape)
+def unflatten(rows: np.ndarray, shape: tuple = (-1,)) -> np.ndarray:
+    """The complex matrix or vector of the given shape behind a real row,
+    or the stack of them behind a stack of rows."""
+    half = rows.shape[-1] // 2
+    return (rows[..., :half] + 1j * rows[..., half:]).reshape(rows.shape[:-1] + tuple(shape))
 
 
-def real_span_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal (over R) basis of the real span of the given matrices."""
-    mats = [m for m in mats if np.abs(m).max() > 0]
-    if not mats:
-        return []
-    return [unflatten(row, mats[0].shape)
-            for row in row_space(flatten(mats))]
+def real_span_basis(mats) -> list[np.ndarray]:
+    """Orthonormal (over R) basis of the real span of a stack or a list of
+    matrices, the all-zero ones left out."""
+    X = np.asarray(mats)
+    rows = flatten(X)
+    rows = rows[np.abs(rows).max(axis=1) > 0]
+    return list(unflatten(row_space(rows), X.shape[1:]))
 
 
 def is_anti_hermitian(A: np.ndarray) -> bool:
@@ -77,7 +80,7 @@ def is_anti_hermitian(A: np.ndarray) -> bool:
 
 def in_real_span(m: np.ndarray, basis: list[np.ndarray]) -> bool:
     """span_residual within rank_rel times max(largest real component, 1)."""
-    scale = max(np.abs(flatten([m])).max(), 1.0) if basis else 1.0
+    scale = max(np.abs(flatten([m])).max(), 1.0) if len(basis) else 1.0
     return span_residual(m, basis) <= DEFAULT_TOL.rank_rel * scale
 
 
@@ -88,7 +91,7 @@ def span_coords(m: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, flo
     coordinates keep m's leading axes; an empty basis leaves m itself as the
     residual."""
     m = np.asarray(m)
-    if not basis:
+    if len(basis) == 0:
         return np.zeros(0), float(np.abs(flatten([m])).max(initial=0.0))
     size = basis[0].size
     V = np.concatenate([m.real.reshape(-1, size), m.imag.reshape(-1, size)], axis=1).T
@@ -178,15 +181,23 @@ class ABZCElement:
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "ABZCElement":
-        """(a, A, Z, c) of m: m fits the block pattern and is fixed by sigma,
-        both within rank_rel·max(|m|, 1)."""
-        n, tol = m.shape[0] - 2, DEFAULT_TOL.rank_rel * max(np.abs(m).max(), 1.0)
-        if not fits_pattern(m):
-            raise ValueError("matrix is not in the parabolic block pattern")
-        if np.abs(_sigma(m) - m).max() > tol:
-            raise ValueError("matrix is not fixed by sigma")
-        return ABZCElement(m[0, 0], m[1:n + 1, 1:n + 1].copy(), m[1:n + 1, n + 1].copy(),
-                           m[0, n + 1].imag)
+        """(a, A, Z, c) of m, by abzc_parts."""
+        a, A, Z, c = abzc_parts(m[None])
+        return ABZCElement(a[0], A[0].copy(), Z[0].copy(), c[0])
+
+
+def abzc_parts(X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The stacks of a, A, Z and c of a stack X of matrices, each of which
+    fits the block pattern and is fixed by sigma, both within
+    rank_rel·max(|X|, 1); the first matrix that does not is a ValueError."""
+    n = X.shape[-1] - 2
+    off = ~fits_pattern(X)
+    tol = DEFAULT_TOL.rank_rel * np.maximum(np.abs(X).max(axis=(-2, -1)), 1.0)
+    bad = off | (np.abs(_sigma(X) - X).max(axis=(-2, -1)) > tol)
+    if bad.any():
+        raise ValueError("matrix is not in the parabolic block pattern" if off[bad.argmax()]
+                         else "matrix is not fixed by sigma")
+    return X[:, 0, 0], X[:, 1:n + 1, 1:n + 1], X[:, 1:n + 1, n + 1], X[:, 0, n + 1].imag
 
 
 # -- the parabolic block pattern and sigma -------------------------------------

@@ -66,11 +66,24 @@ def _natural(k, what: str) -> int:
     return k
 
 
+def _number(obj, what: str) -> float:
+    """obj as a finite float: json also reads NaN, Infinity, 1e999 and
+    integers too large for a float."""
+    x = _check(obj, (int, float), what)
+    try:
+        value = float(x)
+    except OverflowError:
+        value = np.inf
+    if not abs(value) < np.inf:
+        raise ValueError(f"expected a finite number, got {str(x)[:40]}")
+    return value
+
+
 def decode_complex(obj) -> complex:
     """A number, or a pair [re, im] of numbers."""
     if isinstance(obj, list) and len(obj) == 2:
-        return complex(*(_check(x, (int, float), "a number") for x in obj))
-    return complex(_check(obj, (int, float), "a number or a pair of numbers"))
+        return complex(_number(obj[0], "a number"), _number(obj[1], "a number"))
+    return complex(_number(obj, "a number or a pair of numbers"))
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -154,7 +167,7 @@ def decode_descriptor(obj: dict):
               for e in _items(obj, "k_basis", dict)]
         return C.KLDescriptor(n, n, kb)
     m = _natural(obj.get("m", n), "m")
-    lambdas = [float(_check(l, (int, float), "a number")) for l in _items(obj, "lambdas")]
+    lambdas = [_number(l, "a number") for l in _items(obj, "lambdas")]
     rf = RealFormData.from_lambdas(lambdas, n - m) if n > m else None
     if fam == "GK0PSI":
         r = _natural(obj["r"], "r")
@@ -178,7 +191,7 @@ def decode_descriptor(obj: dict):
 
 def _real(entry: dict, key: str) -> float:
     """entry[key] as a float, when it is a number."""
-    return float(_check(entry[key], (int, float), f"a number {key}"))
+    return _number(entry[key], f"a number {key}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ entrywise jet-matrix product and, over it, the graded inverse, square
 root, radial gauge and Taylor exp of jet matrices and the exp-derivative
 series, the conversions between jet
 matrices and term tables, the bracket closure of a matrix algebra pair by pair,
-bit-for-bit equality of jets and jet matrices, the distance of two jet
-matrices and the pp-wave verdict of a report."""
+the list versions of the real-span helpers and of the holonomy span's row
+handling, one numpy call per matrix, bit-for-bit equality of jets and jet
+matrices, the distance of two jet matrices and the pp-wave verdict of a
+report."""
 import math
 import operator
 from itertools import repeat
@@ -21,7 +23,7 @@ from lkholonomy.classify import KLDescriptor, build_family
 from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.curvspace import CurvatureParam, param_dim
 from lkholonomy.hermitian import WittMetric
-from lkholonomy.lie import ABZCElement, span_residual
+from lkholonomy.lie import ABZCElement, row_space, sigma_involution, span_residual
 from lkholonomy.jetmat import (_filled, jmat_add, jmat_derivative, jmat_eval0, jmat_from_const,
                                jmat_identity, jmat_max_abs, jmat_scale, jmat_space, jmat_zero)
 from lkholonomy.jets import MASK, Jet, JetSpace
@@ -386,6 +388,48 @@ def bracket_residual_by_pairs(alg) -> float:
         for y in alg.basis[i + 1:]:
             worst = max(worst, span_residual(x @ y - y @ x, alg.basis))
     return worst
+
+
+def list_flatten(mats) -> np.ndarray:
+    """One real row (Re, Im) per complex matrix or vector, one concatenate
+    per matrix: the loop that lie.flatten stacks."""
+    return np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
+
+
+def list_real_span_basis(mats) -> list:
+    """Orthonormal (over R) basis of the real span, the all-zero matrices
+    left out one at a time and each row unflattened on its own: the loops
+    that lie.real_span_basis stacks."""
+    mats = [m for m in mats if np.abs(m).max() > 0]
+    if not mats:
+        return []
+    half = mats[0].size
+    return [(row[:half] + 1j * row[half:]).reshape(mats[0].shape)
+            for row in row_space(list_flatten(mats))]
+
+
+def list_real_points(cbasis) -> list:
+    """geometry._real_points on a list, one candidate at a time."""
+    if not cbasis:
+        return []
+    W = np.array(cbasis)
+    S = sigma_involution(W)
+    cands = [x for w, s in zip(W, S) for x in (w + s, 1j * (w - s))]
+    return list_real_span_basis([c for c in cands if np.abs(c).max() > DEFAULT_TOL.residual])
+
+
+def list_span_by_degree(coeffs_by_deg: dict, r_max: int, size: int):
+    """geometry._span_by_degree on a dict of coefficient matrices by degree,
+    with one maximum, noise test and division per matrix: the span's rows
+    and its dimension after each degree."""
+    scale = max((np.abs(w).max() for ws in coeffs_by_deg.values() for w in ws), default=1.0)
+    noise = DEFAULT_TOL.coeff_zero * scale
+    dims, rows = [], np.zeros((0, size), complex)
+    for r in range(r_max + 1):
+        new = [w.ravel() / scale for w in coeffs_by_deg[r] if np.abs(w).max() > noise]
+        rows = row_space(np.vstack([rows, *new]))
+        dims.append(len(rows))
+    return rows, dims
 
 
 def same_bits(a, b) -> bool:

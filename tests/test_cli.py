@@ -1,11 +1,15 @@
 """End-to-end CLI runs through main(argv)."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from oracles import random_unitary
 
+import lkholonomy
 from lkholonomy import classify as C
 from lkholonomy import serialization as S
 from lkholonomy.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, build_parser, main
@@ -404,16 +408,19 @@ def test_order_and_n_past_their_limits_are_one_line_errors(tmp_path, capsys):
     assert main(["validate", "--potential", flat, "--order", str(MAX_ORDER)]) == EXIT_OK
 
 
+def _fresh(args, cwd, timeout) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package's source on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(lkholonomy.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def test_verdicts_do_not_load_scipy(tmp_path):
     """numpy is the only runtime dependency: a fresh process that runs
     catalog, classify on a twisted GKL file and holonomy on its potential
     never imports scipy."""
-    import os
-    import subprocess
-    import sys
-
-    import lkholonomy
-
     gkl = {"family": "GKL", "n": 2, "m": 0, "k_basis": [], "lambdas": [0.5]}
     alg = _write(tmp_path, "gkl.json", gkl)
     pot = _write(tmp_path, "pot.json", {"kind": "descriptor", "order": 9, "descriptor": gkl})
@@ -425,10 +432,32 @@ def test_verdicts_do_not_load_scipy(tmp_path):
         f"             main(['classify', '--algebra', {alg!r}]),\n"
         f"             main(['holonomy', '--potential', {pot!r}, '--rmax', '5'])]\n"
         "print(codes, 'scipy' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(lkholonomy.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=300)
+    proc = _fresh(["-c", script], tmp_path, 300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[-2] == f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}] False"
+
+
+def test_importing_the_cli_loads_no_heavy_module(tmp_path):
+    """A fresh `import lkholonomy.cli` loads none of scipy, sympy, mpmath,
+    hypothesis or numpy.ma: each would add to every verdict's start-up."""
+    script = ("import sys\nimport lkholonomy.cli\n"
+              "print([m for m in ('scipy', 'sympy', 'mpmath', 'hypothesis', 'numpy.ma')"
+              " if m in sys.modules])\n")
+    proc = _fresh(["-c", script], tmp_path, 120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "berger"])
+@pytest.mark.parametrize("text", [
+    '{"family": "GK", "n": 1, "k_basis": [{"a": [Infinity, 0], "A": [[[0, 0]]]}]}',
+    '{"family": "G3", "gamma": [NaN, 0]}'])
+def test_non_finite_algebra_is_one_line_error(command, text, tmp_path):
+    """Run in a fresh process with a timeout: before these numbers were
+    refused, the Infinity file hung in the SVD and the NaN file gave a G3
+    report."""
+    path = tmp_path / "alg.json"
+    path.write_text(text)
+    proc = _fresh(["-m", "lkholonomy.cli", command, "--algebra", str(path)], tmp_path, 120)
+    assert proc.returncode == EXIT_INPUT, proc.stdout
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

@@ -72,7 +72,8 @@ TAKES_ORDER = {"holonomy", "ppwave", "validate"}
 
 leaves = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3),
-    st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([1e300, -1e300]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+    st.sampled_from([1e300, -1e300, float("nan"), float("inf"), float("-inf")]),
     st.sampled_from(["", "x", "g1", "g3zero", "GK", "GKL", "fc", "ppwave", "literal"]))
 values = st.recursive(leaves, lambda inner: st.one_of(
     st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(["a", "A", "n"]), inner,

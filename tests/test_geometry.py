@@ -5,8 +5,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (is_ppwave, jmat_radial_gauge, jmat_residual, reference_inverse,
+from oracles import (is_ppwave, jmat_radial_gauge, jmat_residual, list_real_points,
+                     list_real_span_basis, list_span_by_degree, reference_inverse,
                      reference_mul, reference_sqrt, same_bits, same_matrix_bits, table_jmat)
 
 from lkholonomy import classify as C
@@ -19,7 +22,7 @@ from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.jetmat import (jmat_add, jmat_derivative, jmat_eval0, jmat_inverse,
                                jmat_max_abs, jmat_mul, jmat_scale, jmat_sqrt, jmat_truncated)
 from lkholonomy.jets import MASK, Jet, JetSpace, real_part
-from lkholonomy.lie import MatrixAlgebra, row_space
+from lkholonomy.lie import MatrixAlgebra, parabolic_mask, row_space
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -210,6 +213,27 @@ def test_gauge_is_parallel_along_the_radial_field(metric):
                                    m.space.conj_variable(c)))
         total = term if total is None else jmat_add(total, term)
     assert jmat_max_abs(total) < 1e-12 * max(jmat_max_abs(P), 1.0)
+
+
+def test_mirrored_metric_entries_differ_in_their_last_bit():
+    """h[b, a] is not conj(h[a, b]) bit for bit in general, so h cannot be
+    built as half its entries and their conjugates.  The term c v^3 ubar^5
+    gives h[u, v] the coefficient 0.0 + 5 (0.0 + 3 c) and its conjugate term
+    gives h[v, u] the coefficient 0.0 + 3 (0.0 + 5 conj(c)); with c = 0.1 +
+    0.7i their real parts differ (3 (5 x) is not 5 (3 x) for 26 % of random
+    x).  Mirroring would also make hermitian_residual compare each entry
+    with its own mirror, so that check could never fail."""
+    c = 0.1 + 0.7j
+    # f = Re(v ubar) + Re(c v^3 ubar^5), coordinates v = 0 and u = 1
+    m = G.metric_from_potential(real_part(Jet(2, 8, {((1, 0), (0, 1)): 1.0,
+                                                     ((3, 0), (0, 5)): c})))
+    uv = m.h[1, 0].coeffs[((2, 0), (0, 4))]
+    vu = m.h[0, 1].coeffs[((0, 4), (2, 0))]
+    assert np.complex128(uv).tobytes() == np.complex128(0.0 + 5 * (0.0 + 3 * c)).tobytes()
+    assert np.complex128(vu).tobytes() == np.complex128(
+        0.0 + 3 * (0.0 + 5 * c.conjugate())).tobytes()
+    assert vu != uv.conjugate()
+    assert m.hermitian_residual() > 0
 
 
 def test_metric_invariants():
@@ -506,15 +530,12 @@ def _reference_holonomy(m, r_max):
                         table.setdefault(key, np.zeros((m.dim, m.dim), complex))[idx] = val
             for key, mat in table.items():
                 coeffs_by_deg[key & MASK].append(Qinv @ mat @ Q)
-    scale = max((np.abs(w).max() for ws in coeffs_by_deg.values() for w in ws), default=1.0)
-    dims, rows = [], np.zeros((0, m.dim * m.dim), complex)
-    for r in range(r_max + 1):
-        new = [w.ravel() / scale for w in coeffs_by_deg[r]
-               if np.abs(w).max() > DEFAULT_TOL.coeff_zero * scale]
-        rows = row_space(np.vstack([rows, *new]))
-        dims.append(len(rows))
-    alg = MatrixAlgebra(m.n, G._real_points([row.reshape(m.dim, m.dim) for row in rows]))
-    return dims, alg.basis, alg.bracket_residual()
+    rows, dims = list_span_by_degree(coeffs_by_deg, r_max, m.dim * m.dim)
+    # MatrixAlgebra orthonormalizes the real points once more
+    basis = list_real_span_basis(list_real_points([row.reshape(m.dim, m.dim) for row in rows]))
+    alg = MatrixAlgebra(m.n, [])
+    alg.basis = basis
+    return dims, basis, alg.bracket_residual()
 
 
 @pytest.mark.parametrize("metric", ["flat", "gkl", "dense", "gk0psi", "dense-n0"])
@@ -548,6 +569,55 @@ def test_holonomy_skipping_zero_blocks_matches_the_full_conjugation(metric, suit
     assert hol.dims_by_order == dims
     assert np.array(hol.algebra.basis).tobytes() == np.array(basis).tobytes()
     assert np.float64(hol.bracket_residual).tobytes() == np.float64(bracket).tobytes()
+
+
+@st.composite
+def coefficient_stacks(draw):
+    """r_max = 0..3 and k = 0..6 complex N x N matrices on the parabolic
+    pattern, N = 2..4, each with a degree <= r_max: entries with both signs
+    of zero, some matrices all-zero and some below the noise cut."""
+    N, r_max, k = draw(st.integers(2, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 6))
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]),
+                        st.floats(-3.0, 3.0, allow_nan=False, width=64))
+    X = np.array(draw(st.lists(entries, min_size=2 * k * N * N, max_size=2 * k * N * N)))
+    X = (X[:k * N * N] + 1j * X[k * N * N:]).reshape(k, N, N) * parabolic_mask(N - 2)
+    scale = draw(st.lists(st.sampled_from([1.0, 0.0, 1e-20, 1e-200]), min_size=k, max_size=k))
+    degs = draw(st.lists(st.integers(0, r_max), min_size=k, max_size=k))
+    return X * np.reshape(scale, (k, 1, 1)), degs, r_max
+
+
+@given(coefficient_stacks())
+@settings(max_examples=150, deadline=None)
+def test_stacked_span_rows_are_the_per_matrix_rows_bit_for_bit(case):
+    """The span's row handling on one stack of coefficient rows with a
+    parallel degree array, and the real points of the span on one stack of
+    candidates, give the bytes of one numpy call per matrix
+    (oracles.list_span_by_degree, list_real_points): empty stacks, a single
+    matrix, all-zero and below-noise matrices included."""
+    mats, degs, r_max = case
+    N = mats.shape[-1]
+    by_deg = {r: [] for r in range(r_max + 1)}
+    for w, d in zip(mats, degs):
+        by_deg[d].append(w)
+    span, dims = G._span_by_degree(mats.reshape(len(mats), N * N), np.array(degs, int), r_max)
+    want, want_dims = list_span_by_degree(by_deg, r_max, N * N)
+    assert dims == want_dims
+    assert span.dtype == want.dtype and span.shape == want.shape
+    assert span.tobytes() == want.tobytes()
+    got = G._real_points(span.reshape(-1, N, N))
+    want = list_real_points([row.reshape(N, N) for row in want])
+    assert len(got) == len(want)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("r_max", range(4))
+def test_flat_potential_spans_nothing(r_max):
+    """The flat potential has no curvature block, so the span's stack is
+    empty: all-zero dimensions, an empty basis, and stabilized from
+    r_max 1 on."""
+    m = S.build_metric_from_config({"kind": "flat", "n": 1})
+    assert G.infinitesimal_holonomy(m, r_max) == G.HolonomyResult(
+        MatrixAlgebra(1, []), [0] * (r_max + 1), r_max >= 1, 0, 0.0)
 
 
 # (case, n, order) of the dense n >= 1 lines of scripts/report_digests.py,

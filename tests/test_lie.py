@@ -1,8 +1,10 @@
 """Matrix-algebra helpers: block elements, sigma, real spans."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bracket_residual_by_pairs
+from oracles import bracket_residual_by_pairs, list_flatten, list_real_span_basis
 from test_geometry import _dense_walker_potential
 
 from lkholonomy import classify as C
@@ -15,9 +17,11 @@ from lkholonomy.lie import (
     in_real_span,
     null_space,
     numerical_rank,
+    flatten,
     real_span_basis,
     row_space,
     sigma_involution,
+    unflatten,
 )
 
 
@@ -123,6 +127,50 @@ def test_real_span_basis_dimensions():
     assert len(span) == 2
     assert in_real_span(3 * a - b, span)
     assert not in_real_span(np.array([[0, 1.0], [0, 0]], complex), span)
+
+
+# entries with both signs of zero, and whole matrices that are zero or tiny
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(-3.0, 3.0, allow_nan=False, width=64))
+
+
+@st.composite
+def complex_stacks(draw):
+    """A stack of k = 0..5 complex matrices or vectors of one shape, some
+    all-zero and some scaled far down."""
+    shape = draw(st.sampled_from([(3,), (1, 1), (2, 2), (3, 3)]))
+    k, size = draw(st.integers(0, 5)), int(np.prod(shape))
+    X = np.array(draw(st.lists(ENTRIES, min_size=2 * k * size, max_size=2 * k * size)))
+    X = (X[:k * size] + 1j * X[k * size:]).reshape((k, *shape))
+    scale = draw(st.lists(st.sampled_from([1.0, 0.0, 1e-200]), min_size=k, max_size=k))
+    return X * np.reshape(scale, (k,) + (1,) * len(shape))
+
+
+def _same_stack_bits(got, want) -> bool:
+    """Equal dtype, shape and bytes, so equal sign bits of every zero too."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@given(complex_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stacked_span_helpers_are_the_list_versions_bit_for_bit(X):
+    """flatten, unflatten and real_span_basis on a stack, or on the list of
+    its matrices, give the bytes of one numpy call per matrix
+    (oracles.list_flatten, list_real_span_basis): empty stacks, a single
+    matrix and all-zero matrices included."""
+    mats = list(X)
+    if len(X):
+        want = list_flatten(mats)
+        assert _same_stack_bits(flatten(X), want) and _same_stack_bits(flatten(mats), want)
+        rows = unflatten(want, X.shape[1:])
+        assert all(_same_stack_bits(r, unflatten(w, X.shape[1:])) for r, w in zip(rows, want))
+    else:
+        assert flatten(X).size == 0
+    want = list_real_span_basis(mats)
+    for got in (real_span_basis(X), real_span_basis(mats)):
+        assert len(got) == len(want)
+        assert all(_same_stack_bits(g, w) for g, w in zip(got, want))
 
 
 def test_family_algebras_are_bracket_closed(suite):

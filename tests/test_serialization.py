@@ -24,6 +24,38 @@ def test_decode_complex_takes_only_a_number_or_a_pair(bad):
         S.decode_complex(bad)
 
 
+# the two algebra files whose NaN and Infinity once reached the SVD: the
+# first hung in it, the second dropped the NaN matrix and reported gamma 0
+NON_FINITE_ALGEBRAS = [
+    '{"family": "GK", "n": 1, "k_basis": [{"a": [Infinity, 0], "A": [[[0, 0]]]}]}',
+    '{"family": "G3", "gamma": [NaN, 0]}',
+]
+
+
+@pytest.mark.parametrize("text", NON_FINITE_ALGEBRAS + [
+    '{"family": "GKL", "n": 2, "m": 0, "k_basis": [], "lambdas": [NaN]}',
+    '{"family": "GKJL", "n": 1, "m": 0, "k_basis": [{"a2": -Infinity, "A": []}]}',
+    '{"family": "BERGER_GK", "n": 2, "m": 0, "k_basis": [{"a1": 1e999, "a2": 1.0, "A": []}],'
+    ' "lambdas": [0.5]}',
+    '{"family": "G3", "gamma": 1' + "0" * 400 + '}',
+    '{"n": 0, "basis": [[[[0, NaN], [0, 0]], [[0, 0], [0, 0]]]]}',
+])
+def test_decode_algebra_refuses_non_finite_numbers(text):
+    with pytest.raises(ValueError, match="finite"):
+        S.decode_algebra(json.loads(text))
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "fc", "a": [Infinity, 0.0], "b": 0.5}',
+    '{"kind": "small", "tag": "g3gamma", "gamma": NaN}',
+    '{"kind": "ppwave", "n": 1, "phi_terms": [{"coeff": [-Infinity, 0], "z": [2]}]}',
+    '{"kind": "descriptor", "descriptor": {"family": "GKL", "n": 2, "m": 0, "lambdas": [NaN]}}',
+])
+def test_potential_files_refuse_non_finite_numbers(text):
+    with pytest.raises(ValueError, match="finite"):
+        S.build_metric_from_config(json.loads(text))
+
+
 def test_descriptor_roundtrip(suite):
     for d in suite:
         obj = S.encode_descriptor(d)
