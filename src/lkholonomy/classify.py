@@ -104,7 +104,7 @@ class GK0PsiDescriptor:
     k0_basis: list
     psi_images: list
     real_form: RealFormData | None = None
-    family: str = "GK0PSI"
+    family: ClassVar[str] = "GK0PSI"
 
     def __post_init__(self):
         if self.real_form is None and self.n > self.m:
@@ -114,7 +114,7 @@ class GK0PsiDescriptor:
 @dataclass
 class UnknownDescriptor:
     reason: str = ""
-    family: str = "UNKNOWN"
+    family: ClassVar[str] = "UNKNOWN"
 
 
 DESCRIPTORS = (N0Descriptor, KLDescriptor, GK0PsiDescriptor, UnknownDescriptor)
@@ -317,16 +317,17 @@ def _read_descriptor(alg: MatrixAlgebra):
     L0_rows = row_space(L_full - L_full @ Cm.T @ Cm, tol) if Cm.shape[0] else L_full
 
     real_form = None
-    if m < n and L0_rows.shape[0]:
-        fs = unflatten(L0_rows)[:, m:]
+    if m < n:
         # orthonormalize over R with respect to Re<.,.>
         ons: list[np.ndarray] = []
-        for f in fs:
+        for f in unflatten(L0_rows, (n,))[:, m:]:
             for g in ons:
                 f = f - (np.conj(g) @ f).real * g
             nrm = np.sqrt((np.conj(f) @ f).real)
             if nrm > tol:
                 ons.append(f / nrm)
+        if len(ons) != n - m:
+            raise ValueError(f"L_0 has real dimension {len(ons)}, not n - m = {n - m}")
         real_form = RealFormData(n - m, np.column_stack(ons))
 
     # the C + u(n) projection
@@ -439,11 +440,10 @@ def same_descriptor(d1, d2) -> bool:
 # ---------------------------------------------------------------------------
 
 def is_holonomy_realizable(d) -> str:
-    """'yes' for the families of the main classification; 'berger_only' for
-    the Berger algebras the non-existence theorem excludes, BERGER_GK;
-    'not_berger' for a descriptor that does not build."""
-    try:
-        build_family(d)
-    except ValueError:
-        return "not_berger"
-    return "berger_only" if d.family == "BERGER_GK" else "yes"
+    """A rule on the family alone: 'berger_only' for the Berger algebras the
+    non-existence theorem excludes, BERGER_GK; 'unknown' for an algebra the
+    matcher did not recognize; 'yes' for the families of the main
+    classification."""
+    if d.family == "BERGER_GK":
+        return "berger_only"
+    return "unknown" if isinstance(d, UnknownDescriptor) else "yes"

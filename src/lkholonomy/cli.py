@@ -113,7 +113,7 @@ def _cmd_holonomy(args) -> int:
         "descriptor": d,
         "ricci_flat": bool(ric_max < DEFAULT_TOL.rank_rel),
         "bracket_residual": hol.bracket_residual,
-        "realizable": C.is_holonomy_realizable(d) if d.family != "UNKNOWN" else "unknown",
+        "realizable": C.is_holonomy_realizable(d),
     }
     ok = hol.stabilized and d.family != "UNKNOWN"
     return _finish(args, "holonomy", payload,
@@ -128,7 +128,7 @@ def _cmd_classify(args) -> int:
         "descriptor": d,
         "dim": alg.dim,
         "family_dim": C.family_dim(d) if d.family != "UNKNOWN" else None,
-        "realizable": C.is_holonomy_realizable(d) if d.family != "UNKNOWN" else "unknown",
+        "realizable": C.is_holonomy_realizable(d),
     }
     return _finish(args, "classify", payload, d.family != "UNKNOWN",
                    {"rank_rel": DEFAULT_TOL.rank_rel})

@@ -16,10 +16,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .jets import (MASK, InsufficientOrderError, Jet, JetSpace, field_mask, graded_solve,
-                   table_from_parts, table_mul, table_parts, table_scaled, uniform, var_key)
+                   table_from_parts, table_mul, table_parts, table_scaled, var_key)
 from .jetmat import (
-    jmat_add,
-    jmat_commutator,
     jmat_conj_transpose,
     jmat_derivative,
     jmat_eval0,
@@ -28,7 +26,6 @@ from .jetmat import (
     jmat_inverse,
     jmat_max_abs,
     jmat_mul,
-    jmat_scale,
     jmat_space,
     jmat_sqrt,
     jmat_truncated,
@@ -36,8 +33,8 @@ from .jetmat import (
 )
 from .hermitian import WittMetric
 from .lie import (
-    ABZCElement,
     MatrixAlgebra,
+    abzc_parts,
     numerical_rank,
     parabolic_mask,
     real_span_basis,
@@ -69,10 +66,12 @@ class MetricJet:
     potential: Jet | None = None
 
     def __post_init__(self):
-        """Refuse a metric or potential with a non-finite coefficient, in one
-        pass over all of them: a jet product that overflows gives inf or nan
-        without an error, and max() drops nan, so every residual of such a
-        metric would read 0."""
+        """Refuse an h whose entries differ in jet space (`jmat_space`), and a
+        metric or potential with a non-finite coefficient, in one pass over
+        all of them: a jet product that overflows gives inf or nan without
+        an error, and max() drops nan, so every residual of such a metric
+        would read 0."""
+        jmat_space(self.h)
         jets = list(self.h.flat) + ([self.potential] if self.potential is not None else [])
         coeffs = np.fromiter(chain.from_iterable(j.terms.values() for j in jets), complex)
         if not np.isfinite(coeffs).all():
@@ -280,8 +279,8 @@ def walker_inverse(m: MetricJet, order: int | None = None) -> np.ndarray:
     for j in range(n):
         for k in range(n):
             hinv[1 + j, 1 + k] = tinv[j, k]
-    # the row (h_{jbar u})_j times tinv, cut to h's least order, which h^{vbar k} has
-    row = jmat_mul(jmat_truncated(h[None, 1:n + 1, u], space.order), tinv)
+    # the row (h_{jbar u})_j times tinv
+    row = jmat_mul(h[None, 1:n + 1, u], tinv)
     for k in range(n):
         hinv[v, 1 + k] = row[0, k] * hvu_inv * (-1.0)
         hinv[1 + k, v] = hinv[v, 1 + k].conjugate()
@@ -300,10 +299,7 @@ def generic_inverse(m: MetricJet, order: int | None = None) -> np.ndarray:
 
 
 def inverse_residual(m: MetricJet) -> float:
-    space = m.space
-    res = jmat_add(jmat_mul(m.inverse().T.copy(), m.h),
-                   jmat_scale(jmat_identity(m.dim, space), -1.0))
-    return jmat_max_abs(res)
+    return jmat_max_abs(jmat_mul(m.inverse().T.copy(), m.h) - jmat_identity(m.dim, m.space))
 
 
 def christoffel(m: MetricJet, order: int | None = None) -> list[np.ndarray]:
@@ -333,7 +329,7 @@ def covariant_derivative(xi: np.ndarray, gamma: list[np.ndarray], var: int,
     d = jmat_derivative(xi, var, holomorphic)
     if not holomorphic:
         return d
-    return jmat_add(d, jmat_commutator(gamma[var], xi))
+    return d + (jmat_mul(gamma[var], xi) - jmat_mul(xi, gamma[var]))
 
 
 def ricci(m: MetricJet) -> np.ndarray:
@@ -381,8 +377,8 @@ def witt_frame(m: MetricJet, C: np.ndarray | None = None) -> np.ndarray:
     F[v, 0] = huv_inv
     if n:
         F[1:n + 1, 1:n + 1] = C
-        # C^T times the column (h_{ubar k})_k, cut to h's least order, as F[v, j]
-        col_v = jmat_mul(C.T, jmat_truncated(m.h[u, 1:n + 1, None], space.order))
+        # C^T times the column (h_{ubar k})_k, as F[v, j]
+        col_v = jmat_mul(C.T, m.h[u, 1:n + 1, None])
         for j in range(n):
             F[v, 1 + j] = col_v[j, 0] * huv_inv * (-1.0)
     F[u, m.dim - 1] = space.constant(1.0)
@@ -392,8 +388,7 @@ def witt_frame(m: MetricJet, C: np.ndarray | None = None) -> np.ndarray:
 
 def frame_gram_residual(m: MetricJet, F: np.ndarray) -> float:
     gram = jmat_mul(jmat_conj_transpose(F), jmat_mul(m.h, F))
-    target = jmat_from_const(WittMetric(m.n).gram, m.space)
-    return jmat_max_abs(jmat_add(gram, jmat_scale(target, -1.0)))
+    return jmat_max_abs(gram - jmat_from_const(WittMetric(m.n).gram, m.space))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +410,7 @@ def radial_parallel_gauge(gamma: list[np.ndarray], r_max: int) -> tuple[dict, di
     stack = {(i * dim + j, c): jet.terms for c, g in enumerate(gamma)
              for (i, j), jet in np.ndenumerate(g) if jet.terms}
     zs = {(c, 0): {var_key(dim, c): 1.0 + 0.0j} for c in range(dim)}
-    W = {divmod(e, dim): t for (e, _), t in table_mul(stack, zs, uniform(r_max)).items()}
+    W = {divmod(e, dim): t for (e, _), t in table_mul(stack, zs, r_max).items()}
     P = graded_solve(table_parts(W, r_max), [{(i, i): {0: 1.0 + 0.0j} for i in range(dim)}],
                      r_max, lambda d, s: table_scaled(s, complex(-1.0 / d)))
     # P_0 = I, so P^-1's step, the left product by -I, is 0.0 + (-1-0j) * c
@@ -534,9 +529,9 @@ def _holonomy_span(m: MetricJet, r_max: int) -> HolonomyResult:
     stack = {(b * dim + i, j): t for b, block in enumerate(blocks) for (i, j), t in block.items()}
     # P^-1 R P for every block from one product per side: the stack times
     # P, then P^-1 times the products laid side by side
-    RP = table_mul(stack, P, uniform(r_max))
+    RP = table_mul(stack, P, r_max)
     side = {(r % dim, r - r % dim + j): terms for (r, j), terms in RP.items()}
-    conj = table_mul(Pinv, side, uniform(r_max))
+    conj = table_mul(Pinv, side, r_max)
     # every coefficient matrix as a row, block by block and in each block
     # one slot per key in order of first appearance (entries in C order,
     # then dict order), with its degree; one stacked conjugation by Q
@@ -642,13 +637,14 @@ def ppwave_check(m: MetricJet, r_max: int = 3) -> PPWaveReport:
     parallel_p = worst_p <= tol
 
     hol = infinitesimal_holonomy(m, r_max=r_max)
-    worst1 = 0.0
-    for b in hol.algebra.basis:
-        try:
-            el = ABZCElement.from_matrix(b)
-            worst1 = max(worst1, abs(el.a), np.abs(el.A).max(initial=0.0))
-        except ValueError:
-            worst1 = max(worst1, 1.0)
+    # the largest |a| and |A| of the basis elements; 1.0 off the pattern,
+    # which no entry of an orthonormal element exceeds
+    basis = np.array(hol.algebra.basis).reshape(-1, m.dim, m.dim)
+    try:
+        a, A, _, _ = abzc_parts(basis)
+        worst1 = max(np.abs(a).max(initial=0.0), np.abs(A).max(initial=0.0))
+    except ValueError:
+        worst1 = 1.0
     res["holonomy_translation_residual"] = float(worst1)
     cond1 = worst1 <= tol
 
@@ -691,7 +687,7 @@ def _skew_and_sum_max_abs(X: np.ndarray, Y: np.ndarray) -> float:
     """The largest coefficient of X - Y and of X + Y, for jet matrices of one
     order, read from the term dicts: |x - y| and |x + y| over the keys of
     either side, 0.0 where a side has none.  abs cannot see the sign of a
-    zero, so this is the max_abs of the two sums that jmat_add would build."""
+    zero, so this is the max_abs of X - Y and X + Y."""
     worst = 0.0
     for x, y in zip(X.flat, Y.flat):
         a, b = x.terms, y.terms

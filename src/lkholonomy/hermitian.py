@@ -1,6 +1,6 @@
 """Linear algebra over the Witt model of C^{1,n+1}.
 
-Hermitian forms and the real-form data (omega, lambda_k, theta, tau)
+Hermitian forms and the real-form data (omega, lambda_k, theta)
 attached to a real subspace L_0 of C^{n-m}.
 
 Convention: the Hermitian form is linear in the first argument and
@@ -37,10 +37,6 @@ class WittMetric:
             g[j, j] = 1.0
         return g
 
-    def h(self, X: np.ndarray, Y: np.ndarray) -> complex:
-        """h(X, Y), linear in X, conjugate-linear in Y."""
-        return complex(np.conj(Y) @ self.gram @ X)
-
     def is_anti_hermitian(self, xi: np.ndarray) -> bool:
         """|xi^H Gram + Gram xi| within residual times max(|xi|, 1), per matrix."""
         g = self.gram
@@ -66,7 +62,6 @@ class RealFormData:
     omega: np.ndarray = field(init=False)
     lambdas: list[float] = field(init=False)
     theta: np.ndarray = field(init=False)
-    tau_T: np.ndarray = field(init=False)  # tau(x) = tau_T . conj(x)
 
     def __post_init__(self):
         F = np.asarray(self.basis_f, dtype=complex)
@@ -93,7 +88,6 @@ class RealFormData:
         # With h conjugate-linear in its SECOND argument, the defining scalar
         # identity of theta reads Re h(theta X, Y) = Im h(Y, X) on L_0.
         self.theta = F @ self.omega @ np.linalg.inv(F)
-        self.tau_T = F @ np.linalg.inv(np.conj(F))
 
     @staticmethod
     def from_lambdas(lambdas: list[float], n_minus_m: int) -> "RealFormData":
@@ -110,9 +104,6 @@ class RealFormData:
         rf = RealFormData(n_minus_m, F)
         rf.lambdas = [float(lam) for lam in lambdas]
         return rf
-
-    def tau(self, x: np.ndarray) -> np.ndarray:
-        return self.tau_T @ np.conj(x)
 
     def is_trivial(self) -> bool:
         """theta = 0, i.e. L_0 contains an h-orthonormal basis."""

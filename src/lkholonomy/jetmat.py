@@ -1,8 +1,9 @@
 """Matrices with Jet entries: products, exponentials, and inverses and square
 roots solved degree by degree.
 
-Matrices are numpy object arrays of Jet instances sharing one JetSpace.
-These are small (at most (n+2)x(n+2)), so dense object arrays are fine.
+Matrices are numpy object arrays of Jet instances sharing one JetSpace,
+which `jmat_space` checks.  These are small (at most (n+2)x(n+2)), so
+dense object arrays are fine.
 The jmat_* functions are a boundary: they convert to term tables
 {(i, j): terms}, run the term-table kernel of `jets` (`table_mul`, the one
 product, and `graded_solve`, the one degree-by-degree solve) and convert
@@ -14,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .jets import (Jet, JetShapeError, JetSpace, _jet, _merge, _scaled, graded_solve,
-                   table_from_parts, table_mul, table_parts, table_scaled, uniform)
+                   table_from_parts, table_mul, table_parts, table_scaled)
 
 
 def _filled(shape: tuple[int, ...], values, dtype=object) -> np.ndarray:
@@ -46,45 +47,31 @@ def jmat_identity(n: int, space: JetSpace) -> np.ndarray:
 
 
 def jmat_space(A: np.ndarray) -> JetSpace:
-    """The coordinates of A's entries and their least order: the order to
-    which a product, inverse or root of A is known."""
-    return JetSpace(A.flat[0].num_coords, min(a.order for a in A.flat))
-
-
-def jmat_add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return A + B  # object arrays add entrywise
-
-
-def jmat_scale(A: np.ndarray, s) -> np.ndarray:
-    return _entrywise(lambda a: a * s, A)
+    """The one jet space of A's entries; a JetShapeError when they differ in
+    coordinate count or in order."""
+    spaces = {(a.num_coords, a.order) for a in A.flat}
+    if len(spaces) != 1:
+        raise JetShapeError(f"a jet matrix needs one jet space, not {sorted(spaces)}")
+    return JetSpace(*spaces.pop())
 
 
 def jmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The entries sum_l A[i, l] * B[l, j] by `table_mul`, with the floats,
     the key order and the jet order of the entrywise loop
-    acc = acc + A[i, l] * B[l, j].  The jet space is checked once.  Entry
-    (i, j) has the least order of row i of A and column j of B, so only
-    products of degree <= that order are formed."""
+    acc = acc + A[i, l] * B[l, j]: each operand's space is read once, and
+    the product has the lesser of their orders, so only products of degree
+    <= that order are formed."""
     r, k = A.shape
     k2, c = B.shape
     if k != k2:
         raise ValueError("shape mismatch in jet matrix product")
     if not r * c:
         return np.empty((r, c), dtype=object)
-    n = A.flat[0].num_coords
-    if any(a.num_coords != n for a in A.flat) or any(b.num_coords != n for b in B.flat):
+    sa, sb = jmat_space(A), jmat_space(B)
+    if sa.num_coords != sb.num_coords:
         raise JetShapeError("jet spaces differ in a jet matrix product")
-    row_order = [min(a.order for a in row) for row in A]
-    col_order = [min(b.order for b in col) for col in B.T]
-
-    def order(i, j):
-        return min(row_order[i], col_order[j])
-
-    return _jmat(table_mul(_table(A), _table(B), order), (r, c), n, order)
-
-
-def jmat_commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return jmat_add(jmat_mul(A, B), jmat_scale(jmat_mul(B, A), -1.0))
+    order = min(sa.order, sb.order)
+    return _jmat(table_mul(_table(A), _table(B), order), (r, c), sa.num_coords, order)
 
 
 def jmat_truncated(A: np.ndarray, order: int) -> np.ndarray:
@@ -109,38 +96,36 @@ def jmat_max_abs(A: np.ndarray) -> float:
 
 
 def jmat_inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of a square jet matrix to the least order of its entries, by
-    `graded_inverse`."""
+    """Inverse of a square jet matrix, by `graded_inverse`."""
     space = jmat_space(A)
     A0inv = np.linalg.inv(jmat_eval0(A))
     X = graded_inverse(table_parts(_table(A), space.order), A0inv, space.order)
-    return _jmat(table_from_parts(X), A.shape, space.num_coords, uniform(space.order))
+    return _jmat(table_from_parts(X), A.shape, space.num_coords, space.order)
 
 
 def jmat_exp(G: np.ndarray) -> np.ndarray:
     """exp of a jet matrix with zero constant term: the Taylor sum, whose
     k-th term has degree >= k, so it ends at the truncation order.  It runs
-    on tables, with the floats of term = jmat_scale(jmat_mul(term, G), 1/k)
-    and acc = jmat_add(acc, term)."""
+    on tables, with the floats of term = jmat_mul(term, G) * (1/k) and
+    acc = acc + term."""
     space = jmat_space(G)
     if np.abs(jmat_eval0(G)).max() > DEFAULT_TOL.coeff_zero:
         raise ValueError("jmat_exp requires a zero constant term")
-    every, eye, Gt = uniform(space.order), np.eye(G.shape[0]), _table(G)
+    eye, Gt = np.eye(G.shape[0]), _table(G)
     acc, term = _const_table(eye), _const_table(eye)
     for k in range(1, space.order + 1):
-        term = table_scaled(table_mul(term, Gt, every), complex(1.0 / k))
+        term = table_scaled(table_mul(term, Gt, space.order), complex(1.0 / k))
         for e, terms in term.items():
             _merge(acc.setdefault(e, {}), terms)
-    return _jmat(acc, G.shape, space.num_coords, every)
+    return _jmat(acc, G.shape, space.num_coords, space.order)
 
 
 def jmat_sqrt(A: np.ndarray) -> np.ndarray:
-    """Square root, to the least order of its entries, of a jet matrix whose
-    constant part is Hermitian positive definite, solved degree by degree
-    in the eigenbasis U of A_0, where B = U^H A U has the constant part
-    diag(w): T_0 = diag(sqrt(w)), and T_d solves
-    T_0 T_d + T_d T_0 = B_d - sum_{0<i<d} T_i T_{d-i}, entry (i, j) divided
-    by sqrt(w_i) + sqrt(w_j).  The root is U T U^H."""
+    """Square root of a jet matrix whose constant part is Hermitian positive
+    definite, solved degree by degree in the eigenbasis U of A_0, where
+    B = U^H A U has the constant part diag(w): T_0 = diag(sqrt(w)), and T_d
+    solves T_0 T_d + T_d T_0 = B_d - sum_{0<i<d} T_i T_{d-i}, entry (i, j)
+    divided by sqrt(w_i) + sqrt(w_j).  The root is U T U^H."""
     space = jmat_space(A)
     A0 = jmat_eval0(A)
     if np.abs(A0 - A0.conj().T).max() > DEFAULT_TOL.rank_rel * max(np.abs(A0).max(), 1.0):
@@ -166,7 +151,7 @@ def jmat_sqrt(A: np.ndarray) -> np.ndarray:
 
     T = [_const_table(np.diag(root))]
     graded_solve(T, T, space.order, step)
-    root_T = _jmat(table_from_parts(T), A.shape, space.num_coords, uniform(space.order))
+    root_T = _jmat(table_from_parts(T), A.shape, space.num_coords, space.order)
     return jmat_mul(Uc, jmat_mul(root_T, Uh))
 
 
@@ -180,10 +165,10 @@ def _table(A: np.ndarray) -> dict:
     return {divmod(e, c): a.terms for e, a in enumerate(A.flat) if a.terms}
 
 
-def _jmat(T: dict, shape: tuple[int, int], num_coords: int, order) -> np.ndarray:
-    """The jet matrix of a table it takes over, entry (i, j) of order(i, j)."""
+def _jmat(T: dict, shape: tuple[int, int], num_coords: int, order: int) -> np.ndarray:
+    """The jet matrix of a table it takes over, every entry of the order."""
     r, c = shape
-    return _filled(shape, (_jet(num_coords, order(i, j), T.get((i, j), {}))
+    return _filled(shape, (_jet(num_coords, order, T.get((i, j), {}))
                            for i in range(r) for j in range(c)))
 
 
@@ -198,6 +183,6 @@ def graded_inverse(A: list, A0inv: np.ndarray, order: int) -> list:
     0..order these are, from the inverse of its constant part:
     X_0 = A_0^{-1} and X_d = -A_0^{-1} sum_{0<i<=d} A_i X_{d-i}, the step a
     left product by the constant table of -A_0^{-1}."""
-    minus, every = _const_table(-A0inv), uniform(order)
+    minus = _const_table(-A0inv)
     return graded_solve(A, [_const_table(A0inv)], order,
-                        lambda d, s: table_mul(minus, s, every))
+                        lambda d, s: table_mul(minus, s, order))

@@ -39,7 +39,8 @@ MAX_ORDER = MASK       # the packing limit on the truncation order
 
 
 class JetShapeError(ValueError):
-    """Operands live in different jet spaces."""
+    """Operands, or the entries of one jet matrix, live in different jet
+    spaces."""
 
 
 class InsufficientOrderError(ValueError):
@@ -152,9 +153,6 @@ class Jet:
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def coefficient(self, I: MultiIndex, J: MultiIndex) -> complex:
-        return self.coeffs.get((tuple(I), tuple(J)), 0.0 + 0.0j)
 
     def is_real_valued(self, tol: float = DEFAULT_TOL.coeff_zero) -> bool:
         """coeff(I, J) == conj(coeff(J, I)) for all stored indices; tol is a
@@ -319,12 +317,7 @@ def _merge(acc: dict, terms: dict) -> None:
 
 
 # -- the term-table kernel: {(i, j): terms} over the entries of a jet matrix
-# that have terms, the order of entry (i, j) given from outside as order(i, j)
-
-
-def uniform(order: int):
-    """The order function of a table whose entries all have this order."""
-    return lambda i, j: order
+# that have terms, every entry of one order given from outside
 
 
 def table_scaled(A: dict, z: complex) -> dict:
@@ -332,14 +325,14 @@ def table_scaled(A: dict, z: complex) -> dict:
     return {e: _scaled(terms, z) for e, terms in A.items()}
 
 
-def table_mul(A: dict, B: dict, order) -> dict:
-    """The table of A B, entry (i, j) to degree order(i, j), with the floats
-    and key order of the entrywise loop acc = acc + A[i, l] * B[l, j]: over
-    the l, ascending, at which both factors have terms (an empty one adds
-    nothing), the first product goes straight into the sum (merging it would
-    add 0.0 to values that are never -0.0) and each later one is built on
-    its own and merged.  B[l, j]'s degree-filtered term lists are shared
-    across the rows; an entry without terms is left out."""
+def table_mul(A: dict, B: dict, order: int) -> dict:
+    """The table of A B to degree order, with the floats and key order of
+    the entrywise loop acc = acc + A[i, l] * B[l, j]: over the l, ascending,
+    at which both factors have terms (an empty one adds nothing), the first
+    product goes straight into the sum (merging it would add 0.0 to values
+    that are never -0.0) and each later one is built on its own and merged.
+    B[l, j]'s degree-filtered term lists are shared across the rows; an
+    entry without terms is left out."""
     rows: dict = {}
     for i, l in sorted(A):
         rows.setdefault(i, []).append((l, A[i, l]))
@@ -350,17 +343,16 @@ def table_mul(A: dict, B: dict, order) -> dict:
     for j, col in cols.items():
         fits: dict = {}
         for i, row in rows.items():
-            cap = order(i, j)
             acc: dict = {}
             for l, a in row:
                 b = col.get(l)
                 if b is None:
                     continue
                 if not acc:
-                    product_into(acc, a, b, cap, fits.setdefault(l, {}))
+                    product_into(acc, a, b, order, fits.setdefault(l, {}))
                     continue
                 prod: dict = {}
-                product_into(prod, a, b, cap, fits.setdefault(l, {}))
+                product_into(prod, a, b, order, fits.setdefault(l, {}))
                 _merge(acc, prod)
             if acc:
                 out[i, j] = acc
@@ -394,9 +386,8 @@ def graded_solve(A: list, X: list, order: int, step) -> list:
     sum_{0<i<=d} A_i X_{d-i} over the parts that both have terms, summed
     left to right into the first product as Jet.__add__ sums ({} if none).
     A may be X itself, read as far as it is solved.  Returns X."""
-    every = uniform(order)
     for d in range(1, order + 1):
-        prods = [table_mul(A[i], X[d - i], every) for i in range(1, min(d + 1, len(A)))
+        prods = [table_mul(A[i], X[d - i], order) for i in range(1, min(d + 1, len(A)))
                  if A[i] and X[d - i]]
         s = prods[0] if prods else {}
         for prod in prods[1:]:

@@ -179,12 +179,6 @@ class ABZCElement:
         m[n + 1, n + 1] = -np.conj(self.a)
         return m
 
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "ABZCElement":
-        """(a, A, Z, c) of m, by abzc_parts."""
-        a, A, Z, c = abzc_parts(m[None])
-        return ABZCElement(a[0], A[0].copy(), Z[0].copy(), c[0])
-
 
 def abzc_parts(X: np.ndarray) -> tuple[np.ndarray, ...]:
     """The stacks of a, A, Z and c of a stack X of matrices, each of which

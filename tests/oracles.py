@@ -24,8 +24,8 @@ from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.curvspace import CurvatureParam, param_dim
 from lkholonomy.hermitian import WittMetric
 from lkholonomy.lie import ABZCElement, row_space, sigma_involution, span_residual
-from lkholonomy.jetmat import (_filled, jmat_add, jmat_derivative, jmat_eval0, jmat_from_const,
-                               jmat_identity, jmat_max_abs, jmat_scale, jmat_space, jmat_zero)
+from lkholonomy.jetmat import (_filled, jmat_derivative, jmat_eval0, jmat_from_const,
+                               jmat_identity, jmat_max_abs, jmat_space, jmat_zero)
 from lkholonomy.jets import MASK, Jet, JetSpace
 
 
@@ -284,13 +284,13 @@ def reference_reciprocal(a):
 
 def reference_jmat_exp(G):
     """exp of a jet matrix with G(0) = 0 as the Taylor sum on jet matrices:
-    term = jmat_scale(reference_mul(term, G), 1/k), acc = jmat_add(acc,
-    term).  jmat_exp must have its bits."""
+    term = reference_mul(term, G) * (1/k), acc = acc + term.  jmat_exp must
+    have its bits."""
     space = jmat_space(G)
     acc = term = jmat_identity(G.shape[0], space)
     for k in range(1, space.order + 1):
-        term = jmat_scale(reference_mul(term, G), 1.0 / k)
-        acc = jmat_add(acc, term)
+        term = reference_mul(term, G) * (1.0 / k)
+        acc = acc + term
     return acc
 
 
@@ -330,19 +330,19 @@ def reference_sqrt(A):
 
 def jmat_radial_gauge(gamma):
     """The radial parallel gauge P of Gamma as a jet matrix, on jet
-    matrices: with W = sum_c z^c Gamma_c (jmat_scale by space.variable(c)),
+    matrices: with W = sum_c z^c Gamma_c (each entry times space.variable(c)),
     the degree-d part solves d P_d = -sum_{0<i<=d} W_i P_{d-i} by graded_sum
     and reference_mul.  The term tables of geometry.radial_parallel_gauge
     must have its bits."""
     space = jmat_space(gamma[0])
-    W = jmat_scale(gamma[0], space.variable(0))
+    W = gamma[0] * space.variable(0)
     for c in range(1, len(gamma)):
-        W = jmat_add(W, jmat_scale(gamma[c], space.variable(c)))
+        W = W + gamma[c] * space.variable(c)
     W = jmat_graded(W)
     P = [jmat_identity(len(gamma), space)]
     for d in range(1, space.order + 1):
         s = graded_sum(W, P, d)
-        P.append(None if s is None else jmat_scale(s, -1.0 / d))
+        P.append(None if s is None else s * (-1.0 / d))
     return jmat_from_graded(P)
 
 
@@ -356,9 +356,9 @@ def exp_derivative_series(G, var):
     acc = dG
     term = dG
     for k in range(1, jmat_space(G).order + 1):
-        term = jmat_add(reference_mul(G, term), jmat_scale(reference_mul(term, G), -1.0))
+        term = reference_mul(G, term) + reference_mul(term, G) * -1.0
         coeff = (-1.0) ** k / math.factorial(k + 1)
-        acc = jmat_add(acc, jmat_scale(term, coeff))
+        acc = acc + term * coeff
     return acc
 
 
@@ -446,7 +446,7 @@ def same_matrix_bits(A, B) -> bool:
 
 def jmat_residual(A, B) -> float:
     """The largest coefficient of A - B over every entry."""
-    return jmat_max_abs(jmat_add(A, jmat_scale(B, -1.0)))
+    return jmat_max_abs(A - B)
 
 
 def is_ppwave(rep) -> bool:

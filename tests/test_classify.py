@@ -11,7 +11,7 @@ from lkholonomy.cli import _catalog_entries
 from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.hermitian import RealFormData
 from lkholonomy.jetmat import jmat_max_abs
-from lkholonomy.jets import JetSpace
+from lkholonomy.jets import Jet, JetSpace
 from lkholonomy.lie import MatrixAlgebra
 
 
@@ -86,6 +86,35 @@ def test_realizability_gate():
         2, 0, [(1j, np.zeros((0, 0), complex))],
         real_form=RealFormData.from_lambdas([0.5], 2))
     assert C.is_holonomy_realizable(d_berger) == "berger_only"
+    assert C.is_holonomy_realizable(C.UnknownDescriptor("zero algebra")) == "unknown"
+
+
+def _with_a_flat_or_curved_coordinate(f, curved):
+    """The potential f of n = 1 in the coordinates (v, z1, u), written in
+    (v, z1, z2, u) and plus |z2|^2, and plus |z2|^4 / 2 when curved: a
+    product metric."""
+    g = {((I[0], I[1], 0, I[2]), (J[0], J[1], 0, J[2])): c for (I, J), c in f.coeffs.items()}
+    g[((0, 0, 1, 0), (0, 0, 1, 0))] = 1.0
+    if curved:
+        g[((0, 0, 2, 0), (0, 0, 2, 0))] = 0.5
+    return Jet(4, f.order, g)
+
+
+@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("entry", range(4))
+def test_a_product_metric_gets_the_l0_dimension_as_its_unknown_reason(entry, curved):
+    """A catalog potential at n = 1 times a flat or curved line has a
+    holonomy whose L_0 is too short for n = 2: GK (m = 1) reads none and
+    GKJL and GKL (m = 0) read one real vector.  The matcher says so, where
+    it used to pass the short basis on to RealFormData."""
+    d = _catalog_entries(1)[entry]["descriptor"]
+    f = _with_a_flat_or_curved_coordinate(P.build_potential(d, order=8), curved)
+    hol = G.infinitesimal_holonomy(G.metric_from_potential(f), r_max=4)
+    assert hol.stabilized
+    got = C.match_algebra(hol.algebra)
+    k = 0 if d.m == 1 else 1
+    assert (got.family, got.reason) == (
+        "UNKNOWN", f"L_0 has real dimension {k}, not n - m = {2 - d.m}")
 
 
 def test_ricci_flat_corollary(suite):

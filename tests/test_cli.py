@@ -91,6 +91,7 @@ def test_holonomy_unknown_match_is_a_report(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["matched_family"] == "UNKNOWN"
     assert report["result"]["descriptor"]["family"] == "UNKNOWN"
+    assert report["result"]["realizable"] == "unknown"
 
 
 def test_missing_file_is_input_error(capsys):
@@ -254,6 +255,29 @@ def test_catalog_algebras_pass_the_basis_check():
             alg = C.build_family(e["descriptor"])
             back = S.decode_algebra({"n": n, "basis": [S.encode_matrix(b) for b in alg.basis]})
             assert back.equals(alg), e["descriptor"]
+
+
+def test_a_verdict_builds_the_matched_family_once(tmp_path, gk_potential, monkeypatch,
+                                                  capsys):
+    """holonomy, and classify on a basis file, read realizability off the
+    matched family: the one algebra built is the matcher's proof."""
+    from lkholonomy.cli import _catalog_entries
+    files = [_write(tmp_path, f"e{i}.json",
+                    {"n": 1, "basis": [S.encode_matrix(b)
+                                       for b in C.build_family(e["descriptor"]).basis]})
+             for i, e in enumerate(_catalog_entries(1))]
+    built = []
+    build_family = C.build_family
+    monkeypatch.setattr(C, "build_family", lambda d: built.append(d.family) or build_family(d))
+    assert main(["holonomy", "--potential", gk_potential]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["realizable"] == "yes"
+    assert built == ["GK"]
+    for path in files:
+        built.clear()
+        assert main(["classify", "--algebra", path]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert built == [result["matched_family"]]
+        assert result["realizable"] == "yes"
 
 
 def test_classify_of_a_unitary_conjugate_keeps_its_unknown_reason(tmp_path, capsys, rng):

@@ -19,10 +19,10 @@ from lkholonomy import jetmat
 from lkholonomy import potentials as P
 from lkholonomy import serialization as S
 from lkholonomy.config import DEFAULT_TOL
-from lkholonomy.jetmat import (jmat_add, jmat_derivative, jmat_eval0, jmat_inverse,
-                               jmat_max_abs, jmat_mul, jmat_scale, jmat_sqrt, jmat_truncated)
+from lkholonomy.jetmat import (jmat_derivative, jmat_eval0, jmat_inverse, jmat_max_abs,
+                               jmat_mul, jmat_sqrt, jmat_truncated)
 from lkholonomy.jets import MASK, Jet, JetSpace, real_part
-from lkholonomy.lie import MatrixAlgebra, parabolic_mask, row_space
+from lkholonomy.lie import MatrixAlgebra, abzc_parts, parabolic_mask, row_space
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -116,12 +116,9 @@ def test_witt_frame_gram():
     assert G.frame_gram_residual(m, F) < 1e-10
 
 
-def _cut_h_uu(m, order):
-    """The Walker metric m with h_{ubar u} cut to a lower order than the
-    rest of h."""
-    h = m.h.copy()
-    h[m.u, m.u] = h[m.u, m.u].truncated(order)
-    return G.MetricJet(m.n, h)
+def _cut_h(m, order):
+    """The Walker metric m with h cut to a lower order."""
+    return G.MetricJet(m.n, jmat_truncated(m.h, order))
 
 
 def test_walker_row_and_frame_column_are_the_entrywise_loops_bit_for_bit(suite):
@@ -129,10 +126,10 @@ def test_walker_row_and_frame_column_are_the_entrywise_loops_bit_for_bit(suite):
     jmat_mul products, have the order, the keys in the same order and the
     bits of the loops acc = acc + x * y from space.zero(): on the ten
     regression descriptors at order 9, the nondiagonal metric, and both
-    with h_{ubar u} two orders below the rest of h."""
+    with h cut two orders lower."""
     metrics = [G.metric_from_potential(P.build_potential(d, order=9)) for d in suite[:10]]
     metrics.append(_nondiagonal_metric())
-    metrics += [_cut_h_uu(m, m.space.order - 2) for m in (metrics[0], metrics[-1])]
+    metrics += [_cut_h(m, m.space.order - 2) for m in (metrics[0], metrics[-1])]
     for m in metrics:
         n, v, u, space = m.n, m.v, m.u, m.space
         tilde = m.h[1:n + 1, 1:n + 1]
@@ -207,11 +204,10 @@ def test_gauge_is_parallel_along_the_radial_field(metric):
     assert P[0, 0].order == m.space.order - 1
     total = None
     for c in range(m.dim):
-        holo = jmat_add(jmat_derivative(P, c), jmat_mul(m.gamma[c], P))
-        term = jmat_add(jmat_scale(holo, m.space.variable(c)),
-                        jmat_scale(jmat_derivative(P, c, holomorphic=False),
-                                   m.space.conj_variable(c)))
-        total = term if total is None else jmat_add(total, term)
+        holo = jmat_derivative(P, c) + jmat_mul(m.gamma[c], P)
+        term = (holo * m.space.variable(c)
+                + jmat_derivative(P, c, holomorphic=False) * m.space.conj_variable(c))
+        total = term if total is None else total + term
     assert jmat_max_abs(total) < 1e-12 * max(jmat_max_abs(P), 1.0)
 
 
@@ -289,6 +285,43 @@ def test_ppwave_check_positive_and_negative():
     bad = _fc_metric(1.0, 0.0)
     rep2 = G.ppwave_check(bad)
     assert not rep2.parallel_p and not is_ppwave(rep2)
+
+
+def _translation_residual_by_element(basis) -> float:
+    """pp-wave condition 1's residual one basis element at a time: the
+    largest |a| and |A|, and 1.0 for an element off the block pattern."""
+    worst = 0.0
+    for b in basis:
+        try:
+            a, A, _, _ = abzc_parts(b[None])
+            worst = max(worst, abs(a[0]), np.abs(A).max(initial=0.0))
+        except ValueError:
+            worst = max(worst, 1.0)
+    return worst
+
+
+def test_translation_residual_is_the_per_element_maximum(suite, monkeypatch):
+    """ppwave_check reads (a, A) off the whole holonomy basis in one call,
+    with the bits of the loop over its elements: on the flat metric, whose
+    empty basis gives 0.0, on the ten regression descriptors at order 8,
+    and on a basis with one element off the block pattern, which gives
+    1.0."""
+    metrics = [S.build_metric_from_config({"kind": "flat", "n": 1})]
+    metrics += [G.metric_from_potential(P.build_potential(d, order=8)) for d in suite[:10]]
+    got = []
+    for m in metrics:
+        got.append(G.ppwave_check(m).residuals["holonomy_translation_residual"])
+        want = _translation_residual_by_element(G.infinitesimal_holonomy(m, 3).algebra.basis)
+        assert np.float64(got[-1]).tobytes() == np.float64(want).tobytes()
+    assert got[0] == 0.0 and max(got) > 0
+    m = metrics[1]
+    off = np.zeros((m.dim, m.dim), complex)
+    off[m.u, m.v] = 1.0
+    alg = MatrixAlgebra(m.n, [off, G.infinitesimal_holonomy(m, 3).algebra.basis[0]])
+    monkeypatch.setattr(G, "infinitesimal_holonomy",
+                        lambda m, r_max: G.HolonomyResult(alg, [2], True, 2))
+    rep = G.ppwave_check(m)
+    assert rep.residuals["holonomy_translation_residual"] == 1.0 and not rep.cond1_holonomy
 
 
 def test_insufficient_order_raises():
@@ -758,7 +791,7 @@ def test_gamma_from_the_cut_inverse_is_gamma_from_the_full_inverse(metric, suite
 
 
 def _skew_and_sum_max_abs_of_jets(X, Y):
-    return max(jmat_max_abs(jmat_add(X, jmat_scale(Y, -1.0))), jmat_max_abs(jmat_add(X, Y)))
+    return max(jmat_max_abs(X + Y * -1.0), jmat_max_abs(X + Y))
 
 
 def _real_curvature_residual_from_jets(m):

@@ -14,6 +14,7 @@ from lkholonomy.config import DEFAULT_TOL
 from lkholonomy.lie import (
     ABZCElement,
     MatrixAlgebra,
+    abzc_parts,
     in_real_span,
     null_space,
     numerical_rank,
@@ -39,12 +40,12 @@ def _random_abzc(rng, n):
 def test_abzc_roundtrip(rng):
     for n in (0, 1, 3):
         el = _random_abzc(rng, n)
-        back = ABZCElement.from_matrix(el.to_matrix())
-        assert abs(back.a - el.a) < 1e-12
-        assert abs(back.c - el.c) < 1e-12
+        a, A, Z, c = abzc_parts(el.to_matrix()[None])
+        assert abs(a[0] - el.a) < 1e-12
+        assert abs(c[0] - el.c) < 1e-12
         if n:
-            assert np.abs(back.A - el.A).max() < 1e-12
-            assert np.abs(back.Z - el.Z).max() < 1e-12
+            assert np.abs(A[0] - el.A).max() < 1e-12
+            assert np.abs(Z[0] - el.Z).max() < 1e-12
 
 
 def test_abzc_fit_refuses_off_pattern_and_non_fixed_matrices(rng):
@@ -60,11 +61,11 @@ def test_abzc_fit_refuses_off_pattern_and_non_fixed_matrices(rng):
                          ((1, 2), "not fixed by sigma")):
         big = 100 * m
         big[idx] += 1e-8
-        ABZCElement.from_matrix(big)
+        abzc_parts(big[None])
         moved = m / np.abs(m).max()
         moved[idx] += 1e-8
         with pytest.raises(ValueError, match=message):
-            ABZCElement.from_matrix(moved)
+            abzc_parts(moved[None])
 
 
 def test_abzc_matrix_shape(rng):
